@@ -16,7 +16,7 @@ from .corpus import (
     representative_message,
     serialize_corpus,
 )
-from .game import CodebookSpeaker, CorpusListener, CorpusSpeaker, GameConfig, run_lewis_game
+from .game import CorpusListener, CorpusSpeaker, GameConfig, run_lewis_game
 from .metrics import (
     AccuracyMatrix,
     TopSimReport,
@@ -71,7 +71,6 @@ __all__ = [
     "Attribute",
     "AttributeSchema",
     "Codebook",
-    "CodebookSpeaker",
     "CorpusEntry",
     "CorpusListener",
     "CorpusSpeaker",

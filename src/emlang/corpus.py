@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     AttributeMismatch,
@@ -24,7 +27,7 @@ from .errors import (
     TokenOutOfRange,
     UnknownSample,
 )
-from .schema import AttributeSchema, Sample, validate_sample
+from .schema import AttributeSchema, Sample, property_codes, validate_sample
 
 Message = tuple[int, ...]
 
@@ -91,6 +94,23 @@ class AnnotatedCorpus:
     def all_messages(self) -> list[Message]:
         """Every retained message of every sample (distinct per sample)."""
         return [m for entry in self.entries for m, _ in entry.messages]
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """``property_codes`` of the samples: one row per entry."""
+        return property_codes(self.schema, [entry.sample.values for entry in self.entries])
+
+    @cached_property
+    def messages(self) -> np.ndarray:
+        """``all_messages()`` as one ``int64[messages x message_length]`` array."""
+        return np.array(self.all_messages(), dtype=np.int64).reshape(-1, self.message_length)
+
+    @cached_property
+    def owners(self) -> np.ndarray:
+        """Entry index of each row of ``messages``."""
+        return np.array(
+            [i for i, entry in enumerate(self.entries) for _ in entry.messages], dtype=np.int64
+        )
 
 
 def build_corpus(
@@ -209,7 +229,7 @@ def serialize_corpus(corpus: AnnotatedCorpus) -> str:
 def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedCorpus:
     """Drop, per sample, messages whose count share falls below ``threshold``.
 
-    A message survives iff ``count >= threshold * total_count(sample)``, so
+    A message survives iff ``count / total_count(sample) >= threshold``, so
     threshold 0 is the identity.  Samples are never dropped: a sample left
     without messages (threshold above its maximum share) raises EmptySample.
     """
@@ -221,7 +241,7 @@ def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedC
         kept = tuple(
             (message, count)
             for message, count in entry.messages
-            if count >= threshold * total
+            if count / total >= threshold
         )
         if not kept:
             raise EmptySample(

@@ -1,11 +1,10 @@
 """Non-neural referential-game harness.
 
 A speaker sees a target sample and emits a message; a listener then has to
-pick the target out of a candidate set.  Speakers sample from per-sample
-message distributions (corpus-empirical or codebook-deterministic); the
-listener is a Bayes-style decoder scoring each candidate by the empirical
-likelihood of the observed message under that candidate, with ties broken
-toward the smallest sample id.
+pick the target out of a candidate set.  Speakers sample from the per-sample
+message distributions of a corpus; the listener is a Bayes-style decoder
+scoring each candidate by the empirical likelihood of the observed message
+under that candidate, with ties broken toward the smallest sample id.
 
 Every (speaker, listener) cell owns an independent generator derived from
 (seed, speaker index, listener index), so the accuracy matrix is identical
@@ -21,7 +20,6 @@ import numpy as np
 from .corpus import AnnotatedCorpus, Message
 from .errors import ConfigError
 from .metrics import AccuracyMatrix
-from .synth import Codebook
 
 
 class CorpusSpeaker:
@@ -39,23 +37,6 @@ class CorpusSpeaker:
         if len(messages) == 1:
             return messages[0]
         return messages[rng.choice(len(messages), p=probs)]
-
-
-class CodebookSpeaker:
-    """Encodes samples through a codebook; samples synonyms when noise is set."""
-
-    def __init__(self, codebook: Codebook, corpus: AnnotatedCorpus):
-        self._codebook = codebook
-        self._values = {e.sample.id: e.sample.values for e in corpus.entries}
-
-    def emit(self, sample_id: str, rng: np.random.Generator) -> Message:
-        noise = self._codebook.noise or {}
-        if sample_id in noise:
-            alternatives = noise[sample_id]
-            probs = np.array([p for _, p in alternatives], dtype=float)
-            idx = rng.choice(len(alternatives), p=probs / probs.sum())
-            return alternatives[idx][0]
-        return self._codebook.encode(self._values[sample_id])
 
 
 class CorpusListener:

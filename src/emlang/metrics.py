@@ -69,17 +69,9 @@ def attribute_edit_distance(s1: Sample, s2: Sample, schema: AttributeSchema) -> 
 def average_ranks(values) -> np.ndarray:
     """1-based ranks; ties receive the mean of their rank range."""
     arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="stable")
-    sorted_vals = arr[order]
-    ranks = np.empty(len(arr), dtype=float)
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+    # a tie group ending at rank r shares ranks r - count + 1 .. r
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(x, y) -> float:
@@ -174,15 +166,8 @@ def topsim(
         left, right = np.triu_indices(n, k=1)
         pairs = np.column_stack([left, right])
 
-    schema = corpus.schema
-    # attribute values as domain indices; differing index <=> differing value
-    codes = np.array(
-        [
-            [schema.domain_index(name, entry.sample.values[name]) for name in schema.attribute_names]
-            for entry in corpus.entries
-        ],
-        dtype=np.int64,
-    )
+    # attribute columns lead the code matrix; differing code <=> differing value
+    codes = corpus.codes[:, : len(corpus.schema.attributes)]
     attr_dist = (codes[pairs[:, 0]] != codes[pairs[:, 1]]).sum(axis=1)
     reps = np.array([representative_of(entry) for entry in corpus.entries], dtype=np.int64)
     msg_dist = pairwise_levenshtein(reps, pairs)

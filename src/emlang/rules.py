@@ -10,6 +10,10 @@ Each rule keeps two views of its meaning:
 * coverage — for every property, the set of values observed over the samples
   whose retained messages match the pattern.
 
+Both are read off the corpus arrays: a group is the messages whose owners
+share a code in one column of ``AnnotatedCorpus.codes``; coverage is the
+distinct codes of the owners of the messages a pattern matches.
+
 All functions are pure over immutable corpora; group computations are
 independent and merged in a canonical order, so output is deterministic.
 """
@@ -22,7 +26,7 @@ import numpy as np
 
 from .corpus import AnnotatedCorpus, Message, filter_by_frequency
 from .errors import EmptyCorpus, EmptyInput, UnknownReference
-from .schema import eval_property
+from .schema import observed_values
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,9 @@ class RuleTable:
         return len(self.rules)
 
 
-def constant_positions(messages: list[Message]) -> Pattern:
+def constant_positions(messages: list[Message] | np.ndarray) -> Pattern:
     """Positions (with their shared token) on which all messages agree."""
-    if not messages:
+    if len(messages) == 0:
         raise EmptyInput("cannot intersect an empty message set")
     arr = np.asarray(messages, dtype=np.int64)
     constant = (arr == arr[0]).all(axis=0)
@@ -100,17 +104,9 @@ def coverage_summary(
     the pattern; the empty pattern covers every sample.  Value sets come
     back in domain order; an uncovered corpus yields empty sets, support 0.
     """
-    schema = corpus.schema
-    covered = [
-        entry
-        for entry in corpus.entries
-        if any(pattern.matches(message) for message, _ in entry.messages)
-    ]
-    coverage: dict[str, tuple[str, ...]] = {}
-    for prop in schema.property_names:
-        observed = {eval_property(schema, entry.sample, prop) for entry in covered}
-        coverage[prop] = tuple(v for v in schema.domain(prop) if v in observed)
-    return coverage, len(covered)
+    matched = (corpus.messages[:, list(pattern.positions)] == pattern.tokens).all(axis=1)
+    covered = np.unique(corpus.owners[matched])
+    return observed_values(corpus.schema, corpus.codes[covered]), len(covered)
 
 
 def rule_sort_key(rule: SemanticRule):
@@ -126,25 +122,6 @@ def canonical_evidence(
     return tuple(
         sorted(pairs, key=lambda pv: (order[pv[0]], corpus_schema.domain_index(*pv)))
     )
-
-
-def assemble_rules(
-    corpus: AnnotatedCorpus,
-    candidates: dict[Pattern, set[tuple[str, str]]],
-) -> tuple[SemanticRule, ...]:
-    """Turn deduplicated pattern candidates into sorted rules with coverage."""
-    rules = []
-    for pattern, evidence in candidates.items():
-        coverage, support = coverage_summary(corpus, pattern)
-        rules.append(
-            SemanticRule(
-                pattern=pattern,
-                evidence=canonical_evidence(corpus.schema, evidence),
-                coverage=tuple(coverage.items()),
-                support=support,
-            )
-        )
-    return tuple(sorted(rules, key=rule_sort_key))
 
 
 def extract_rules(
@@ -175,20 +152,27 @@ def extract_rules(
 
     candidates: dict[Pattern, set[tuple[str, str]]] = {}
     for prop in props:
-        for value in schema.domain(prop):
-            group = [
-                message
-                for entry in filtered.entries
-                if eval_property(schema, entry.sample, prop) == value
-                for message, _ in entry.messages
-            ]
-            if not group:
+        column = filtered.codes[filtered.owners, schema.property_names.index(prop)]
+        for code, value in enumerate(schema.domain(prop)):
+            group = filtered.messages[column == code]
+            if not len(group):
                 continue
             pattern = constant_positions(group).without_positions(global_pos)
             candidates.setdefault(pattern, set()).add((prop, value))
 
+    rules = []
+    for pattern, evidence in candidates.items():
+        coverage, support = coverage_summary(filtered, pattern)
+        rules.append(
+            SemanticRule(
+                pattern=pattern,
+                evidence=canonical_evidence(schema, evidence),
+                coverage=tuple(coverage.items()),
+                support=support,
+            )
+        )
     return RuleTable(
         message_length=filtered.message_length,
         global_constants=globals_,
-        rules=assemble_rules(filtered, candidates),
+        rules=tuple(sorted(rules, key=rule_sort_key)),
     )

@@ -18,7 +18,11 @@ Expression grammar (whitespace-insensitive around operators)::
               | name                # boolean property, shorthand for name == T
 
 Identifiers and values are arbitrary UTF-8 words not containing whitespace
-or the reserved characters ``( ) { } , =``.
+or the reserved characters ``( ) { } , =``.  An expression may nest at most
+``MAX_EXPRESSION_DEPTH`` levels deep.
+
+Evaluation works on whole columns (:func:`property_codes`);
+:func:`eval_property` is a one-row view of it.
 
 Schemas and samples are immutable after construction; evaluation is pure, so
 all operations here are safe to call concurrently.
@@ -28,6 +32,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     AttributeMismatch,
@@ -41,6 +47,11 @@ BOOL_DOMAIN = ("F", "T")
 
 _RESERVED = set("(){},=")
 _KEYWORDS = {"and", "or", "not", "in"}
+
+# Deepest accepted expression, counting operator levels and open parentheses
+# alike.  Every walk over an expression tree recurses once per level, so the
+# bound keeps them all far below the interpreter's recursion limit.
+MAX_EXPRESSION_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +126,7 @@ class _ExprParser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # parentheses and 'not's enclosing the current token
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -139,36 +151,49 @@ class _ExprParser:
             )
         return tok
 
+    def bounded(self, depth: int) -> int:
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise DocumentSyntaxError(
+                f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels: {self.text!r}"
+            )
+        return depth
+
     def parse(self) -> Expr:
-        expr = self.or_expr()
+        expr, _ = self.or_expr()
         if self.peek() is not None:
             raise DocumentSyntaxError(f"trailing tokens after expression {self.text!r}")
         return expr
 
-    def or_expr(self) -> Expr:
-        node = self.and_expr()
-        while self.peek() == "or":
-            self.take()
-            node = Or(node, self.and_expr())
-        return node
+    def or_expr(self) -> tuple[Expr, int]:
+        return self.chain("or", self.and_expr, Or)
 
-    def and_expr(self) -> Expr:
-        node = self.not_expr()
-        while self.peek() == "and":
-            self.take()
-            node = And(node, self.not_expr())
-        return node
+    def and_expr(self) -> tuple[Expr, int]:
+        return self.chain("and", self.not_expr, And)
 
-    def not_expr(self) -> Expr:
+    def chain(self, keyword: str, operand, node_type) -> tuple[Expr, int]:
+        """Left-associative ``operand (keyword operand)*``."""
+        node, height = operand()
+        while self.peek() == keyword:
+            self.take()
+            right, right_height = operand()
+            node, height = node_type(node, right), self.bounded(max(height, right_height) + 1)
+        return node, height
+
+    def not_expr(self) -> tuple[Expr, int]:
         if self.peek() == "not":
             self.take()
-            return Not(self.not_expr())
+            self.open = self.bounded(self.open + 1)
+            operand, height = self.not_expr()
+            self.open -= 1
+            return Not(operand), self.bounded(height + 1)
         return self.atom()
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.take()
         if tok == "(":
+            self.open = self.bounded(self.open + 1)
             node = self.or_expr()
+            self.open -= 1
             self.expect(")")
             return node
         if tok in _KEYWORDS or tok in _RESERVED or tok == "==":
@@ -177,7 +202,7 @@ class _ExprParser:
         nxt = self.peek()
         if nxt == "==":
             self.take()
-            return Equals(name, self.take_word())
+            return Equals(name, self.take_word()), 0
         if nxt == "in":
             self.take()
             self.expect("{")
@@ -186,12 +211,13 @@ class _ExprParser:
                 self.take()
                 values.append(self.take_word())
             self.expect("}")
-            return Member(name, tuple(values))
-        return Ref(name)
+            return Member(name, tuple(values)), 0
+        return Ref(name), 0
 
 
 def parse_expression(text: str) -> Expr:
-    """Parse an expression string; raises DocumentSyntaxError on bad syntax."""
+    """Parse an expression string; raises DocumentSyntaxError on bad syntax
+    and on nesting deeper than ``MAX_EXPRESSION_DEPTH``."""
     return _ExprParser(text).parse()
 
 
@@ -285,9 +311,6 @@ class AttributeSchema:
         """Attributes then hyperattributes, in declaration order."""
         return self.attribute_names + tuple(h.name for h in self.hyperattributes)
 
-    def is_attribute(self, name: str) -> bool:
-        return any(a.name == name for a in self.attributes)
-
     def domain(self, prop: str) -> tuple[str, ...]:
         try:
             return self._domains[prop]
@@ -379,34 +402,65 @@ def validate_sample(schema: AttributeSchema, sample_id: str, values: dict[str, s
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def property_codes(schema: AttributeSchema, rows) -> np.ndarray:
+    """Domain index of every property on every row, as ``int64[rows x properties]``.
+
+    ``rows`` holds attribute-value mappings such as ``Sample.values``; columns
+    follow ``property_names``.  Each hyperattribute is evaluated once, over
+    whole columns, in declaration order, which is topological: a value map
+    indexes a lookup table by its source column, an expression combines the
+    earlier columns it references.
+    """
+    names = schema.property_names
+    column = {name: i for i, name in enumerate(names)}
+    codes = np.empty((len(rows), len(names)), dtype=np.int64)
+    for i, name in enumerate(schema.attribute_names):
+        codes[:, i] = [schema.domain_index(name, row[name]) for row in rows]
+    for hyper in schema.hyperattributes:
+        body = hyper.body
+        if isinstance(body, ValueMap):
+            label = dict(body.cases)
+            table = [schema.domain_index(hyper.name, label[v]) for v in schema.domain(body.source)]
+            codes[:, column[hyper.name]] = np.array(table)[codes[:, column[body.source]]]
+        else:
+            codes[:, column[hyper.name]] = _eval_column(schema, body, codes, column)
+    return codes
+
+
+def _eval_column(schema: AttributeSchema, expr: Expr, codes: np.ndarray,
+                 column: dict[str, int]) -> np.ndarray:
+    """Boolean column of ``expr`` over the already evaluated ``codes``."""
+    if isinstance(expr, Ref):
+        return codes[:, column[expr.name]] == schema.domain_index(expr.name, "T")
+    if isinstance(expr, Equals):
+        return codes[:, column[expr.prop]] == schema.domain_index(expr.prop, expr.value)
+    if isinstance(expr, Member):
+        wanted = [schema.domain_index(expr.prop, value) for value in expr.values]
+        return np.isin(codes[:, column[expr.prop]], wanted)
+    if isinstance(expr, Not):
+        return ~_eval_column(schema, expr.operand, codes, column)
+    left = _eval_column(schema, expr.left, codes, column)
+    right = _eval_column(schema, expr.right, codes, column)
+    return left & right if isinstance(expr, And) else left | right
+
+
+def observed_values(schema: AttributeSchema, codes: np.ndarray) -> dict[str, tuple[str, ...]]:
+    """Per property, the values present in rows of ``property_codes``, in domain order."""
+    return {
+        prop: tuple(schema.domain(prop)[k] for k in np.unique(codes[:, i]))
+        for i, prop in enumerate(schema.property_names)
+    }
+
+
 def eval_property(schema: AttributeSchema, sample: Sample, prop: str) -> str:
     """Value of an attribute or hyperattribute on a sample.
 
-    Total and deterministic: the result always lies in ``property_domain``.
+    A one-row view of :func:`property_codes`, so the result always lies in
+    ``property_domain``; an unknown name raises UnknownReference.
     """
-    if schema.is_attribute(prop):
-        return sample.values[prop]
-    for hyper in schema.hyperattributes:
-        if hyper.name == prop:
-            if isinstance(hyper.body, ValueMap):
-                source_value = eval_property(schema, sample, hyper.body.source)
-                return dict(hyper.body.cases)[source_value]
-            return "T" if _eval_bool(schema, sample, hyper.body) else "F"
-    raise UnknownReference(f"unknown property {prop!r}")
-
-
-def _eval_bool(schema: AttributeSchema, sample: Sample, expr: Expr) -> bool:
-    if isinstance(expr, Ref):
-        return eval_property(schema, sample, expr.name) == "T"
-    if isinstance(expr, Equals):
-        return eval_property(schema, sample, expr.prop) == expr.value
-    if isinstance(expr, Member):
-        return eval_property(schema, sample, expr.prop) in expr.values
-    if isinstance(expr, Not):
-        return not _eval_bool(schema, sample, expr.operand)
-    if isinstance(expr, And):
-        return _eval_bool(schema, sample, expr.left) and _eval_bool(schema, sample, expr.right)
-    return _eval_bool(schema, sample, expr.left) or _eval_bool(schema, sample, expr.right)
+    domain = schema.domain(prop)
+    codes = property_codes(schema, [sample.values])
+    return domain[codes[0, schema.property_names.index(prop)]]
 
 
 def property_domain(schema: AttributeSchema, prop: str) -> tuple[str, ...]:

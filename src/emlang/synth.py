@@ -13,10 +13,12 @@ import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import AnnotatedCorpus, CorpusEntry, Message, build_corpus
 from .errors import CapacityError
 from .rules import Pattern, RuleTable, SemanticRule, canonical_evidence, rule_sort_key
-from .schema import Attribute, AttributeSchema, Sample, eval_property, parse_schema
+from .schema import Attribute, AttributeSchema, observed_values, parse_schema, property_codes
 
 MOPRD_SCHEMA_DOCUMENT = """\
 {
@@ -70,15 +72,13 @@ class Codebook:
     """Sample-to-message map: fixed filler cells plus per-attribute encoders.
 
     ``encoders[attr][value]`` is a (positions, tokens) pair; encoder position
-    blocks are pairwise disjoint and disjoint from the fixed cells.  ``noise``
-    optionally lists alternative messages with probabilities per sample id.
+    blocks are pairwise disjoint and disjoint from the fixed cells.
     """
 
     schema: AttributeSchema
     message_length: int
     fixed: Pattern
     encoders: dict[str, dict[str, tuple[tuple[int, ...], tuple[int, ...]]]]
-    noise: dict[str, tuple[tuple[Message, float], ...]] | None = None
 
     __hash__ = None
 
@@ -173,61 +173,36 @@ def ground_truth_table(codebook: Codebook) -> RuleTable:
     the skeleton.
     """
     schema = codebook.schema
-    combos = all_combinations(schema)
-    ids = combination_ids(schema)
-    samples = [
-        Sample(id=sample_id, values=combo) for sample_id, combo in zip(ids, combos)
-    ]
-
-    global_cells = dict(codebook.fixed.cells)
-    variable_attrs = []
-    decode: dict[tuple[int, int], tuple[str, str]] = {}
+    codes = property_codes(schema, all_combinations(schema))
+    positions, tokens = [], []  # per attribute: its position, the token of each value
     for name in schema.attribute_names:
-        domain = schema.domain(name)
-        (pos,), (first_token,) = codebook.encoders[name][domain[0]]
-        if len(domain) == 1:
-            global_cells[pos] = first_token
-            continue
-        variable_attrs.append((name, pos))
-        for value in domain:
-            _, (token,) = codebook.encoders[name][value]
-            decode[(pos, token)] = (name, value)
+        encoder = codebook.encoders[name]
+        positions.append(encoder[schema.domain(name)[0]][0][0])
+        tokens.append([encoder[value][1][0] for value in schema.domain(name)])
+    variable = [a for a, toks in enumerate(tokens) if len(toks) > 1]
+    global_cells = dict(codebook.fixed.cells)
+    global_cells.update({positions[a]: toks[0] for a, toks in enumerate(tokens) if len(toks) == 1})
 
-    candidates: dict[Pattern, set[tuple[str, str]]] = {}
-    for prop in schema.property_names:
-        for value in schema.domain(prop):
-            group = [s for s in samples if eval_property(schema, s, prop) == value]
-            if not group:
+    covered_and_evidence: dict[Pattern, tuple[np.ndarray, set[tuple[str, str]]]] = {}
+    for p, prop in enumerate(schema.property_names):
+        for code, value in enumerate(schema.domain(prop)):
+            group = codes[codes[:, p] == code]
+            if not len(group):
                 continue
-            cells = {}
-            for attr, pos in variable_attrs:
-                observed = {s.values[attr] for s in group}
-                if len(observed) == 1:
-                    (shared,) = observed
-                    cells[pos] = codebook.encoders[attr][shared][1][0]
-            candidates.setdefault(Pattern.from_dict(cells), set()).add((prop, value))
+            shared = [a for a in variable if (group[:, a] == group[0, a]).all()]
+            pattern = Pattern.from_dict({positions[a]: tokens[a][group[0, a]] for a in shared})
+            covered = (codes[:, shared] == group[0, shared]).all(axis=1)
+            covered_and_evidence.setdefault(pattern, (covered, set()))[1].add((prop, value))
 
-    rules = []
-    for pattern, evidence in candidates.items():
-        constraints = dict(decode[cell] for cell in pattern.cells)
-        covered = [
-            s
-            for s in samples
-            if all(s.values[attr] == value for attr, value in constraints.items())
-        ]
-        coverage = {}
-        for prop in schema.property_names:
-            observed = {eval_property(schema, s, prop) for s in covered}
-            coverage[prop] = tuple(v for v in schema.domain(prop) if v in observed)
-        rules.append(
-            SemanticRule(
-                pattern=pattern,
-                evidence=canonical_evidence(schema, evidence),
-                coverage=tuple(coverage.items()),
-                support=len(covered),
-            )
+    rules = [
+        SemanticRule(
+            pattern=pattern,
+            evidence=canonical_evidence(schema, evidence),
+            coverage=tuple(observed_values(schema, codes[covered]).items()),
+            support=int(covered.sum()),
         )
-
+        for pattern, (covered, evidence) in covered_and_evidence.items()
+    ]
     return RuleTable(
         message_length=codebook.message_length,
         global_constants=Pattern.from_dict(global_cells),

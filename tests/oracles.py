@@ -11,7 +11,7 @@ import math
 from functools import lru_cache
 
 from emlang.rules import Pattern, RuleTable, SemanticRule
-from emlang.schema import eval_property
+from emlang.schema import And, Equals, Member, Not, Or, Ref, ValueMap
 
 
 def brute_levenshtein(a, b) -> int:
@@ -61,6 +61,36 @@ def brute_spearman(x, y) -> float:
     return num / math.sqrt(vx * vy)
 
 
+def naive_eval(schema, values, prop) -> str:
+    """Definitional property value of one sample by walking the schema's trees.
+
+    Re-evaluates referenced hyperattributes on every reference, exactly as
+    the definitions read; exponential on deep reference chains, so only fit
+    for small schemas.
+    """
+    if prop in schema.attribute_names:
+        return values[prop]
+    (body,) = [h.body for h in schema.hyperattributes if h.name == prop]
+    if isinstance(body, ValueMap):
+        return dict(body.cases)[naive_eval(schema, values, body.source)]
+
+    def holds(expr) -> bool:
+        if isinstance(expr, Ref):
+            return naive_eval(schema, values, expr.name) == "T"
+        if isinstance(expr, Equals):
+            return naive_eval(schema, values, expr.prop) == expr.value
+        if isinstance(expr, Member):
+            return naive_eval(schema, values, expr.prop) in expr.values
+        if isinstance(expr, Not):
+            return not holds(expr.operand)
+        if isinstance(expr, And):
+            return holds(expr.left) and holds(expr.right)
+        assert isinstance(expr, Or)
+        return holds(expr.left) or holds(expr.right)
+
+    return "T" if holds(body) else "F"
+
+
 def naive_extract_rules(corpus, threshold: float, properties=None) -> RuleTable:
     """Exhaustive-scan re-derivation of the whole extraction pipeline."""
     schema = corpus.schema
@@ -75,7 +105,7 @@ def naive_extract_rules(corpus, threshold: float, properties=None) -> RuleTable:
             total += count
         retained = []
         for message, count in entry.messages:
-            if count >= threshold * total:
+            if count / total >= threshold:
                 retained.append((message, count))
         assert retained, "oracle does not model EmptySample"
         kept[entry.sample.id] = retained
@@ -83,7 +113,7 @@ def naive_extract_rules(corpus, threshold: float, properties=None) -> RuleTable:
     def group_messages(prop, value):
         out = []
         for sid in kept:
-            if eval_property(schema, samples[sid], prop) == value:
+            if naive_eval(schema, samples[sid].values, prop) == value:
                 for message, _ in kept[sid]:
                     out.append(message)
         return out
@@ -130,7 +160,7 @@ def naive_extract_rules(corpus, threshold: float, properties=None) -> RuleTable:
         ]
         coverage = []
         for prop in schema.property_names:
-            observed = {eval_property(schema, samples[sid], prop) for sid in covered}
+            observed = {naive_eval(schema, samples[sid].values, prop) for sid in covered}
             coverage.append(
                 (prop, tuple(v for v in schema.domain(prop) if v in observed))
             )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 
@@ -142,3 +143,22 @@ def test_render_metrics_document(tmp_path, workdir):
     result = run_cli("render", "--in", str(doc), "--format", "markdown")
     assert result.returncode == 0
     assert result.stdout.startswith("TopSim:")
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["not " * 1000 + "flag", "(" * 300 + "flag" + ")" * 300, " or ".join(["flag"] * 2000)],
+    ids=["not-chain", "parentheses", "or-chain"],
+)
+def test_deeply_nested_expression_is_a_syntax_error(tmp_path, workdir, expr):
+    document = {
+        "attributes": [{"name": "flag", "values": ["F", "T"]}],
+        "hyperattributes": [{"name": "deep", "expr": expr}],
+    }
+    (tmp_path / "deep.json").write_text(json.dumps(document), encoding="utf-8")
+    result = run_cli(
+        "extract", "--corpus", str(workdir / "corpus.jsonl"),
+        "--schema", str(tmp_path / "deep.json"),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("SyntaxError:")

@@ -103,6 +103,16 @@ def test_filter_keeps_equal_shares():
     assert len(filter_by_frequency(corpus, 0.15).entries[0].messages) == 2
 
 
+def test_filter_keeps_every_share_exactly_at_threshold():
+    """Share k/n survives threshold k/n for every n <= 100, even where
+    ``k/n * n`` rounds above k (for example 7/100 at 0.07)."""
+    for n in range(1, 101):
+        for k in range(1, n + 1):
+            counts = {(0, 0): k} if k == n else {(0, 0): k, (1, 1): n - k}
+            kept = filter_by_frequency(share_corpus(counts), k / n).entries[0].messages
+            assert ((0, 0), k) in kept, (k, n)
+
+
 def test_filter_empty_sample_reported():
     corpus = share_corpus({(0, 0): 50, (0, 1): 50})
     with pytest.raises(EmptySample):

@@ -5,16 +5,9 @@ import pytest
 
 from emlang.corpus import build_corpus
 from emlang.errors import ConfigError
-from emlang.game import (
-    CodebookSpeaker,
-    CorpusListener,
-    CorpusSpeaker,
-    GameConfig,
-    run_lewis_game,
-)
+from emlang.game import CorpusListener, CorpusSpeaker, GameConfig, run_lewis_game
 from emlang.metrics import accuracy_per_speaker
-from emlang.synth import Codebook, all_combinations, gen_compositional
-from emlang.rules import Pattern
+from emlang.synth import all_combinations, gen_compositional
 
 
 def constant_corpus(moprd):
@@ -90,24 +83,8 @@ def test_config_validation(moprd):
         run_lewis_game(corpus, GameConfig(seed=1, candidate_count=5, episodes=0))
 
 
-def test_codebook_speaker_noise(moprd):
-    corpus, _ = gen_compositional(moprd, 10, 20, seed=5)
-    plain = Codebook(
-        schema=moprd,
-        message_length=10,
-        fixed=Pattern.from_dict({}),
-        encoders={},
-        noise={"00": (((1,) * 10, 0.5), ((2,) * 10, 0.5))},
-    )
-    speaker = CodebookSpeaker(plain, corpus)
-    rng = np.random.default_rng(0)
-    drawn = {speaker.emit("00", rng) for _ in range(50)}
-    assert drawn == {(1,) * 10, (2,) * 10}
-
-
-def test_codebook_speaker_encodes_without_noise(moprd):
-    corpus, truth = gen_compositional(moprd, 10, 20, seed=6)
-    # rebuild the codebook implied by the corpus: one message per sample
+def test_corpus_listener_decodes_corpus_speaker(moprd):
+    corpus, _ = gen_compositional(moprd, 10, 20, seed=6)
     listener = CorpusListener(corpus)
     speaker = CorpusSpeaker(corpus)
     rng = np.random.default_rng(1)

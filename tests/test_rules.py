@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+import time
 
 import pytest
 
@@ -13,7 +15,7 @@ from emlang.rules import (
     extract_rules,
     global_constants,
 )
-from emlang.schema import AttributeSchema, Attribute, eval_property
+from emlang.schema import AttributeSchema, Attribute, eval_property, parse_schema
 
 from oracles import naive_extract_rules
 
@@ -244,3 +246,26 @@ def test_shared_combinations_are_separate_samples():
     assert small.pattern == Pattern.from_dict({0: 0})
     assert small.support == 2
     assert naive_extract_rules(corpus, 0.0) == table
+
+
+def test_deep_hyperattribute_chain_is_evaluated_once_per_level():
+    """``h_i = h_{i-1} or h_{i-1}``: 200 levels, not 2^200 re-evaluations."""
+    hypers = [{"name": "h0", "expr": "flag"}] + [
+        {"name": f"h{i}", "expr": f"h{i - 1} or h{i - 1}"} for i in range(1, 201)
+    ]
+    schema = parse_schema(json.dumps({
+        "attributes": [{"name": "flag", "values": ["F", "T"]}],
+        "hyperattributes": hypers,
+    }))
+    corpus = build_corpus(schema, 2, 1, [
+        ("0", {"flag": "F"}, (0,), 1),
+        ("1", {"flag": "T"}, (1,), 1),
+    ])
+    start = time.perf_counter()
+    assert eval_property(schema, corpus.entries[1].sample, "h200") == "T"
+    table = extract_rules(corpus, threshold=0.0)
+    assert time.perf_counter() - start < 1.0
+    assert [rule.pattern for rule in table.rules] == [
+        Pattern.from_dict({0: 0}), Pattern.from_dict({0: 1})
+    ]
+    assert table.rules[1].evidence == tuple((name, "T") for name in schema.property_names)

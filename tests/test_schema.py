@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emlang.errors import (
     AttributeMismatch,
@@ -10,15 +12,30 @@ from emlang.errors import (
     UnknownReference,
 )
 from emlang.schema import (
+    BOOL_DOMAIN,
+    MAX_EXPRESSION_DEPTH,
+    And,
+    Attribute,
+    AttributeSchema,
+    Equals,
+    HyperattributeDef,
+    Member,
+    Not,
+    Or,
+    Ref,
+    ValueMap,
     eval_property,
     parse_expression,
     parse_schema,
+    property_codes,
     property_domain,
     render_expression,
     render_schema,
     validate_sample,
 )
 from emlang.synth import all_combinations
+
+from oracles import naive_eval
 
 GROUPED_ENTITIES = """
 {
@@ -173,6 +190,27 @@ def test_expression_syntax_errors():
             parse_expression(bad)
 
 
+def test_expression_nesting_bound():
+    limit = MAX_EXPRESSION_DEPTH
+    deepest = [
+        "not " * limit + "a",
+        "(" * limit + "a" + ")" * limit,
+        " or ".join(["a"] * (limit + 1)),
+    ]
+    for text in deepest:
+        expr = parse_expression(text)
+        assert parse_expression(render_expression(expr)) == expr
+    too_deep = [
+        "not " * (limit + 1) + "a",
+        "(" * (limit + 1) + "a" + ")" * (limit + 1),
+        " or ".join(["a"] * (limit + 2)),
+        "(" + " or ".join(["a"] * (limit // 2 + 10)) + ")" + " and a" * (limit // 2),
+    ]
+    for text in too_deep:
+        with pytest.raises(DocumentSyntaxError):
+            parse_expression(text)
+
+
 def test_bare_reference_requires_boolean():
     doc = """
     {"attributes": [{"name": "a", "values": ["x", "y"]}],
@@ -216,3 +254,63 @@ def test_sample_validation(moprd):
         )
     with pytest.raises(UnknownReference):
         eval_property(moprd, sample_of(moprd, "□", "□", "→"), "colour")
+
+
+def expressions(domains: dict[str, tuple[str, ...]]):
+    """Random expression trees over the given properties."""
+    props = sorted(domains)
+    leaves = st.sampled_from(props).flatmap(
+        lambda p: st.one_of(
+            st.sampled_from(domains[p]).map(lambda v: Equals(p, v)),
+            st.lists(st.sampled_from(domains[p]), min_size=1, unique=True).map(
+                lambda vs: Member(p, tuple(vs))
+            ),
+        )
+    )
+    booleans = [p for p in props if domains[p] == BOOL_DOMAIN]
+    if booleans:
+        leaves = leaves | st.sampled_from(booleans).map(Ref)
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map(Not),
+            st.tuples(inner, inner).map(lambda lr: And(*lr)),
+            st.tuples(inner, inner).map(lambda lr: Or(*lr)),
+        ),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def chained_schemas(draw):
+    """Attributes, then value maps and expressions over earlier properties,
+    hyperattributes included."""
+    attributes = tuple(
+        Attribute(name=f"a{i}", domain=tuple(f"v{i}{k}" for k in range(draw(st.integers(1, 3)))))
+        for i in range(draw(st.integers(1, 3)))
+    )
+    domains = {a.name: a.domain for a in attributes}
+    hypers = []
+    for h in range(draw(st.integers(0, 6))):
+        name = f"h{h}"
+        if draw(st.booleans()):
+            source = draw(st.sampled_from(sorted(domains)))
+            labels = [draw(st.sampled_from(["F", "T", "x"])) for _ in domains[source]]
+            body = ValueMap(source=source, cases=tuple(zip(domains[source], labels)))
+            domains[name] = tuple(dict.fromkeys(labels))
+        else:
+            body = draw(expressions(domains))
+            domains[name] = BOOL_DOMAIN
+        hypers.append(HyperattributeDef(name=name, body=body))
+    return AttributeSchema(attributes=attributes, hyperattributes=tuple(hypers))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chained_schemas())
+def test_property_codes_match_definitional_evaluation(schema):
+    rows = all_combinations(schema)
+    expected = [
+        [schema.domain(prop).index(naive_eval(schema, row, prop)) for prop in schema.property_names]
+        for row in rows
+    ]
+    assert property_codes(schema, rows).tolist() == expected
