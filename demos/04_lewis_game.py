@@ -3,16 +3,16 @@ Referential-game accuracy
 =========================
 
 A speaker describes a target sample with a message; a listener must pick the
-target out of a candidate set.  Speakers sample from per-sample message
-distributions, and the listener scores candidates by the empirical
-likelihood of the message.  An unambiguous language wins every episode; a
-constant message leaves the listener guessing at chance level 1/|C|.
+target out of a candidate set.  Agents are corpora: a speaker samples from
+its corpus's per-sample message distributions, and a listener scores
+candidates by the share of the message in its corpus.  An unambiguous
+language wins every episode; a constant message leaves the listener
+guessing at chance level 1/|C|.  A population of speaker and listener
+corpora plays every pairing, each cell with its own random stream.
 """
 
 from emlang import (
     GameConfig,
-    CorpusListener,
-    CorpusSpeaker,
     accuracy_per_speaker,
     all_combinations,
     build_corpus,
@@ -45,8 +45,9 @@ population = run_lewis_game(
         seed=7,
         candidate_count=10,
         episodes=200,
-        speakers=tuple(CorpusSpeaker(language) for _ in range(10)),
-        listeners=tuple(CorpusListener(language) for _ in range(10)),
+        speakers=(language, mute),
+        listeners=(language, mute),
     ),
 )
-print("10x10 population, per-speaker means:", accuracy_per_speaker(population))
+print("population (language, mute) x (language, mute):", population.values)
+print("per-speaker means:", accuracy_per_speaker(population))

@@ -2,7 +2,7 @@
 Outlier messages and the frequency filter
 =========================================
 
-Real speakers sometimes emit alternative messages for the same sample.  The
+Real speakers sometimes produce alternative messages for the same sample.  The
 corpus filter keeps a message only when its count reaches a share of the
 sample's total (15% by default), so rare synonyms vanish while established
 variants survive.  The noisy generator lets us stage both cases exactly.

@@ -16,7 +16,7 @@ from .corpus import (
     representative_message,
     serialize_corpus,
 )
-from .game import CorpusListener, CorpusSpeaker, GameConfig, run_lewis_game
+from .game import GameConfig, run_lewis_game
 from .metrics import (
     AccuracyMatrix,
     TopSimReport,
@@ -72,8 +72,6 @@ __all__ = [
     "AttributeSchema",
     "Codebook",
     "CorpusEntry",
-    "CorpusListener",
-    "CorpusSpeaker",
     "GameConfig",
     "HyperattributeDef",
     "Message",

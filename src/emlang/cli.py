@@ -19,7 +19,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import report as report_mod
 from .errors import DocumentSyntaxError, EmlangError, NotFoundError
-from .game import GameConfig, CorpusListener, CorpusSpeaker, run_lewis_game
+from .game import GameConfig, run_lewis_game
 from .metrics import levenshtein, topsim
 from .rules import RuleTable, extract_rules
 from .schema import AttributeSchema, parse_schema
@@ -135,8 +135,8 @@ def _cmd_game(args) -> None:
         seed=args.seed,
         candidate_count=args.candidates,
         episodes=args.episodes,
-        speakers=tuple(CorpusSpeaker(loaded) for _ in range(args.speakers)),
-        listeners=tuple(CorpusListener(loaded) for _ in range(args.listeners)),
+        speakers=(loaded,) * args.speakers,
+        listeners=(loaded,) * args.listeners,
     )
     matrix = run_lewis_game(loaded, config)
     _emit(report_mod.render_metrics(matrix, args.format), args.out)

@@ -4,7 +4,8 @@ A corpus ties fixed-length token messages to annotated samples.  The file
 format is line-oriented JSON (UTF-8, LF): a header line
 ``{"meta": {"vocab_size": n, "msg_len": T}}`` followed by one record per
 line, ``{"sample": id, "attrs": {...}, "msg": [ints], "count": k}`` with
-``count`` defaulting to 1.  Records repeating the same (sample, message)
+``count`` defaulting to 1.  Sample ids are strings, and the counts of a
+corpus sum to less than 2**53.  Records repeating the same (sample, message)
 merge by summing counts.
 
 Corpora are immutable after construction; filtering returns a new corpus.
@@ -30,6 +31,10 @@ from .errors import (
 from .schema import AttributeSchema, Sample, property_codes, validate_sample
 
 Message = tuple[int, ...]
+
+# Below this corpus-wide count total, int64 sums and float64 shares of counts
+# equal their exact Python values.
+COUNT_LIMIT = 2**53
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,7 @@ class AnnotatedCorpus:
         if self.vocab_size < 1:
             raise DocumentSyntaxError("vocabulary size must be >= 1")
         seen_ids: set[str] = set()
+        total = 0
         for entry in self.entries:
             if entry.sample.id in seen_ids:
                 raise DocumentSyntaxError(f"duplicate sample id {entry.sample.id!r}")
@@ -80,6 +86,9 @@ class AnnotatedCorpus:
                     raise DocumentSyntaxError(
                         f"sample {entry.sample.id!r}: message count must be >= 1"
                     )
+                total += count
+        if total >= COUNT_LIMIT:
+            raise DocumentSyntaxError(f"message counts sum to {total}, at least 2**53")
 
     @property
     def sample_ids(self) -> tuple[str, ...]:
@@ -104,6 +113,13 @@ class AnnotatedCorpus:
     def messages(self) -> np.ndarray:
         """``all_messages()`` as one ``int64[messages x message_length]`` array."""
         return np.array(self.all_messages(), dtype=np.int64).reshape(-1, self.message_length)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Count of each row of ``messages``."""
+        return np.array(
+            [count for entry in self.entries for _, count in entry.messages], dtype=np.int64
+        )
 
     @cached_property
     def owners(self) -> np.ndarray:
@@ -178,6 +194,9 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
         obj = _parse_json_line(line, lineno)
         if "sample" not in obj or "attrs" not in obj or "msg" not in obj:
             raise DocumentSyntaxError(f"line {lineno}: record needs 'sample', 'attrs', 'msg'")
+        sample_id = obj["sample"]
+        if not isinstance(sample_id, str):
+            raise DocumentSyntaxError(f"line {lineno}: 'sample' must be a string")
         msg = obj["msg"]
         if not isinstance(msg, list) or not all(_is_int(t) for t in msg):
             raise DocumentSyntaxError(f"line {lineno}: 'msg' must be a list of integers")
@@ -187,7 +206,7 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
         attrs = obj["attrs"]
         if not isinstance(attrs, dict):
             raise DocumentSyntaxError(f"line {lineno}: 'attrs' must be an object")
-        records.append((str(obj["sample"]), attrs, tuple(msg), count))
+        records.append((sample_id, attrs, tuple(msg), count))
     return build_corpus(schema, vocab_size, message_length, records)
 
 

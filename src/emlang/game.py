@@ -1,14 +1,15 @@
 """Non-neural referential-game harness.
 
-A speaker sees a target sample and emits a message; a listener then has to
-pick the target out of a candidate set.  Speakers sample from the per-sample
-message distributions of a corpus; the listener is a Bayes-style decoder
-scoring each candidate by the empirical likelihood of the observed message
-under that candidate, with ties broken toward the smallest sample id.
+A speaker sees a target sample and describes it with a message; a listener
+then has to pick the target out of a candidate set.  Agents are corpora over
+the game corpus's samples: a speaker draws the target's message in
+proportion to its counts, and a listener scores each candidate by the share
+of the message among that candidate's messages (0 if it has none), with
+ties broken toward the smallest sample id.
 
 Every (speaker, listener) cell owns an independent generator derived from
 (seed, speaker index, listener index), so the accuracy matrix is identical
-no matter how cells are scheduled.
+no matter how cells are scheduled.  Episodes are played in array batches.
 """
 
 from __future__ import annotations
@@ -17,57 +18,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Message
+from .corpus import AnnotatedCorpus
 from .errors import ConfigError
 from .metrics import AccuracyMatrix
 
-
-class CorpusSpeaker:
-    """Emits messages for a sample proportionally to their corpus counts."""
-
-    def __init__(self, corpus: AnnotatedCorpus):
-        self._table: dict[str, tuple[list[Message], np.ndarray]] = {}
-        for entry in corpus.entries:
-            messages = [m for m, _ in entry.messages]
-            counts = np.array([c for _, c in entry.messages], dtype=float)
-            self._table[entry.sample.id] = (messages, counts / counts.sum())
-
-    def emit(self, sample_id: str, rng: np.random.Generator) -> Message:
-        messages, probs = self._table[sample_id]
-        if len(messages) == 1:
-            return messages[0]
-        return messages[rng.choice(len(messages), p=probs)]
-
-
-class CorpusListener:
-    """Scores candidates by empirical message likelihood; argmax, smallest id first."""
-
-    def __init__(self, corpus: AnnotatedCorpus):
-        self._share: dict[str, dict[Message, float]] = {}
-        for entry in corpus.entries:
-            total = entry.total_count()
-            self._share[entry.sample.id] = {m: c / total for m, c in entry.messages}
-
-    def choose(self, message: Message, candidate_ids: list[str]) -> str:
-        best_id, best_score = None, -1.0
-        for sample_id in sorted(candidate_ids):
-            score = self._share.get(sample_id, {}).get(message, 0.0)
-            if score > best_score:
-                best_id, best_score = sample_id, score
-        return best_id
+# Random keys drawn per batch (episodes x samples); larger batches cost
+# memory without saving time.
+_BATCH_KEYS = 2**14
 
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Evaluation setup; ``speakers``/``listeners`` default to corpus-backed agents."""
+    """Evaluation setup; ``speakers``/``listeners`` default to ``(corpus,)``."""
 
     seed: int
     candidate_count: int = 20
     episodes: int = 10_000
-    speakers: tuple = ()
-    listeners: tuple = ()
+    speakers: tuple[AnnotatedCorpus, ...] = ()
+    listeners: tuple[AnnotatedCorpus, ...] = ()
 
     __hash__ = None
+
+
+def _agent(agent: AnnotatedCorpus, corpus: AnnotatedCorpus):
+    """Messages, owners (sample id ranks), counts and per-sample totals, by owner."""
+    ids = sorted(corpus.sample_ids)
+    if sorted(agent.sample_ids) != ids or agent.message_length != corpus.message_length:
+        raise ConfigError(
+            "an agent corpus must hold the game corpus's samples and message length"
+        )
+    owners = np.searchsorted(ids, agent.sample_ids)[agent.owners]
+    order = np.argsort(owners, kind="stable")
+    owners, counts = owners[order], agent.counts[order]
+    totals = np.add.reduceat(counts, np.searchsorted(owners, np.arange(len(ids))))
+    return agent.messages[order], owners, counts, totals
 
 
 def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatrix:
@@ -77,33 +61,49 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
     without replacement, let the speaker describe the target, and score a
     hit when the listener picks it.
     """
-    sample_ids = list(corpus.sample_ids)
-    if config.candidate_count < 2:
+    n, k = len(corpus.entries), config.candidate_count
+    if k < 2:
         raise ConfigError("candidate sets need at least two samples")
-    if config.candidate_count > len(sample_ids):
-        raise ConfigError(
-            f"candidate count {config.candidate_count} exceeds {len(sample_ids)} samples"
-        )
+    if k > n:
+        raise ConfigError(f"candidate count {k} exceeds {n} samples")
     if config.episodes < 1:
         raise ConfigError("need at least one episode")
 
-    speakers = list(config.speakers) or [CorpusSpeaker(corpus)]
-    listeners = list(config.listeners) or [CorpusListener(corpus)]
+    speakers = [_agent(a, corpus) for a in config.speakers or (corpus,)]
+    listeners = [_agent(a, corpus) for a in config.listeners or (corpus,)]
+    batch = max(1, _BATCH_KEYS // n)
 
     rows = []
-    for i, speaker in enumerate(speakers):
+    for i, (s_messages, _, s_counts, s_totals) in enumerate(speakers):
+        cumulative = np.cumsum(s_counts)
+        start = np.cumsum(s_totals) - s_totals
         row = []
-        for j, listener in enumerate(listeners):
-            seq = np.random.SeedSequence([config.seed % (2**63), i, j])
-            rng = np.random.default_rng(seq)
+        for j, (l_messages, l_owners, l_counts, l_totals) in enumerate(listeners):
+            distinct, message_ids = np.unique(
+                np.concatenate((s_messages, l_messages)), axis=0, return_inverse=True
+            )
+            message_ids = message_ids.reshape(-1)
+            spoken = message_ids[: len(s_messages)]
+            keys = l_owners * len(distinct) + message_ids[len(s_messages) :]
+            order = np.argsort(keys)
+            keys, shares = keys[order], (l_counts / l_totals[l_owners])[order]
+
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed % (2**63), i, j]))
             hits = 0
-            for _ in range(config.episodes):
-                picked = rng.choice(len(sample_ids), size=config.candidate_count, replace=False)
-                target = sample_ids[picked[0]]
-                candidates = [sample_ids[k] for k in picked]
-                message = speaker.emit(target, rng)
-                if listener.choose(message, candidates) == target:
-                    hits += 1
+            for played in range(0, config.episodes, batch):
+                size = min(batch, config.episodes - played)
+                targets = rng.integers(n, size=size)
+                draws = rng.random((size, n))
+                draws[np.arange(size), targets] = np.inf
+                distractors = np.argpartition(draws, k - 2, axis=1)[:, : k - 1]
+                candidates = np.sort(np.column_stack((targets, distractors)), axis=1)
+                drawn = start[targets] + rng.integers(s_totals[targets])
+                message = spoken[np.searchsorted(cumulative, drawn, side="right")]
+                wanted = candidates * len(distinct) + message[:, None]
+                at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+                scores = np.where(keys[at] == wanted, shares[at], 0.0)
+                chosen = candidates[np.arange(size), np.argmax(scores, axis=1)]
+                hits += int(np.count_nonzero(chosen == targets))
             row.append(hits / config.episodes)
         rows.append(tuple(row))
     return AccuracyMatrix(values=tuple(rows), episodes_per_cell=config.episodes)

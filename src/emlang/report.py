@@ -121,7 +121,7 @@ def parse_rule_table(text: str) -> RuleTable:
             global_constants=_pattern_from_json(doc["global_constants"]),
             rules=rules,
         )
-    except (KeyError, TypeError, AttributeError):
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError):
         raise DocumentSyntaxError("malformed rule table document") from None
     if doc.get("rule_count") != table.rule_count:
         raise DocumentSyntaxError("rule_count does not match the number of rules")
@@ -255,7 +255,7 @@ def parse_metrics(text: str) -> TopSimReport | AccuracyMatrix:
                 values=tuple(tuple(float(v) for v in row) for row in doc["values"]),
                 episodes_per_cell=int(doc["episodes_per_cell"]),
             )
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise DocumentSyntaxError("malformed metrics document") from None
     raise DocumentSyntaxError(f"unknown document kind {kind!r}")
 

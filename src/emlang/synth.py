@@ -1,6 +1,6 @@
 """Ground-truth language generators.
 
-Each generator is a pure function of its arguments and seed and emits a
+Each generator is a pure function of its arguments and seed and returns a
 corpus in the standard format.  The compositional generator also returns the
 exact rule table the detector must recover, built from the codebook's
 semantics alone (it never scans the emitted messages), so it can serve as an

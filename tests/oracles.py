@@ -193,3 +193,36 @@ def naive_extract_rules(corpus, threshold: float, properties=None) -> RuleTable:
         global_constants=Pattern.from_dict(global_cells),
         rules=tuple(rules),
     )
+
+
+def closed_form_accuracy(speaker, listener, k: int) -> float:
+    """Expected referential-game hit rate of corpus ``speaker`` against ``listener``.
+
+    Per target t and message m, spoken with probability p_S(t, m), the
+    listener misses exactly when a candidate beats t on m (a larger share of
+    its messages under the listener) or ties it with a smaller id.  With B
+    such samples among the other n - 1, all k - 1 distractors avoid them with
+    probability C(n - 1 - B, k - 1) / C(n - 1, k - 1).
+    """
+
+    def shares(corpus):
+        out = {}
+        for entry in corpus.entries:
+            total = sum(count for _, count in entry.messages)
+            out[entry.sample.id] = {m: count / total for m, count in entry.messages}
+        return out
+
+    spoken, heard = shares(speaker), shares(listener)
+    n = len(spoken)
+    draws = math.comb(n - 1, k - 1)
+    accuracy = 0.0
+    for target, messages in spoken.items():
+        for message, p in messages.items():
+            own = heard[target].get(message, 0.0)
+            beaten_by = 0
+            for other, theirs in heard.items():
+                score = theirs.get(message, 0.0)
+                if other != target and (score > own or (score == own and other < target)):
+                    beaten_by += 1
+            accuracy += p * math.comb(n - 1 - beaten_by, k - 1) / draws
+    return accuracy / n

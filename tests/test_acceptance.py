@@ -16,7 +16,7 @@ import pytest
 
 from emlang.corpus import AnnotatedCorpus, CorpusEntry, filter_by_frequency, serialize_corpus
 from emlang.errors import ZeroVariance
-from emlang.game import CorpusListener, CorpusSpeaker, GameConfig, run_lewis_game
+from emlang.game import GameConfig, run_lewis_game
 from emlang.metrics import accuracy_per_speaker, levenshtein, spearman, topsim
 from emlang.rules import Pattern, RuleTable, SemanticRule, extract_rules
 from emlang.synth import (
@@ -249,8 +249,8 @@ def test_criterion_8_game_harness(moprd):
             seed=7,
             candidate_count=10,
             episodes=50,
-            speakers=tuple(CorpusSpeaker(perfect) for _ in range(10)),
-            listeners=tuple(CorpusListener(perfect) for _ in range(10)),
+            speakers=(perfect,) * 10,
+            listeners=(perfect,) * 10,
         ),
     )
     assert accuracy_per_speaker(population) == (1.0,) * 10

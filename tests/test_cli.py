@@ -162,3 +162,62 @@ def test_deeply_nested_expression_is_a_syntax_error(tmp_path, workdir, expr):
     )
     assert result.returncode == 1
     assert result.stderr.startswith("SyntaxError:")
+
+
+@pytest.mark.parametrize("sample_id", ["0", "null", "true", "[1]"])
+def test_non_string_sample_id_is_a_syntax_error(tmp_path, workdir, sample_id):
+    lines = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace('"sample": "00"', f'"sample": {sample_id}')
+    target = tmp_path / "ids.jsonl"
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = run_cli("extract", "--corpus", str(target), "--schema", "moprd")
+    assert result.returncode == 1
+    assert result.stderr.startswith("SyntaxError:") and "line 2" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["extract"],
+        ["topsim"],
+        ["game", "--candidates", "5", "--episodes", "10", "--seed", "1"],
+    ],
+    ids=["extract", "topsim", "game"],
+)
+def test_count_total_past_float_exactness_is_a_syntax_error(tmp_path, workdir, command):
+    text = (workdir / "corpus.jsonl").read_text(encoding="utf-8")
+    assert text.count('"count": 1}') == 100
+    target = tmp_path / "huge.jsonl"
+    target.write_text(text.replace('"count": 1}', f'"count": {10**30}}}'), encoding="utf-8")
+    result = run_cli(command[0], "--corpus", str(target), "--schema", "moprd", *command[1:])
+    assert result.returncode == 1
+    assert result.stderr.startswith("SyntaxError:")
+
+
+def _rule_table_with_evidence_cell(cell):
+    rule = {"pattern": [], "evidence": [cell], "coverage": {}, "support": 1}
+    return {"kind": "rule_table", "message_length": 2, "rule_count": 1,
+            "global_constants": [], "rules": [rule]}
+
+
+MALFORMED_RESULTS = {
+    "rho-text": {"kind": "topsim_report", "rho": "x", "pair_count": 1, "sampled": False,
+                 "seed": None},
+    "pair-count-overflow": {"kind": "topsim_report", "rho": 0.5, "pair_count": 1e400,
+                            "sampled": False, "seed": None},
+    "accuracy-text": {"kind": "accuracy_matrix", "episodes_per_cell": 1, "values": [["a"]]},
+    "episodes-overflow": {"kind": "accuracy_matrix", "episodes_per_cell": 1e400,
+                          "values": [[0.5]]},
+    "evidence-cell-short": _rule_table_with_evidence_cell([1]),
+    "message-length-overflow": {"kind": "rule_table", "message_length": 1e400,
+                                "rule_count": 0, "global_constants": [], "rules": []},
+}
+
+
+@pytest.mark.parametrize("document", MALFORMED_RESULTS.values(), ids=MALFORMED_RESULTS.keys())
+def test_render_rejects_malformed_results(tmp_path, document):
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(document).replace("Infinity", "1e400"), encoding="utf-8")
+    result = run_cli("render", "--in", str(path), "--format", "markdown")
+    assert result.returncode == 1
+    assert result.stderr.startswith("SyntaxError:")

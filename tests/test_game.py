@@ -1,13 +1,16 @@
 from __future__ import annotations
 
-import numpy as np
+import math
+from dataclasses import replace
+
 import pytest
 
-from emlang.corpus import build_corpus
+from emlang.corpus import CorpusEntry, build_corpus
 from emlang.errors import ConfigError
-from emlang.game import CorpusListener, CorpusSpeaker, GameConfig, run_lewis_game
+from emlang.game import GameConfig, run_lewis_game
 from emlang.metrics import accuracy_per_speaker
-from emlang.synth import all_combinations, gen_compositional
+from emlang.synth import all_combinations, gen_compositional, gen_noisy
+from oracles import closed_form_accuracy
 
 
 def constant_corpus(moprd):
@@ -38,8 +41,8 @@ def test_population_of_perfect_pairs(moprd):
         seed=7,
         candidate_count=10,
         episodes=50,
-        speakers=tuple(CorpusSpeaker(corpus) for _ in range(10)),
-        listeners=tuple(CorpusListener(corpus) for _ in range(10)),
+        speakers=(corpus,) * 10,
+        listeners=(corpus,) * 10,
     )
     matrix = run_lewis_game(corpus, config)
     assert matrix.values == tuple((1.0,) * 10 for _ in range(10))
@@ -49,7 +52,7 @@ def test_population_of_perfect_pairs(moprd):
 def test_cells_independent_of_population_shape(moprd):
     """Cell (i, j) only depends on (seed, i, j), not on the matrix size."""
     corpus, _ = gen_compositional(moprd, 10, 20, seed=3)
-    speaker, listener = CorpusSpeaker(constant_corpus(moprd)), CorpusListener(corpus)
+    speaker, listener = constant_corpus(moprd), corpus
     small = run_lewis_game(
         corpus,
         GameConfig(seed=9, candidate_count=5, episodes=300, speakers=(speaker,), listeners=(listener,)),
@@ -60,8 +63,8 @@ def test_cells_independent_of_population_shape(moprd):
             seed=9,
             candidate_count=5,
             episodes=300,
-            speakers=(speaker, CorpusSpeaker(corpus)),
-            listeners=(listener, CorpusListener(corpus)),
+            speakers=(speaker, corpus),
+            listeners=(listener, corpus),
         ),
     )
     assert big.values[0][0] == small.values[0][0]
@@ -83,11 +86,77 @@ def test_config_validation(moprd):
         run_lewis_game(corpus, GameConfig(seed=1, candidate_count=5, episodes=0))
 
 
-def test_corpus_listener_decodes_corpus_speaker(moprd):
-    corpus, _ = gen_compositional(moprd, 10, 20, seed=6)
-    listener = CorpusListener(corpus)
-    speaker = CorpusSpeaker(corpus)
-    rng = np.random.default_rng(1)
-    target = corpus.entries[13].sample.id
-    message = speaker.emit(target, rng)
-    assert listener.choose(message, list(corpus.sample_ids[:20]) + [target]) == target
+def coarse_corpus(language):
+    """Each sample speaks (count 3) the message ``language`` gives the first
+    sample sharing its shape1, so listeners see ties; odd samples also speak
+    (count 1) the one ``language`` gives the first sample sharing its shape2."""
+    first = {}
+    for entry in language.entries:
+        for prop in ("shape1", "shape2"):
+            first.setdefault((prop, entry.sample.values[prop]), entry.messages[0][0])
+    records = []
+    for i, entry in enumerate(language.entries):
+        attrs = {name: entry.sample.values[name] for name in language.schema.attribute_names}
+        records.append((entry.sample.id, attrs, first["shape1", attrs["shape1"]], 3))
+        if i % 2:
+            records.append((entry.sample.id, attrs, first["shape2", attrs["shape2"]], 1))
+    return build_corpus(language.schema, language.vocab_size, language.message_length, records)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_every_cell_matches_the_closed_form(moprd, k):
+    compositional, _ = gen_compositional(moprd, 10, 20, seed=8)
+    population = (
+        compositional,
+        gen_noisy(compositional, synonym_count=2, minority_share=0.3, seed=8),
+        coarse_corpus(compositional),
+    )
+    episodes = 20_000
+    config = GameConfig(
+        seed=11, candidate_count=k, episodes=episodes, speakers=population, listeners=population
+    )
+    matrix = run_lewis_game(compositional, config)
+    for i, speaker in enumerate(population):
+        for j, listener in enumerate(population):
+            expected = closed_form_accuracy(speaker, listener, k)
+            error = math.sqrt(expected * (1 - expected) / episodes)
+            observed = matrix.values[i][j]
+            if error == 0:
+                assert observed == expected, (i, j)
+            else:
+                assert abs(observed - expected) <= 5 * error, (i, j, observed, expected)
+
+
+def test_listener_ignores_the_order_of_its_corpus(moprd):
+    """A corpus with entries and messages out of canonical order listens the same."""
+    compositional, _ = gen_compositional(moprd, 10, 20, seed=8)
+    noisy = gen_noisy(compositional, synonym_count=2, minority_share=0.3, seed=8)
+    reordered = replace(
+        noisy,
+        entries=tuple(
+            CorpusEntry(sample=e.sample, messages=e.messages[::-1]) for e in noisy.entries[::-1]
+        ),
+    )
+    values = [
+        run_lewis_game(
+            compositional,
+            GameConfig(seed=2, candidate_count=5, episodes=2000, speakers=(noisy,), listeners=(listener,)),
+        ).values
+        for listener in (noisy, reordered)
+    ]
+    assert values[0] == values[1]
+
+
+def test_agents_must_hold_the_game_samples(moprd):
+    corpus, _ = gen_compositional(moprd, 10, 20, seed=4)
+    records = [(e.sample.id, e.sample.values, e.messages[0][0], 1) for e in corpus.entries]
+    fewer = build_corpus(moprd, 20, 10, records[:50])
+    renamed = build_corpus(moprd, 20, 10, [("x" + r[0], *r[1:]) for r in records])
+    longer = build_corpus(moprd, 20, 11, [(*r[:2], r[2] + (0,), 1) for r in records])
+    for agent in (fewer, renamed, longer):
+        for config in (
+            GameConfig(seed=1, candidate_count=5, speakers=(agent,)),
+            GameConfig(seed=1, candidate_count=5, listeners=(agent,)),
+        ):
+            with pytest.raises(ConfigError):
+                run_lewis_game(corpus, config)

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emlang.errors import DocumentSyntaxError
+from emlang import cli
+from emlang.errors import DocumentSyntaxError, EmlangError
 from emlang.metrics import AccuracyMatrix, TopSimReport
 from emlang.report import (
     general_pattern,
@@ -132,3 +137,61 @@ def test_parse_rejections(reference_table):
     tampered = good.replace('"rule_count": 6', '"rule_count": 7')
     with pytest.raises(DocumentSyntaxError):
         parse_rule_table(tampered)
+
+
+def _error_codes(cls=EmlangError) -> set[str]:
+    return {cls.code}.union(*(_error_codes(sub) for sub in cls.__subclasses__()))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(node, data) -> None:
+    """Replace or delete one node below ``node``, walking down a drawn path."""
+    while node:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(json_values)
+            return
+
+
+@pytest.fixture(scope="module")
+def valid_documents(reference_table):
+    return [
+        render_rule_table(reference_table, "structured"),
+        render_metrics(TopSimReport(rho=0.5, pair_count=10, sampled=True, seed=3)),
+        render_metrics(AccuracyMatrix(values=((1.0, 0.5), (0.25, 0.0)), episodes_per_cell=4)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "document.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_render_fails_only_with_error_codes(valid_documents, fuzz_path, data):
+    document = json.loads(data.draw(st.sampled_from(valid_documents)))
+    _mutate(document, data)
+    fuzz_path.write_text(json.dumps(document), encoding="utf-8")
+    argv = ["render", "--in", str(fuzz_path)]
+    argv += ["--format", data.draw(st.sampled_from(["structured", "markdown", "csv"]))]
+    argv += data.draw(st.sampled_from([[], ["--schema", "moprd"]]))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = cli.main(argv)
+    assert status in (0, 1)
+    if status == 1:
+        assert stderr.getvalue().split(":")[0] in _error_codes(), stderr.getvalue()
