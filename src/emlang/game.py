@@ -2,10 +2,9 @@
 
 A speaker sees a target sample and describes it with a message; a listener
 then has to pick the target out of a candidate set.  Agents are corpora over
-the game corpus's samples: a speaker draws the target's message in
-proportion to its counts, and a listener scores each candidate by the share
-of the message among that candidate's messages (0 if it has none), with
-ties broken toward the smallest sample id.
+the game corpus's samples: a speaker draws the target's message in proportion
+to its counts, and a listener scores each candidate by that message's share
+of the candidate's messages (0 if none), ties going to the smallest sample id.
 
 Every (speaker, listener) cell owns an independent generator derived from
 (seed, speaker index, listener index), so the accuracy matrix is identical
@@ -22,8 +21,7 @@ from .corpus import AnnotatedCorpus
 from .errors import ConfigError
 from .metrics import AccuracyMatrix
 
-# Random keys drawn per batch (episodes x samples); larger batches cost
-# memory without saving time.
+# Candidates per batch (episodes x k); larger batches cost memory, not time.
 _BATCH_KEYS = 2**14
 
 
@@ -44,14 +42,24 @@ def _agent(agent: AnnotatedCorpus, corpus: AnnotatedCorpus):
     """Messages, owners (sample id ranks), counts and per-sample totals, by owner."""
     ids = sorted(corpus.sample_ids)
     if sorted(agent.sample_ids) != ids or agent.message_length != corpus.message_length:
-        raise ConfigError(
-            "an agent corpus must hold the game corpus's samples and message length"
-        )
-    owners = np.searchsorted(ids, agent.sample_ids)[agent.owners]
+        raise ConfigError("an agent corpus must hold the game corpus's samples and message length")
+    rank = {sample: r for r, sample in enumerate(ids)}
+    owners = np.array([rank[s] for s in agent.sample_ids], dtype=np.int64)[agent.owners]
     order = np.argsort(owners, kind="stable")
     owners, counts = owners[order], agent.counts[order]
     totals = np.add.reduceat(counts, np.searchsorted(owners, np.arange(len(ids))))
     return agent.messages[order], owners, counts, totals
+
+
+def _candidates(rng: np.random.Generator, targets: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Each target and ``k - 1`` distinct other samples, rows sorted: Floyd's algorithm,
+    column by column, so every subset is equally likely at O(k) draws per episode."""
+    others = np.empty((len(targets), k - 1), dtype=np.int64)
+    for c, j in enumerate(range(n - k, n - 1)):
+        drawn = rng.integers(j + 1, size=len(targets))
+        others[:, c] = np.where((others[:, :c] == drawn[:, None]).any(axis=1), j, drawn)
+    others += others >= targets[:, None]
+    return np.sort(np.column_stack((targets, others)), axis=1)
 
 
 def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatrix:
@@ -71,7 +79,7 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
 
     speakers = [_agent(a, corpus) for a in config.speakers or (corpus,)]
     listeners = [_agent(a, corpus) for a in config.listeners or (corpus,)]
-    batch = max(1, _BATCH_KEYS // n)
+    batch = max(1, _BATCH_KEYS // k)
 
     rows = []
     for i, (s_messages, _, s_counts, s_totals) in enumerate(speakers):
@@ -79,24 +87,18 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
         start = np.cumsum(s_totals) - s_totals
         row = []
         for j, (l_messages, l_owners, l_counts, l_totals) in enumerate(listeners):
-            distinct, message_ids = np.unique(
-                np.concatenate((s_messages, l_messages)), axis=0, return_inverse=True
-            )
-            message_ids = message_ids.reshape(-1)
-            spoken = message_ids[: len(s_messages)]
-            keys = l_owners * len(distinct) + message_ids[len(s_messages) :]
+            stacked = np.concatenate((s_messages, l_messages))
+            distinct, message_ids = np.unique(stacked, axis=0, return_inverse=True)
+            spoken, heard = np.split(message_ids.reshape(-1), [len(s_messages)])
+            keys = l_owners * len(distinct) + heard
             order = np.argsort(keys)
             keys, shares = keys[order], (l_counts / l_totals[l_owners])[order]
-
             rng = np.random.default_rng(np.random.SeedSequence([config.seed % (2**63), i, j]))
             hits = 0
             for played in range(0, config.episodes, batch):
                 size = min(batch, config.episodes - played)
                 targets = rng.integers(n, size=size)
-                draws = rng.random((size, n))
-                draws[np.arange(size), targets] = np.inf
-                distractors = np.argpartition(draws, k - 2, axis=1)[:, : k - 1]
-                candidates = np.sort(np.column_stack((targets, distractors)), axis=1)
+                candidates = _candidates(rng, targets, n, k)
                 drawn = start[targets] + rng.integers(s_totals[targets])
                 message = spoken[np.searchsorted(cumulative, drawn, side="right")]
                 wanted = candidates * len(distinct) + message[:, None]

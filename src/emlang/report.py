@@ -24,6 +24,10 @@ from .schema import AttributeSchema
 
 _PLACEHOLDER_LETTERS = "XYZABCDEFGHIJKLMNOPQRSTUVW"
 
+# Longest message a parsed rule table may describe: markdown and CSV
+# renderings hold one column per position.
+MAX_MESSAGE_LENGTH = 2**16
+
 
 def placeholders(count: int) -> list[str]:
     """XX, YY, ZZ, AA, ... wrapping with a numeric suffix beyond one cycle."""
@@ -125,6 +129,13 @@ def parse_rule_table(text: str) -> RuleTable:
         raise DocumentSyntaxError("malformed rule table document") from None
     if doc.get("rule_count") != table.rule_count:
         raise DocumentSyntaxError("rule_count does not match the number of rules")
+    if not 1 <= table.message_length <= MAX_MESSAGE_LENGTH:
+        raise DocumentSyntaxError(
+            f"message_length must be between 1 and {MAX_MESSAGE_LENGTH}"
+        )
+    patterns = [table.global_constants] + [rule.pattern for rule in table.rules]
+    if any(not 0 <= pos < table.message_length for p in patterns for pos, _ in p.cells):
+        raise DocumentSyntaxError("pattern position outside the message")
     return table
 
 

@@ -11,12 +11,13 @@ from emlang.schema import render_schema
 from emlang.synth import moprd_schema
 
 
-def run_cli(*args: str, cwd=None):
+def run_cli(*args: str, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "emlang", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -200,6 +201,11 @@ def _rule_table_with_evidence_cell(cell):
             "global_constants": [], "rules": [rule]}
 
 
+def _rule_table_of_length(length, constants=()):
+    return {"kind": "rule_table", "message_length": length, "rule_count": 0,
+            "global_constants": [list(cell) for cell in constants], "rules": []}
+
+
 MALFORMED_RESULTS = {
     "rho-text": {"kind": "topsim_report", "rho": "x", "pair_count": 1, "sampled": False,
                  "seed": None},
@@ -209,8 +215,13 @@ MALFORMED_RESULTS = {
     "episodes-overflow": {"kind": "accuracy_matrix", "episodes_per_cell": 1e400,
                           "values": [[0.5]]},
     "evidence-cell-short": _rule_table_with_evidence_cell([1]),
-    "message-length-overflow": {"kind": "rule_table", "message_length": 1e400,
-                                "rule_count": 0, "global_constants": [], "rules": []},
+    "message-length-overflow": _rule_table_of_length(1e400),
+    "message-length-zero": _rule_table_of_length(0),
+    "message-length-negative": _rule_table_of_length(-1),
+    "message-length-huge": _rule_table_of_length(10**12),
+    "message-length-huge-float": _rule_table_of_length(1e300),
+    "position-past-end": _rule_table_of_length(2, constants=[(2, 5)]),
+    "negative-position": _rule_table_of_length(2, constants=[(-1, 5)]),
 }
 
 
@@ -218,6 +229,7 @@ MALFORMED_RESULTS = {
 def test_render_rejects_malformed_results(tmp_path, document):
     path = tmp_path / "result.json"
     path.write_text(json.dumps(document).replace("Infinity", "1e400"), encoding="utf-8")
-    result = run_cli("render", "--in", str(path), "--format", "markdown")
+    result = run_cli("render", "--in", str(path), "--format", "markdown", "--schema", "moprd",
+                     timeout=60)
     assert result.returncode == 1
     assert result.stderr.startswith("SyntaxError:")

@@ -3,11 +3,12 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from emlang.corpus import CorpusEntry, build_corpus
 from emlang.errors import ConfigError
-from emlang.game import GameConfig, run_lewis_game
+from emlang.game import GameConfig, _candidates, run_lewis_game
 from emlang.metrics import accuracy_per_speaker
 from emlang.synth import all_combinations, gen_compositional, gen_noisy
 from oracles import closed_form_accuracy
@@ -125,6 +126,33 @@ def test_every_cell_matches_the_closed_form(moprd, k):
                 assert observed == expected, (i, j)
             else:
                 assert abs(observed - expected) <= 5 * error, (i, j, observed, expected)
+
+
+@pytest.mark.parametrize(("n", "k"), [(6, 2), (6, 4), (6, 6), (7, 3)])
+def test_candidates_are_uniform_subsets(n, k):
+    """Every row holds its target and k - 1 distinct others, each subset equally often."""
+    rng = np.random.default_rng(0)
+    targets = rng.integers(n, size=60_000)
+    candidates = _candidates(rng, targets, n, k)
+    assert (np.diff(candidates, axis=1) > 0).all()
+    assert (candidates == targets[:, None]).any(axis=1).all()
+    subsets = math.comb(n - 1, k - 1)
+    for target in range(n):
+        _, counts = np.unique(candidates[targets == target], axis=0, return_counts=True)
+        expected = counts.sum() / subsets
+        assert len(counts) == subsets
+        assert np.abs(counts - expected).max() <= 5 * math.sqrt(expected)
+
+
+def test_ids_differing_by_a_trailing_nul_are_distinct_samples(moprd):
+    corpus, _ = gen_compositional(moprd, 10, 20, seed=1)
+    records = [
+        (sample_id, e.sample.values, e.messages[0][0], 1)
+        for sample_id, e in zip(("a", "a\x00"), corpus.entries)
+    ]
+    pair = build_corpus(moprd, 20, 10, records)
+    matrix = run_lewis_game(pair, GameConfig(seed=1, candidate_count=2, episodes=100))
+    assert matrix.values == ((1.0,),)
 
 
 def test_listener_ignores_the_order_of_its_corpus(moprd):
