@@ -4,9 +4,9 @@ A corpus ties fixed-length token messages to annotated samples.  The file
 format is line-oriented JSON (UTF-8, LF): a header line
 ``{"meta": {"vocab_size": n, "msg_len": T}}`` followed by one record per
 line, ``{"sample": id, "attrs": {...}, "msg": [ints], "count": k}`` with
-``count`` defaulting to 1.  Sample ids are strings, and the counts of a
-corpus sum to less than 2**53.  Records repeating the same (sample, message)
-merge by summing counts.
+``count`` defaulting to 1.  Sample ids are strings, ``vocab_size`` is at
+most 2**63, and the counts of a corpus sum to less than 2**53.  Records
+repeating the same (sample, message) merge by summing counts.
 
 Corpora are immutable after construction; filtering returns a new corpus.
 """
@@ -35,6 +35,8 @@ Message = tuple[int, ...]
 # Below this corpus-wide count total, int64 sums and float64 shares of counts
 # equal their exact Python values.
 COUNT_LIMIT = 2**53
+# Up to this vocabulary size every token fits an int64.
+VOCAB_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ class AnnotatedCorpus:
     def __post_init__(self):
         if self.message_length < 1:
             raise DocumentSyntaxError("message length must be >= 1")
-        if self.vocab_size < 1:
-            raise DocumentSyntaxError("vocabulary size must be >= 1")
+        if not 1 <= self.vocab_size <= VOCAB_LIMIT:
+            raise DocumentSyntaxError("vocabulary size must lie in 1..2**63")
         seen_ids: set[str] = set()
         total = 0
         for entry in self.entries:

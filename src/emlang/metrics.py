@@ -4,15 +4,14 @@ TopSim here is the Spearman correlation between pairwise attribute edit
 distances (number of attributes on which two samples differ) and pairwise
 Levenshtein distances between the samples' representative messages.  Pairs
 are enumerated in sample-id order, so results never depend on scheduling;
-above ``max_pairs`` the pair list is subsampled with a mandatory seed.
+above ``max_pairs`` the pair list is subsampled from a numpy stream seeded by
+the mandatory ``seed``.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
@@ -87,23 +86,21 @@ def spearman(x, y) -> float:
         raise LengthMismatch(f"sequences of length {len(x)} and {len(y)}")
     if len(x) < 2:
         raise LengthMismatch("need at least two observations")
-    if np.unique(x).size < 2 or np.unique(y).size < 2:
+    dx, dy = (ranks - ranks.mean() for ranks in (average_ranks(x), average_ranks(y)))
+    sxx, syy = np.dot(dx, dx), np.dot(dy, dy)
+    # a constant sequence ranks every item (n + 1) / 2, so its centred ranks are exactly 0
+    if sxx == 0 or syy == 0:
         raise ZeroVariance("a sequence is constant; rank correlation is undefined")
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    return float(np.dot(dx, dy) / math.sqrt(np.dot(dx, dx) * np.dot(dy, dy)))
+    return float(np.dot(dx, dy) / math.sqrt(sxx * syy))
 
 
-def _pair_from_index(index: int, n: int) -> tuple[int, int]:
-    """Unrank a linear index into the (i, j), i < j, pair enumeration."""
-    # counted from the end, the last k*(k+1)/2 pairs span the final k+1 items
-    remaining = n * (n - 1) // 2 - 1 - index
-    k = (isqrt(8 * remaining + 1) - 1) // 2
-    j = n - 1 - (remaining - k * (k + 1) // 2)
-    i = n - 2 - k
-    return i, j
+def _pairs(indices: np.ndarray, n: int) -> np.ndarray:
+    """Map linear indices into the (i, j), i < j, pair enumeration to pairs."""
+    rows = np.arange(n - 1, dtype=np.int64)
+    # row i holds (i, i+1) .. (i, n-1) and starts after the n-1 + ... + n-i earlier pairs
+    starts = rows * n - rows * (rows + 1) // 2
+    i = np.searchsorted(starts, indices, side="right") - 1
+    return np.column_stack([i, indices - starts[i] + i + 1])
 
 
 _CHUNK = 1 << 18
@@ -145,7 +142,8 @@ def topsim(
 
     Messages enter through each sample's representative (highest-count)
     message.  When the unordered pair count exceeds ``max_pairs`` the pairs
-    are drawn uniformly without replacement, which requires a seed.
+    are drawn uniformly without replacement from a numpy stream seeded by
+    ``seed``, which is then required; any integer seed is accepted.
     """
     n = len(corpus.entries)
     if n < 2:
@@ -159,12 +157,11 @@ def topsim(
     if sampled:
         if seed is None:
             raise ConfigError("sampling pairs requires a seed")
-        rng = random.Random(f"topsim:{seed}")
-        indices = sorted(rng.sample(range(total_pairs), limit))
-        pairs = np.array([_pair_from_index(t, n) for t in indices])
+        rng = np.random.default_rng(np.random.SeedSequence(seed % (2**63)))
+        indices = np.sort(rng.choice(total_pairs, limit, replace=False, shuffle=False))
     else:
-        left, right = np.triu_indices(n, k=1)
-        pairs = np.column_stack([left, right])
+        indices = np.arange(total_pairs)
+    pairs = _pairs(indices, n)
 
     # attribute columns lead the code matrix; differing code <=> differing value
     codes = corpus.codes[:, : len(corpus.schema.attributes)]

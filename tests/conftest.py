@@ -5,10 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from emlang import build_corpus, moprd_schema
+from emlang.errors import EmlangError
 from emlang.schema import AttributeSchema, Attribute, HyperattributeDef, parse_expression
 
 FILLED = {"■", "●"}
@@ -102,6 +104,34 @@ def random_micro_corpus(rng: random.Random):
             message = tuple(rng.randrange(vocab) for _ in range(length))
             records.append((f"s{s}", values, message, rng.randint(1, 5)))
     return build_corpus(schema, vocab, length, records)
+
+
+def error_codes(cls=EmlangError) -> set[str]:
+    """The stable code of ``cls`` and of every subclass."""
+    return {cls.code}.union(*(error_codes(sub) for sub in cls.__subclasses__()))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mutate(node, data) -> None:
+    """Replace or delete one node below ``node``, walking down a drawn path."""
+    while node:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(json_values)
+            return
 
 
 def pytest_runtest_logreport(report):

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emlang import cli
 from emlang.corpus import serialize_corpus
 from emlang.schema import render_schema
 from emlang.synth import moprd_schema
+
+from conftest import error_codes, mutate
 
 
 def run_cli(*args: str, cwd=None, timeout=None):
@@ -195,6 +202,44 @@ def test_count_total_past_float_exactness_is_a_syntax_error(tmp_path, workdir, c
     assert result.stderr.startswith("SyntaxError:")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["extract"],
+        ["topsim"],
+        ["game", "--candidates", "2", "--episodes", "10", "--seed", "1"],
+    ],
+    ids=["extract", "topsim", "game"],
+)
+def test_vocab_past_int64_is_a_syntax_error(tmp_path, workdir, command):
+    records = [
+        json.loads(line)
+        for line in (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[1:3]
+    ]
+    records[0]["msg"], records[1]["msg"] = [10**23, 0], [1, 2]
+    header = {"meta": {"vocab_size": 10**30, "msg_len": 2}}
+    target = tmp_path / "wide.jsonl"
+    target.write_text(
+        "".join(json.dumps(doc) + "\n" for doc in [header, *records]), encoding="utf-8"
+    )
+    result = run_cli(command[0], "--corpus", str(target), "--schema", "moprd", *command[1:])
+    assert result.returncode == 1
+    assert result.stderr.startswith("SyntaxError:")
+
+
+@pytest.mark.parametrize("seed", ["-3", "18446744073709551617"])
+def test_topsim_sampling_accepts_any_integer_seed(workdir, seed):
+    argv = [
+        "topsim", "--corpus", str(workdir / "corpus.jsonl"), "--schema", "moprd",
+        "--max-pairs", "500", "--seed", seed,
+    ]
+    first, second = run_cli(*argv), run_cli(*argv)
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    report = json.loads(first.stdout)
+    assert report["pair_count"] == 500 and report["sampled"] is True
+
+
 def _rule_table_with_evidence_cell(cell):
     rule = {"pattern": [], "evidence": [cell], "coverage": {}, "support": 1}
     return {"kind": "rule_table", "message_length": 2, "rule_count": 1,
@@ -233,3 +278,44 @@ def test_render_rejects_malformed_results(tmp_path, document):
                      timeout=60)
     assert result.returncode == 1
     assert result.stderr.startswith("SyntaxError:")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory, reference_corpus):
+    path = tmp_path_factory.mktemp("fuzz")
+    lines = serialize_corpus(reference_corpus).splitlines()[:13]  # header and 12 records
+    return path, {
+        "schema": json.loads(render_schema(moprd_schema())),
+        "corpus": [json.loads(line) for line in lines],
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_schema_and_corpus_fail_only_with_error_codes(fuzz_dir, data):
+    path, valid = fuzz_dir
+    documents = json.loads(json.dumps(valid))
+    # the vocabulary size and a token may take any integer, and often one past the int64 edge
+    wide = st.integers() | st.integers(min_value=2**63 - 1)
+    header, record = documents["corpus"][:2]
+    header["meta"]["vocab_size"] = data.draw(st.just(header["meta"]["vocab_size"]) | wide)
+    record["msg"][0] = data.draw(st.just(record["msg"][0]) | wide)
+    for _ in range(data.draw(st.integers(0, 3))):
+        mutate(documents[data.draw(st.sampled_from(["schema", "corpus"]))], data)
+    schema_path, corpus_path = path / "schema.json", path / "corpus.jsonl"
+    schema_path.write_text(json.dumps(documents["schema"]), encoding="utf-8")
+    corpus_path.write_text(
+        "".join(json.dumps(line) + "\n" for line in documents["corpus"]), encoding="utf-8"
+    )
+    inputs = ["--corpus", str(corpus_path), "--schema", str(schema_path)]
+    for argv in (
+        ["extract", *inputs],
+        ["topsim", *inputs, "--max-pairs", "50", "--seed", "1"],
+        ["game", *inputs, "--candidates", "2", "--episodes", "5", "--seed", "1"],
+    ):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            status = cli.main(argv)
+        assert status in (0, 1)
+        if status == 1:
+            assert stderr.getvalue().split(":")[0] in error_codes(), stderr.getvalue()

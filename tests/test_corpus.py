@@ -82,6 +82,13 @@ def test_load_rejections():
         load_corpus("", TINY)
 
 
+def test_vocab_size_bound_keeps_every_token_in_int64():
+    edge = build_corpus(TINY, 2**63, 2, [("s", {"a": "x"}, (2**63 - 1, 0), 1)])
+    assert edge.messages.tolist() == [[2**63 - 1, 0]]
+    with pytest.raises(DocumentSyntaxError):
+        build_corpus(TINY, 2**63 + 1, 2, [("s", {"a": "x"}, (2**63, 0), 1)])
+
+
 def share_corpus(counts: dict[tuple[int, ...], int]):
     records = [("s", {"a": "x"}, msg, count) for msg, count in counts.items()]
     return build_corpus(TINY, 4, 2, records)

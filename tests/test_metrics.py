@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +11,12 @@ from emlang.corpus import build_corpus
 from emlang.errors import AttributeMismatch, ConfigError, LengthMismatch, ZeroVariance
 from emlang.metrics import (
     AccuracyMatrix,
-    _pair_from_index,
+    _pairs,
     accuracy_per_speaker,
     attribute_edit_distance,
     average_ranks,
     levenshtein,
+    pairwise_levenshtein,
     spearman,
     topsim,
 )
@@ -200,11 +202,18 @@ def test_topsim_needs_two_samples(moprd):
         topsim(single)
 
 
-def test_pair_unranking_matches_enumeration():
+def test_pairs_match_enumeration():
     for n in (2, 3, 5, 8):
         direct = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        unranked = [_pair_from_index(t, n) for t in range(len(direct))]
-        assert unranked == direct
+        assert _pairs(np.arange(len(direct)), n).tolist() == [list(p) for p in direct]
+    # every row boundary of n = 100000: row i runs from (i, i+1) to (i, n-1)
+    n = 100_000
+    rows = np.arange(n - 1)
+    firsts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 1, -1))])
+    lasts = np.append(firsts[1:] - 1, n * (n - 1) // 2 - 1)
+    assert _pairs(np.array([0, lasts[-1]]), n).tolist() == [[0, 1], [n - 2, n - 1]]
+    assert (_pairs(firsts, n) == np.column_stack([rows, rows + 1])).all()
+    assert (_pairs(lasts, n) == np.column_stack([rows, np.full(n - 1, n - 1)])).all()
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +252,6 @@ def test_topsim_uses_majority_messages(moprd):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_pairwise_levenshtein_matches_scalar(seed):
-    import numpy as np
-
-    from emlang.metrics import pairwise_levenshtein
-
     rng = random.Random(seed)
     count = rng.randint(2, 40)
     length = rng.randint(1, 10)

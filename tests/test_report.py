@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emlang import cli
-from emlang.errors import DocumentSyntaxError, EmlangError
+from emlang.errors import DocumentSyntaxError
 from emlang.metrics import AccuracyMatrix, TopSimReport
 from emlang.report import (
     general_pattern,
@@ -22,6 +22,8 @@ from emlang.report import (
 )
 from emlang.rules import Pattern, RuleTable, SemanticRule, extract_rules
 from emlang.synth import gen_compositional, gen_holistic
+
+from conftest import error_codes, mutate
 
 
 @pytest.fixture(scope="module")
@@ -139,33 +141,6 @@ def test_parse_rejections(reference_table):
         parse_rule_table(tampered)
 
 
-def _error_codes(cls=EmlangError) -> set[str]:
-    return {cls.code}.union(*(_error_codes(sub) for sub in cls.__subclasses__()))
-
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-def _mutate(node, data) -> None:
-    """Replace or delete one node below ``node``, walking down a drawn path."""
-    while node:
-        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
-        child = node[key]
-        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
-            node = child
-        elif data.draw(st.booleans()):
-            del node[key]
-            return
-        else:
-            node[key] = data.draw(json_values)
-            return
-
-
 @pytest.fixture(scope="module")
 def valid_documents(reference_table):
     return [
@@ -184,7 +159,7 @@ def fuzz_path(tmp_path_factory):
 @given(st.data())
 def test_render_fails_only_with_error_codes(valid_documents, fuzz_path, data):
     document = json.loads(data.draw(st.sampled_from(valid_documents)))
-    _mutate(document, data)
+    mutate(document, data)
     fuzz_path.write_text(json.dumps(document), encoding="utf-8")
     argv = ["render", "--in", str(fuzz_path)]
     argv += ["--format", data.draw(st.sampled_from(["structured", "markdown", "csv"]))]
@@ -194,4 +169,4 @@ def test_render_fails_only_with_error_codes(valid_documents, fuzz_path, data):
         status = cli.main(argv)
     assert status in (0, 1)
     if status == 1:
-        assert stderr.getvalue().split(":")[0] in _error_codes(), stderr.getvalue()
+        assert stderr.getvalue().split(":")[0] in error_codes(), stderr.getvalue()
