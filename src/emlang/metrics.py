@@ -109,27 +109,51 @@ _CHUNK = 1 << 18
 def pairwise_levenshtein(messages: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Levenshtein for many equal-length message pairs at once.
 
-    Equivalent to calling :func:`levenshtein` per pair; the DP runs over the
-    fixed (length x length) grid with all pairs advancing in lockstep.
+    Equivalent to calling :func:`levenshtein` per pair.  All pairs walk the
+    (length x length) DP grid in lockstep, bit-sliced: pair k of a block is
+    bit k of each ``uint64`` word, so one bitwise operation advances 64 pairs.
+
+    A cell does not hold its distance D[i, j] but the deltas into it, the
+    vertical D[i, j] - D[i-1, j] and the horizontal D[i, j] - D[i, j-1].
+    Adjacent DP cells differ by at most 1, so each delta is -1, 0 or +1 and
+    two bit-planes hold it: P for +1, M for -1, neither for 0.  A cell's
+    output deltas are a Boolean function of its two input deltas and of
+    Eq = (a[i] == b[j]) (Myers 1999, JACM 46(3); Hyyrö 2003, whose
+    Eq/X/P/M names this follows)::
+
+        Xv = Eq | Mv            Xh = Eq | Mh
+        Pv' = Mh | ~(Xv | Ph)   Mv' = Ph & Xv
+        Ph' = Mv | ~(Xh | Pv)   Mh' = Pv & Xh
+
+    No bit reads another, so the function needs no carries or shifts and
+    puts no limit on message length.  Row 0 has horizontal deltas +1
+    (D[0, j] = j) and column 0 vertical deltas +1 (D[i, 0] = i); the
+    distance is D[L, 0] = L plus the bottom row's horizontal deltas.
     """
     length = messages.shape[1]
+    columns = np.ascontiguousarray(messages.T)
+    ones = ~np.uint64(0)
     out = np.empty(len(pairs), dtype=np.int64)
     for start in range(0, len(pairs), _CHUNK):
         block = pairs[start : start + _CHUNK]
-        a = messages[block[:, 0]]
-        b = messages[block[:, 1]]
-        previous = np.tile(np.arange(length + 1, dtype=np.int32), (len(block), 1))
-        current = np.empty_like(previous)
-        for i in range(1, length + 1):
-            current[:, 0] = i
-            mismatch = a[:, i - 1, None] != b
-            for j in range(1, length + 1):
-                current[:, j] = np.minimum(
-                    np.minimum(previous[:, j] + 1, current[:, j - 1] + 1),
-                    previous[:, j - 1] + mismatch[:, j - 1],
-                )
-            previous, current = current, previous
-        out[start : start + len(block)] = previous[:, length]
+        # whole words only: padding pairs compare message 0 with itself
+        index = np.zeros((2, -(-len(block) // 64) * 64), dtype=np.int64)
+        index[:, : len(block)] = block.T
+        a = np.take(columns, index[0], axis=1)
+        b = np.take(columns, index[1], axis=1)
+        words = index.shape[1] // 64
+        ph = np.full((length, words), ones)
+        mh = np.zeros((length, words), dtype=np.uint64)
+        for i in range(length):
+            eq = np.packbits(a[i] == b, axis=1, bitorder="little").view(np.uint64)
+            pv, mv = np.full(words, ones), np.zeros(words, dtype=np.uint64)
+            for j in range(length):
+                xv = eq[j] | mv
+                xh = eq[j] | mh[j]
+                pv, mv, ph[j], mh[j] = mh[j] | ~(xv | ph[j]), ph[j] & xv, mv | ~(xh | pv), pv & xh
+        bottom = np.unpackbits(np.stack([ph, mh]).view(np.uint8), axis=2, bitorder="little")
+        plus, minus = bottom.sum(axis=1, dtype=np.int64)
+        out[start : start + len(block)] = (length + plus - minus)[: len(block)]
     return out
 
 
@@ -161,17 +185,23 @@ def topsim(
         indices = np.sort(rng.choice(total_pairs, limit, replace=False, shuffle=False))
     else:
         indices = np.arange(total_pairs)
-    pairs = _pairs(indices, n)
 
     # attribute columns lead the code matrix; differing code <=> differing value
     codes = corpus.codes[:, : len(corpus.schema.attributes)]
-    attr_dist = (codes[pairs[:, 0]] != codes[pairs[:, 1]]).sum(axis=1)
     reps = np.array([representative_of(entry) for entry in corpus.entries], dtype=np.int64)
-    msg_dist = pairwise_levenshtein(reps, pairs)
+    # float, as spearman ranks them, so it takes both without a copy
+    attr_dist = np.empty(len(indices))
+    msg_dist = np.empty(len(indices))
+    # one block of pairs at a time, so per-pair gathers never span every pair
+    for start in range(0, len(indices), _CHUNK):
+        pairs = _pairs(indices[start : start + _CHUNK], n)
+        block = slice(start, start + len(pairs))
+        attr_dist[block] = (codes[pairs[:, 0]] != codes[pairs[:, 1]]).sum(axis=1)
+        msg_dist[block] = pairwise_levenshtein(reps, pairs)
     rho = spearman(attr_dist, msg_dist)
     return TopSimReport(
         rho=rho,
-        pair_count=len(pairs),
+        pair_count=len(indices),
         sampled=sampled,
         seed=seed if sampled else None,
     )

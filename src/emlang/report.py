@@ -262,8 +262,12 @@ def parse_metrics(text: str) -> TopSimReport | AccuracyMatrix:
                 seed=None if doc["seed"] is None else int(doc["seed"]),
             )
         if kind == "accuracy_matrix":
+            values = tuple(tuple(float(v) for v in row) for row in doc["values"])
+            # every speaker plays at least one listener; an empty row has no mean
+            if not all(values):
+                raise ValueError("empty accuracy row")
             return AccuracyMatrix(
-                values=tuple(tuple(float(v) for v in row) for row in doc["values"]),
+                values=values,
                 episodes_per_cell=int(doc["episodes_per_cell"]),
             )
     except (KeyError, TypeError, ValueError, OverflowError):

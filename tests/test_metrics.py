@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emlang import metrics
 from emlang.corpus import build_corpus
 from emlang.errors import AttributeMismatch, ConfigError, LengthMismatch, ZeroVariance
 from emlang.metrics import (
@@ -259,6 +260,68 @@ def test_pairwise_levenshtein_matches_scalar(seed):
     pairs = np.array([(i, j) for i in range(count) for j in range(i + 1, count)])
     batched = pairwise_levenshtein(msgs, pairs)
     assert [levenshtein(tuple(msgs[i]), tuple(msgs[j])) for i, j in pairs] == list(batched)
+
+
+# the extreme tokens corpus.VOCAB_LIMIT allows, and one between
+EDGE_TOKENS = np.array([0, 2**62, 2**63 - 1], dtype=np.int64)
+
+
+def _edge_messages(rng: np.random.Generator, count: int, length: int) -> np.ndarray:
+    """Random messages over EDGE_TOKENS, each followed by a copy rotated one step."""
+    msgs = rng.choice(EDGE_TOKENS, size=(count, length))
+    return np.concatenate([msgs, np.roll(msgs, 1, axis=1)])
+
+
+def _check_against_oracle(msgs: np.ndarray, pairs: np.ndarray) -> None:
+    batched = pairwise_levenshtein(msgs, pairs)
+    assert batched.dtype == np.int64
+    assert batched.tolist() == [brute_levenshtein(msgs[i], msgs[j]) for i, j in pairs]
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+def test_pairwise_levenshtein_at_word_edges(count):
+    rng = np.random.default_rng(count)
+    msgs = _edge_messages(rng, 12, 7)
+    _check_against_oracle(msgs, rng.integers(0, len(msgs), size=(count, 2)))
+
+
+@pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 130])
+def test_pairwise_levenshtein_at_length_edges(length):
+    rng = np.random.default_rng(length)
+    msgs = _edge_messages(rng, 2, length)
+    pairs = np.array([(i, j) for i in range(len(msgs)) for j in range(len(msgs))])
+    _check_against_oracle(msgs, pairs)
+
+
+def test_pairwise_levenshtein_across_chunks(monkeypatch, moprd):
+    rng = np.random.default_rng(0)
+    msgs = _edge_messages(rng, 10, 9)
+    pairs = rng.integers(0, len(msgs), size=(250, 2))
+    corpus = gen_holistic(moprd, 10, 20, 4)
+    whole = topsim(corpus)
+    monkeypatch.setattr(metrics, "_CHUNK", 100)  # blocks of 100, 100 and 50 pairs
+    _check_against_oracle(msgs, pairs)
+    assert topsim(corpus) == whole
+
+
+def test_pairwise_levenshtein_of_no_pairs():
+    result = pairwise_levenshtein(np.zeros((3, 4), np.int64), np.empty((0, 2), np.int64))
+    assert result.dtype == np.int64 and result.shape == (0,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pairwise_levenshtein_equals_scalar_pair_by_pair(data):
+    length = data.draw(st.integers(1, 40))
+    token = st.sampled_from([0, 1, 2, 2**63 - 1])
+    rows = st.lists(token, min_size=length, max_size=length)
+    msgs = np.array(data.draw(st.lists(rows, min_size=1, max_size=8)), dtype=np.int64)
+    index = st.integers(0, len(msgs) - 1)
+    pairs = np.array(data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=130)))
+    scalar = {
+        (i, j): levenshtein(tuple(msgs[i]), tuple(msgs[j])) for i, j in set(map(tuple, pairs))
+    }
+    assert pairwise_levenshtein(msgs, pairs).tolist() == [scalar[i, j] for i, j in pairs]
 
 
 @settings(max_examples=60, deadline=None)

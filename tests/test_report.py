@@ -135,6 +135,8 @@ def test_parse_rejections(reference_table):
         parse_rule_table('{"kind": "accuracy_matrix"}')
     with pytest.raises(DocumentSyntaxError):
         parse_metrics('{"kind": "unknown"}')
+    with pytest.raises(DocumentSyntaxError):
+        parse_metrics('{"kind": "accuracy_matrix", "episodes_per_cell": 4, "values": [[], [0.5]]}')
     good = render_rule_table(reference_table, "structured")
     tampered = good.replace('"rule_count": 6', '"rule_count": 7')
     with pytest.raises(DocumentSyntaxError):
