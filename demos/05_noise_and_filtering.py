@@ -8,22 +8,19 @@ sample's total (15% by default), so rare synonyms vanish while established
 variants survive.  The noisy generator lets us stage both cases exactly.
 """
 
+from dataclasses import replace
+
+import numpy as np
+
 from emlang import filter_by_frequency, gen_compositional, gen_noisy, moprd_schema
-from emlang.corpus import AnnotatedCorpus, CorpusEntry
 
 schema = moprd_schema()
 base, _ = gen_compositional(schema, message_length=10, vocab_size=20, seed=2)
 
 # Give every message a count of 36 so 10% and 20% minority shares are exact.
-base = AnnotatedCorpus(
-    schema=base.schema,
-    vocab_size=base.vocab_size,
-    message_length=base.message_length,
-    entries=tuple(
-        CorpusEntry(sample=e.sample, messages=tuple((m, 36) for m, _ in e.messages))
-        for e in base.entries
-    ),
-)
+# A corpus is columnar: one row per (sample, message) in base.messages, with
+# its count in base.counts.
+base = replace(base, counts=np.full_like(base.counts, 36))
 
 quiet = gen_noisy(base, synonym_count=1, minority_share=0.10, seed=13)
 print("10% synonyms, filtered at 15% -> base restored:",

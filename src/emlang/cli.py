@@ -169,11 +169,7 @@ def _cmd_distance(args) -> None:
 
 
 def _cmd_render(args) -> None:
-    text = _read(args.input)
-    try:
-        obj: object = report_mod.parse_rule_table(text)
-    except DocumentSyntaxError:
-        obj = report_mod.parse_metrics(text)
+    obj = report_mod.parse_structured(_read(args.input))
     if isinstance(obj, RuleTable):
         schema = _load_schema(args.schema) if args.schema else None
         rendered = report_mod.render_rule_table(obj, args.format, schema=schema)

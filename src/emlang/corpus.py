@@ -5,8 +5,17 @@ format is line-oriented JSON (UTF-8, LF): a header line
 ``{"meta": {"vocab_size": n, "msg_len": T}}`` followed by one record per
 line, ``{"sample": id, "attrs": {...}, "msg": [ints], "count": k}`` with
 ``count`` defaulting to 1.  Sample ids are strings, ``vocab_size`` is at
-most 2**63, and the counts of a corpus sum to less than 2**53.  Records
-repeating the same (sample, message) merge by summing counts.
+most 2**63, ``msg_len`` at most ``MAX_MESSAGE_LENGTH`` = 2**16, and the
+counts of a corpus sum to less than 2**53.  Records repeating the same
+(sample, message) merge by summing counts.
+
+In memory a corpus is columnar.  ``samples`` holds one :class:`Sample` per
+distinct id, sorted by id.  Row r of ``messages`` (``int64[rows x
+message_length]``) is a message that sample ``samples[owners[r]]`` sent
+``counts[r]`` times.  :func:`load_corpus` and :func:`build_corpus` store
+one row per distinct (sample, message), in canonical order: by sample, then
+by token sequence.  ``entries`` is a read-only view of the same rows, one
+:class:`CorpusEntry` per sample, built on first use.
 
 Corpora are immutable after construction; filtering returns a new corpus.
 """
@@ -14,8 +23,10 @@ Corpora are immutable after construction; filtering returns a new corpus.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +48,11 @@ Message = tuple[int, ...]
 COUNT_LIMIT = 2**53
 # Up to this vocabulary size every token fits an int64.
 VOCAB_LIMIT = 2**63
+# Longest message a corpus may hold.  Rule tables share the bound, because
+# their markdown and CSV renderings hold one column per position.
+MAX_MESSAGE_LENGTH = 2**16
+# Rows that serialize_corpus turns into Python objects at once.
+_SERIALIZE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -52,83 +68,133 @@ class CorpusEntry:
         return sum(count for _, count in self.messages)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnotatedCorpus:
+    """Samples sorted by id, and one row per (sample, message) with its count.
+
+    Row r says that ``samples[owners[r]]`` sent ``messages[r]`` ``counts[r]``
+    times.  The arrays are stored as read-only int64 arrays: an int64 array
+    that owns its data is frozen in place (keep no writable view of it),
+    anything else is copied.
+    Construction checks them; it imposes no row order (see
+    :func:`build_corpus`).
+    """
+
     schema: AttributeSchema
     vocab_size: int
     message_length: int
-    entries: tuple[CorpusEntry, ...]
+    samples: tuple[Sample, ...]
+    messages: np.ndarray
+    owners: np.ndarray
+    counts: np.ndarray
 
     __hash__ = None
 
     def __post_init__(self):
-        if self.message_length < 1:
-            raise DocumentSyntaxError("message length must be >= 1")
-        if not 1 <= self.vocab_size <= VOCAB_LIMIT:
-            raise DocumentSyntaxError("vocabulary size must lie in 1..2**63")
-        seen_ids: set[str] = set()
-        total = 0
-        for entry in self.entries:
-            if entry.sample.id in seen_ids:
-                raise DocumentSyntaxError(f"duplicate sample id {entry.sample.id!r}")
-            seen_ids.add(entry.sample.id)
-            if not entry.messages:
-                raise DocumentSyntaxError(f"sample {entry.sample.id!r} owns no messages")
-            for message, count in entry.messages:
-                if len(message) != self.message_length:
-                    raise LengthMismatch(
-                        f"sample {entry.sample.id!r}: message of length {len(message)}, "
-                        f"expected {self.message_length}"
-                    )
-                if any(t < 0 or t >= self.vocab_size for t in message):
-                    raise TokenOutOfRange(
-                        f"sample {entry.sample.id!r}: token outside [0, {self.vocab_size})"
-                    )
-                if count < 1:
-                    raise DocumentSyntaxError(
-                        f"sample {entry.sample.id!r}: message count must be >= 1"
-                    )
-                total += count
+        _check_shape(self.vocab_size, self.message_length)
+        ids = [sample.id for sample in self.samples]
+        for before, after in zip(ids, ids[1:]):
+            if before >= after:
+                raise DocumentSyntaxError(
+                    f"duplicate sample id {after!r}" if before == after
+                    else "samples must be sorted by id"
+                )
+        messages = np.asarray(self.messages, dtype=np.int64)
+        if messages.size == 0:
+            messages = messages.reshape(0, self.message_length)
+        if messages.ndim != 2 or messages.shape[1] != self.message_length:
+            raise LengthMismatch(
+                f"messages of shape {messages.shape}, expected rows of length {self.message_length}"
+            )
+        owners = np.asarray(self.owners, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if not owners.shape == counts.shape == (len(messages),):
+            raise DocumentSyntaxError("messages, owners and counts need one entry per row")
+        if len(owners) and not 0 <= owners.min() <= owners.max() < len(ids):
+            raise DocumentSyntaxError("a message owner lies outside the samples")
+        empty = np.flatnonzero(np.bincount(owners, minlength=len(ids)) == 0)
+        if len(empty):
+            raise DocumentSyntaxError(f"sample {ids[empty[0]]!r} owns no messages")
+        bad_token = ((messages < 0) | (messages > self.vocab_size - 1)).any(axis=1)
+        bad = np.flatnonzero(bad_token | (counts < 1))
+        if len(bad):
+            sample_id = ids[owners[bad[0]]]
+            if bad_token[bad[0]]:
+                raise _token_error(sample_id, self.vocab_size)
+            raise _count_error(sample_id)
+        total = _exact_total(counts)
         if total >= COUNT_LIMIT:
-            raise DocumentSyntaxError(f"message counts sum to {total}, at least 2**53")
+            raise _total_error(total)
+        for name, array in (("messages", messages), ("owners", owners), ("counts", counts)):
+            if not array.flags.owndata:  # a view: its base may still be written
+                array = array.copy()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    @property
+    def __eq__(self, other):
+        if not isinstance(other, AnnotatedCorpus):
+            return NotImplemented
+        return (
+            (self.schema, self.vocab_size, self.message_length, self.samples)
+            == (other.schema, other.vocab_size, other.message_length, other.samples)
+            and np.array_equal(self.messages, other.messages)
+            and np.array_equal(self.owners, other.owners)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+    @cached_property
     def sample_ids(self) -> tuple[str, ...]:
-        return tuple(entry.sample.id for entry in self.entries)
-
-    def entry(self, sample_id: str) -> CorpusEntry:
-        for e in self.entries:
-            if e.sample.id == sample_id:
-                return e
-        raise UnknownSample(f"no sample {sample_id!r} in corpus")
-
-    def all_messages(self) -> list[Message]:
-        """Every retained message of every sample (distinct per sample)."""
-        return [m for entry in self.entries for m, _ in entry.messages]
+        return tuple(sample.id for sample in self.samples)
 
     @cached_property
     def codes(self) -> np.ndarray:
-        """``property_codes`` of the samples: one row per entry."""
-        return property_codes(self.schema, [entry.sample.values for entry in self.entries])
+        """``property_codes`` of the samples: one row per sample."""
+        return property_codes(self.schema, [sample.values for sample in self.samples])
 
     @cached_property
-    def messages(self) -> np.ndarray:
-        """``all_messages()`` as one ``int64[messages x message_length]`` array."""
-        return np.array(self.all_messages(), dtype=np.int64).reshape(-1, self.message_length)
+    def totals(self) -> np.ndarray:
+        """Count total of each sample."""
+        # every partial sum stays below 2**53, so the float accumulation is exact
+        weighted = np.bincount(self.owners, weights=self.counts, minlength=len(self.samples))
+        return weighted.astype(np.int64)
 
     @cached_property
-    def counts(self) -> np.ndarray:
-        """Count of each row of ``messages``."""
-        return np.array(
-            [count for entry in self.entries for _, count in entry.messages], dtype=np.int64
+    def entries(self) -> tuple[CorpusEntry, ...]:
+        """One entry per sample, its messages in row order: a view of the arrays."""
+        grouped: list[list[tuple[Message, int]]] = [[] for _ in self.samples]
+        rows = zip(self.owners.tolist(), map(tuple, self.messages.tolist()), self.counts.tolist())
+        for owner, message, count in rows:
+            grouped[owner].append((message, count))
+        return tuple(
+            CorpusEntry(sample=sample, messages=tuple(messages))
+            for sample, messages in zip(self.samples, grouped)
         )
 
-    @cached_property
-    def owners(self) -> np.ndarray:
-        """Entry index of each row of ``messages``."""
-        return np.array(
-            [i for i, entry in enumerate(self.entries) for _ in entry.messages], dtype=np.int64
-        )
+
+def _check_shape(vocab_size: int, message_length: int) -> None:
+    if not 1 <= message_length <= MAX_MESSAGE_LENGTH:
+        raise DocumentSyntaxError(f"message length must lie in 1..{MAX_MESSAGE_LENGTH}")
+    if not 1 <= vocab_size <= VOCAB_LIMIT:
+        raise DocumentSyntaxError("vocabulary size must lie in 1..2**63")
+
+
+def _exact_total(counts: np.ndarray) -> int:
+    """Sum of positive int64 counts as a Python int: the sums of their high
+    and low 32-bit halves cannot overflow below 2**31 rows."""
+    high, low = np.divmod(counts, 2**32)
+    return int(high.sum()) * 2**32 + int(low.sum())
+
+
+def _token_error(sample_id: str, vocab_size: int) -> TokenOutOfRange:
+    return TokenOutOfRange(f"sample {sample_id!r}: token outside [0, {vocab_size})")
+
+
+def _count_error(sample_id: str) -> DocumentSyntaxError:
+    return DocumentSyntaxError(f"sample {sample_id!r}: message count must be >= 1")
+
+
+def _total_error(total: int) -> DocumentSyntaxError:
+    return DocumentSyntaxError(f"message counts sum to {total}, at least 2**53")
 
 
 def build_corpus(
@@ -139,36 +205,119 @@ def build_corpus(
 ) -> AnnotatedCorpus:
     """Assemble a corpus from (sample_id, attrs, message, count) records.
 
-    Canonical ordering is imposed here: entries sorted by sample id,
-    messages by token sequence.  Duplicate (sample, message) records merge
-    by summing counts; a sample id reappearing with different attributes is
-    an AttributeMismatch.
+    Canonical ordering is imposed here: samples sorted by id, rows by sample
+    and then token sequence.  Duplicate (sample, message) records merge by
+    summing counts; a sample id reappearing with different attributes is an
+    AttributeMismatch.
     """
-    samples: dict[str, Sample] = {}
-    counts: dict[str, dict[Message, int]] = {}
-    for sample_id, attrs, message, count in records:
-        sample = validate_sample(schema, sample_id, attrs)
-        if sample_id in samples:
-            if samples[sample_id].values != sample.values:
-                raise AttributeMismatch(
-                    f"sample {sample_id!r} annotated with conflicting attribute values"
-                )
-        else:
-            samples[sample_id] = sample
-            counts[sample_id] = {}
-        counts[sample_id][message] = counts[sample_id].get(message, 0) + count
-    entries = tuple(
-        CorpusEntry(
-            sample=samples[sid],
-            messages=tuple(sorted(counts[sid].items())),
-        )
-        for sid in sorted(samples)
+    columns = list(zip(*records)) or [(), (), (), ()]
+    return _corpus_of_records(schema, vocab_size, message_length, *columns)
+
+
+def _corpus_of_records(schema, vocab_size, message_length, ids, attrs, msgs, counts):
+    """The corpus of records given as parallel sequences, in record order.
+
+    Errors come in the order of a record-by-record build: attributes in
+    record order, then the header, then rows in canonical order.
+    """
+    first: dict[str, int] = {}  # sample id -> index into the lists below
+    samples: list[Sample] = []
+    raw: list[dict] = []
+    seen = []
+    for sample_id, values in zip(ids, attrs):
+        k = first.setdefault(sample_id, len(first))
+        if k == len(samples):
+            samples.append(validate_sample(schema, sample_id, values))
+            raw.append(values)
+        elif raw[k] != values:
+            raise AttributeMismatch(
+                f"sample {sample_id!r} annotated with conflicting attribute values"
+            )
+        seen.append(k)
+    by_id = sorted(range(len(samples)), key=lambda k: samples[k].id)
+    rank = np.empty(len(samples), dtype=np.int64)
+    rank[by_id] = np.arange(len(samples))
+    owners = rank[np.array(seen, dtype=np.int64)]
+    samples = tuple(samples[k] for k in by_id)
+    return _corpus_of_rows(schema, vocab_size, message_length, samples, owners, msgs, counts)
+
+
+def with_rows(corpus: AnnotatedCorpus, owners, msgs, counts) -> AnnotatedCorpus:
+    """The samples of ``corpus`` with these rows in place of its own:
+    ``msgs[i]`` sent ``counts[i]`` times by ``corpus.samples[owners[i]]``.
+    Rows are put in canonical order; a repeated (sample, message) adds its
+    count."""
+    owners = np.array(owners, dtype=np.int64)
+    return _corpus_of_rows(
+        corpus.schema, corpus.vocab_size, corpus.message_length, corpus.samples,
+        owners, msgs, counts,
     )
-    return AnnotatedCorpus(
-        schema=schema,
-        vocab_size=vocab_size,
-        message_length=message_length,
-        entries=entries,
+
+
+def _corpus_of_rows(schema, vocab_size, message_length, samples, owners, msgs, counts):
+    """The corpus of ``samples`` (sorted by id) and of rows given in any order,
+    which it sorts and merges; content errors come in canonical row order."""
+    _check_shape(vocab_size, message_length)
+    rows = _int64_rows(owners, msgs, counts, message_length)
+    if rows is None:
+        rows = _exact_rows(samples, vocab_size, message_length, owners, msgs, counts)
+    return AnnotatedCorpus(schema, vocab_size, message_length, samples, *rows)
+
+
+def _int64_rows(owners, msgs, counts, message_length):
+    """The rows as int64 arrays sorted by owner, then tokens, repeated
+    (owner, message) rows merged; or None when they need Python integers: a
+    message of another length, a value outside int64, a count below 1 (it
+    may merge into a valid one), or counts whose merged sums could overflow."""
+    if set(map(len, msgs)) - {message_length}:
+        return None
+    try:
+        messages = np.array(msgs, dtype=np.int64)  # (rows, length) unless there are no rows
+        counts = np.array(counts, dtype=np.int64)
+    except OverflowError:
+        return None
+    if (len(counts) and counts.min() < 1) or _exact_total(counts) >= 2**63:
+        return None
+    if not len(owners):
+        return messages, owners, counts
+    order = np.lexsort((*messages.T[::-1], owners))
+    if (order[1:] < order[:-1]).any():  # rows already in order need no copy
+        messages, owners, counts = messages[order], owners[order], counts[order]
+    starts = np.ones(len(owners), dtype=bool)
+    starts[1:] = (owners[1:] != owners[:-1]) | (messages[1:] != messages[:-1]).any(axis=1)
+    if starts.all():  # nothing to merge; skip a copy of every row
+        return messages, owners, counts
+    starts = np.flatnonzero(starts)
+    return messages[starts], owners[starts], np.add.reduceat(counts, starts)
+
+
+def _exact_rows(samples, vocab_size, message_length, owners, msgs, counts):
+    """The merged canonical rows in Python integers, checked row by row as
+    :class:`AnnotatedCorpus` checks its arrays, for records int64 cannot hold."""
+    merged: dict[tuple[int, Message], int] = {}
+    for owner, message, count in zip(owners.tolist(), map(tuple, msgs), counts):
+        merged[owner, message] = merged.get((owner, message), 0) + count
+    rows = sorted(merged.items())
+    total = 0
+    for (owner, message), count in rows:
+        sample_id = samples[owner].id
+        if len(message) != message_length:
+            raise LengthMismatch(
+                f"sample {sample_id!r}: message of length {len(message)}, "
+                f"expected {message_length}"
+            )
+        if any(t < 0 or t >= vocab_size for t in message):
+            raise _token_error(sample_id, vocab_size)
+        if count < 1:
+            raise _count_error(sample_id)
+        total += count
+    if total >= COUNT_LIMIT:
+        raise _total_error(total)
+    messages = np.array([message for (_, message), _ in rows], dtype=np.int64)
+    return (
+        messages.reshape(len(rows), message_length),
+        np.array([owner for (owner, _), _ in rows], dtype=np.int64),
+        np.array([count for _, count in rows], dtype=np.int64),
     )
 
 
@@ -177,11 +326,18 @@ def _is_int(value) -> bool:
 
 
 def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
-    """Parse a corpus document against a validated schema."""
+    """Parse a corpus document against a validated schema.
+
+    Line numbers count non-blank lines.  Errors come in the order of a
+    line-by-line reader: record syntax in line order, then attributes in
+    record order, then content (header bounds, rows in canonical order).
+    """
     lines = [line for line in text.split("\n") if line.strip()]
     if not lines:
         raise DocumentSyntaxError("corpus document is empty")
     header = _parse_json_line(lines[0], 1)
+    if not isinstance(header, dict):
+        raise DocumentSyntaxError("line 1: expected a JSON object")
     meta = header.get("meta")
     if not isinstance(meta, dict) or "vocab_size" not in meta or "msg_len" not in meta:
         raise DocumentSyntaxError(
@@ -191,59 +347,87 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
     if not _is_int(vocab_size) or not _is_int(message_length):
         raise DocumentSyntaxError("vocab_size and msg_len must be integers")
 
-    records = []
+    scan = json.JSONDecoder().scan_once
+    ids, attrs, msgs, counts = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
-        obj = _parse_json_line(line, lineno)
-        if "sample" not in obj or "attrs" not in obj or "msg" not in obj:
-            raise DocumentSyntaxError(f"line {lineno}: record needs 'sample', 'attrs', 'msg'")
-        sample_id = obj["sample"]
-        if not isinstance(sample_id, str):
-            raise DocumentSyntaxError(f"line {lineno}: 'sample' must be a string")
-        msg = obj["msg"]
-        if not isinstance(msg, list) or not all(_is_int(t) for t in msg):
-            raise DocumentSyntaxError(f"line {lineno}: 'msg' must be a list of integers")
-        count = obj.get("count", 1)
-        if not _is_int(count):
-            raise DocumentSyntaxError(f"line {lineno}: 'count' must be an integer")
-        attrs = obj["attrs"]
-        if not isinstance(attrs, dict):
-            raise DocumentSyntaxError(f"line {lineno}: 'attrs' must be an object")
-        records.append((sample_id, attrs, tuple(msg), count))
-    return build_corpus(schema, vocab_size, message_length, records)
+        try:
+            record, end = scan(line, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if end != len(line):  # surrounding whitespace, or an error worded by json.loads
+            try:
+                record = _parse_json_line(line, lineno)
+            except DocumentSyntaxError:
+                _check_records(lines[1 : lineno - 1])  # a malformed earlier record comes first
+                raise
+        # only the fields stay alive; a missing one reads None, which the type checks reject
+        get = record.get if type(record) is dict else {}.get
+        ids.append(get("sample"))
+        attrs.append(get("attrs"))
+        msgs.append(get("msg"))
+        counts.append(get("count", 1))
+    if not (
+        set(map(type, ids)) <= {str}
+        and set(map(type, attrs)) <= {dict}
+        and set(map(type, counts)) <= {int}
+        and set(map(type, msgs)) <= {list}
+        and set(map(type, chain.from_iterable(msgs))) <= {int}
+    ):
+        _check_records(lines[1:])
+    del lines  # only error reports read the lines; the arrays built next need the memory
+    return _corpus_of_records(schema, vocab_size, message_length, ids, attrs, msgs, counts)
 
 
-def _parse_json_line(line: str, lineno: int) -> dict:
+def _parse_json_line(line: str, lineno: int):
     try:
-        obj = json.loads(line)
+        return json.loads(line)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(f"line {lineno}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise DocumentSyntaxError(f"line {lineno}: expected a JSON object")
-    return obj
+
+
+def _check_records(lines: list[str]) -> None:
+    """Raise for the first malformed record among valid JSON lines, numbered from line 2."""
+    for lineno, line in enumerate(lines, start=2):
+        record = json.loads(line)
+        if not isinstance(record, dict):
+            raise DocumentSyntaxError(f"line {lineno}: expected a JSON object")
+        if "sample" not in record or "attrs" not in record or "msg" not in record:
+            raise DocumentSyntaxError(f"line {lineno}: record needs 'sample', 'attrs', 'msg'")
+        if not isinstance(record["sample"], str):
+            raise DocumentSyntaxError(f"line {lineno}: 'sample' must be a string")
+        msg = record["msg"]
+        if not isinstance(msg, list) or not all(_is_int(t) for t in msg):
+            raise DocumentSyntaxError(f"line {lineno}: 'msg' must be a list of integers")
+        if not _is_int(record.get("count", 1)):
+            raise DocumentSyntaxError(f"line {lineno}: 'count' must be an integer")
+        if not isinstance(record["attrs"], dict):
+            raise DocumentSyntaxError(f"line {lineno}: 'attrs' must be an object")
 
 
 def serialize_corpus(corpus: AnnotatedCorpus) -> str:
     """Canonical corpus document; ``load_corpus(serialize_corpus(c)) == c``."""
-    lines = [
+    header = {"meta": {"vocab_size": corpus.vocab_size, "msg_len": corpus.message_length}}
+    names = corpus.schema.attribute_names
+    # each sample's record text up to its first token: '{"sample": ..., "msg": ['
+    prefixes = [
         json.dumps(
-            {"meta": {"vocab_size": corpus.vocab_size, "msg_len": corpus.message_length}},
+            {"sample": sample.id, "attrs": {n: sample.values[n] for n in names}, "msg": []},
             ensure_ascii=False,
-        )
+        )[:-2]
+        for sample in corpus.samples
     ]
-    for entry in corpus.entries:
-        attrs = {name: entry.sample.values[name] for name in corpus.schema.attribute_names}
-        for message, count in entry.messages:
-            lines.append(
-                json.dumps(
-                    {
-                        "sample": entry.sample.id,
-                        "attrs": attrs,
-                        "msg": list(message),
-                        "count": count,
-                    },
-                    ensure_ascii=False,
-                )
-            )
+    # %d formats an int exactly as json.dumps does
+    record = "%s" + ", ".join(["%d"] * corpus.message_length) + '], "count": %d}'
+    lines = [json.dumps(header, ensure_ascii=False)]
+    # rows become Python lists one block at a time, so their objects never all coexist
+    for start in range(0, len(corpus.owners), _SERIALIZE_BLOCK):
+        block = slice(start, start + _SERIALIZE_BLOCK)
+        rows = zip(
+            corpus.owners[block].tolist(),
+            corpus.messages[block].tolist(),
+            corpus.counts[block].tolist(),
+        )
+        lines.extend(record % (prefixes[owner], *message, count) for owner, message, count in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -256,36 +440,34 @@ def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedC
     """
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
-    entries = []
-    for entry in corpus.entries:
-        total = entry.total_count()
-        kept = tuple(
-            (message, count)
-            for message, count in entry.messages
-            if count / total >= threshold
+    # counts and totals lie below 2**53, so the float division is the exact share rounded once
+    kept = corpus.counts / corpus.totals[corpus.owners] >= threshold
+    emptied = np.flatnonzero(np.bincount(corpus.owners[kept], minlength=len(corpus.samples)) == 0)
+    if len(emptied):
+        raise EmptySample(
+            f"threshold {threshold} drops every message of sample "
+            f"{corpus.samples[emptied[0]].id!r}"
         )
-        if not kept:
-            raise EmptySample(
-                f"threshold {threshold} drops every message of sample {entry.sample.id!r}"
-            )
-        entries.append(CorpusEntry(sample=entry.sample, messages=kept))
-    return AnnotatedCorpus(
-        schema=corpus.schema,
-        vocab_size=corpus.vocab_size,
-        message_length=corpus.message_length,
-        entries=tuple(entries),
+    return replace(
+        corpus,
+        messages=corpus.messages[kept],
+        owners=corpus.owners[kept],
+        counts=corpus.counts[kept],
     )
 
 
-def representative_of(entry: CorpusEntry) -> Message:
-    """The entry's highest-count message; ties go to the lexicographically
-    smallest token sequence (messages are stored in sorted order)."""
-    best_message, best_count = entry.messages[0]
-    for message, count in entry.messages[1:]:
-        if count > best_count:
-            best_message, best_count = message, count
-    return best_message
+def representative_of(corpus: AnnotatedCorpus) -> np.ndarray:
+    """Row of each sample's highest-count message, ties going to the smallest
+    row (in canonical order, the lexicographically smallest message)."""
+    order = np.lexsort((-corpus.counts, corpus.owners))  # stable: equal counts keep row order
+    owners = corpus.owners[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = owners[1:] != owners[:-1]
+    return order[first]
 
 
 def representative_message(corpus: AnnotatedCorpus, sample_id: str) -> Message:
-    return representative_of(corpus.entry(sample_id))
+    k = bisect_left(corpus.sample_ids, sample_id)
+    if k == len(corpus.sample_ids) or corpus.sample_ids[k] != sample_id:
+        raise UnknownSample(f"no sample {sample_id!r} in corpus")
+    return tuple(corpus.messages[representative_of(corpus)[k]].tolist())

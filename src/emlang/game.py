@@ -38,17 +38,10 @@ class GameConfig:
     __hash__ = None
 
 
-def _agent(agent: AnnotatedCorpus, corpus: AnnotatedCorpus):
-    """Messages, owners (sample id ranks), counts and per-sample totals, by owner."""
-    ids = sorted(corpus.sample_ids)
-    if sorted(agent.sample_ids) != ids or agent.message_length != corpus.message_length:
-        raise ConfigError("an agent corpus must hold the game corpus's samples and message length")
-    rank = {sample: r for r, sample in enumerate(ids)}
-    owners = np.array([rank[s] for s in agent.sample_ids], dtype=np.int64)[agent.owners]
-    order = np.argsort(owners, kind="stable")
-    owners, counts = owners[order], agent.counts[order]
-    totals = np.add.reduceat(counts, np.searchsorted(owners, np.arange(len(ids))))
-    return agent.messages[order], owners, counts, totals
+def _agent(agent: AnnotatedCorpus, message_ids: np.ndarray):
+    """Message ids, owners and counts of the agent's rows, by owner, and its per-sample totals."""
+    order = np.argsort(agent.owners, kind="stable")
+    return message_ids[order], agent.owners[order], agent.counts[order], agent.totals
 
 
 def _candidates(rng: np.random.Generator, targets: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -69,7 +62,7 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
     without replacement, let the speaker describe the target, and score a
     hit when the listener picks it.
     """
-    n, k = len(corpus.entries), config.candidate_count
+    n, k = len(corpus.samples), config.candidate_count
     if k < 2:
         raise ConfigError("candidate sets need at least two samples")
     if k > n:
@@ -77,22 +70,35 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
     if config.episodes < 1:
         raise ConfigError("need at least one episode")
 
-    speakers = [_agent(a, corpus) for a in config.speakers or (corpus,)]
-    listeners = [_agent(a, corpus) for a in config.listeners or (corpus,)]
+    speaker_corpora = config.speakers or (corpus,)
+    listener_corpora = config.listeners or (corpus,)
+    agents = {id(a): a for a in (*speaker_corpora, *listener_corpora)}
+    for agent in agents.values():
+        # samples are sorted by id, so an agent's owners index the game corpus's samples
+        if agent.sample_ids != corpus.sample_ids or agent.message_length != corpus.message_length:
+            raise ConfigError(
+                "an agent corpus must hold the game corpus's samples and message length"
+            )
+    # one message id space for the whole population, sorted once
+    stacked = np.concatenate([a.messages for a in agents.values()])
+    distinct, message_ids = np.unique(stacked, axis=0, return_inverse=True)
+    bounds = np.cumsum([len(a.messages) for a in agents.values()])[:-1]
+    message_ids = dict(zip(agents, np.split(message_ids.reshape(-1), bounds)))
+    speakers = [_agent(a, message_ids[id(a)]) for a in speaker_corpora]
+    listeners = []
+    for agent in listener_corpora:
+        heard, owners, counts, totals = _agent(agent, message_ids[id(agent)])
+        keys = owners * len(distinct) + heard
+        order = np.argsort(keys)
+        listeners.append((keys[order], (counts / totals[owners])[order]))
     batch = max(1, _BATCH_KEYS // k)
 
     rows = []
-    for i, (s_messages, _, s_counts, s_totals) in enumerate(speakers):
+    for i, (spoken, _, s_counts, s_totals) in enumerate(speakers):
         cumulative = np.cumsum(s_counts)
         start = np.cumsum(s_totals) - s_totals
         row = []
-        for j, (l_messages, l_owners, l_counts, l_totals) in enumerate(listeners):
-            stacked = np.concatenate((s_messages, l_messages))
-            distinct, message_ids = np.unique(stacked, axis=0, return_inverse=True)
-            spoken, heard = np.split(message_ids.reshape(-1), [len(s_messages)])
-            keys = l_owners * len(distinct) + heard
-            order = np.argsort(keys)
-            keys, shares = keys[order], (l_counts / l_totals[l_owners])[order]
+        for j, (keys, shares) in enumerate(listeners):
             rng = np.random.default_rng(np.random.SeedSequence([config.seed % (2**63), i, j]))
             hits = 0
             for played in range(0, config.episodes, batch):

@@ -169,7 +169,7 @@ def topsim(
     are drawn uniformly without replacement from a numpy stream seeded by
     ``seed``, which is then required; any integer seed is accepted.
     """
-    n = len(corpus.entries)
+    n = len(corpus.samples)
     if n < 2:
         raise ConfigError("topsim needs at least two samples")
     limit = DEFAULT_MAX_PAIRS if max_pairs is None else max_pairs
@@ -188,7 +188,7 @@ def topsim(
 
     # attribute columns lead the code matrix; differing code <=> differing value
     codes = corpus.codes[:, : len(corpus.schema.attributes)]
-    reps = np.array([representative_of(entry) for entry in corpus.entries], dtype=np.int64)
+    reps = corpus.messages[representative_of(corpus)]
     # float, as spearman ranks them, so it takes both without a copy
     attr_dist = np.empty(len(indices))
     msg_dist = np.empty(len(indices))

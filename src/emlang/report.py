@@ -17,16 +17,13 @@ import csv
 import io
 import json
 
+from .corpus import MAX_MESSAGE_LENGTH
 from .errors import DocumentSyntaxError
 from .metrics import AccuracyMatrix, TopSimReport, accuracy_per_speaker
 from .rules import Pattern, RuleTable, SemanticRule
 from .schema import AttributeSchema
 
 _PLACEHOLDER_LETTERS = "XYZABCDEFGHIJKLMNOPQRSTUVW"
-
-# Longest message a parsed rule table may describe: markdown and CSV
-# renderings hold one column per position.
-MAX_MESSAGE_LENGTH = 2**16
 
 
 def placeholders(count: int) -> list[str]:
@@ -107,7 +104,10 @@ def _rule_table_structured(table: RuleTable) -> str:
 
 
 def parse_rule_table(text: str) -> RuleTable:
-    doc = _load_structured(text, "rule_table")
+    return _rule_table_from(_load_structured(text, "rule_table"))
+
+
+def _rule_table_from(doc: dict) -> RuleTable:
     try:
         rules = tuple(
             SemanticRule(
@@ -251,7 +251,10 @@ def render_metrics(report: TopSimReport | AccuracyMatrix, format: str = "structu
 
 
 def parse_metrics(text: str) -> TopSimReport | AccuracyMatrix:
-    doc = _load_structured(text, None)
+    return _metrics_from(_load_structured(text, None))
+
+
+def _metrics_from(doc: dict) -> TopSimReport | AccuracyMatrix:
     kind = doc.get("kind")
     try:
         if kind == "topsim_report":
@@ -273,6 +276,12 @@ def parse_metrics(text: str) -> TopSimReport | AccuracyMatrix:
     except (KeyError, TypeError, ValueError, OverflowError):
         raise DocumentSyntaxError("malformed metrics document") from None
     raise DocumentSyntaxError(f"unknown document kind {kind!r}")
+
+
+def parse_structured(text: str) -> RuleTable | TopSimReport | AccuracyMatrix:
+    """Parse any structured result document, chosen by its ``kind``."""
+    doc = _load_structured(text, None)
+    return _rule_table_from(doc) if doc.get("kind") == "rule_table" else _metrics_from(doc)
 
 
 def _load_structured(text: str, expected_kind: str | None) -> dict:

@@ -50,9 +50,6 @@ class Pattern:
     def is_empty(self) -> bool:
         return not self.cells
 
-    def matches(self, message: Message) -> bool:
-        return all(message[pos] == tok for pos, tok in self.cells)
-
     def without_positions(self, positions: set[int]) -> "Pattern":
         return Pattern(cells=tuple(c for c in self.cells if c[0] not in positions))
 
@@ -89,10 +86,9 @@ def constant_positions(messages: list[Message] | np.ndarray) -> Pattern:
 
 def global_constants(corpus: AnnotatedCorpus) -> Pattern:
     """Positions constant across every retained message of every sample."""
-    messages = corpus.all_messages()
-    if not messages:
+    if not len(corpus.messages):
         raise EmptyCorpus("corpus holds no messages")
-    return constant_positions(messages)
+    return constant_positions(corpus.messages)
 
 
 def coverage_summary(

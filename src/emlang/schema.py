@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -279,6 +280,7 @@ class AttributeSchema:
     attributes: tuple[Attribute, ...]
     hyperattributes: tuple[HyperattributeDef, ...] = ()
     _domains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.attributes:
@@ -299,14 +301,17 @@ class AttributeSchema:
             later = {h.name for h in self.hyperattributes} - set(domains) - attribute_names
             domains[hyper.name] = _check_hyper(hyper, domains, later | {hyper.name})
         object.__setattr__(self, "_domains", domains)
+        # value -> domain index per property, so lookups cost O(1) at any domain size
+        indices = {prop: {value: i for i, value in enumerate(dom)} for prop, dom in domains.items()}
+        object.__setattr__(self, "_indices", indices)
 
     # -- lookups ----------------------------------------------------------
 
-    @property
+    @cached_property
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    @property
+    @cached_property
     def property_names(self) -> tuple[str, ...]:
         """Attributes then hyperattributes, in declaration order."""
         return self.attribute_names + tuple(h.name for h in self.hyperattributes)
@@ -318,10 +323,12 @@ class AttributeSchema:
             raise UnknownReference(f"unknown property {prop!r}") from None
 
     def domain_index(self, prop: str, value: str) -> int:
-        dom = self.domain(prop)
+        index = self._indices.get(prop)
+        if index is None:
+            raise UnknownReference(f"unknown property {prop!r}")
         try:
-            return dom.index(value)
-        except ValueError:
+            return index[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value, such as a JSON list
             raise DomainError(f"value {value!r} not in domain of {prop!r}") from None
 
 
@@ -386,15 +393,17 @@ class Sample:
 
 def validate_sample(schema: AttributeSchema, sample_id: str, values: dict[str, str]) -> Sample:
     expected = schema.attribute_names
-    if tuple(sorted(values)) != tuple(sorted(expected)):
+    if values.keys() != set(expected):
         raise AttributeMismatch(
             f"sample {sample_id!r} must assign exactly the attributes {list(expected)}"
         )
     for name in expected:
-        if values[name] not in schema.domain(name):
+        try:
+            schema.domain_index(name, values[name])
+        except DomainError:
             raise AttributeMismatch(
                 f"sample {sample_id!r}: value {values[name]!r} not in domain of {name!r}"
-            )
+            ) from None
     return Sample(id=sample_id, values={name: values[name] for name in expected})
 
 

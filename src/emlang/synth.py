@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, CorpusEntry, Message, build_corpus
+from .corpus import AnnotatedCorpus, Message, build_corpus, with_rows
 from .errors import CapacityError
 from .rules import Pattern, RuleTable, SemanticRule, canonical_evidence, rule_sort_key
 from .schema import Attribute, AttributeSchema, observed_values, parse_schema, property_codes
@@ -265,8 +265,8 @@ def gen_noisy(
     if synonym_count < 1:
         raise CapacityError("need at least one synonym")
     rng = random.Random(seed)
-    entries = []
-    for entry in base.entries:
+    owners, messages, counts = [], [], []
+    for owner, entry in enumerate(base.entries):
         total = entry.total_count()
         synonym_total = max(
             synonym_count, round(minority_share / (1.0 - minority_share) * total)
@@ -279,15 +279,12 @@ def gen_noisy(
             synonym = _perturb(template, base.vocab_size, existing, rng)
             existing.add(synonym)
             new_messages[synonym] = per_synonym + (1 if k < leftover else 0)
-        entries.append(
-            CorpusEntry(sample=entry.sample, messages=tuple(sorted(new_messages.items())))
-        )
-    return AnnotatedCorpus(
-        schema=base.schema,
-        vocab_size=base.vocab_size,
-        message_length=base.message_length,
-        entries=tuple(entries),
-    )
+        # each sample's rows in canonical order, so the corpus needs no reordering copy
+        for message, count in sorted(new_messages.items()):
+            owners.append(owner)
+            messages.append(message)
+            counts.append(count)
+    return with_rows(base, owners, messages, counts)
 
 
 def _perturb(

@@ -7,11 +7,16 @@ beyond the public data types.
 
 from __future__ import annotations
 
+import json
 import math
 from functools import lru_cache
 
+import numpy as np
+
+from emlang.corpus import AnnotatedCorpus
+from emlang.errors import AttributeMismatch, DocumentSyntaxError, LengthMismatch, TokenOutOfRange
 from emlang.rules import Pattern, RuleTable, SemanticRule
-from emlang.schema import And, Equals, Member, Not, Or, Ref, ValueMap
+from emlang.schema import And, Equals, Member, Not, Or, Ref, Sample, ValueMap
 
 
 def brute_levenshtein(a, b) -> int:
@@ -226,3 +231,113 @@ def closed_form_accuracy(speaker, listener, k: int) -> float:
                     beaten_by += 1
             accuracy += p * math.comb(n - 1 - beaten_by, k - 1) / draws
     return accuracy / n
+
+
+def naive_load_corpus(text: str, schema):
+    """Record-by-record corpus reader: one ``json.loads`` and one set of
+    checks per line, in line order, then :func:`naive_build_corpus`."""
+    lines = [line for line in text.split("\n") if line.strip()]
+    if not lines:
+        raise DocumentSyntaxError("corpus document is empty")
+    header = _naive_json_line(lines[0], 1)
+    meta = header.get("meta")
+    if not isinstance(meta, dict) or "vocab_size" not in meta or "msg_len" not in meta:
+        raise DocumentSyntaxError("first line must be a header")
+    vocab_size, message_length = meta["vocab_size"], meta["msg_len"]
+    if type(vocab_size) is not int or type(message_length) is not int:
+        raise DocumentSyntaxError("vocab_size and msg_len must be integers")
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        obj = _naive_json_line(line, lineno)
+        if "sample" not in obj or "attrs" not in obj or "msg" not in obj:
+            raise DocumentSyntaxError(f"line {lineno}: record needs 'sample', 'attrs', 'msg'")
+        if not isinstance(obj["sample"], str):
+            raise DocumentSyntaxError(f"line {lineno}: 'sample' must be a string")
+        msg = obj["msg"]
+        if not isinstance(msg, list) or not all(type(t) is int for t in msg):
+            raise DocumentSyntaxError(f"line {lineno}: 'msg' must be a list of integers")
+        count = obj.get("count", 1)
+        if type(count) is not int:
+            raise DocumentSyntaxError(f"line {lineno}: 'count' must be an integer")
+        if not isinstance(obj["attrs"], dict):
+            raise DocumentSyntaxError(f"line {lineno}: 'attrs' must be an object")
+        records.append((obj["sample"], obj["attrs"], tuple(msg), count))
+    return naive_build_corpus(schema, vocab_size, message_length, records)
+
+
+def _naive_json_line(line: str, lineno: int) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DocumentSyntaxError(f"line {lineno}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise DocumentSyntaxError(f"line {lineno}: expected a JSON object")
+    return obj
+
+
+def naive_build_corpus(schema, vocab_size: int, message_length: int, records):
+    """Record-by-record corpus builder: validate every record's attributes,
+    merge repeats in a dict, sort, then check every row and token in Python."""
+    names = schema.attribute_names
+    samples: dict[str, Sample] = {}
+    merged: dict[str, dict[tuple, int]] = {}
+    for sample_id, attrs, message, count in records:
+        if sorted(attrs) != sorted(names):
+            raise AttributeMismatch(f"sample {sample_id!r} must assign exactly {list(names)}")
+        for name in names:
+            if attrs[name] not in schema.domain(name):
+                raise AttributeMismatch(f"sample {sample_id!r}: {attrs[name]!r} not in {name!r}")
+        sample = Sample(id=sample_id, values={name: attrs[name] for name in names})
+        if sample_id in samples and samples[sample_id].values != sample.values:
+            raise AttributeMismatch(f"sample {sample_id!r} annotated with conflicting values")
+        samples.setdefault(sample_id, sample)
+        counts = merged.setdefault(sample_id, {})
+        counts[message] = counts.get(message, 0) + count
+    if not 1 <= message_length <= 2**16:
+        raise DocumentSyntaxError("message length must lie in 1..2**16")
+    if not 1 <= vocab_size <= 2**63:
+        raise DocumentSyntaxError("vocabulary size must lie in 1..2**63")
+    ids = sorted(samples)
+    rows = [
+        (owner, message, count)
+        for owner, sample_id in enumerate(ids)
+        for message, count in sorted(merged[sample_id].items())
+    ]
+    total = 0
+    for owner, message, count in rows:
+        if len(message) != message_length:
+            raise LengthMismatch(f"sample {ids[owner]!r}: message of length {len(message)}")
+        if any(t < 0 or t >= vocab_size for t in message):
+            raise TokenOutOfRange(f"sample {ids[owner]!r}: token outside [0, {vocab_size})")
+        if count < 1:
+            raise DocumentSyntaxError(f"sample {ids[owner]!r}: message count must be >= 1")
+        total += count
+    if total >= 2**53:
+        raise DocumentSyntaxError(f"message counts sum to {total}, at least 2**53")
+    return AnnotatedCorpus(
+        schema=schema,
+        vocab_size=vocab_size,
+        message_length=message_length,
+        samples=tuple(samples[sample_id] for sample_id in ids),
+        messages=np.array([message for _, message, _ in rows], dtype=np.int64).reshape(
+            len(rows), message_length
+        ),
+        owners=np.array([owner for owner, _, _ in rows], dtype=np.int64),
+        counts=np.array([count for _, _, count in rows], dtype=np.int64),
+    )
+
+
+def naive_serialize_corpus(corpus) -> str:
+    """One ``json.dumps`` per record, walking the per-sample entries."""
+    lines = [
+        json.dumps(
+            {"meta": {"vocab_size": corpus.vocab_size, "msg_len": corpus.message_length}},
+            ensure_ascii=False,
+        )
+    ]
+    for entry in corpus.entries:
+        attrs = {name: entry.sample.values[name] for name in corpus.schema.attribute_names}
+        for message, count in entry.messages:
+            record = {"sample": entry.sample.id, "attrs": attrs, "msg": list(message)}
+            lines.append(json.dumps({**record, "count": count}, ensure_ascii=False))
+    return "\n".join(lines) + "\n"

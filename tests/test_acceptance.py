@@ -11,10 +11,12 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from emlang.corpus import AnnotatedCorpus, CorpusEntry, filter_by_frequency, serialize_corpus
+from emlang.corpus import AnnotatedCorpus, filter_by_frequency, serialize_corpus
 from emlang.errors import ZeroVariance
 from emlang.game import GameConfig, run_lewis_game
 from emlang.metrics import accuracy_per_speaker, levenshtein, spearman, topsim
@@ -190,15 +192,7 @@ def test_criterion_5_holistic_signature(moprd):
 
 
 def scaled_counts(corpus: AnnotatedCorpus, count: int) -> AnnotatedCorpus:
-    return AnnotatedCorpus(
-        schema=corpus.schema,
-        vocab_size=corpus.vocab_size,
-        message_length=corpus.message_length,
-        entries=tuple(
-            CorpusEntry(sample=e.sample, messages=tuple((m, count) for m, _ in e.messages))
-            for e in corpus.entries
-        ),
-    )
+    return replace(corpus, counts=np.full_like(corpus.counts, count))
 
 
 def test_criterion_6_filter_law(moprd):

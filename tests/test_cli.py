@@ -227,6 +227,35 @@ def test_vocab_past_int64_is_a_syntax_error(tmp_path, workdir, command):
     assert result.stderr.startswith("SyntaxError:")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["extract"],
+        ["topsim"],
+        ["game", "--candidates", "2", "--episodes", "10", "--seed", "1"],
+    ],
+    ids=["extract", "topsim", "game"],
+)
+def test_message_past_length_bound_is_a_syntax_error(tmp_path, workdir, command):
+    """The corpus bound is the one ``render`` applies to rule tables, 2**16."""
+    records = [
+        json.loads(line)
+        for line in (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[1:3]
+    ]
+    length = 2**16 + 1
+    records[0]["msg"], records[1]["msg"] = [0] * length, [1] * length
+    header = {"meta": {"vocab_size": 2, "msg_len": length}}
+    target = tmp_path / "long.jsonl"
+    target.write_text(
+        "".join(json.dumps(doc) + "\n" for doc in [header, *records]), encoding="utf-8"
+    )
+    # without the bound, topsim fills a 65537 x 65537 edit-distance table
+    result = run_cli(command[0], "--corpus", str(target), "--schema", "moprd", *command[1:],
+                     timeout=60)
+    assert result.returncode == 1
+    assert result.stderr.startswith("SyntaxError:")
+
+
 @pytest.mark.parametrize("seed", ["-3", "18446744073709551617"])
 def test_topsim_sampling_accepts_any_integer_seed(workdir, seed):
     argv = [
@@ -251,33 +280,43 @@ def _rule_table_of_length(length, constants=()):
             "global_constants": [list(cell) for cell in constants], "rules": []}
 
 
+METRICS_REASON = "malformed metrics document"
+TABLE_REASON = "malformed rule table document"
+LENGTH_REASON = "message_length must be between 1 and 65536"
+POSITION_REASON = "pattern position outside the message"
+
+# document and the reason its error names
 MALFORMED_RESULTS = {
-    "rho-text": {"kind": "topsim_report", "rho": "x", "pair_count": 1, "sampled": False,
-                 "seed": None},
-    "pair-count-overflow": {"kind": "topsim_report", "rho": 0.5, "pair_count": 1e400,
-                            "sampled": False, "seed": None},
-    "accuracy-text": {"kind": "accuracy_matrix", "episodes_per_cell": 1, "values": [["a"]]},
-    "episodes-overflow": {"kind": "accuracy_matrix", "episodes_per_cell": 1e400,
-                          "values": [[0.5]]},
-    "evidence-cell-short": _rule_table_with_evidence_cell([1]),
-    "message-length-overflow": _rule_table_of_length(1e400),
-    "message-length-zero": _rule_table_of_length(0),
-    "message-length-negative": _rule_table_of_length(-1),
-    "message-length-huge": _rule_table_of_length(10**12),
-    "message-length-huge-float": _rule_table_of_length(1e300),
-    "position-past-end": _rule_table_of_length(2, constants=[(2, 5)]),
-    "negative-position": _rule_table_of_length(2, constants=[(-1, 5)]),
+    "rho-text": ({"kind": "topsim_report", "rho": "x", "pair_count": 1, "sampled": False,
+                  "seed": None}, METRICS_REASON),
+    "pair-count-overflow": ({"kind": "topsim_report", "rho": 0.5, "pair_count": 1e400,
+                             "sampled": False, "seed": None}, METRICS_REASON),
+    "accuracy-text": ({"kind": "accuracy_matrix", "episodes_per_cell": 1, "values": [["a"]]},
+                      METRICS_REASON),
+    "episodes-overflow": ({"kind": "accuracy_matrix", "episodes_per_cell": 1e400,
+                           "values": [[0.5]]}, METRICS_REASON),
+    "unknown-kind": ({"kind": "table"}, "unknown document kind 'table'"),
+    "evidence-cell-short": (_rule_table_with_evidence_cell([1]), TABLE_REASON),
+    "message-length-overflow": (_rule_table_of_length(1e400), TABLE_REASON),
+    "message-length-zero": (_rule_table_of_length(0), LENGTH_REASON),
+    "message-length-negative": (_rule_table_of_length(-1), LENGTH_REASON),
+    "message-length-huge": (_rule_table_of_length(10**12), LENGTH_REASON),
+    "message-length-huge-float": (_rule_table_of_length(1e300), LENGTH_REASON),
+    "message-length-past-bound": (_rule_table_of_length(2**16 + 1), LENGTH_REASON),
+    "position-past-end": (_rule_table_of_length(2, constants=[(2, 5)]), POSITION_REASON),
+    "negative-position": (_rule_table_of_length(2, constants=[(-1, 5)]), POSITION_REASON),
 }
 
 
-@pytest.mark.parametrize("document", MALFORMED_RESULTS.values(), ids=MALFORMED_RESULTS.keys())
-def test_render_rejects_malformed_results(tmp_path, document):
+@pytest.mark.parametrize(("document", "reason"), MALFORMED_RESULTS.values(),
+                         ids=MALFORMED_RESULTS.keys())
+def test_render_rejects_malformed_results(tmp_path, document, reason):
     path = tmp_path / "result.json"
     path.write_text(json.dumps(document).replace("Infinity", "1e400"), encoding="utf-8")
     result = run_cli("render", "--in", str(path), "--format", "markdown", "--schema", "moprd",
                      timeout=60)
     assert result.returncode == 1
-    assert result.stderr.startswith("SyntaxError:")
+    assert result.stderr == f"SyntaxError: {reason}\n"
 
 
 @pytest.fixture(scope="module")

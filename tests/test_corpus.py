@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import json
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from emlang.corpus import (
+    MAX_MESSAGE_LENGTH,
+    AnnotatedCorpus,
     build_corpus,
     filter_by_frequency,
     load_corpus,
@@ -17,13 +21,17 @@ from emlang.errors import (
     AttributeMismatch,
     ConfigError,
     DocumentSyntaxError,
+    EmlangError,
     EmptySample,
     LengthMismatch,
     TokenOutOfRange,
     UnknownSample,
 )
-from emlang.schema import parse_schema
-from emlang.synth import all_combinations
+from emlang.schema import Sample, parse_schema
+from emlang.synth import all_combinations, concept_schema
+
+from conftest import mutate
+from oracles import naive_load_corpus, naive_serialize_corpus
 
 TINY = parse_schema('{"attributes": [{"name": "a", "values": ["x", "y"]}]}')
 
@@ -89,6 +97,52 @@ def test_vocab_size_bound_keeps_every_token_in_int64():
         build_corpus(TINY, 2**63 + 1, 2, [("s", {"a": "x"}, (2**63, 0), 1)])
 
 
+def test_array_construction_checks():
+    x, y = Sample("s", {"a": "x"}), Sample("t", {"a": "y"})
+    good = dict(samples=(x, y), messages=[[1, 2], [0, 3]], owners=[0, 1], counts=[2, 1])
+    corpus = AnnotatedCorpus(TINY, 4, 2, **good)
+    records = [("t", {"a": "y"}, (0, 3), 1), ("s", {"a": "x"}, (1, 2), 2)]
+    assert corpus == build_corpus(TINY, 4, 2, records)
+    assert corpus.entries[1].messages == (((0, 3), 1),)
+    with pytest.raises(ValueError):
+        corpus.counts[0] = 5  # stored arrays are read-only
+    for change, error in [
+        ({"samples": (y, x)}, DocumentSyntaxError),  # not sorted by id
+        ({"samples": (x, x)}, DocumentSyntaxError),  # duplicate id
+        ({"owners": [0, 2]}, DocumentSyntaxError),  # owner outside the samples
+        ({"owners": [0, 0]}, DocumentSyntaxError),  # sample t owns no messages
+        ({"counts": [1]}, DocumentSyntaxError),  # one count for two rows
+        ({"messages": [[1, 2, 0], [0, 3, 0]]}, LengthMismatch),
+        ({"messages": [[1, 2], [0, 4]]}, TokenOutOfRange),
+        ({"counts": [2, 0]}, DocumentSyntaxError),
+        ({"counts": [2**52, 2**52]}, DocumentSyntaxError),  # total 2**53
+    ]:
+        with pytest.raises(error):
+            AnnotatedCorpus(TINY, 4, 2, **{**good, **change})
+
+
+def test_message_length_bound():
+    edge = build_corpus(TINY, 2, MAX_MESSAGE_LENGTH, [("s", {"a": "x"}, (1,) * 2**16, 1)])
+    assert edge.messages.shape == (1, 2**16)
+    for length in (0, 2**16 + 1):
+        with pytest.raises(DocumentSyntaxError):
+            build_corpus(TINY, 2, length, [("s", {"a": "x"}, (1,) * length, 1)])
+
+
+def test_load_validates_a_large_domain():
+    """20,000 concepts, one sample each, records in reverse id order."""
+    schema = concept_schema(20_000)
+    values = schema.domain("concept")
+    lines = [json.dumps({"meta": {"vocab_size": 2, "msg_len": 1}})] + [
+        json.dumps({"sample": f"s{i:05d}", "attrs": {"concept": value}, "msg": [i % 2]})
+        for i, value in reversed(list(enumerate(values)))
+    ]
+    corpus = load_corpus("\n".join(lines), schema)
+    assert corpus.sample_ids[:2] == ("s00000", "s00001")
+    assert corpus.codes[:, 0].tolist() == list(range(20_000))
+    assert corpus.messages[:, 0].tolist() == [i % 2 for i in range(20_000)]
+
+
 def share_corpus(counts: dict[tuple[int, ...], int]):
     records = [("s", {"a": "x"}, msg, count) for msg, count in counts.items()]
     return build_corpus(TINY, 4, 2, records)
@@ -149,12 +203,13 @@ def test_filter_idempotent_monotone_and_share_bound(seed):
         return
     assert filter_by_frequency(filtered, high) == filtered
     loose = filter_by_frequency(corpus, low)
+    original_totals = {e.sample.id: e.total_count() for e in corpus.entries}
     for entry, entry_loose in zip(filtered.entries, loose.entries):
         kept = set(m for m, _ in entry.messages)
         kept_loose = set(m for m, _ in entry_loose.messages)
         assert kept <= kept_loose
         # shares are judged against the totals at filter time
-        original = corpus.entry(entry.sample.id).total_count()
+        original = original_totals[entry.sample.id]
         for _, count in entry.messages:
             assert count >= high * original
 
@@ -162,8 +217,8 @@ def test_filter_idempotent_monotone_and_share_bound(seed):
 def test_every_retained_share_meets_threshold():
     corpus = share_corpus({(0, 0): 60, (0, 1): 25, (1, 0): 10, (1, 1): 5})
     filtered = filter_by_frequency(corpus, 0.15)
+    (original_total,) = corpus.totals.tolist()
     for entry in filtered.entries:
-        original_total = corpus.entry(entry.sample.id).total_count()
         for _, count in entry.messages:
             assert count >= 0.15 * original_total
 
@@ -210,3 +265,83 @@ def test_serialize_load_round_trip(data):
 def test_moprd_round_trip(reference_corpus, moprd):
     text = serialize_corpus(reference_corpus)
     assert load_corpus(text, moprd) == reference_corpus
+
+
+# Attribute order b, a differs from key order, so records must follow the schema.
+TWO = parse_schema(
+    '{"attributes": [{"name": "b", "values": ["x", "y"]}, {"name": "a", "values": ["u", "v"]}]}'
+)
+IDS = ["s0", "s1", "\u00e9", 'q"t']
+ANNOTATIONS = [{"b": "x", "a": "u"}, {"a": "v", "b": "y"}, {"b": "y", "a": "u"}]
+
+
+def outcome(load, text):
+    """The corpus, or the error class and the line number its message names."""
+    try:
+        return load(text, TWO)
+    except EmlangError as exc:
+        line = re.match(r"line (\d+):", str(exc))
+        return type(exc), line and int(line.group(1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_loader_matches_record_by_record_oracle(data):
+    """Valid and damaged documents: the same corpus, or the same error class at
+    the same line, as a reader that parses and checks one record at a time."""
+    draw = data.draw
+    length, vocab = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rare = (
+        st.booleans() | st.integers() | st.integers(min_value=2**63 - 1)
+        | st.integers(-2, 0) | st.just(vocab)
+    )
+
+    def value(common):
+        return draw(rare) if draw(st.integers(0, 14)) == 0 else draw(common)
+
+    annotation = {sample_id: draw(st.sampled_from(ANNOTATIONS)) for sample_id in IDS}
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        if records and draw(st.integers(0, 4)) == 0:
+            records.append(dict(draw(st.sampled_from(records))))  # a repeated record
+            continue
+        sample_id = draw(st.sampled_from(IDS))
+        size = length if draw(st.integers(0, 14)) else draw(st.integers(0, 4))
+        record = {
+            "sample": sample_id,
+            "attrs": dict(annotation[sample_id]),
+            "msg": [value(st.integers(0, vocab - 1)) for _ in range(size)],
+        }
+        if draw(st.integers(0, 14)) == 0:
+            record["attrs"] = draw(st.sampled_from(ANNOTATIONS))  # may conflict
+        if draw(st.booleans()):
+            record["count"] = value(st.integers(1, 5))
+        records.append(record)
+    documents = [{"meta": {"vocab_size": vocab, "msg_len": length}}, *records]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        mutate(documents, data)
+    lines = [json.dumps(doc, ensure_ascii=draw(st.booleans())) for doc in documents]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        if len(lines) < 2:
+            break
+        i = draw(st.integers(1, len(lines) - 1))
+        edit = draw(st.sampled_from(["crlf", "spaces", "blank", "split", "join"]))
+        if edit == "crlf":
+            lines[i] += "\r"
+        elif edit == "spaces":
+            lines[i] = " \t" + lines[i] + "  "
+        elif edit == "blank":
+            lines.insert(i, "  ")
+        elif edit == "split":  # one record over two lines
+            cut = draw(st.integers(1, max(1, len(lines[i]) - 1)))
+            lines[i : i + 1] = [lines[i][:cut], lines[i][cut:]]
+        elif i + 1 < len(lines):  # two records on one line
+            lines[i : i + 2] = [lines[i] + " " + lines[i + 1]]
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+    expected = outcome(naive_load_corpus, text)
+    event(expected[0].__name__ if isinstance(expected, tuple) else "corpus")
+    assert outcome(load_corpus, text) == expected
+    if not isinstance(expected, tuple):
+        assert serialize_corpus(expected) == naive_serialize_corpus(expected)
+        assert load_corpus(serialize_corpus(expected), TWO) == expected

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emlang.corpus import CorpusEntry, build_corpus
+from emlang.corpus import build_corpus
 from emlang.errors import ConfigError
 from emlang.game import GameConfig, _candidates, run_lewis_game
 from emlang.metrics import accuracy_per_speaker
@@ -156,14 +156,15 @@ def test_ids_differing_by_a_trailing_nul_are_distinct_samples(moprd):
 
 
 def test_listener_ignores_the_order_of_its_corpus(moprd):
-    """A corpus with entries and messages out of canonical order listens the same."""
+    """A corpus with its rows out of canonical order (samples and messages
+    reversed) listens the same."""
     compositional, _ = gen_compositional(moprd, 10, 20, seed=8)
     noisy = gen_noisy(compositional, synonym_count=2, minority_share=0.3, seed=8)
     reordered = replace(
         noisy,
-        entries=tuple(
-            CorpusEntry(sample=e.sample, messages=e.messages[::-1]) for e in noisy.entries[::-1]
-        ),
+        messages=noisy.messages[::-1],
+        owners=noisy.owners[::-1],
+        counts=noisy.counts[::-1],
     )
     values = [
         run_lewis_game(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,19 +235,10 @@ def test_accuracy_per_speaker():
 def test_topsim_uses_majority_messages(moprd):
     """Minority synonyms never move the metric: distances use the
     highest-count message of each sample."""
-    from emlang.corpus import AnnotatedCorpus, CorpusEntry
     from emlang.synth import gen_noisy
 
     base, _ = gen_compositional(moprd, 10, 20, seed=2)
-    base = AnnotatedCorpus(
-        schema=base.schema,
-        vocab_size=base.vocab_size,
-        message_length=base.message_length,
-        entries=tuple(
-            CorpusEntry(sample=e.sample, messages=tuple((m, 36) for m, _ in e.messages))
-            for e in base.entries
-        ),
-    )
+    base = replace(base, counts=np.full_like(base.counts, 36))
     noisy = gen_noisy(base, synonym_count=1, minority_share=0.10, seed=3)
     assert topsim(noisy) == topsim(base)
 

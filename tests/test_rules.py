@@ -158,11 +158,7 @@ def test_extract_rejects_unknown_property(reference_corpus):
 
 
 def test_extract_empty_corpus():
-    from emlang.corpus import AnnotatedCorpus
-
-    empty = AnnotatedCorpus(
-        schema=TWO_BY_TWO, vocab_size=4, message_length=2, entries=()
-    )
+    empty = build_corpus(TWO_BY_TWO, 4, 2, [])
     with pytest.raises(EmptyCorpus):
         global_constants(empty)
     with pytest.raises(EmptyCorpus):
@@ -189,7 +185,7 @@ def test_rule_invariants_hold(reference_corpus):
             for entry in filtered.entries:
                 if eval_property(schema, entry.sample, prop) == value:
                     for message, _ in entry.messages:
-                        assert rule.pattern.matches(message)
+                        assert all(message[pos] == tok for pos, tok in rule.pattern.cells)
 
     for prop in schema.property_names:
         for value in schema.domain(prop):

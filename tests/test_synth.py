@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from emlang.corpus import AnnotatedCorpus, CorpusEntry, filter_by_frequency
+from emlang.corpus import AnnotatedCorpus, filter_by_frequency
 from emlang.errors import CapacityError
 from emlang.rules import extract_rules
 from emlang.schema import AttributeSchema, Attribute, eval_property, validate_sample
@@ -39,8 +42,8 @@ def test_moprd_schema_shape(moprd):
 
 def test_compositional_two_by_two():
     corpus, truth = gen_compositional(TWO_BY_TWO, 2, 3, seed=123)
-    messages = corpus.all_messages()
-    assert len(set(messages)) == 4
+    messages = corpus.messages.tolist()
+    assert len(set(map(tuple, messages))) == 4
     assert truth.rule_count == 4
     for rule in truth.rules:
         assert len(rule.pattern.cells) == 1
@@ -56,7 +59,7 @@ def test_compositional_deterministic():
 
 def test_compositional_moprd_recovered_exactly(moprd):
     corpus, truth = gen_compositional(moprd, 10, 20, seed=4)
-    assert len(set(corpus.all_messages())) == 100
+    assert len(np.unique(corpus.messages, axis=0)) == 100
     assert naive_extract_rules(corpus, 0.15) == truth
     assert extract_rules(corpus, threshold=0.15) == truth
 
@@ -74,9 +77,9 @@ def test_compositional_capacity_errors(moprd):
 
 def test_holistic_unique_messages_with_shared_prefix(moprd):
     corpus = gen_holistic(moprd, 10, 20, seed=77)
-    messages = corpus.all_messages()
+    messages = corpus.messages.tolist()
     assert len(messages) == 100
-    assert len(set(messages)) == 100
+    assert len(set(map(tuple, messages))) == 100
     prefix = messages[0][:2]
     assert all(m[:2] == prefix for m in messages)
 
@@ -108,15 +111,7 @@ def test_concept_schema_rules_are_full_width_combinations():
 # ---------------------------------------------------------------------------
 
 def with_counts(corpus: AnnotatedCorpus, count: int) -> AnnotatedCorpus:
-    return AnnotatedCorpus(
-        schema=corpus.schema,
-        vocab_size=corpus.vocab_size,
-        message_length=corpus.message_length,
-        entries=tuple(
-            CorpusEntry(sample=e.sample, messages=tuple((m, count) for m, _ in e.messages))
-            for e in corpus.entries
-        ),
-    )
+    return replace(corpus, counts=np.full_like(corpus.counts, count))
 
 
 def base_corpus(moprd):
