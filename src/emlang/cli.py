@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import report as report_mod
-from .errors import DocumentSyntaxError, EmlangError, NotFoundError
+from .errors import ConfigError, DocumentSyntaxError, EmlangError, NotFoundError
 from .game import GameConfig, run_lewis_game
 from .metrics import levenshtein, topsim
 from .rules import RuleTable, extract_rules
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a ground-truth corpus")
     p.add_argument("--kind", choices=["compositional", "holistic", "noisy"], required=True)
-    p.add_argument("--schema", help="schema file or 'moprd'; ignored for noisy")
+    p.add_argument("--schema", help="schema file or 'moprd'")
     p.add_argument("--msg-len", type=int, default=10)
     p.add_argument("--vocab", type=int, default=20)
     p.add_argument("--seed", type=int, required=True)
@@ -131,6 +131,8 @@ def _cmd_topsim(args) -> None:
 def _cmd_game(args) -> None:
     schema = _load_schema(args.schema)
     loaded = _load_corpus(args.corpus, schema)
+    if args.speakers < 1 or args.listeners < 1:
+        raise ConfigError("a population needs at least one agent")
     config = GameConfig(
         seed=args.seed,
         candidate_count=args.candidates,

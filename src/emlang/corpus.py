@@ -12,10 +12,12 @@ counts of a corpus sum to less than 2**53.  Records repeating the same
 In memory a corpus is columnar.  ``samples`` holds one :class:`Sample` per
 distinct id, sorted by id.  Row r of ``messages`` (``int64[rows x
 message_length]``) is a message that sample ``samples[owners[r]]`` sent
-``counts[r]`` times.  :func:`load_corpus` and :func:`build_corpus` store
-one row per distinct (sample, message), in canonical order: by sample, then
-by token sequence.  ``entries`` is a read-only view of the same rows, one
-:class:`CorpusEntry` per sample, built on first use.
+``counts[r]`` times.  Every corpus is canonical: one row per distinct
+(sample, message), sorted by sample, then by token sequence.  The
+constructor puts its samples and rows in that order and merges repeated
+rows, so ``dataclasses.replace(corpus, ...)`` re-canonicalises.
+``entries`` is a read-only view of the same rows, one :class:`CorpusEntry`
+per sample, built on first use.
 
 Corpora are immutable after construction; filtering returns a new corpus.
 """
@@ -73,11 +75,12 @@ class AnnotatedCorpus:
     """Samples sorted by id, and one row per (sample, message) with its count.
 
     Row r says that ``samples[owners[r]]`` sent ``messages[r]`` ``counts[r]``
-    times.  The arrays are stored as read-only int64 arrays: an int64 array
-    that owns its data is frozen in place (keep no writable view of it),
-    anything else is copied.
-    Construction checks them; it imposes no row order (see
-    :func:`build_corpus`).
+    times.  Construction checks its input and makes it canonical: samples
+    sorted by id (``owners`` renumbered to match), rows sorted by owner and
+    then tokens, and rows repeating an (owner, message) merged by summing
+    their counts.  The arrays are stored as read-only int64 arrays: an int64
+    array that owns its data and needs no reordering may be frozen in place
+    (keep no writable view of it), anything else is copied.
     """
 
     schema: AttributeSchema
@@ -92,26 +95,26 @@ class AnnotatedCorpus:
 
     def __post_init__(self):
         _check_shape(self.vocab_size, self.message_length)
-        ids = [sample.id for sample in self.samples]
+        by_id = sorted(range(len(self.samples)), key=lambda k: self.samples[k].id)
+        samples = tuple(self.samples[k] for k in by_id)
+        ids = [sample.id for sample in samples]
         for before, after in zip(ids, ids[1:]):
-            if before >= after:
-                raise DocumentSyntaxError(
-                    f"duplicate sample id {after!r}" if before == after
-                    else "samples must be sorted by id"
-                )
-        messages = np.asarray(self.messages, dtype=np.int64)
-        if messages.size == 0:
-            messages = messages.reshape(0, self.message_length)
-        if messages.ndim != 2 or messages.shape[1] != self.message_length:
-            raise LengthMismatch(
-                f"messages of shape {messages.shape}, expected rows of length {self.message_length}"
-            )
+            if before == after:
+                raise DocumentSyntaxError(f"duplicate sample id {after!r}")
         owners = np.asarray(self.owners, dtype=np.int64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if not owners.shape == counts.shape == (len(messages),):
+        if not owners.shape == np.shape(self.counts) == (len(self.messages),):
             raise DocumentSyntaxError("messages, owners and counts need one entry per row")
         if len(owners) and not 0 <= owners.min() <= owners.max() < len(ids):
             raise DocumentSyntaxError("a message owner lies outside the samples")
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[by_id] = np.arange(len(ids))
+        owners = rank[owners]
+        rows = _int64_rows(owners, self.messages, self.counts, self.message_length)
+        if rows is None:
+            rows = _exact_rows(
+                samples, self.vocab_size, self.message_length, owners, self.messages, self.counts
+            )
+        messages, owners, counts = rows
         empty = np.flatnonzero(np.bincount(owners, minlength=len(ids)) == 0)
         if len(empty):
             raise DocumentSyntaxError(f"sample {ids[empty[0]]!r} owns no messages")
@@ -125,6 +128,7 @@ class AnnotatedCorpus:
         total = _exact_total(counts)
         if total >= COUNT_LIMIT:
             raise _total_error(total)
+        object.__setattr__(self, "samples", samples)
         for name, array in (("messages", messages), ("owners", owners), ("counts", counts)):
             if not array.flags.owndata:  # a view: its base may still be written
                 array = array.copy()
@@ -205,10 +209,8 @@ def build_corpus(
 ) -> AnnotatedCorpus:
     """Assemble a corpus from (sample_id, attrs, message, count) records.
 
-    Canonical ordering is imposed here: samples sorted by id, rows by sample
-    and then token sequence.  Duplicate (sample, message) records merge by
-    summing counts; a sample id reappearing with different attributes is an
-    AttributeMismatch.
+    Duplicate (sample, message) records merge by summing counts; a sample id
+    reappearing with different attributes is an AttributeMismatch.
     """
     columns = list(zip(*records)) or [(), (), (), ()]
     return _corpus_of_records(schema, vocab_size, message_length, *columns)
@@ -223,7 +225,7 @@ def _corpus_of_records(schema, vocab_size, message_length, ids, attrs, msgs, cou
     first: dict[str, int] = {}  # sample id -> index into the lists below
     samples: list[Sample] = []
     raw: list[dict] = []
-    seen = []
+    owners = []
     for sample_id, values in zip(ids, attrs):
         k = first.setdefault(sample_id, len(first))
         if k == len(samples):
@@ -233,53 +235,29 @@ def _corpus_of_records(schema, vocab_size, message_length, ids, attrs, msgs, cou
             raise AttributeMismatch(
                 f"sample {sample_id!r} annotated with conflicting attribute values"
             )
-        seen.append(k)
-    by_id = sorted(range(len(samples)), key=lambda k: samples[k].id)
-    rank = np.empty(len(samples), dtype=np.int64)
-    rank[by_id] = np.arange(len(samples))
-    owners = rank[np.array(seen, dtype=np.int64)]
-    samples = tuple(samples[k] for k in by_id)
-    return _corpus_of_rows(schema, vocab_size, message_length, samples, owners, msgs, counts)
-
-
-def with_rows(corpus: AnnotatedCorpus, owners, msgs, counts) -> AnnotatedCorpus:
-    """The samples of ``corpus`` with these rows in place of its own:
-    ``msgs[i]`` sent ``counts[i]`` times by ``corpus.samples[owners[i]]``.
-    Rows are put in canonical order; a repeated (sample, message) adds its
-    count."""
-    owners = np.array(owners, dtype=np.int64)
-    return _corpus_of_rows(
-        corpus.schema, corpus.vocab_size, corpus.message_length, corpus.samples,
-        owners, msgs, counts,
-    )
-
-
-def _corpus_of_rows(schema, vocab_size, message_length, samples, owners, msgs, counts):
-    """The corpus of ``samples`` (sorted by id) and of rows given in any order,
-    which it sorts and merges; content errors come in canonical row order."""
-    _check_shape(vocab_size, message_length)
-    rows = _int64_rows(owners, msgs, counts, message_length)
-    if rows is None:
-        rows = _exact_rows(samples, vocab_size, message_length, owners, msgs, counts)
-    return AnnotatedCorpus(schema, vocab_size, message_length, samples, *rows)
+        owners.append(k)
+    return AnnotatedCorpus(schema, vocab_size, message_length, tuple(samples), msgs, owners, counts)
 
 
 def _int64_rows(owners, msgs, counts, message_length):
     """The rows as int64 arrays sorted by owner, then tokens, repeated
-    (owner, message) rows merged; or None when they need Python integers: a
-    message of another length, a value outside int64, a count below 1 (it
-    may merge into a valid one), or counts whose merged sums could overflow."""
-    if set(map(len, msgs)) - {message_length}:
-        return None
+    (owner, message) rows merged; or None when they need Python integers:
+    ragged messages, messages of another length, a value outside int64, a
+    count below 1 (it may merge into a valid one), or counts whose merged
+    sums could overflow."""
     try:
-        messages = np.array(msgs, dtype=np.int64)  # (rows, length) unless there are no rows
-        counts = np.array(counts, dtype=np.int64)
-    except OverflowError:
-        return None
-    if (len(counts) and counts.min() < 1) or _exact_total(counts) >= 2**63:
+        messages = np.asarray(msgs, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+    except (ValueError, OverflowError):
         return None
     if not len(owners):
-        return messages, owners, counts
+        return messages.reshape(0, message_length), owners, counts
+    if messages.ndim != 2:
+        raise LengthMismatch(
+            f"messages of shape {messages.shape}, expected rows of length {message_length}"
+        )
+    if messages.shape[1] != message_length or counts.min() < 1 or _exact_total(counts) >= 2**63:
+        return None
     order = np.lexsort((*messages.T[::-1], owners))
     if (order[1:] < order[:-1]).any():  # rows already in order need no copy
         messages, owners, counts = messages[order], owners[order], counts[order]
@@ -293,9 +271,12 @@ def _int64_rows(owners, msgs, counts, message_length):
 
 def _exact_rows(samples, vocab_size, message_length, owners, msgs, counts):
     """The merged canonical rows in Python integers, checked row by row as
-    :class:`AnnotatedCorpus` checks its arrays, for records int64 cannot hold."""
+    :class:`AnnotatedCorpus` checks its arrays, for rows int64 cannot hold."""
+    if isinstance(msgs, np.ndarray):
+        msgs = msgs.tolist()
     merged: dict[tuple[int, Message], int] = {}
-    for owner, message, count in zip(owners.tolist(), map(tuple, msgs), counts):
+    # counts as Python integers, so merged sums cannot wrap
+    for owner, message, count in zip(owners.tolist(), map(tuple, msgs), np.asarray(counts).tolist()):
         merged[owner, message] = merged.get((owner, message), 0) + count
     rows = sorted(merged.items())
     total = 0
@@ -458,7 +439,7 @@ def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedC
 
 def representative_of(corpus: AnnotatedCorpus) -> np.ndarray:
     """Row of each sample's highest-count message, ties going to the smallest
-    row (in canonical order, the lexicographically smallest message)."""
+    row, which holds the lexicographically smallest message."""
     order = np.lexsort((-corpus.counts, corpus.owners))  # stable: equal counts keep row order
     owners = corpus.owners[order]
     first = np.ones(len(order), dtype=bool)

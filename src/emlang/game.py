@@ -38,12 +38,6 @@ class GameConfig:
     __hash__ = None
 
 
-def _agent(agent: AnnotatedCorpus, message_ids: np.ndarray):
-    """Message ids, owners and counts of the agent's rows, by owner, and its per-sample totals."""
-    order = np.argsort(agent.owners, kind="stable")
-    return message_ids[order], agent.owners[order], agent.counts[order], agent.totals
-
-
 def _candidates(rng: np.random.Generator, targets: np.ndarray, n: int, k: int) -> np.ndarray:
     """Each target and ``k - 1`` distinct other samples, rows sorted: Floyd's algorithm,
     column by column, so every subset is equally likely at O(k) draws per episode."""
@@ -84,18 +78,18 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
     distinct, message_ids = np.unique(stacked, axis=0, return_inverse=True)
     bounds = np.cumsum([len(a.messages) for a in agents.values()])[:-1]
     message_ids = dict(zip(agents, np.split(message_ids.reshape(-1), bounds)))
-    speakers = [_agent(a, message_ids[id(a)]) for a in speaker_corpora]
-    listeners = []
-    for agent in listener_corpora:
-        heard, owners, counts, totals = _agent(agent, message_ids[id(agent)])
-        keys = owners * len(distinct) + heard
-        order = np.argsort(keys)
-        listeners.append((keys[order], (counts / totals[owners])[order]))
+    # rows are canonical, sorted by owner and then tokens, and ``np.unique``
+    # numbers messages in the same token order: each agent's keys are sorted
+    listeners = [
+        (a.owners * len(distinct) + message_ids[id(a)], a.counts / a.totals[a.owners])
+        for a in listener_corpora
+    ]
     batch = max(1, _BATCH_KEYS // k)
 
     rows = []
-    for i, (spoken, _, s_counts, s_totals) in enumerate(speakers):
-        cumulative = np.cumsum(s_counts)
+    for i, speaker in enumerate(speaker_corpora):
+        spoken, s_totals = message_ids[id(speaker)], speaker.totals
+        cumulative = np.cumsum(speaker.counts)
         start = np.cumsum(s_totals) - s_totals
         row = []
         for j, (keys, shares) in enumerate(listeners):

@@ -294,12 +294,11 @@ class AttributeSchema:
             if len(set(attr.domain)) != len(attr.domain):
                 raise DomainError(f"attribute {attr.name!r} has duplicate values")
             domains[attr.name] = tuple(attr.domain)
-        attribute_names = set(domains)
+        hyper_names = {h.name for h in self.hyperattributes}
         for hyper in self.hyperattributes:
             if hyper.name in domains:
                 raise DomainError(f"duplicate property name {hyper.name!r}")
-            later = {h.name for h in self.hyperattributes} - set(domains) - attribute_names
-            domains[hyper.name] = _check_hyper(hyper, domains, later | {hyper.name})
+            domains[hyper.name] = _check_hyper(hyper, domains, hyper_names)
         object.__setattr__(self, "_domains", domains)
         # value -> domain index per property, so lookups cost O(1) at any domain size
         indices = {prop: {value: i for i, value in enumerate(dom)} for prop, dom in domains.items()}
@@ -333,13 +332,15 @@ class AttributeSchema:
 
 
 def _check_hyper(hyper: HyperattributeDef, known: dict[str, tuple[str, ...]],
-                 unresolved: set[str]) -> tuple[str, ...]:
-    """Validate one hyperattribute body; returns its domain."""
+                 hyper_names: set[str]) -> tuple[str, ...]:
+    """Validate one hyperattribute body; returns its domain.  ``known`` holds
+    the properties defined before it, so any other name in ``hyper_names``
+    is this hyperattribute or a later one."""
 
     def resolve(name: str) -> tuple[str, ...]:
         if name in known:
             return known[name]
-        if name in unresolved:
+        if name in hyper_names:
             raise CycleError(f"{hyper.name!r} references {name!r} before it is defined")
         raise UnknownReference(f"{hyper.name!r} references undefined property {name!r}")
 

@@ -10,12 +10,13 @@ oracle for the extraction pipeline.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Message, build_corpus, with_rows
+from .corpus import AnnotatedCorpus, Message, build_corpus
 from .errors import CapacityError
 from .rules import Pattern, RuleTable, SemanticRule, canonical_evidence, rule_sort_key
 from .schema import Attribute, AttributeSchema, observed_values, parse_schema, property_codes
@@ -62,7 +63,7 @@ def all_combinations(schema: AttributeSchema) -> list[dict[str, str]]:
 
 
 def combination_ids(schema: AttributeSchema) -> list[str]:
-    count = len(all_combinations(schema))
+    count = math.prod(len(schema.domain(n)) for n in schema.attribute_names)
     width = len(str(count - 1)) if count > 1 else 1
     return [f"{i:0{width}d}" for i in range(count)]
 
@@ -265,7 +266,7 @@ def gen_noisy(
     if synonym_count < 1:
         raise CapacityError("need at least one synonym")
     rng = random.Random(seed)
-    owners, messages, counts = [], [], []
+    owners, synonyms, counts = [], [], []
     for owner, entry in enumerate(base.entries):
         total = entry.total_count()
         synonym_total = max(
@@ -274,17 +275,21 @@ def gen_noisy(
         per_synonym, leftover = divmod(synonym_total, synonym_count)
         existing = {message for message, _ in entry.messages}
         template = entry.messages[0][0]
-        new_messages = dict(entry.messages)
         for k in range(synonym_count):
             synonym = _perturb(template, base.vocab_size, existing, rng)
             existing.add(synonym)
-            new_messages[synonym] = per_synonym + (1 if k < leftover else 0)
-        # each sample's rows in canonical order, so the corpus needs no reordering copy
-        for message, count in sorted(new_messages.items()):
             owners.append(owner)
-            messages.append(message)
-            counts.append(count)
-    return with_rows(base, owners, messages, counts)
+            synonyms.append(synonym)
+            counts.append(per_synonym + (1 if k < leftover else 0))
+    # the constructor sorts the appended rows into place
+    return replace(
+        base,
+        messages=np.concatenate(
+            [base.messages, np.array(synonyms, dtype=np.int64).reshape(-1, base.message_length)]
+        ),
+        owners=np.concatenate([base.owners, owners]),
+        counts=np.concatenate([base.counts, counts]),
+    )
 
 
 def _perturb(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 import sys
 from pathlib import Path
@@ -8,6 +9,10 @@ import pytest
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
+# CLI tests run ``python -m emlang`` in a child process, which imports the
+# package from src/ as pytest's ``pythonpath`` setting lets this process do
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 from emlang import build_corpus, moprd_schema
 from emlang.errors import EmlangError

@@ -82,6 +82,24 @@ def test_usage_error_exits_two():
     assert run_cli("synth", "--kind", "compositional", "--schema", "moprd").returncode == 2  # no seed
 
 
+@pytest.mark.parametrize("flag", ["--speakers", "--listeners"])
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_empty_population_is_a_config_error(workdir, flag, size):
+    result = run_cli(
+        "game", "--corpus", str(workdir / "corpus.jsonl"), "--schema", "moprd",
+        "--candidates", "2", "--episodes", "5", "--seed", "1", flag, size,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("ConfigError")
+    assert result.stdout == ""
+
+
+def test_synth_noisy_needs_a_schema(workdir):
+    result = run_cli("synth", "--kind", "noisy", "--corpus", str(workdir / "corpus.jsonl"), "--seed", "1")
+    assert result.returncode == 1
+    assert result.stderr == "SyntaxError: synth --kind noisy needs --corpus and --schema\n"
+
+
 def test_zero_min_freq_reproduces_unfiltered(workdir, tmp_path):
     # add a 5%-share synonym; at 0.15 it disappears, at 0 it stays
     lines = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()

@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import random
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -106,8 +108,10 @@ def test_array_construction_checks():
     assert corpus.entries[1].messages == (((0, 3), 1),)
     with pytest.raises(ValueError):
         corpus.counts[0] = 5  # stored arrays are read-only
+    swapped = AnnotatedCorpus(TINY, 4, 2, **{**good, "samples": (y, x)})  # owners follow samples
+    records = [("t", {"a": "y"}, (1, 2), 2), ("s", {"a": "x"}, (0, 3), 1)]
+    assert swapped == build_corpus(TINY, 4, 2, records)
     for change, error in [
-        ({"samples": (y, x)}, DocumentSyntaxError),  # not sorted by id
         ({"samples": (x, x)}, DocumentSyntaxError),  # duplicate id
         ({"owners": [0, 2]}, DocumentSyntaxError),  # owner outside the samples
         ({"owners": [0, 0]}, DocumentSyntaxError),  # sample t owns no messages
@@ -119,6 +123,46 @@ def test_array_construction_checks():
     ]:
         with pytest.raises(error):
             AnnotatedCorpus(TINY, 4, 2, **{**good, **change})
+
+
+def test_construction_makes_every_corpus_canonical():
+    """Rows out of order, a (sample, message) split over two rows, and samples
+    out of id order give the corpus that build_corpus gives."""
+    records = [
+        ("t", {"a": "y"}, (2, 2), 1),
+        ("s", {"a": "x"}, (1, 2), 2),
+        ("u", {"a": "x"}, (3, 0), 4),
+        ("s", {"a": "x"}, (0, 3), 5),
+    ]
+    expected = build_corpus(TINY, 4, 2, records)
+    s, t, u = expected.samples
+    reversed_rows = replace(
+        expected,
+        messages=expected.messages[::-1],
+        owners=expected.owners[::-1],
+        counts=expected.counts[::-1],
+    )
+    split = AnnotatedCorpus(
+        TINY, 4, 2, (s, t, u),
+        messages=[[0, 3], [1, 2], [2, 2], [0, 3], [3, 0]],
+        owners=[0, 0, 1, 0, 2],
+        counts=[2, 2, 1, 3, 4],
+    )
+    out_of_id_order = AnnotatedCorpus(
+        TINY, 4, 2, (u, t, s),
+        messages=[[1, 2], [3, 0], [2, 2], [0, 3]],
+        owners=[2, 0, 1, 2],
+        counts=[2, 4, 1, 5],
+    )
+    for corpus in (reversed_rows, split, out_of_id_order):
+        assert corpus == expected
+        assert corpus.entries == expected.entries
+    with pytest.raises(DocumentSyntaxError, match="duplicate sample id"):
+        replace(expected, samples=(s, u, s))
+    # split counts merge as Python integers, so their sum cannot wrap around int64
+    huge = np.array([2**62, 2**62])
+    with pytest.raises(DocumentSyntaxError, match="sum to 9223372036854775808"):
+        replace(share_corpus({(0, 0): 1, (0, 1): 1}), messages=[[0, 0], [0, 0]], counts=huge)
 
 
 def test_message_length_bound():
@@ -313,7 +357,7 @@ def test_loader_matches_record_by_record_oracle(data):
             "msg": [value(st.integers(0, vocab - 1)) for _ in range(size)],
         }
         if draw(st.integers(0, 14)) == 0:
-            record["attrs"] = draw(st.sampled_from(ANNOTATIONS))  # may conflict
+            record["attrs"] = dict(draw(st.sampled_from(ANNOTATIONS)))  # may conflict
         if draw(st.booleans()):
             record["count"] = value(st.integers(1, 5))
         records.append(record)

@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emlang.corpus import build_corpus
 from emlang.errors import ConfigError
 from emlang.game import GameConfig, _candidates, run_lewis_game
 from emlang.metrics import accuracy_per_speaker
+from emlang.schema import parse_schema
 from emlang.synth import all_combinations, gen_compositional, gen_noisy
 from oracles import closed_form_accuracy
 
@@ -156,8 +159,8 @@ def test_ids_differing_by_a_trailing_nul_are_distinct_samples(moprd):
 
 
 def test_listener_ignores_the_order_of_its_corpus(moprd):
-    """A corpus with its rows out of canonical order (samples and messages
-    reversed) listens the same."""
+    """Rows given out of canonical order (samples and messages reversed) make
+    the same corpus, which listens the same."""
     compositional, _ = gen_compositional(moprd, 10, 20, seed=8)
     noisy = gen_noisy(compositional, synonym_count=2, minority_share=0.3, seed=8)
     reordered = replace(
@@ -166,6 +169,7 @@ def test_listener_ignores_the_order_of_its_corpus(moprd):
         owners=noisy.owners[::-1],
         counts=noisy.counts[::-1],
     )
+    assert reordered == noisy
     values = [
         run_lewis_game(
             compositional,
@@ -174,6 +178,33 @@ def test_listener_ignores_the_order_of_its_corpus(moprd):
         for listener in (noisy, reordered)
     ]
     assert values[0] == values[1]
+
+
+TOKEN_SCHEMA = parse_schema('{"attributes": [{"name": "a", "values": ["x"]}]}')
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_message_ids_increase_within_each_owner(data):
+    """The listener's keys need no sort: over the messages of a population of
+    canonical corpora, ``np.unique`` numbers each owner's rows in increasing
+    order, even at tokens near 2**63."""
+    length = data.draw(st.integers(1, 3))
+    token = st.integers(0, 3) | st.integers(0, 2**63 - 1) | st.just(2**63 - 1)
+    row = st.tuples(st.integers(0, 3), st.lists(token, min_size=length, max_size=length))
+    corpora = [
+        build_corpus(
+            TOKEN_SCHEMA, 2**63, length,
+            [(f"s{owner}", {"a": "x"}, tuple(message), 1) for owner, message in rows],
+        )
+        for rows in data.draw(st.lists(st.lists(row, min_size=1, max_size=10), min_size=1, max_size=3))
+    ]
+    stacked = np.concatenate([corpus.messages for corpus in corpora])
+    _, message_ids = np.unique(stacked, axis=0, return_inverse=True)
+    bounds = np.cumsum([len(corpus.messages) for corpus in corpora])[:-1]
+    for corpus, ids in zip(corpora, np.split(message_ids.reshape(-1), bounds)):
+        same_owner = corpus.owners[1:] == corpus.owners[:-1]
+        assert (ids[1:][same_owner] > ids[:-1][same_owner]).all()
 
 
 def test_agents_must_hold_the_game_samples(moprd):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +106,20 @@ def test_self_reference_is_a_cycle():
     """
     with pytest.raises(CycleError):
         parse_schema(doc)
+
+
+def test_long_hyperattribute_chain():
+    """h0 = a and h_i = h_{i-1} for 10,000 links: every link reads the value of a."""
+    links = [{"name": "h0", "expr": "a"}] + [
+        {"name": f"h{i}", "expr": f"h{i - 1}"} for i in range(1, 10_000)
+    ]
+    schema = parse_schema(
+        json.dumps({"attributes": [{"name": "a", "values": ["F", "T"]}], "hyperattributes": links})
+    )
+    codes = property_codes(schema, [{"a": "F"}, {"a": "T"}])
+    assert codes.shape == (2, 10_001)
+    assert (codes == codes[:, :1]).all()
+    assert codes[:, 0].tolist() == [0, 1]
 
 
 @pytest.mark.parametrize(
