@@ -78,9 +78,10 @@ class AnnotatedCorpus:
     times.  Construction checks its input and makes it canonical: samples
     sorted by id (``owners`` renumbered to match), rows sorted by owner and
     then tokens, and rows repeating an (owner, message) merged by summing
-    their counts.  The arrays are stored as read-only int64 arrays: an int64
-    array that owns its data and needs no reordering may be frozen in place
-    (keep no writable view of it), anything else is copied.
+    their counts; rows already in that order skip the sort.  The arrays are
+    stored as read-only int64 arrays: an int64 array that owns its data and
+    needs no reordering may be frozen in place (keep no writable view of it),
+    anything else is copied.
     """
 
     schema: AttributeSchema
@@ -258,8 +259,8 @@ def _int64_rows(owners, msgs, counts, message_length):
         )
     if messages.shape[1] != message_length or counts.min() < 1 or _exact_total(counts) >= 2**63:
         return None
-    order = np.lexsort((*messages.T[::-1], owners))
-    if (order[1:] < order[:-1]).any():  # rows already in order need no copy
+    if not _in_order(owners, messages):
+        order = np.lexsort((*messages.T[::-1], owners))
         messages, owners, counts = messages[order], owners[order], counts[order]
     starts = np.ones(len(owners), dtype=bool)
     starts[1:] = (owners[1:] != owners[:-1]) | (messages[1:] != messages[:-1]).any(axis=1)
@@ -267,6 +268,18 @@ def _int64_rows(owners, msgs, counts, message_length):
         return messages, owners, counts
     starts = np.flatnonzero(starts)
     return messages[starts], owners[starts], np.add.reduceat(counts, starts)
+
+
+def _in_order(owners: np.ndarray, messages: np.ndarray) -> bool:
+    """Whether the rows are sorted by owner, then tokens: in each adjacent
+    pair the owner does not decrease and, under one owner, neither does the
+    first token in which the two messages differ."""
+    before, after = messages[:-1], messages[1:]
+    first = (before != after).argmax(axis=1)  # 0 where the messages are equal
+    row = np.arange(len(first))
+    rises = after[row, first] >= before[row, first]
+    step = np.diff(owners)
+    return bool(((step > 0) | ((step == 0) & rises)).all())
 
 
 def _exact_rows(samples, vocab_size, message_length, owners, msgs, counts):

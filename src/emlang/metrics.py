@@ -6,6 +6,13 @@ Levenshtein distances between the samples' representative messages.  Pairs
 are enumerated in sample-id order, so results never depend on scheduling;
 above ``max_pairs`` the pair list is subsampled from a numpy stream seeded by
 the mandatory ``seed``.
+
+Both distance sequences are small non-negative integers, and every TopSim
+array is kept at the narrowest integer type that holds it: attribute codes,
+message tokens (as dense ids), and the distances themselves.  Pairs are
+handled ``_CHUNK`` at a time, so only the two distance sequences and their
+ranks grow with the pair count.  Integer distances are ranked by counting,
+with no sort, and give the same ranks, bit for bit, as the float path.
 """
 
 from __future__ import annotations
@@ -66,9 +73,23 @@ def attribute_edit_distance(s1: Sample, s2: Sample, schema: AttributeSchema) -> 
 
 
 def average_ranks(values) -> np.ndarray:
-    """1-based ranks; ties receive the mean of their rank range."""
-    arr = np.asarray(values, dtype=float)
-    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+    """1-based float ranks; ties receive the mean of their rank range.
+
+    Integers in ``0..len(values)`` are ranked by counting: ``np.bincount``
+    gives each value's tie group, with no sort and at most one bin more than
+    there are values.  Any other input is ranked through ``np.unique`` on a
+    float copy.  Both paths apply the same formula to the same counts, so
+    integer input ranks bit-identically to its float copy.
+    """
+    arr = np.asarray(values)
+    # bincount takes integers that cast to intp; bools would index as a mask
+    integers = arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.intp) and arr.ndim == 1
+    if integers and 0 <= arr.min(initial=0) and arr.max(initial=0) <= len(arr):
+        inverse, counts = arr, np.bincount(arr)
+    else:
+        _, inverse, counts = np.unique(
+            np.asarray(arr, dtype=float), return_inverse=True, return_counts=True
+        )
     # a tie group ending at rank r shares ranks r - count + 1 .. r
     return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
@@ -76,17 +97,23 @@ def average_ranks(values) -> np.ndarray:
 def spearman(x, y) -> float:
     """Pearson correlation of average-ranked sequences.
 
+    The sequences keep their own dtype, so integer distances are ranked by
+    counting (see :func:`average_ranks`).  Each rank array is centred in
+    place, so at most two float arrays of the sequence length are alive.
+
     Raises ZeroVariance when either sequence is constant (the correlation is
     undefined there, and a constant distance list usually signals a
     degenerate language rather than "no correlation").
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x), np.asarray(y)
     if len(x) != len(y):
         raise LengthMismatch(f"sequences of length {len(x)} and {len(y)}")
     if len(x) < 2:
         raise LengthMismatch("need at least two observations")
-    dx, dy = (ranks - ranks.mean() for ranks in (average_ranks(x), average_ranks(y)))
+    dx = average_ranks(x)
+    dx -= dx.mean()
+    dy = average_ranks(y)
+    dy -= dy.mean()
     sxx, syy = np.dot(dx, dx), np.dot(dy, dy)
     # a constant sequence ranks every item (n + 1) / 2, so its centred ranks are exactly 0
     if sxx == 0 or syy == 0:
@@ -103,7 +130,7 @@ def _pairs(indices: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([i, indices - starts[i] + i + 1])
 
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 16
 
 
 def pairwise_levenshtein(messages: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -129,9 +156,14 @@ def pairwise_levenshtein(messages: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     puts no limit on message length.  Row 0 has horizontal deltas +1
     (D[0, j] = j) and column 0 vertical deltas +1 (D[i, 0] = i); the
     distance is D[L, 0] = L plus the bottom row's horizontal deltas.
+
+    The DP reads tokens only through Eq, so the messages are first renumbered
+    to dense ids of the narrowest unsigned type that holds them.
     """
     length = messages.shape[1]
-    columns = np.ascontiguousarray(messages.T)
+    distinct, dense = np.unique(messages, return_inverse=True)
+    dense = dense.reshape(messages.shape).astype(np.min_scalar_type(len(distinct)))
+    columns = np.ascontiguousarray(dense.T)
     ones = ~np.uint64(0)
     out = np.empty(len(pairs), dtype=np.int64)
     for start in range(0, len(pairs), _CHUNK):
@@ -183,25 +215,26 @@ def topsim(
             raise ConfigError("sampling pairs requires a seed")
         rng = np.random.default_rng(np.random.SeedSequence(seed % (2**63)))
         indices = np.sort(rng.choice(total_pairs, limit, replace=False, shuffle=False))
-    else:
-        indices = np.arange(total_pairs)
+    count = limit if sampled else total_pairs
 
     # attribute columns lead the code matrix; differing code <=> differing value
-    codes = corpus.codes[:, : len(corpus.schema.attributes)]
+    attribute_count = len(corpus.schema.attributes)
+    codes = corpus.codes[:, :attribute_count]
+    codes = codes.astype(np.min_scalar_type(codes.max(initial=0)))
     reps = corpus.messages[representative_of(corpus)]
-    # float, as spearman ranks them, so it takes both without a copy
-    attr_dist = np.empty(len(indices))
-    msg_dist = np.empty(len(indices))
+    # distances lie in 0..attribute_count and 0..message_length
+    attr_dist = np.empty(count, dtype=np.min_scalar_type(attribute_count))
+    msg_dist = np.empty(count, dtype=np.min_scalar_type(corpus.message_length))
     # one block of pairs at a time, so per-pair gathers never span every pair
-    for start in range(0, len(indices), _CHUNK):
-        pairs = _pairs(indices[start : start + _CHUNK], n)
-        block = slice(start, start + len(pairs))
-        attr_dist[block] = (codes[pairs[:, 0]] != codes[pairs[:, 1]]).sum(axis=1)
-        msg_dist[block] = pairwise_levenshtein(reps, pairs)
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        pairs = _pairs(indices[start:stop] if sampled else np.arange(start, stop), n)
+        attr_dist[start:stop] = (codes[pairs[:, 0]] != codes[pairs[:, 1]]).sum(axis=1)
+        msg_dist[start:stop] = pairwise_levenshtein(reps, pairs)
     rho = spearman(attr_dist, msg_dist)
     return TopSimReport(
         rho=rho,
-        pair_count=len(indices),
+        pair_count=count,
         sampled=sampled,
         seed=seed if sampled else None,
     )

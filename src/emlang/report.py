@@ -16,8 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
-from .corpus import MAX_MESSAGE_LENGTH
+from .corpus import MAX_MESSAGE_LENGTH, _is_int
 from .errors import DocumentSyntaxError
 from .metrics import AccuracyMatrix, TopSimReport, accuracy_per_speaker
 from .rules import Pattern, RuleTable, SemanticRule
@@ -255,27 +256,55 @@ def parse_metrics(text: str) -> TopSimReport | AccuracyMatrix:
 
 
 def _metrics_from(doc: dict) -> TopSimReport | AccuracyMatrix:
+    """The report a structured metrics document holds.
+
+    Each field must have the JSON type that ``render_metrics`` writes for a
+    result of ``topsim`` or ``run_lewis_game``; nothing is coerced, so a
+    document that parses re-renders with the same values.
+    """
     kind = doc.get("kind")
+    if kind == "topsim_report":
+        read = _topsim_from
+    elif kind == "accuracy_matrix":
+        read = _accuracy_from
+    else:
+        raise DocumentSyntaxError(f"unknown document kind {kind!r}")
     try:
-        if kind == "topsim_report":
-            return TopSimReport(
-                rho=float(doc["rho"]),
-                pair_count=int(doc["pair_count"]),
-                sampled=bool(doc["sampled"]),
-                seed=None if doc["seed"] is None else int(doc["seed"]),
-            )
-        if kind == "accuracy_matrix":
-            values = tuple(tuple(float(v) for v in row) for row in doc["values"])
-            # every speaker plays at least one listener; an empty row has no mean
-            if not all(values):
-                raise ValueError("empty accuracy row")
-            return AccuracyMatrix(
-                values=values,
-                episodes_per_cell=int(doc["episodes_per_cell"]),
-            )
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise DocumentSyntaxError("malformed metrics document") from None
-    raise DocumentSyntaxError(f"unknown document kind {kind!r}")
+        report = read(doc)
+    except (KeyError, OverflowError):  # a missing field; an int too large for a float
+        report = None
+    if report is None:
+        raise DocumentSyntaxError("malformed metrics document")
+    return report
+
+
+def _is_number(value) -> bool:
+    return type(value) is int or type(value) is float
+
+
+def _topsim_from(doc: dict) -> TopSimReport | None:
+    rho, pair_count, sampled, seed = (doc[key] for key in ("rho", "pair_count", "sampled", "seed"))
+    if not (_is_number(rho) and math.isfinite(rho)):
+        return None
+    # spearman needs two pairs; only a sampled report names its seed
+    if not (_is_int(pair_count) and pair_count >= 2 and type(sampled) is bool):
+        return None
+    if not (_is_int(seed) if sampled else seed is None):
+        return None
+    return TopSimReport(rho=float(rho), pair_count=pair_count, sampled=sampled, seed=seed)
+
+
+def _accuracy_from(doc: dict) -> AccuracyMatrix | None:
+    episodes, rows = doc["episodes_per_cell"], doc["values"]
+    if not (_is_int(episodes) and episodes >= 1) or type(rows) is not list or not rows:
+        return None
+    # a rectangle: every speaker plays the same listeners, and at least one
+    if any(type(row) is not list or len(row) != len(rows[0]) for row in rows) or not rows[0]:
+        return None
+    if not all(_is_number(v) and 0 <= v <= 1 for row in rows for v in row):
+        return None
+    values = tuple(tuple(float(v) for v in row) for row in rows)
+    return AccuracyMatrix(values=values, episodes_per_cell=episodes)
 
 
 def parse_structured(text: str) -> RuleTable | TopSimReport | AccuracyMatrix:

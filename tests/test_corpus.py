@@ -7,12 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from emlang.corpus import (
     MAX_MESSAGE_LENGTH,
     AnnotatedCorpus,
+    _in_order,
     build_corpus,
     filter_by_frequency,
     load_corpus,
@@ -163,6 +164,49 @@ def test_construction_makes_every_corpus_canonical():
     huge = np.array([2**62, 2**62])
     with pytest.raises(DocumentSyntaxError, match="sum to 9223372036854775808"):
         replace(share_corpus({(0, 0): 1, (0, 1): 1}), messages=[[0, 0], [0, 0]], counts=huge)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_construction_sorts_nearly_sorted_rows(data):
+    """Canonical rows with one swap under an owner, one swap across owners, or
+    one row split into equal adjacent rows give the build_corpus corpus; only
+    the split rows are in order, so only they skip the sort."""
+    rows = data.draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.tuples(st.integers(0, 3), st.integers(0, 3))),
+            st.integers(2, 9),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    records = [(f"s{o}", {"a": "xy"[o % 2]}, msg, count) for (o, msg), count in rows.items()]
+    expected = build_corpus(TINY, 4, 2, records)
+    messages, owners, counts = (
+        a.copy() for a in (expected.messages, expected.owners, expected.counts)
+    )
+    edit = data.draw(st.sampled_from(["within", "across", "split"]))
+    if edit == "split":
+        i = data.draw(st.integers(0, len(owners) - 1))
+        part = data.draw(st.integers(1, counts[i] - 1))
+        messages = np.insert(messages, i, messages[i], axis=0)
+        owners = np.insert(owners, i, owners[i])
+        counts = np.insert(counts, i, part)
+        counts[i + 1] -= part
+    else:
+        pairs = [
+            (i, j)
+            for i in range(len(owners))
+            for j in range(i + 1, len(owners))
+            if (owners[i] == owners[j]) == (edit == "within")
+        ]
+        assume(pairs)
+        i, j = data.draw(st.sampled_from(pairs))
+        for array in (messages, owners, counts):
+            array[[i, j]] = array[[j, i]]
+    assert _in_order(owners, messages) == (edit == "split")
+    corpus = AnnotatedCorpus(TINY, 4, 2, expected.samples, messages, owners, counts)
+    assert corpus == expected
 
 
 def test_message_length_bound():

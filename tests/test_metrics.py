@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emlang import metrics
@@ -22,8 +23,8 @@ from emlang.metrics import (
     spearman,
     topsim,
 )
-from emlang.schema import validate_sample
-from emlang.synth import all_combinations, gen_compositional, gen_holistic
+from emlang.schema import Attribute, AttributeSchema, validate_sample
+from emlang.synth import all_combinations, gen_compositional, gen_holistic, gen_noisy
 
 from oracles import brute_levenshtein, brute_spearman, hamming
 
@@ -114,6 +115,23 @@ def test_spearman_errors():
 def test_average_ranks_with_ties():
     assert list(average_ranks([1, 2, 2, 4])) == [1.0, 2.5, 2.5, 4.0]
     assert list(average_ranks([3, 3, 3])) == [2.0, 2.0, 2.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 40).flatmap(lambda n: st.lists(st.integers(0, n), min_size=n, max_size=n)),
+    st.sampled_from([np.uint8, np.int16, np.uint32, np.int64]),
+)
+@example([], np.int64)
+@example([0], np.uint8)
+@example([3, 3, 3], np.int64)
+@example([0, 4, 4, 1], np.int16)  # max == len
+def test_counted_ranks_equal_float_ranks(values, dtype):
+    """Integers in 0..len rank by counting, bit for bit as their float copy."""
+    counted = average_ranks(np.array(values, dtype=dtype))
+    ranked = average_ranks(np.array(values, dtype=dtype).astype(float))
+    assert counted.dtype == ranked.dtype == np.float64
+    assert counted.tobytes() == ranked.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -291,9 +309,11 @@ def test_pairwise_levenshtein_across_chunks(monkeypatch, moprd):
     pairs = rng.integers(0, len(msgs), size=(250, 2))
     corpus = gen_holistic(moprd, 10, 20, 4)
     whole = topsim(corpus)
+    sampled = topsim(corpus, max_pairs=1234, seed=5)
     monkeypatch.setattr(metrics, "_CHUNK", 100)  # blocks of 100, 100 and 50 pairs
     _check_against_oracle(msgs, pairs)
     assert topsim(corpus) == whole
+    assert topsim(corpus, max_pairs=1234, seed=5) == sampled
 
 
 def test_pairwise_levenshtein_of_no_pairs():
@@ -322,3 +342,44 @@ def test_spearman_self_correlation_is_one(x):
     if len(set(x)) < 2:
         x = x + [max(x) + 1]
     assert spearman(x, x) == 1.0
+
+
+# repr(rho) of exact and sampled topsim, as computed before distances became
+# narrow integers and ranks were counted: the change must not move one bit
+GOLDEN_RHO = {
+    "holistic-0": ("holistic", 0, "-0.016905549659464912", "-0.01416275198690063"),
+    "holistic-1": ("holistic", 1, "0.010472363639471901", "-0.009813319633055135"),
+    "holistic-2": ("holistic", 2, "0.025039222020334238", "0.06958072203080849"),
+    "noisy-1": ("noisy", 1, "0.6616341713162814", "0.6180388224295063"),
+}
+
+
+@pytest.mark.parametrize(("kind", "seed", "exact", "sampled"), GOLDEN_RHO.values(),
+                         ids=GOLDEN_RHO.keys())
+def test_topsim_golden_rho(moprd, kind, seed, exact, sampled):
+    if kind == "holistic":
+        corpus, max_pairs = gen_holistic(moprd, 10, 20, seed), 1000
+    else:
+        base, _ = gen_compositional(moprd, 10, 20, seed)
+        corpus, max_pairs = gen_noisy(base, 1, 0.2, seed=seed), 777
+    assert repr(topsim(corpus).rho) == exact
+    assert repr(topsim(corpus, max_pairs=max_pairs, seed=seed).rho) == sampled
+
+
+def test_exact_topsim_memory_per_pair():
+    """Distances as narrow integers and counted ranks: about 20 traced bytes
+    per pair (two one-byte distances and two float rank arrays), where float
+    distances and sorted ranks took 130."""
+    schema = AttributeSchema(
+        attributes=tuple(Attribute(name=f"a{i}", domain=tuple("pqrs")) for i in range(5))
+    )
+    corpus = gen_holistic(schema, 8, 6, 0)  # 4**5 = 1024 samples
+    corpus.codes  # cached before tracing, as every caller of topsim pays it once
+    tracemalloc.start()
+    try:
+        report = topsim(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pair_count == 1024 * 1023 // 2
+    assert peak / report.pair_count < 40

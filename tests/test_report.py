@@ -172,3 +172,79 @@ def test_render_fails_only_with_error_codes(valid_documents, fuzz_path, data):
     assert status in (0, 1)
     if status == 1:
         assert stderr.getvalue().split(":")[0] in error_codes(), stderr.getvalue()
+
+
+TOPSIM_FIELDS = {"kind": '"topsim_report"', "rho": "0.5", "pair_count": "10", "sampled": "true",
+                 "seed": "3"}
+ACCURACY_FIELDS = {"kind": '"accuracy_matrix"', "episodes_per_cell": "4",
+                   "values": "[[1.0, 0.5], [0.25, 0.0]]"}
+
+# one field of a valid document replaced by a raw JSON text, or dropped (None)
+ILL_TYPED_METRICS = {
+    "sampled-text": (TOPSIM_FIELDS, "sampled", '"false"'),
+    "sampled-number": (TOPSIM_FIELDS, "sampled", "1"),
+    "pair-count-fraction": (TOPSIM_FIELDS, "pair_count", "10.9"),
+    "pair-count-float": (TOPSIM_FIELDS, "pair_count", "10.0"),
+    "pair-count-one": (TOPSIM_FIELDS, "pair_count", "1"),
+    "pair-count-bool": (TOPSIM_FIELDS, "pair_count", "true"),
+    "rho-text": (TOPSIM_FIELDS, "rho", '"0.5"'),
+    "rho-infinite": (TOPSIM_FIELDS, "rho", "1e400"),
+    "rho-nan": (TOPSIM_FIELDS, "rho", "NaN"),
+    "rho-bool": (TOPSIM_FIELDS, "rho", "true"),
+    "rho-huge-int": (TOPSIM_FIELDS, "rho", "1" + "0" * 400),
+    "rho-missing": (TOPSIM_FIELDS, "rho", None),
+    "seed-null-when-sampled": (TOPSIM_FIELDS, "seed", "null"),
+    "seed-float": (TOPSIM_FIELDS, "seed", "3.0"),
+    "seed-text": (TOPSIM_FIELDS, "seed", '"3"'),
+    "seed-when-exact": ({**TOPSIM_FIELDS, "sampled": "false"}, "seed", "3"),
+    "episodes-zero": (ACCURACY_FIELDS, "episodes_per_cell", "0"),
+    "episodes-float": (ACCURACY_FIELDS, "episodes_per_cell", "4.0"),
+    "episodes-bool": (ACCURACY_FIELDS, "episodes_per_cell", "true"),
+    "cell-text": (ACCURACY_FIELDS, "values", '[["1"], ["0.5"]]'),
+    "cell-bool": (ACCURACY_FIELDS, "values", "[[true], [0.5]]"),
+    "cell-above-one": (ACCURACY_FIELDS, "values", "[[1.5], [0.5]]"),
+    "cell-negative": (ACCURACY_FIELDS, "values", "[[-0.25], [0.5]]"),
+    "cell-nan": (ACCURACY_FIELDS, "values", "[[NaN], [0.5]]"),
+    "ragged": (ACCURACY_FIELDS, "values", "[[1.0, 0.5], [0.25]]"),
+    "no-rows": (ACCURACY_FIELDS, "values", "[]"),
+    "empty-rows": (ACCURACY_FIELDS, "values", "[[], []]"),
+    "values-object": (ACCURACY_FIELDS, "values", '{"0": [0.5]}'),
+    "row-object": (ACCURACY_FIELDS, "values", '[{"0": 0.5}]'),
+}
+
+
+def _render(path, format="structured") -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = cli.main(["render", "--in", str(path), "--format", format])
+    return status, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize(("fields", "key", "value"), ILL_TYPED_METRICS.values(),
+                         ids=ILL_TYPED_METRICS.keys())
+def test_render_rejects_ill_typed_metrics(fuzz_path, fields, key, value):
+    """Fields topsim and the game cannot produce are errors, not coerced."""
+    fields = {k: v for k, v in {**fields, key: value}.items() if v is not None}
+    text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    with pytest.raises(DocumentSyntaxError, match="^malformed metrics document$"):
+        parse_metrics(text)
+    fuzz_path.write_text(text, encoding="utf-8")
+    assert _render(fuzz_path) == (1, "", "SyntaxError: malformed metrics document\n")
+
+
+def test_render_keeps_real_metrics_byte_for_byte(fuzz_path, moprd):
+    from emlang.game import GameConfig, run_lewis_game
+    from emlang.metrics import topsim
+
+    corpus = gen_holistic(moprd, 10, 20, seed=3)
+    reports = [
+        topsim(corpus),
+        topsim(corpus, max_pairs=300, seed=-(2**70)),
+        run_lewis_game(corpus, GameConfig(candidate_count=5, episodes=40, seed=1)),
+        TopSimReport(rho=-1.0, pair_count=2, sampled=False, seed=None),
+        AccuracyMatrix(values=((1.0, 0.0),), episodes_per_cell=1),
+    ]
+    for report in reports:
+        text = render_metrics(report, "structured")
+        fuzz_path.write_text(text, encoding="utf-8")
+        assert _render(fuzz_path) == (0, text, "")
