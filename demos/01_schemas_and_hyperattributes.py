@@ -8,12 +8,12 @@ explicit value maps.  Here we build the two-shapes-plus-relationship schema
 and watch the derived properties react to samples.
 """
 
-from emlang import eval_property, moprd_schema, parse_schema, property_domain, validate_sample
+from emlang import eval_property, moprd_schema, parse_schema, validate_sample
 
 schema = moprd_schema()
 print("properties:", ", ".join(schema.property_names))
-print("relationship domain:", property_domain(schema, "relationship"))
-print("all_empty domain:", property_domain(schema, "all_empty"))
+print("relationship domain:", schema.domain("relationship"))
+print("all_empty domain:", schema.domain("all_empty"))
 print()
 
 # A filled circle next to a cross, stacked vertically.
@@ -40,6 +40,6 @@ grouped = parse_schema(
     }
     """
 )
-print("group_entity domain:", property_domain(grouped, "group_entity"))
+print("group_entity domain:", grouped.domain("group_entity"))
 wheel = validate_sample(grouped, "img", {"entity": "wheel"})
 print("wheel is grouped as:", eval_property(grouped, wheel, "group_entity"))

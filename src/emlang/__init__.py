@@ -28,8 +28,7 @@ from .metrics import (
 )
 from .report import (
     general_pattern,
-    parse_metrics,
-    parse_rule_table,
+    parse_structured,
     render_metrics,
     render_rule_table,
 )
@@ -50,7 +49,6 @@ from .schema import (
     ValueMap,
     eval_property,
     parse_schema,
-    property_domain,
     render_schema,
     validate_sample,
 )
@@ -100,10 +98,8 @@ __all__ = [
     "levenshtein",
     "load_corpus",
     "moprd_schema",
-    "parse_metrics",
-    "parse_rule_table",
     "parse_schema",
-    "property_domain",
+    "parse_structured",
     "render_metrics",
     "render_rule_table",
     "render_schema",

@@ -145,6 +145,10 @@ def _cmd_game(args) -> None:
 
 
 def _cmd_synth(args) -> None:
+    if args.truth_out and args.kind != "compositional":
+        raise ConfigError("--truth-out applies to synth --kind compositional only")
+    if args.corpus and args.kind != "noisy":
+        raise ConfigError("--corpus applies to synth --kind noisy only")
     if args.kind == "noisy":
         if not args.corpus or not args.schema:
             raise DocumentSyntaxError("synth --kind noisy needs --corpus and --schema")

@@ -56,10 +56,11 @@ def _pattern_to_json(pattern: Pattern) -> list[list[int]]:
 
 
 def _pattern_from_json(data) -> Pattern:
-    try:
-        return Pattern(cells=tuple((int(p), int(t)) for p, t in data))
-    except (TypeError, ValueError):
-        raise DocumentSyntaxError("pattern must be a list of [position, token] pairs") from None
+    if type(data) is not list or not all(
+        type(cell) is list and len(cell) == 2 and all(_is_int(x) for x in cell) for cell in data
+    ):
+        raise DocumentSyntaxError("pattern must be a list of [position, token] pairs")
+    return Pattern(cells=tuple((pos, tok) for pos, tok in data))
 
 
 # ---------------------------------------------------------------------------
@@ -104,40 +105,57 @@ def _rule_table_structured(table: RuleTable) -> str:
     )
 
 
-def parse_rule_table(text: str) -> RuleTable:
-    return _rule_table_from(_load_structured(text, "rule_table"))
+_MALFORMED_TABLE = "malformed rule table document"
 
 
 def _rule_table_from(doc: dict) -> RuleTable:
+    """The rule table a structured document holds.  Nothing is coerced: lengths,
+    counts, positions, tokens and support must be JSON integers, names and
+    values strings; a finite ``message_length`` outside the bound names it."""
     try:
-        rules = tuple(
-            SemanticRule(
-                pattern=_pattern_from_json(r["pattern"]),
-                evidence=tuple((str(p), str(v)) for p, v in r["evidence"]),
-                coverage=tuple(
-                    (str(p), tuple(str(v) for v in vs)) for p, vs in r["coverage"].items()
-                ),
-                support=int(r["support"]),
-            )
-            for r in doc["rules"]
-        )
-        table = RuleTable(
-            message_length=int(doc["message_length"]),
-            global_constants=_pattern_from_json(doc["global_constants"]),
-            rules=rules,
-        )
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError):
-        raise DocumentSyntaxError("malformed rule table document") from None
-    if doc.get("rule_count") != table.rule_count:
+        if type(doc["rules"]) is not list:
+            raise DocumentSyntaxError(_MALFORMED_TABLE)
+        rules = tuple(_rule_from(rule) for rule in doc["rules"])
+        length = doc["message_length"]
+        constants = _pattern_from_json(doc["global_constants"])
+    except (KeyError, TypeError):  # a missing field; a rule that is not an object
+        raise DocumentSyntaxError(_MALFORMED_TABLE) from None
+    if not (_is_int(length) or type(length) is float and math.isfinite(length)):
+        raise DocumentSyntaxError(_MALFORMED_TABLE)
+    table = RuleTable(message_length=length, global_constants=constants, rules=rules)
+    if not (_is_int(doc.get("rule_count")) and doc["rule_count"] == table.rule_count):
         raise DocumentSyntaxError("rule_count does not match the number of rules")
-    if not 1 <= table.message_length <= MAX_MESSAGE_LENGTH:
+    if not 1 <= length <= MAX_MESSAGE_LENGTH:
         raise DocumentSyntaxError(
             f"message_length must be between 1 and {MAX_MESSAGE_LENGTH}"
         )
+    if not _is_int(length):
+        raise DocumentSyntaxError(_MALFORMED_TABLE)
     patterns = [table.global_constants] + [rule.pattern for rule in table.rules]
     if any(not 0 <= pos < table.message_length for p in patterns for pos, _ in p.cells):
         raise DocumentSyntaxError("pattern position outside the message")
     return table
+
+
+def _rule_from(doc: dict) -> SemanticRule:
+    pattern = _pattern_from_json(doc["pattern"])
+    evidence, coverage, support = doc["evidence"], doc["coverage"], doc["support"]
+    if not (
+        type(evidence) is list and all(_is_strs(pair) and len(pair) == 2 for pair in evidence)
+        and type(coverage) is dict and all(map(_is_strs, coverage.values()))
+        and _is_int(support)
+    ):
+        raise DocumentSyntaxError(_MALFORMED_TABLE)
+    return SemanticRule(
+        pattern=pattern,
+        evidence=tuple((prop, value) for prop, value in evidence),
+        coverage=tuple((prop, tuple(values)) for prop, values in coverage.items()),
+        support=support,
+    )
+
+
+def _is_strs(value) -> bool:
+    return type(value) is list and all(type(item) is str for item in value)
 
 
 def _variable_positions(table: RuleTable) -> list[int]:
@@ -148,9 +166,7 @@ def _variable_positions(table: RuleTable) -> list[int]:
 def _rule_cells(table: RuleTable, schema: AttributeSchema) -> tuple[list[str], list[list[str]]]:
     """Header and one row per rule: position tokens, then evidence per property."""
     positions = _variable_positions(table)
-    attrs = list(schema.attribute_names)
-    hypers = [h.name for h in schema.hyperattributes]
-    header = [f"pos {p}" for p in positions] + attrs + hypers
+    header = [f"pos {p}" for p in positions] + list(schema.property_names)
     rows = []
     for rule in table.rules:
         cells = dict(rule.pattern.cells)
@@ -158,7 +174,7 @@ def _rule_cells(table: RuleTable, schema: AttributeSchema) -> tuple[list[str], l
         by_prop: dict[str, list[str]] = {}
         for prop, value in rule.evidence:
             by_prop.setdefault(prop, []).append(value)
-        row += [" ".join(by_prop.get(prop, [])) for prop in attrs + hypers]
+        row += [" ".join(by_prop.get(prop, [])) for prop in schema.property_names]
         rows.append(row)
     return header, rows
 
@@ -251,10 +267,6 @@ def render_metrics(report: TopSimReport | AccuracyMatrix, format: str = "structu
     raise DocumentSyntaxError(f"cannot render {type(report).__name__}")
 
 
-def parse_metrics(text: str) -> TopSimReport | AccuracyMatrix:
-    return _metrics_from(_load_structured(text, None))
-
-
 def _metrics_from(doc: dict) -> TopSimReport | AccuracyMatrix:
     """The report a structured metrics document holds.
 
@@ -309,17 +321,10 @@ def _accuracy_from(doc: dict) -> AccuracyMatrix | None:
 
 def parse_structured(text: str) -> RuleTable | TopSimReport | AccuracyMatrix:
     """Parse any structured result document, chosen by its ``kind``."""
-    doc = _load_structured(text, None)
-    return _rule_table_from(doc) if doc.get("kind") == "rule_table" else _metrics_from(doc)
-
-
-def _load_structured(text: str, expected_kind: str | None) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(f"structured document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("structured document must be a JSON object")
-    if expected_kind is not None and doc.get("kind") != expected_kind:
-        raise DocumentSyntaxError(f"expected a {expected_kind} document")
-    return doc
+    return _rule_table_from(doc) if doc.get("kind") == "rule_table" else _metrics_from(doc)

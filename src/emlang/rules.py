@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import AnnotatedCorpus, Message, filter_by_frequency
-from .errors import EmptyCorpus, EmptyInput, UnknownReference
+from .errors import EmptyCorpus, EmptyInput
 from .schema import observed_values
 
 
@@ -114,10 +114,9 @@ def canonical_evidence(
     corpus_schema, pairs: set[tuple[str, str]]
 ) -> tuple[tuple[str, str], ...]:
     """Order evidence pairs by schema property order, then domain order."""
-    order = {name: i for i, name in enumerate(corpus_schema.property_names)}
-    return tuple(
-        sorted(pairs, key=lambda pv: (order[pv[0]], corpus_schema.domain_index(*pv)))
-    )
+    return tuple(sorted(
+        pairs, key=lambda pv: (corpus_schema.column(pv[0]), corpus_schema.domain_index(*pv))
+    ))
 
 
 def extract_rules(
@@ -135,20 +134,15 @@ def extract_rules(
     """
     filtered = filter_by_frequency(corpus, threshold)
     schema = filtered.schema
-    if properties is None:
-        props = schema.property_names
-    else:
-        for name in properties:
-            if name not in schema.property_names:
-                raise UnknownReference(f"unknown property {name!r}")
-        props = tuple(properties)
+    props = schema.property_names if properties is None else tuple(properties)
+    columns = [schema.column(prop) for prop in props]  # an unknown name raises UnknownReference
 
     globals_ = global_constants(filtered)
     global_pos = set(globals_.positions)
 
     candidates: dict[Pattern, set[tuple[str, str]]] = {}
-    for prop in props:
-        column = filtered.codes[filtered.owners, schema.property_names.index(prop)]
+    for prop, index in zip(props, columns):
+        column = filtered.codes[filtered.owners, index]
         for code, value in enumerate(schema.domain(prop)):
             group = filtered.messages[column == code]
             if not len(group):

@@ -21,6 +21,9 @@ Identifiers and values are arbitrary UTF-8 words not containing whitespace
 or the reserved characters ``( ) { } , =``.  An expression may nest at most
 ``MAX_EXPRESSION_DEPTH`` levels deep.
 
+Construction compiles the schema once: one walk over each hyperattribute,
+in declaration order, validates its body and builds its column evaluator (a
+lookup table for a value map, composed column functions for an expression).
 Evaluation works on whole columns (:func:`property_codes`);
 :func:`eval_property` is a one-row view of it.
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -281,28 +284,80 @@ class AttributeSchema:
     hyperattributes: tuple[HyperattributeDef, ...] = ()
     _domains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _evaluators: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.attributes:
             raise DocumentSyntaxError("schema declares no attributes")
-        domains: dict[str, tuple[str, ...]] = {}
-        for attr in self.attributes:
-            if attr.name in domains:
-                raise DomainError(f"duplicate property name {attr.name!r}")
-            if not attr.domain:
-                raise DomainError(f"attribute {attr.name!r} has an empty domain")
-            if len(set(attr.domain)) != len(attr.domain):
-                raise DomainError(f"attribute {attr.name!r} has duplicate values")
-            domains[attr.name] = tuple(attr.domain)
         hyper_names = {h.name for h in self.hyperattributes}
-        for hyper in self.hyperattributes:
-            if hyper.name in domains:
-                raise DomainError(f"duplicate property name {hyper.name!r}")
-            domains[hyper.name] = _check_hyper(hyper, domains, hyper_names)
-        object.__setattr__(self, "_domains", domains)
-        # value -> domain index per property, so lookups cost O(1) at any domain size
-        indices = {prop: {value: i for i, value in enumerate(dom)} for prop, dom in domains.items()}
-        object.__setattr__(self, "_indices", indices)
+        for prop in (*self.attributes, *self.hyperattributes):
+            if prop.name in self._columns:
+                raise DomainError(f"duplicate property name {prop.name!r}")
+            if isinstance(prop, Attribute):
+                if not prop.domain:
+                    raise DomainError(f"attribute {prop.name!r} has an empty domain")
+                if len(set(prop.domain)) != len(prop.domain):
+                    raise DomainError(f"attribute {prop.name!r} has duplicate values")
+                domain = tuple(prop.domain)
+            else:
+                domain, evaluate = self._compile(prop, hyper_names)
+                self._evaluators.append(evaluate)
+            self._domains[prop.name] = domain
+            # value -> domain index, so lookups cost O(1) at any domain size
+            self._indices[prop.name] = {value: i for i, value in enumerate(domain)}
+            self._columns[prop.name] = len(self._columns)
+
+    def _compile(self, hyper: HyperattributeDef, hyper_names: set[str]):
+        """Validate one hyperattribute body and build its evaluator, in one walk.
+
+        Names resolve against the properties defined so far, so any other
+        name in ``hyper_names`` is this hyperattribute or a later one.
+        Returns the domain and a function from the code matrix to the column.
+        """
+
+        def resolve(name: str) -> int:
+            if name in self._columns:
+                return self._columns[name]
+            if name in hyper_names:
+                raise CycleError(f"{hyper.name!r} references {name!r} before it is defined")
+            raise UnknownReference(f"{hyper.name!r} references undefined property {name!r}")
+
+        body = hyper.body
+        if isinstance(body, ValueMap):
+            source = resolve(body.source)
+            source_domain = self._domains[body.source]
+            if sorted(value for value, _ in body.cases) != sorted(source_domain):
+                raise DomainError(
+                    f"value map for {hyper.name!r} must cover every value of "
+                    f"{body.source!r} exactly once"
+                )
+            label = dict(body.cases)
+            labels = {value: i for i, value in enumerate(dict.fromkeys(label.values()))}
+            table = np.array([labels[label[value]] for value in source_domain], dtype=np.int64)
+            return tuple(labels), partial(_lookup, source, table)
+
+        def build(expr: Expr):
+            if isinstance(expr, Ref):
+                column = resolve(expr.name)
+                if self._domains[expr.name] != BOOL_DOMAIN:
+                    raise DomainError(
+                        f"bare reference to {expr.name!r} requires a boolean property"
+                    )
+                return partial(_equals, column, self.domain_index(expr.name, "T"))
+            if isinstance(expr, Equals):
+                column = resolve(expr.prop)
+                return partial(_equals, column, self.domain_index(expr.prop, expr.value))
+            if isinstance(expr, Member):
+                column = resolve(expr.prop)
+                wanted = [self.domain_index(expr.prop, value) for value in expr.values]
+                return partial(_member, column, wanted)
+            if isinstance(expr, Not):
+                return partial(_apply, np.logical_not, (build(expr.operand),))
+            op = np.logical_and if isinstance(expr, And) else np.logical_or
+            return partial(_apply, op, (build(expr.left), build(expr.right)))
+
+        return BOOL_DOMAIN, build(body)
 
     # -- lookups ----------------------------------------------------------
 
@@ -316,8 +371,16 @@ class AttributeSchema:
         return self.attribute_names + tuple(h.name for h in self.hyperattributes)
 
     def domain(self, prop: str) -> tuple[str, ...]:
+        """Ordered value list: declared domain, ``(F, T)``, or value-map labels."""
         try:
             return self._domains[prop]
+        except KeyError:
+            raise UnknownReference(f"unknown property {prop!r}") from None
+
+    def column(self, prop: str) -> int:
+        """Index of ``prop`` in ``property_names``: its column of :func:`property_codes`."""
+        try:
+            return self._columns[prop]
         except KeyError:
             raise UnknownReference(f"unknown property {prop!r}") from None
 
@@ -331,55 +394,23 @@ class AttributeSchema:
             raise DomainError(f"value {value!r} not in domain of {prop!r}") from None
 
 
-def _check_hyper(hyper: HyperattributeDef, known: dict[str, tuple[str, ...]],
-                 hyper_names: set[str]) -> tuple[str, ...]:
-    """Validate one hyperattribute body; returns its domain.  ``known`` holds
-    the properties defined before it, so any other name in ``hyper_names``
-    is this hyperattribute or a later one."""
+# Evaluators: each maps the code matrix to one column.  They are partials of
+# module-level functions, so a compiled schema pickles.
 
-    def resolve(name: str) -> tuple[str, ...]:
-        if name in known:
-            return known[name]
-        if name in hyper_names:
-            raise CycleError(f"{hyper.name!r} references {name!r} before it is defined")
-        raise UnknownReference(f"{hyper.name!r} references undefined property {name!r}")
+def _lookup(column: int, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    return table[codes[:, column]]
 
-    if isinstance(hyper.body, ValueMap):
-        source_domain = resolve(hyper.body.source)
-        sources = [value for value, _ in hyper.body.cases]
-        if sorted(sources) != sorted(source_domain):
-            raise DomainError(
-                f"value map for {hyper.name!r} must cover every value of "
-                f"{hyper.body.source!r} exactly once"
-            )
-        labels: list[str] = []
-        for _, label in hyper.body.cases:
-            if label not in labels:
-                labels.append(label)
-        return tuple(labels)
 
-    def check(expr: Expr) -> None:
-        if isinstance(expr, Ref):
-            if resolve(expr.name) != BOOL_DOMAIN:
-                raise DomainError(
-                    f"bare reference to {expr.name!r} requires a boolean property"
-                )
-        elif isinstance(expr, (Equals, Member)):
-            dom = resolve(expr.prop)
-            values = (expr.value,) if isinstance(expr, Equals) else expr.values
-            for value in values:
-                if value not in dom:
-                    raise DomainError(
-                        f"value {value!r} not in domain of {expr.prop!r}"
-                    )
-        elif isinstance(expr, Not):
-            check(expr.operand)
-        else:
-            check(expr.left)
-            check(expr.right)
+def _equals(column: int, code: int, codes: np.ndarray) -> np.ndarray:
+    return codes[:, column] == code
 
-    check(hyper.body)
-    return BOOL_DOMAIN
+
+def _member(column: int, wanted: list[int], codes: np.ndarray) -> np.ndarray:
+    return np.isin(codes[:, column], wanted)
+
+
+def _apply(op, operands, codes: np.ndarray) -> np.ndarray:
+    return op(*(operand(codes) for operand in operands))
 
 
 @dataclass(frozen=True)
@@ -416,42 +447,15 @@ def property_codes(schema: AttributeSchema, rows) -> np.ndarray:
     """Domain index of every property on every row, as ``int64[rows x properties]``.
 
     ``rows`` holds attribute-value mappings such as ``Sample.values``; columns
-    follow ``property_names``.  Each hyperattribute is evaluated once, over
-    whole columns, in declaration order, which is topological: a value map
-    indexes a lookup table by its source column, an expression combines the
-    earlier columns it references.
+    follow ``property_names``.  Each hyperattribute's compiled evaluator runs
+    once, over whole columns, in declaration order, which is topological.
     """
-    names = schema.property_names
-    column = {name: i for i, name in enumerate(names)}
-    codes = np.empty((len(rows), len(names)), dtype=np.int64)
+    codes = np.empty((len(rows), len(schema.property_names)), dtype=np.int64)
     for i, name in enumerate(schema.attribute_names):
         codes[:, i] = [schema.domain_index(name, row[name]) for row in rows]
-    for hyper in schema.hyperattributes:
-        body = hyper.body
-        if isinstance(body, ValueMap):
-            label = dict(body.cases)
-            table = [schema.domain_index(hyper.name, label[v]) for v in schema.domain(body.source)]
-            codes[:, column[hyper.name]] = np.array(table)[codes[:, column[body.source]]]
-        else:
-            codes[:, column[hyper.name]] = _eval_column(schema, body, codes, column)
+    for i, evaluate in enumerate(schema._evaluators, start=len(schema.attributes)):
+        codes[:, i] = evaluate(codes)
     return codes
-
-
-def _eval_column(schema: AttributeSchema, expr: Expr, codes: np.ndarray,
-                 column: dict[str, int]) -> np.ndarray:
-    """Boolean column of ``expr`` over the already evaluated ``codes``."""
-    if isinstance(expr, Ref):
-        return codes[:, column[expr.name]] == schema.domain_index(expr.name, "T")
-    if isinstance(expr, Equals):
-        return codes[:, column[expr.prop]] == schema.domain_index(expr.prop, expr.value)
-    if isinstance(expr, Member):
-        wanted = [schema.domain_index(expr.prop, value) for value in expr.values]
-        return np.isin(codes[:, column[expr.prop]], wanted)
-    if isinstance(expr, Not):
-        return ~_eval_column(schema, expr.operand, codes, column)
-    left = _eval_column(schema, expr.left, codes, column)
-    right = _eval_column(schema, expr.right, codes, column)
-    return left & right if isinstance(expr, And) else left | right
 
 
 def observed_values(schema: AttributeSchema, codes: np.ndarray) -> dict[str, tuple[str, ...]]:
@@ -466,16 +470,10 @@ def eval_property(schema: AttributeSchema, sample: Sample, prop: str) -> str:
     """Value of an attribute or hyperattribute on a sample.
 
     A one-row view of :func:`property_codes`, so the result always lies in
-    ``property_domain``; an unknown name raises UnknownReference.
+    ``schema.domain(prop)``; an unknown name raises UnknownReference.
     """
-    domain = schema.domain(prop)
-    codes = property_codes(schema, [sample.values])
-    return domain[codes[0, schema.property_names.index(prop)]]
-
-
-def property_domain(schema: AttributeSchema, prop: str) -> tuple[str, ...]:
-    """Ordered value list: declared domain, ``(F, T)``, or value-map labels."""
-    return schema.domain(prop)
+    column = schema.column(prop)
+    return schema.domain(prop)[property_codes(schema, [sample.values])[0, column]]
 
 
 # ---------------------------------------------------------------------------

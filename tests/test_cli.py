@@ -100,6 +100,22 @@ def test_synth_noisy_needs_a_schema(workdir):
     assert result.stderr == "SyntaxError: synth --kind noisy needs --corpus and --schema\n"
 
 
+@pytest.mark.parametrize(("kind", "flag"), [
+    ("holistic", "--truth-out"),
+    ("noisy", "--truth-out"),
+    ("compositional", "--corpus"),
+    ("holistic", "--corpus"),
+])
+def test_synth_refuses_flags_its_kind_does_not_read(workdir, tmp_path, kind, flag):
+    value = {"--truth-out": "truth.json", "--corpus": str(workdir / "corpus.jsonl")}[flag]
+    inputs = ["--corpus", str(workdir / "corpus.jsonl")] if kind == "noisy" else []
+    result = run_cli("synth", "--kind", kind, "--schema", "moprd", "--seed", "1", *inputs,
+                     flag, value, "--out", "corpus.jsonl", cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("ConfigError: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_zero_min_freq_reproduces_unfiltered(workdir, tmp_path):
     # add a 5%-share synonym; at 0.15 it disappears, at 0 it stays
     lines = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()

@@ -117,6 +117,13 @@ def test_average_ranks_with_ties():
     assert list(average_ranks([3, 3, 3])) == [2.0, 2.0, 2.0]
 
 
+def test_average_ranks_keep_large_integers_apart():
+    """Integers that one float cannot tell apart still rank by their order."""
+    assert list(average_ranks([2**60 + 1, 2**60, 5])) == [3.0, 2.0, 1.0]
+    assert list(average_ranks(np.array([2**63 - 1, 2**63 - 2], dtype=np.int64))) == [2.0, 1.0]
+    assert list(average_ranks(np.array([2**64 - 1, 2**64 - 2], dtype=np.uint64))) == [2.0, 1.0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 40).flatmap(lambda n: st.lists(st.integers(0, n), min_size=n, max_size=n)),

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,7 @@ from emlang.errors import DocumentSyntaxError
 from emlang.metrics import AccuracyMatrix, TopSimReport
 from emlang.report import (
     general_pattern,
-    parse_metrics,
-    parse_rule_table,
+    parse_structured,
     placeholders,
     render_metrics,
     render_rule_table,
@@ -33,7 +33,7 @@ def reference_table(reference_corpus):
 
 def test_structured_rule_table_round_trip(reference_table):
     text = render_rule_table(reference_table, "structured")
-    assert parse_rule_table(text) == reference_table
+    assert parse_structured(text) == reference_table
     assert render_rule_table(reference_table, "structured") == text  # byte-identical
 
 
@@ -107,10 +107,10 @@ def test_topsim_report_rendering():
     report = TopSimReport(rho=1.0, pair_count=4950, sampled=False, seed=None)
     assert render_metrics(report, "markdown") == "TopSim: 1.0000 (4950 pairs, exact)\n"
     structured = render_metrics(report, "structured")
-    assert parse_metrics(structured) == report
+    assert parse_structured(structured) == report
     sampled = TopSimReport(rho=-0.25, pair_count=100, sampled=True, seed=3)
     assert "sampled, seed=3" in render_metrics(sampled, "markdown")
-    assert parse_metrics(render_metrics(sampled, "structured")) == sampled
+    assert parse_structured(render_metrics(sampled, "structured")) == sampled
 
 
 def test_full_precision_floats_round_trip(moprd):
@@ -118,29 +118,29 @@ def test_full_precision_floats_round_trip(moprd):
     from emlang.metrics import topsim
 
     report = topsim(corpus)
-    assert parse_metrics(render_metrics(report, "structured")) == report
+    assert parse_structured(render_metrics(report, "structured")) == report
 
 
 def test_accuracy_matrix_rendering():
     matrix = AccuracyMatrix(values=((1.0, 0.5), (0.0, 0.5)), episodes_per_cell=100)
     text = render_metrics(matrix, "markdown")
     assert "Per-speaker mean: 0.7500 0.2500" in text
-    assert parse_metrics(render_metrics(matrix, "structured")) == matrix
+    assert parse_structured(render_metrics(matrix, "structured")) == matrix
 
 
 def test_parse_rejections(reference_table):
     with pytest.raises(DocumentSyntaxError):
-        parse_rule_table("not json")
+        parse_structured("not json")
     with pytest.raises(DocumentSyntaxError):
-        parse_rule_table('{"kind": "accuracy_matrix"}')
+        parse_structured('{"kind": "accuracy_matrix"}')
     with pytest.raises(DocumentSyntaxError):
-        parse_metrics('{"kind": "unknown"}')
+        parse_structured('{"kind": "unknown"}')
     with pytest.raises(DocumentSyntaxError):
-        parse_metrics('{"kind": "accuracy_matrix", "episodes_per_cell": 4, "values": [[], [0.5]]}')
+        parse_structured('{"kind": "accuracy_matrix", "episodes_per_cell": 4, "values": [[], [0.5]]}')
     good = render_rule_table(reference_table, "structured")
     tampered = good.replace('"rule_count": 6', '"rule_count": 7')
     with pytest.raises(DocumentSyntaxError):
-        parse_rule_table(tampered)
+        parse_structured(tampered)
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +227,7 @@ def test_render_rejects_ill_typed_metrics(fuzz_path, fields, key, value):
     fields = {k: v for k, v in {**fields, key: value}.items() if v is not None}
     text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
     with pytest.raises(DocumentSyntaxError, match="^malformed metrics document$"):
-        parse_metrics(text)
+        parse_structured(text)
     fuzz_path.write_text(text, encoding="utf-8")
     assert _render(fuzz_path) == (1, "", "SyntaxError: malformed metrics document\n")
 
@@ -248,3 +248,41 @@ def test_render_keeps_real_metrics_byte_for_byte(fuzz_path, moprd):
         text = render_metrics(report, "structured")
         fuzz_path.write_text(text, encoding="utf-8")
         assert _render(fuzz_path) == (0, text, "")
+
+
+RULE_TABLE = {"kind": "rule_table", "message_length": 1, "rule_count": 1, "global_constants": [],
+              "rules": [{"pattern": [[0, 7]], "evidence": [["shape1", "□"]],
+                         "coverage": {"shape1": ["□"]}, "support": 3}]}
+MALFORMED = "malformed rule table document"
+
+# one field of RULE_TABLE (a key, or a rule key under "rules") replaced by a value of the
+# wrong JSON type, and the reason the error names
+ILL_TYPED_RULE_TABLES = {
+    "length-bool": ("message_length", True, MALFORMED),
+    "length-float": ("message_length", 1.0, MALFORMED),
+    "rule-count-float": ("rule_count", 1.0, "rule_count does not match the number of rules"),
+    "support-fraction": ("rules.support", 3.7, MALFORMED),
+    "support-text": ("rules.support", "3", MALFORMED),
+    "pattern-cell-float-and-text": ("rules.pattern", [[0.9, "7"]],
+                                    "pattern must be a list of [position, token] pairs"),
+    "evidence-value-number": ("rules.evidence", [["shape1", 1]], MALFORMED),
+    "coverage-value-number": ("rules.coverage", {"shape1": [1]}, MALFORMED),
+    "rules-object": ("rules", {}, MALFORMED),
+}
+
+
+@pytest.mark.parametrize(("key", "value", "reason"), ILL_TYPED_RULE_TABLES.values(),
+                         ids=ILL_TYPED_RULE_TABLES.keys())
+def test_render_rejects_ill_typed_rule_tables(fuzz_path, key, value, reason):
+    """Fields extract_rules cannot produce are errors, not coerced."""
+    document = json.loads(json.dumps(RULE_TABLE))
+    assert parse_structured(json.dumps(document)).rules[0].support == 3
+    if key.startswith("rules."):
+        document["rules"][0][key.removeprefix("rules.")] = value
+    else:
+        document[key] = value
+    text = json.dumps(document, ensure_ascii=False)
+    with pytest.raises(DocumentSyntaxError, match=f"^{re.escape(reason)}$"):
+        parse_structured(text)
+    fuzz_path.write_text(text, encoding="utf-8")
+    assert _render(fuzz_path) == (1, "", f"SyntaxError: {reason}\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -30,12 +31,11 @@ from emlang.schema import (
     parse_expression,
     parse_schema,
     property_codes,
-    property_domain,
     render_expression,
     render_schema,
     validate_sample,
 )
-from emlang.synth import all_combinations
+from emlang.synth import all_combinations, gen_holistic
 
 from oracles import naive_eval
 
@@ -132,16 +132,32 @@ def test_eval_on_filled_circle_cross_top(moprd, prop, expected):
 
 
 def test_property_domains(moprd):
-    assert property_domain(moprd, "relationship") == ("→", "↗", "↑", "↖")
-    assert property_domain(moprd, "all_empty") == ("F", "T")
+    assert moprd.domain("relationship") == ("→", "↗", "↑", "↖")
+    assert moprd.domain("all_empty") == ("F", "T")
     grouped = parse_schema(GROUPED_ENTITIES)
-    assert property_domain(grouped, "group_entity") == ("human", "animal", "circular")
+    assert grouped.domain("group_entity") == ("human", "animal", "circular")
 
 
 def test_value_map_evaluation():
     grouped = parse_schema(GROUPED_ENTITIES)
     sample = validate_sample(grouped, "img", {"entity": "giraffe"})
     assert eval_property(grouped, sample, "group_entity") == "animal"
+
+
+def test_compiled_schema_pickles_with_its_corpus():
+    """A value map and an expression over it survive a pickle round trip."""
+    schema = AttributeSchema(
+        attributes=(Attribute("a", ("x", "y", "z")),),
+        hyperattributes=(
+            HyperattributeDef("m", ValueMap("a", (("x", "p"), ("y", "p"), ("z", "q")))),
+            HyperattributeDef("e", parse_expression("m == p and not a in {y}")),
+        ),
+    )
+    corpus = gen_holistic(schema, 4, 8, seed=1)
+    copy = pickle.loads(pickle.dumps(corpus))
+    assert copy == corpus
+    rows = all_combinations(schema)
+    assert property_codes(copy.schema, rows).tolist() == [[0, 0, 1], [1, 0, 0], [2, 1, 0]]
 
 
 def test_value_map_must_cover_source():
@@ -177,7 +193,7 @@ def test_evaluation_total_and_in_domain(moprd):
     for index, combo in enumerate(all_combinations(moprd)):
         sample = validate_sample(moprd, str(index), combo)
         for prop in moprd.property_names:
-            assert eval_property(moprd, sample, prop) in property_domain(moprd, prop)
+            assert eval_property(moprd, sample, prop) in moprd.domain(prop)
 
 
 def test_parse_render_round_trip(moprd):
