@@ -93,13 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a ground-truth corpus")
     p.add_argument("--kind", choices=["compositional", "holistic", "noisy"], required=True)
     p.add_argument("--schema", help="schema file or 'moprd'")
-    p.add_argument("--msg-len", type=int, default=10)
-    p.add_argument("--vocab", type=int, default=20)
+    p.add_argument("--msg-len", type=int, help="default 10 (compositional and holistic only)")
+    p.add_argument("--vocab", type=int, help="default 20 (compositional and holistic only)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.add_argument("--corpus", help="base corpus (noisy only)")
-    p.add_argument("--synonyms", type=int, default=1, help="per-sample synonyms (noisy only)")
-    p.add_argument("--minority-share", type=float, default=0.10, help="noisy only")
+    p.add_argument("--synonyms", type=int, help="per-sample synonyms, default 1 (noisy only)")
+    p.add_argument("--minority-share", type=float, help="default 0.10 (noisy only)")
     p.add_argument("--truth-out", help="write the generated rule table (compositional only)")
 
     p = sub.add_parser("distance", help="edit distance between two messages")
@@ -144,29 +144,44 @@ def _cmd_game(args) -> None:
     _emit(report_mod.render_metrics(matrix, args.format), args.out)
 
 
+# Each synth flag that only some kinds read, with those kinds.
+_SYNTH_FLAGS = {
+    "truth_out": ("compositional",),
+    "corpus": ("noisy",),
+    "msg_len": ("compositional", "holistic"),
+    "vocab": ("compositional", "holistic"),
+    "synonyms": ("noisy",),
+    "minority_share": ("noisy",),
+}
+
+
 def _cmd_synth(args) -> None:
-    if args.truth_out and args.kind != "compositional":
-        raise ConfigError("--truth-out applies to synth --kind compositional only")
-    if args.corpus and args.kind != "noisy":
-        raise ConfigError("--corpus applies to synth --kind noisy only")
+    for name, kinds in _SYNTH_FLAGS.items():
+        if getattr(args, name) is not None and args.kind not in kinds:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} applies to synth --kind {' and '.join(kinds)} only")
     if args.kind == "noisy":
         if not args.corpus or not args.schema:
             raise DocumentSyntaxError("synth --kind noisy needs --corpus and --schema")
         schema = _load_schema(args.schema)
         base = _load_corpus(args.corpus, schema)
-        result = gen_noisy(base, args.synonyms, args.minority_share, args.seed)
+        synonyms = 1 if args.synonyms is None else args.synonyms
+        share = 0.10 if args.minority_share is None else args.minority_share
+        result = gen_noisy(base, synonyms, share, args.seed)
     else:
         if not args.schema:
             raise DocumentSyntaxError("synth needs --schema")
         schema = _load_schema(args.schema)
+        msg_len = 10 if args.msg_len is None else args.msg_len
+        vocab = 20 if args.vocab is None else args.vocab
         if args.kind == "compositional":
-            result, truth = gen_compositional(schema, args.msg_len, args.vocab, args.seed)
+            result, truth = gen_compositional(schema, msg_len, vocab, args.seed)
             if args.truth_out:
                 Path(args.truth_out).write_text(
                     report_mod.render_rule_table(truth, "structured"), encoding="utf-8"
                 )
         else:
-            result = gen_holistic(schema, args.msg_len, args.vocab, args.seed)
+            result = gen_holistic(schema, msg_len, vocab, args.seed)
     _emit(corpus_mod.serialize_corpus(result), args.out)
 
 

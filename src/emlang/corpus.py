@@ -19,6 +19,12 @@ rows, so ``dataclasses.replace(corpus, ...)`` re-canonicalises.
 ``entries`` is a read-only view of the same rows, one :class:`CorpusEntry`
 per sample, built on first use.
 
+Rows are checked in one place.  Rows that are valid as given (int64
+tokens inside the vocabulary, counts of at least 1, a total below 2**53)
+are sorted and merged as arrays; any other input is merged in Python
+integers, and that path alone reports the first invalid row in canonical
+order.
+
 Corpora are immutable after construction; filtering returns a new corpus.
 """
 
@@ -78,10 +84,10 @@ class AnnotatedCorpus:
     times.  Construction checks its input and makes it canonical: samples
     sorted by id (``owners`` renumbered to match), rows sorted by owner and
     then tokens, and rows repeating an (owner, message) merged by summing
-    their counts; rows already in that order skip the sort.  The arrays are
-    stored as read-only int64 arrays: an int64 array that owns its data and
-    needs no reordering may be frozen in place (keep no writable view of it),
-    anything else is copied.
+    their counts.  Input whose rows are all valid as given is sorted and
+    merged as int64 arrays; anything else is merged in Python integers by
+    the one check that reports a row error.  The arrays are stored as fresh
+    read-only int64 arrays, never as the caller's.
     """
 
     schema: AttributeSchema
@@ -110,29 +116,16 @@ class AnnotatedCorpus:
         rank = np.empty(len(ids), dtype=np.int64)
         rank[by_id] = np.arange(len(ids))
         owners = rank[owners]
-        rows = _int64_rows(owners, self.messages, self.counts, self.message_length)
+        empty = np.flatnonzero(np.bincount(owners, minlength=len(ids)) == 0)
+        if len(empty):
+            raise DocumentSyntaxError(f"sample {ids[empty[0]]!r} owns no messages")
+        rows = _int64_rows(owners, self.messages, self.counts, self.vocab_size, self.message_length)
         if rows is None:
             rows = _exact_rows(
                 samples, self.vocab_size, self.message_length, owners, self.messages, self.counts
             )
-        messages, owners, counts = rows
-        empty = np.flatnonzero(np.bincount(owners, minlength=len(ids)) == 0)
-        if len(empty):
-            raise DocumentSyntaxError(f"sample {ids[empty[0]]!r} owns no messages")
-        bad_token = ((messages < 0) | (messages > self.vocab_size - 1)).any(axis=1)
-        bad = np.flatnonzero(bad_token | (counts < 1))
-        if len(bad):
-            sample_id = ids[owners[bad[0]]]
-            if bad_token[bad[0]]:
-                raise _token_error(sample_id, self.vocab_size)
-            raise _count_error(sample_id)
-        total = _exact_total(counts)
-        if total >= COUNT_LIMIT:
-            raise _total_error(total)
         object.__setattr__(self, "samples", samples)
-        for name, array in (("messages", messages), ("owners", owners), ("counts", counts)):
-            if not array.flags.owndata:  # a view: its base may still be written
-                array = array.copy()
+        for name, array in zip(("messages", "owners", "counts"), rows):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -183,25 +176,6 @@ def _check_shape(vocab_size: int, message_length: int) -> None:
         raise DocumentSyntaxError("vocabulary size must lie in 1..2**63")
 
 
-def _exact_total(counts: np.ndarray) -> int:
-    """Sum of positive int64 counts as a Python int: the sums of their high
-    and low 32-bit halves cannot overflow below 2**31 rows."""
-    high, low = np.divmod(counts, 2**32)
-    return int(high.sum()) * 2**32 + int(low.sum())
-
-
-def _token_error(sample_id: str, vocab_size: int) -> TokenOutOfRange:
-    return TokenOutOfRange(f"sample {sample_id!r}: token outside [0, {vocab_size})")
-
-
-def _count_error(sample_id: str) -> DocumentSyntaxError:
-    return DocumentSyntaxError(f"sample {sample_id!r}: message count must be >= 1")
-
-
-def _total_error(total: int) -> DocumentSyntaxError:
-    return DocumentSyntaxError(f"message counts sum to {total}, at least 2**53")
-
-
 def build_corpus(
     schema: AttributeSchema,
     vocab_size: int,
@@ -240,55 +214,48 @@ def _corpus_of_records(schema, vocab_size, message_length, ids, attrs, msgs, cou
     return AnnotatedCorpus(schema, vocab_size, message_length, tuple(samples), msgs, owners, counts)
 
 
-def _int64_rows(owners, msgs, counts, message_length):
-    """The rows as int64 arrays sorted by owner, then tokens, repeated
-    (owner, message) rows merged; or None when they need Python integers:
-    ragged messages, messages of another length, a value outside int64, a
-    count below 1 (it may merge into a valid one), or counts whose merged
-    sums could overflow."""
+def _int64_rows(owners, msgs, counts, vocab_size, message_length):
+    """The rows as fresh int64 arrays sorted by owner, then tokens, repeated
+    (owner, message) rows merged, when every row is valid as given: each
+    message of ``message_length`` tokens in [0, vocab_size), each count at
+    least 1, and the counts summing below COUNT_LIMIT.  None for anything
+    else, which :func:`_exact_rows` merges and reports on."""
+    if not len(owners):
+        return np.empty((0, message_length), dtype=np.int64), owners, np.empty(0, dtype=np.int64)
     try:
         messages = np.asarray(msgs, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
     except (ValueError, OverflowError):
         return None
-    if not len(owners):
-        return messages.reshape(0, message_length), owners, counts
     if messages.ndim != 2:
         raise LengthMismatch(
             f"messages of shape {messages.shape}, expected rows of length {message_length}"
         )
-    if messages.shape[1] != message_length or counts.min() < 1 or _exact_total(counts) >= 2**63:
+    # a float64 sum of positive counts reaches 2**53 exactly when the exact sum
+    # does: rounding is monotone and 2**53 is a float
+    if not (
+        messages.shape[1] == message_length
+        and 0 <= messages.min()
+        and messages.max() <= vocab_size - 1
+        and counts.min() >= 1
+        and counts.sum(dtype=np.float64) < COUNT_LIMIT
+    ):
         return None
-    if not _in_order(owners, messages):
-        order = np.lexsort((*messages.T[::-1], owners))
-        messages, owners, counts = messages[order], owners[order], counts[order]
+    order = np.lexsort((*messages.T[::-1], owners))
+    messages, owners, counts = messages[order], owners[order], counts[order]
     starts = np.ones(len(owners), dtype=bool)
     starts[1:] = (owners[1:] != owners[:-1]) | (messages[1:] != messages[:-1]).any(axis=1)
-    if starts.all():  # nothing to merge; skip a copy of every row
-        return messages, owners, counts
     starts = np.flatnonzero(starts)
     return messages[starts], owners[starts], np.add.reduceat(counts, starts)
 
 
-def _in_order(owners: np.ndarray, messages: np.ndarray) -> bool:
-    """Whether the rows are sorted by owner, then tokens: in each adjacent
-    pair the owner does not decrease and, under one owner, neither does the
-    first token in which the two messages differ."""
-    before, after = messages[:-1], messages[1:]
-    first = (before != after).argmax(axis=1)  # 0 where the messages are equal
-    row = np.arange(len(first))
-    rises = after[row, first] >= before[row, first]
-    step = np.diff(owners)
-    return bool(((step > 0) | ((step == 0) & rises)).all())
-
-
 def _exact_rows(samples, vocab_size, message_length, owners, msgs, counts):
-    """The merged canonical rows in Python integers, checked row by row as
-    :class:`AnnotatedCorpus` checks its arrays, for rows int64 cannot hold."""
+    """The merged canonical rows, merged in Python integers so that sums
+    cannot wrap, or the error of the first invalid row in canonical order.
+    The only code that words a row error."""
     if isinstance(msgs, np.ndarray):
         msgs = msgs.tolist()
     merged: dict[tuple[int, Message], int] = {}
-    # counts as Python integers, so merged sums cannot wrap
     for owner, message, count in zip(owners.tolist(), map(tuple, msgs), np.asarray(counts).tolist()):
         merged[owner, message] = merged.get((owner, message), 0) + count
     rows = sorted(merged.items())
@@ -301,12 +268,12 @@ def _exact_rows(samples, vocab_size, message_length, owners, msgs, counts):
                 f"expected {message_length}"
             )
         if any(t < 0 or t >= vocab_size for t in message):
-            raise _token_error(sample_id, vocab_size)
+            raise TokenOutOfRange(f"sample {sample_id!r}: token outside [0, {vocab_size})")
         if count < 1:
-            raise _count_error(sample_id)
+            raise DocumentSyntaxError(f"sample {sample_id!r}: message count must be >= 1")
         total += count
     if total >= COUNT_LIMIT:
-        raise _total_error(total)
+        raise DocumentSyntaxError(f"message counts sum to {total}, at least 2**53")
     messages = np.array([message for (_, message), _ in rows], dtype=np.int64)
     return (
         messages.reshape(len(rows), message_length),
@@ -343,17 +310,14 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
 
     scan = json.JSONDecoder().scan_once
     ids, attrs, msgs, counts = [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for line in lines[1:]:
+        line = line.strip(" \t\r")  # JSON whitespace; lines hold no newline
         try:
             record, end = scan(line, 0)
         except (StopIteration, ValueError):
             end = None
-        if end != len(line):  # surrounding whitespace, or an error worded by json.loads
-            try:
-                record = _parse_json_line(line, lineno)
-            except DocumentSyntaxError:
-                _check_records(lines[1 : lineno - 1])  # a malformed earlier record comes first
-                raise
+        if end != len(line):  # not one JSON value: report the first bad record
+            _check_records(lines[1:])
         # only the fields stay alive; a missing one reads None, which the type checks reject
         get = record.get if type(record) is dict else {}.get
         ids.append(get("sample"))
@@ -375,14 +339,14 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
 def _parse_json_line(line: str, lineno: int):
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise DocumentSyntaxError(f"line {lineno}: invalid JSON ({exc})") from None
 
 
 def _check_records(lines: list[str]) -> None:
-    """Raise for the first malformed record among valid JSON lines, numbered from line 2."""
+    """Raise for the first invalid or malformed record, numbering lines from line 2."""
     for lineno, line in enumerate(lines, start=2):
-        record = json.loads(line)
+        record = _parse_json_line(line, lineno)
         if not isinstance(record, dict):
             raise DocumentSyntaxError(f"line {lineno}: expected a JSON object")
         if "sample" not in record or "attrs" not in record or "msg" not in record:

@@ -12,14 +12,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Message, build_corpus
+from .corpus import AnnotatedCorpus, Message, _check_shape, build_corpus
 from .errors import CapacityError
 from .rules import Pattern, RuleTable, SemanticRule, canonical_evidence, rule_sort_key
 from .schema import Attribute, AttributeSchema, observed_values, parse_schema, property_codes
+
+# Leading positions that every message of a holistic language shares.
+HOLISTIC_PREFIX_LENGTH = 2
 
 MOPRD_SCHEMA_DOCUMENT = """\
 {
@@ -108,6 +112,7 @@ def gen_compositional(
     tokens, which makes the Levenshtein distance between any two messages
     equal their attribute edit distance.
     """
+    _check_shape(vocab_size, message_length)
     rng = random.Random(seed)
     names = schema.attribute_names
     if message_length < len(names):
@@ -124,31 +129,22 @@ def gen_compositional(
     total_values = sum(len(schema.domain(n)) for n in names)
     disjoint = vocab_size >= total_values + 1
 
+    taken: set[int] = set()  # every code, when codes are disjoint
     encoders: dict[str, dict[str, tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    if disjoint:
-        pool = list(range(vocab_size))
-        rng.shuffle(pool)
-        cursor = 0
-        for name, pos in zip(names, positions):
-            domain = schema.domain(name)
-            codes = pool[cursor : cursor + len(domain)]
-            cursor += len(domain)
-            encoders[name] = {v: ((pos,), (codes[i],)) for i, v in enumerate(domain)}
-        filler_pool = pool[cursor:]
-    else:
-        for name, pos in zip(names, positions):
-            domain = schema.domain(name)
-            codes = rng.sample(range(vocab_size), len(domain))
-            encoders[name] = {v: ((pos,), (codes[i],)) for i, v in enumerate(domain)}
-        filler_pool = list(range(vocab_size))
-
-    fixed = Pattern.from_dict(
-        {
-            pos: rng.choice(filler_pool)
-            for pos in range(message_length)
-            if pos not in positions
-        }
-    )
+    for name, pos in zip(names, positions):
+        domain = schema.domain(name)
+        codes = _distinct_tokens(rng, vocab_size, len(domain), taken if disjoint else set())
+        encoders[name] = {v: ((pos,), (code,)) for v, code in zip(domain, codes)}
+    # filler tokens are uniform over the free tokens (those outside ``taken``);
+    # the r-th free token is r plus the number of taken tokens that have at
+    # most r free tokens below them
+    free_below = [token - k for k, token in enumerate(sorted(taken))]
+    cells = {}
+    for pos in range(message_length):
+        if pos not in positions:
+            r = rng.randrange(vocab_size - len(taken))
+            cells[pos] = r + bisect_right(free_below, r)
+    fixed = Pattern.from_dict(cells)
     codebook = Codebook(
         schema=schema, message_length=message_length, fixed=fixed, encoders=encoders
     )
@@ -160,6 +156,20 @@ def gen_compositional(
     ]
     corpus = build_corpus(schema, vocab_size, message_length, records)
     return corpus, ground_truth_table(codebook)
+
+
+def _distinct_tokens(
+    rng: random.Random, vocab_size: int, count: int, taken: set[int]
+) -> list[int]:
+    """``count`` different tokens drawn from [0, vocab_size) outside ``taken``,
+    which they join; the vocabulary itself is never built."""
+    tokens = []
+    while len(tokens) < count:
+        token = rng.randrange(vocab_size)
+        if token not in taken:
+            taken.add(token)
+            tokens.append(token)
+    return tokens
 
 
 def ground_truth_table(codebook: Codebook) -> RuleTable:
@@ -216,24 +226,24 @@ def gen_holistic(
     message_length: int,
     vocab_size: int,
     seed: int,
-    fixed_positions: int = 2,
 ) -> AnnotatedCorpus:
     """A unique uniformly drawn message per combination, collision-free.
 
-    The first ``fixed_positions`` positions form a shared prefix; all
+    The first ``HOLISTIC_PREFIX_LENGTH`` positions form a shared prefix; all
     remaining positions are drawn independently with rejection on repeats,
     so no sub-message structure relates similar combinations.
     """
+    _check_shape(vocab_size, message_length)
     rng = random.Random(seed)
     combos = all_combinations(schema)
-    variable = message_length - fixed_positions
+    variable = message_length - HOLISTIC_PREFIX_LENGTH
     if variable < 1:
         raise CapacityError("need at least one variable position")
     if vocab_size**variable < len(combos):
         raise CapacityError(
             f"{vocab_size}^{variable} messages cannot cover {len(combos)} combinations"
         )
-    prefix = tuple(rng.randrange(vocab_size) for _ in range(fixed_positions))
+    prefix = tuple(rng.randrange(vocab_size) for _ in range(HOLISTIC_PREFIX_LENGTH))
     seen: set[Message] = set()
     records = []
     for sample_id, combo in zip(combination_ids(schema), combos):

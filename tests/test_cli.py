@@ -105,9 +105,22 @@ def test_synth_noisy_needs_a_schema(workdir):
     ("noisy", "--truth-out"),
     ("compositional", "--corpus"),
     ("holistic", "--corpus"),
+    ("compositional", "--synonyms"),
+    ("compositional", "--minority-share"),
+    ("holistic", "--synonyms"),
+    ("holistic", "--minority-share"),
+    ("noisy", "--msg-len"),
+    ("noisy", "--vocab"),
 ])
 def test_synth_refuses_flags_its_kind_does_not_read(workdir, tmp_path, kind, flag):
-    value = {"--truth-out": "truth.json", "--corpus": str(workdir / "corpus.jsonl")}[flag]
+    value = {
+        "--truth-out": "truth.json",
+        "--corpus": str(workdir / "corpus.jsonl"),
+        "--synonyms": "5",
+        "--minority-share": "0.3",
+        "--msg-len": "3",
+        "--vocab": "2",
+    }[flag]
     inputs = ["--corpus", str(workdir / "corpus.jsonl")] if kind == "noisy" else []
     result = run_cli("synth", "--kind", kind, "--schema", "moprd", "--seed", "1", *inputs,
                      flag, value, "--out", "corpus.jsonl", cwd=tmp_path)

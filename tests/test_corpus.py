@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from emlang.corpus import (
     MAX_MESSAGE_LENGTH,
     AnnotatedCorpus,
-    _in_order,
     build_corpus,
     filter_by_frequency,
     load_corpus,
@@ -89,6 +88,8 @@ def test_load_rejections():
         load_corpus(record("s", "x", [1, 2]) + "\n", TINY)  # header missing
     with pytest.raises(DocumentSyntaxError):
         load_corpus(HEADER + "\n{broken\n", TINY)
+    with pytest.raises(DocumentSyntaxError, match="line 2: invalid JSON"):
+        tiny_corpus([record("s", "x", [1, 2]).replace("[1,", f"[{'9' * 5000},")])
     with pytest.raises(DocumentSyntaxError):
         load_corpus("", TINY)
 
@@ -112,6 +113,9 @@ def test_array_construction_checks():
     swapped = AnnotatedCorpus(TINY, 4, 2, **{**good, "samples": (y, x)})  # owners follow samples
     records = [("t", {"a": "y"}, (1, 2), 2), ("s", {"a": "x"}, (0, 3), 1)]
     assert swapped == build_corpus(TINY, 4, 2, records)
+    for token in (4, 2**64):  # sample t owns no messages, whatever the other rows hold
+        with pytest.raises(DocumentSyntaxError, match="sample 't' owns no messages"):
+            AnnotatedCorpus(TINY, 4, 2, **{**good, "owners": [0, 0], "messages": [[1, 2], [0, token]]})
     for change, error in [
         ({"samples": (x, x)}, DocumentSyntaxError),  # duplicate id
         ({"owners": [0, 2]}, DocumentSyntaxError),  # owner outside the samples
@@ -161,17 +165,25 @@ def test_construction_makes_every_corpus_canonical():
     with pytest.raises(DocumentSyntaxError, match="duplicate sample id"):
         replace(expected, samples=(s, u, s))
     # split counts merge as Python integers, so their sum cannot wrap around int64
-    huge = np.array([2**62, 2**62])
-    with pytest.raises(DocumentSyntaxError, match="sum to 9223372036854775808"):
-        replace(share_corpus({(0, 0): 1, (0, 1): 1}), messages=[[0, 0], [0, 0]], counts=huge)
+    one_row = share_corpus({(0, 0): 1})
+    for counts in ([2**62, 2**62], [2**42] * 2**11, [2**53], [2**63 - 1, 2**63 - 2]):
+        with pytest.raises(DocumentSyntaxError, match=f"sum to {sum(counts)}, at least 2"):
+            replace(
+                one_row,
+                messages=[[0, 0]] * len(counts),
+                owners=[0] * len(counts),
+                counts=np.array(counts),
+            )
+    edge = share_corpus({(0, 0): 2**52, (0, 1): 2**52 - 1})
+    assert replace(one_row, counts=[2**53 - 1]).totals.tolist() == [2**53 - 1]
+    assert edge.totals.tolist() == [2**53 - 1]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_construction_sorts_nearly_sorted_rows(data):
     """Canonical rows with one swap under an owner, one swap across owners, or
-    one row split into equal adjacent rows give the build_corpus corpus; only
-    the split rows are in order, so only they skip the sort."""
+    one row split into equal adjacent rows give the build_corpus corpus."""
     rows = data.draw(
         st.dictionaries(
             st.tuples(st.integers(0, 3), st.tuples(st.integers(0, 3), st.integers(0, 3))),
@@ -204,7 +216,6 @@ def test_construction_sorts_nearly_sorted_rows(data):
         i, j = data.draw(st.sampled_from(pairs))
         for array in (messages, owners, counts):
             array[[i, j]] = array[[j, i]]
-    assert _in_order(owners, messages) == (edit == "split")
     corpus = AnnotatedCorpus(TINY, 4, 2, expected.samples, messages, owners, counts)
     assert corpus == expected
 

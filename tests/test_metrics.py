@@ -357,7 +357,7 @@ GOLDEN_RHO = {
     "holistic-0": ("holistic", 0, "-0.016905549659464912", "-0.01416275198690063"),
     "holistic-1": ("holistic", 1, "0.010472363639471901", "-0.009813319633055135"),
     "holistic-2": ("holistic", 2, "0.025039222020334238", "0.06958072203080849"),
-    "noisy-1": ("noisy", 1, "0.6616341713162814", "0.6180388224295063"),
+    "noisy-1": ("noisy", 1, "0.7507482653012105", "0.7373598781848834"),
 }
 
 

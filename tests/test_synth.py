@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emlang.corpus import AnnotatedCorpus, filter_by_frequency
-from emlang.errors import CapacityError
+from emlang.errors import CapacityError, DocumentSyntaxError
 from emlang.rules import extract_rules
 from emlang.schema import AttributeSchema, Attribute, eval_property, validate_sample
 from emlang.synth import (
@@ -69,6 +69,20 @@ def test_compositional_capacity_errors(moprd):
         gen_compositional(moprd, 2, 20, seed=0)  # three attributes need three cells
     with pytest.raises(CapacityError):
         gen_compositional(moprd, 10, 5, seed=0)  # domain of 5 needs vocab >= 6
+
+
+def test_compositional_at_the_vocabulary_limit(moprd):
+    corpus, truth = gen_compositional(moprd, 10, 2**63, seed=1)
+    assert corpus.vocab_size == 2**63
+    assert extract_rules(corpus, threshold=0.15) == truth
+
+
+@pytest.mark.parametrize("generate", [gen_compositional, gen_holistic])
+@pytest.mark.parametrize(("length", "vocab"), [(10, 2**63 + 1), (10, 10**30), (2**16 + 1, 20)])
+def test_generators_check_corpus_bounds_first(moprd, generate, length, vocab):
+    with pytest.raises(DocumentSyntaxError) as raised:
+        generate(moprd, length, vocab, seed=1)
+    assert raised.value.code == "SyntaxError"
 
 
 # ---------------------------------------------------------------------------
