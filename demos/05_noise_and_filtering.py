@@ -30,6 +30,7 @@ loud = gen_noisy(base, synonym_count=1, minority_share=0.20, seed=13)
 print("20% synonyms, filtered at 15% -> nothing removed:",
       filter_by_frequency(loud, 0.15) == loud)
 
-sample = loud.entries[0]
-print("sample", sample.sample.id, "messages:",
-      [(list(m)[:4], c) for m, c in sample.messages])
+# the rows of the first sample: its base message and its synonym
+rows = loud.owners == 0
+print("sample", loud.samples[0].id, "messages:",
+      [(m[:4], c) for m, c in zip(loud.messages[rows].tolist(), loud.counts[rows].tolist())])

@@ -8,7 +8,6 @@ synthetic languages with known ground truth.
 
 from .corpus import (
     AnnotatedCorpus,
-    CorpusEntry,
     Message,
     build_corpus,
     filter_by_frequency,
@@ -69,7 +68,6 @@ __all__ = [
     "Attribute",
     "AttributeSchema",
     "Codebook",
-    "CorpusEntry",
     "GameConfig",
     "HyperattributeDef",
     "Message",

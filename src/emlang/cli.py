@@ -30,7 +30,13 @@ def _read(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise NotFoundError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        reason = f"{exc.reason} at byte {exc.start}"
+        raise DocumentSyntaxError(f"{path}: not UTF-8 text ({reason})") from None
+    except OSError as exc:
+        raise NotFoundError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _load_schema(value: str) -> AttributeSchema:
@@ -46,8 +52,11 @@ def _load_corpus(path: str, schema: AttributeSchema):
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise NotFoundError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _parse_tokens(text: str) -> tuple[int, ...]:
@@ -177,9 +186,7 @@ def _cmd_synth(args) -> None:
         if args.kind == "compositional":
             result, truth = gen_compositional(schema, msg_len, vocab, args.seed)
             if args.truth_out:
-                Path(args.truth_out).write_text(
-                    report_mod.render_rule_table(truth, "structured"), encoding="utf-8"
-                )
+                _emit(report_mod.render_rule_table(truth, "structured"), args.truth_out)
         else:
             result = gen_holistic(schema, msg_len, vocab, args.seed)
     _emit(corpus_mod.serialize_corpus(result), args.out)

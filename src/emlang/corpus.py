@@ -16,8 +16,6 @@ message_length]``) is a message that sample ``samples[owners[r]]`` sent
 (sample, message), sorted by sample, then by token sequence.  The
 constructor puts its samples and rows in that order and merges repeated
 rows, so ``dataclasses.replace(corpus, ...)`` re-canonicalises.
-``entries`` is a read-only view of the same rows, one :class:`CorpusEntry`
-per sample, built on first use.
 
 Rows are checked in one place.  Rows that are valid as given (int64
 tokens inside the vocabulary, counts of at least 1, a total below 2**53)
@@ -46,6 +44,7 @@ from .errors import (
     LengthMismatch,
     TokenOutOfRange,
     UnknownSample,
+    parse_json,
 )
 from .schema import AttributeSchema, Sample, property_codes, validate_sample
 
@@ -61,19 +60,6 @@ VOCAB_LIMIT = 2**63
 MAX_MESSAGE_LENGTH = 2**16
 # Rows that serialize_corpus turns into Python objects at once.
 _SERIALIZE_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class CorpusEntry:
-    """One sample together with its message multiset (message -> count)."""
-
-    sample: Sample
-    messages: tuple[tuple[Message, int], ...]
-
-    __hash__ = None
-
-    def total_count(self) -> int:
-        return sum(count for _, count in self.messages)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,18 +141,6 @@ class AnnotatedCorpus:
         # every partial sum stays below 2**53, so the float accumulation is exact
         weighted = np.bincount(self.owners, weights=self.counts, minlength=len(self.samples))
         return weighted.astype(np.int64)
-
-    @cached_property
-    def entries(self) -> tuple[CorpusEntry, ...]:
-        """One entry per sample, its messages in row order: a view of the arrays."""
-        grouped: list[list[tuple[Message, int]]] = [[] for _ in self.samples]
-        rows = zip(self.owners.tolist(), map(tuple, self.messages.tolist()), self.counts.tolist())
-        for owner, message, count in rows:
-            grouped[owner].append((message, count))
-        return tuple(
-            CorpusEntry(sample=sample, messages=tuple(messages))
-            for sample, messages in zip(self.samples, grouped)
-        )
 
 
 def _check_shape(vocab_size: int, message_length: int) -> None:
@@ -314,7 +288,7 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
         line = line.strip(" \t\r")  # JSON whitespace; lines hold no newline
         try:
             record, end = scan(line, 0)
-        except (StopIteration, ValueError):
+        except (StopIteration, ValueError, RecursionError):
             end = None
         if end != len(line):  # not one JSON value: report the first bad record
             _check_records(lines[1:])
@@ -337,10 +311,7 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
 
 
 def _parse_json_line(line: str, lineno: int):
-    try:
-        return json.loads(line)
-    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
-        raise DocumentSyntaxError(f"line {lineno}: invalid JSON ({exc})") from None
+    return parse_json(line, f"line {lineno}: invalid JSON ({{}})")
 
 
 def _check_records(lines: list[str]) -> None:
@@ -386,13 +357,14 @@ def serialize_corpus(corpus: AnnotatedCorpus) -> str:
             corpus.counts[block].tolist(),
         )
         lines.extend(record % (prefixes[owner], *message, count) for owner, message, count in rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # a final newline, without copying the joined document
+    return "\n".join(lines)
 
 
 def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedCorpus:
     """Drop, per sample, messages whose count share falls below ``threshold``.
 
-    A message survives iff ``count / total_count(sample) >= threshold``, so
+    A message survives iff ``count / totals[sample] >= threshold``, so
     threshold 0 is the identity.  Samples are never dropped: a sample left
     without messages (threshold above its maximum share) raises EmptySample.
     """

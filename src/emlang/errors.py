@@ -6,6 +6,8 @@ stderr so scripted callers can match on it without parsing messages.
 
 from __future__ import annotations
 
+import json
+
 
 class EmlangError(Exception):
     """Base class for all data/validation errors raised by this package."""
@@ -86,6 +88,19 @@ class ConfigError(EmlangError):
 
 
 class NotFoundError(EmlangError):
-    """An input path does not exist."""
+    """A path that cannot be read or written."""
 
     code = "NotFound"
+
+
+def parse_json(text: str, message: str):
+    """The JSON value of ``text``, or DocumentSyntaxError with ``message``
+    formatted around the decoder's explanation.
+
+    Besides malformed JSON this covers an integer of more than 4300 digits
+    (ValueError) and nesting deeper than the interpreter's recursion limit.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DocumentSyntaxError(message.format(exc)) from None

@@ -19,7 +19,7 @@ import json
 import math
 
 from .corpus import MAX_MESSAGE_LENGTH, _is_int
-from .errors import DocumentSyntaxError
+from .errors import DocumentSyntaxError, parse_json
 from .metrics import AccuracyMatrix, TopSimReport, accuracy_per_speaker
 from .rules import Pattern, RuleTable, SemanticRule
 from .schema import AttributeSchema
@@ -321,10 +321,7 @@ def _accuracy_from(doc: dict) -> AccuracyMatrix | None:
 
 def parse_structured(text: str) -> RuleTable | TopSimReport | AccuracyMatrix:
     """Parse any structured result document, chosen by its ``kind``."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError(f"structured document is not valid JSON: {exc}") from None
+    doc = parse_json(text, "structured document is not valid JSON: {}")
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("structured document must be a JSON object")
     return _rule_table_from(doc) if doc.get("kind") == "rule_table" else _metrics_from(doc)

@@ -45,6 +45,7 @@ from .errors import (
     DocumentSyntaxError,
     DomainError,
     UnknownReference,
+    parse_json,
 )
 
 BOOL_DOMAIN = ("F", "T")
@@ -487,10 +488,7 @@ def parse_schema(text: str) -> AttributeSchema:
     optional ``hyperattributes`` (list of ``{"name", "expr"}`` or
     ``{"name", "map": {"source", "cases"}}``).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError(f"schema document is not valid JSON: {exc}") from None
+    doc = parse_json(text, "schema document is not valid JSON: {}")
     if not isinstance(doc, dict) or "attributes" not in doc:
         raise DocumentSyntaxError("schema document must be an object with an 'attributes' key")
 

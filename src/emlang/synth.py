@@ -266,53 +266,71 @@ def gen_noisy(
 
     Base messages keep their counts; the synonyms' combined count comes as
     close to ``minority_share`` of the enlarged sample total as integer
-    counts allow (exact whenever ``share/(1-share) * total_count`` divides
-    evenly), split as evenly as possible across synonyms.  Each synonym is a
-    perturbation of the sample's first message, distinct from everything the
-    sample already holds.
+    counts allow (exact whenever ``share/(1-share) * total`` divides
+    evenly), split as evenly as possible across synonyms.  Each synonym is
+    one substitution away from the sample's first message in canonical
+    order, distinct from everything the sample already holds.  The draws
+    come from ``np.random.default_rng(np.random.SeedSequence(seed % 2**63))``.
     """
     if not 0.0 < minority_share < 1.0:
         raise CapacityError(f"minority share must lie in (0, 1), got {minority_share}")
     if synonym_count < 1:
         raise CapacityError("need at least one synonym")
-    rng = random.Random(seed)
-    owners, synonyms, counts = [], [], []
-    for owner, entry in enumerate(base.entries):
-        total = entry.total_count()
-        synonym_total = max(
-            synonym_count, round(minority_share / (1.0 - minority_share) * total)
-        )
-        per_synonym, leftover = divmod(synonym_total, synonym_count)
-        existing = {message for message, _ in entry.messages}
-        template = entry.messages[0][0]
-        for k in range(synonym_count):
-            synonym = _perturb(template, base.vocab_size, existing, rng)
-            existing.add(synonym)
-            owners.append(owner)
-            synonyms.append(synonym)
-            counts.append(per_synonym + (1 if k < leftover else 0))
+    sample_count, length, vocab_size = len(base.samples), base.message_length, base.vocab_size
+    if sample_count and vocab_size < 2:
+        raise CapacityError("cannot perturb messages over a one-token vocabulary")
+    if sample_count and synonym_count > (vocab_size - 1) * length:
+        # a template has (vocab_size - 1) * length neighbours, too few to draw from
+        raise CapacityError("could not find a distinct synonym message")
+    templates = base.messages[np.searchsorted(base.owners, np.arange(sample_count))]
+    # A synonym is a cell (owner, position, token) where it differs from its
+    # template.  The only base rows it can equal are those one substitution
+    # from their template, so the columns of ``cells`` hold those rows' cells
+    # first, then one cell per synonym.
+    differs = base.messages != templates[base.owners]
+    near = np.flatnonzero(differs.sum(axis=1) == 1)
+    near_positions = differs[near].argmax(axis=1)
+    synonym_owners = np.repeat(np.arange(sample_count), synonym_count)
+    cells = np.zeros((3, len(near) + len(synonym_owners)), dtype=np.int64)
+    cells[:, : len(near)] = base.owners[near], near_positions, base.messages[near, near_positions]
+    cells[0, len(near) :] = synonym_owners
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed % 2**63))
+    pending = np.arange(len(near), cells.shape[1])
+    for _ in range(1000):
+        owners = cells[0, pending]
+        positions = rng.integers(length, size=len(pending))
+        tokens = rng.integers(vocab_size - 1, size=len(pending))
+        tokens += tokens >= templates[owners, positions]  # skip the template's own token
+        cells[1:, pending] = positions, tokens
+        # re-check the samples that drew; among equal cells the base rows and
+        # the synonyms kept from earlier rounds sort first, then earlier draws
+        drew = np.zeros(sample_count, dtype=bool)
+        drew[owners] = True
+        checked = np.flatnonzero(drew[cells[0]])
+        order = np.lexsort((np.isin(checked, pending), *cells[:, checked]))
+        ranked = cells[:, checked[order]]
+        repeats = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
+        pending = np.sort(checked[order[1:][repeats]])
+        if not len(pending):
+            break
+    else:
+        raise CapacityError("could not find a distinct synonym message")
+    synonyms = templates[synonym_owners]
+    synonyms[np.arange(len(synonym_owners)), cells[1, len(near) :]] = cells[2, len(near) :]
+
+    ratio = minority_share / (1.0 - minority_share)
+    rounded = np.maximum(synonym_count, np.rint(ratio * base.totals))
+    # Python integers: a sample's synonym total can pass 2**63 before the
+    # constructor rejects the corpus total, which its error then states exactly
+    synonym_totals = np.frompyfunc(int, 1, 1)(rounded)
+    per_synonym, leftover = synonym_totals // synonym_count, synonym_totals % synonym_count
+    rank = np.tile(np.arange(synonym_count), sample_count)
+    counts = per_synonym[synonym_owners] + (rank < leftover[synonym_owners])
     # the constructor sorts the appended rows into place
     return replace(
         base,
-        messages=np.concatenate(
-            [base.messages, np.array(synonyms, dtype=np.int64).reshape(-1, base.message_length)]
-        ),
-        owners=np.concatenate([base.owners, owners]),
+        messages=np.concatenate([base.messages, synonyms]),
+        owners=np.concatenate([base.owners, synonym_owners]),
         counts=np.concatenate([base.counts, counts]),
     )
-
-
-def _perturb(
-    template: Message, vocab_size: int, existing: set[Message], rng: random.Random
-) -> Message:
-    if vocab_size < 2:
-        raise CapacityError("cannot perturb messages over a one-token vocabulary")
-    for _ in range(1000):
-        pos = rng.randrange(len(template))
-        token = rng.randrange(vocab_size - 1)
-        if token >= template[pos]:
-            token += 1
-        candidate = template[:pos] + (token,) + template[pos + 1 :]
-        if candidate not in existing:
-            return candidate
-    raise CapacityError("could not find a distinct synonym message")

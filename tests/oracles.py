@@ -66,6 +66,17 @@ def brute_spearman(x, y) -> float:
     return num / math.sqrt(vx * vy)
 
 
+def rows_by_sample(corpus) -> dict[str, tuple[tuple[tuple[int, ...], int], ...]]:
+    """{sample id: ((message, count), ...)}, every sample in ``samples``
+    order and its rows in row order, read from the arrays one row at a time."""
+    ids = [sample.id for sample in corpus.samples]
+    grouped = {sample_id: [] for sample_id in ids}
+    rows = zip(corpus.owners.tolist(), corpus.messages.tolist(), corpus.counts.tolist())
+    for owner, message, count in rows:
+        grouped[ids[owner]].append((tuple(message), count))
+    return {sample_id: tuple(messages) for sample_id, messages in grouped.items()}
+
+
 def naive_eval(schema, values, prop) -> str:
     """Definitional property value of one sample by walking the schema's trees.
 
@@ -102,18 +113,17 @@ def naive_extract_rules(corpus, threshold: float, properties=None) -> RuleTable:
 
     # frequency filter, recomputed from scratch
     kept: dict[str, list[tuple[tuple[int, ...], int]]] = {}
-    samples = {}
-    for entry in corpus.entries:
-        samples[entry.sample.id] = entry.sample
+    samples = {sample.id: sample for sample in corpus.samples}
+    for sample_id, messages in rows_by_sample(corpus).items():
         total = 0
-        for _, count in entry.messages:
+        for _, count in messages:
             total += count
         retained = []
-        for message, count in entry.messages:
+        for message, count in messages:
             if count / total >= threshold:
                 retained.append((message, count))
         assert retained, "oracle does not model EmptySample"
-        kept[entry.sample.id] = retained
+        kept[sample_id] = retained
 
     def group_messages(prop, value):
         out = []
@@ -212,9 +222,9 @@ def closed_form_accuracy(speaker, listener, k: int) -> float:
 
     def shares(corpus):
         out = {}
-        for entry in corpus.entries:
-            total = sum(count for _, count in entry.messages)
-            out[entry.sample.id] = {m: count / total for m, count in entry.messages}
+        for sample_id, messages in rows_by_sample(corpus).items():
+            total = sum(count for _, count in messages)
+            out[sample_id] = {m: count / total for m, count in messages}
         return out
 
     spoken, heard = shares(speaker), shares(listener)
@@ -328,16 +338,16 @@ def naive_build_corpus(schema, vocab_size: int, message_length: int, records):
 
 
 def naive_serialize_corpus(corpus) -> str:
-    """One ``json.dumps`` per record, walking the per-sample entries."""
+    """One ``json.dumps`` per record, walking the rows sample by sample."""
     lines = [
         json.dumps(
             {"meta": {"vocab_size": corpus.vocab_size, "msg_len": corpus.message_length}},
             ensure_ascii=False,
         )
     ]
-    for entry in corpus.entries:
-        attrs = {name: entry.sample.values[name] for name in corpus.schema.attribute_names}
-        for message, count in entry.messages:
-            record = {"sample": entry.sample.id, "attrs": attrs, "msg": list(message)}
+    for sample, messages in zip(corpus.samples, rows_by_sample(corpus).values()):
+        attrs = {name: sample.values[name] for name in corpus.schema.attribute_names}
+        for message, count in messages:
+            record = {"sample": sample.id, "attrs": attrs, "msg": list(message)}
             lines.append(json.dumps({**record, "count": count}, ensure_ascii=False))
     return "\n".join(lines) + "\n"

@@ -316,6 +316,54 @@ def test_topsim_sampling_accepts_any_integer_seed(workdir, seed):
     assert report["pair_count"] == 500 and report["sampled"] is True
 
 
+HUGE_INTEGER = "9" * 5000  # past the interpreter's 4300-digit limit on int("...")
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000  # past the interpreter's recursion limit
+
+
+@pytest.mark.parametrize("value", [HUGE_INTEGER, DEEP_ARRAY], ids=["huge-integer", "deep-array"])
+@pytest.mark.parametrize("command", ["synth", "render"])
+def test_unreadable_json_document_is_a_syntax_error(tmp_path, command, value):
+    if command == "synth":
+        document = '{"attributes": [{"name": "a", "values": ["x"]}], "n": %s}' % value
+        argv = ["synth", "--kind", "holistic", "--schema", "s.json", "--seed", "1"]
+    else:
+        document = ('{"kind": "topsim_report", "rho": 0.5, "pair_count": %s, "sampled": false, '
+                    '"seed": null}' % value)
+        argv = ["render", "--in", "s.json", "--format", "markdown"]
+    (tmp_path / "s.json").write_text(document, encoding="utf-8")
+    result = run_cli(*argv, cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("SyntaxError:") and "Traceback" not in result.stderr
+
+
+# each case: its arguments, in which "bad" names a file of invalid UTF-8, and
+# the error code it must end with
+FILE_BOUNDARY_CASES = {
+    "corpus-not-utf8": (["extract", "--corpus", "bad", "--schema", "moprd"], "SyntaxError"),
+    "schema-not-utf8": (["extract", "--corpus", "corpus.jsonl", "--schema", "bad"],
+                        "SyntaxError"),
+    "render-in-not-utf8": (["render", "--in", "bad", "--format", "markdown"], "SyntaxError"),
+    "out-is-a-directory": (["extract", "--corpus", "corpus.jsonl", "--schema", "moprd",
+                            "--out", "."], "NotFound"),
+    "out-under-missing-directory": (["extract", "--corpus", "corpus.jsonl", "--schema", "moprd",
+                                     "--out", "missing/table.json"], "NotFound"),
+    "truth-out-under-missing-directory": (["synth", "--kind", "compositional", "--schema",
+                                           "moprd", "--seed", "1", "--truth-out",
+                                           "missing/truth.json"], "NotFound"),
+}
+
+
+@pytest.mark.parametrize(("argv", "code"), FILE_BOUNDARY_CASES.values(),
+                         ids=FILE_BOUNDARY_CASES.keys())
+def test_unreadable_or_unwritable_path_reports_a_code(tmp_path, workdir, argv, code):
+    (tmp_path / "bad").write_bytes(b'{"meta": "\xff\xfe"}\n')
+    (tmp_path / "corpus.jsonl").write_bytes((workdir / "corpus.jsonl").read_bytes())
+    result = run_cli(*argv, cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"{code}:") and "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def _rule_table_with_evidence_cell(cell):
     rule = {"pattern": [], "evidence": [cell], "coverage": {}, "support": 1}
     return {"kind": "rule_table", "message_length": 2, "rule_count": 1,

@@ -33,7 +33,7 @@ from emlang.schema import Sample, parse_schema
 from emlang.synth import all_combinations, concept_schema
 
 from conftest import mutate
-from oracles import naive_load_corpus, naive_serialize_corpus
+from oracles import naive_load_corpus, naive_serialize_corpus, rows_by_sample
 
 TINY = parse_schema('{"attributes": [{"name": "a", "values": ["x", "y"]}]}')
 
@@ -51,7 +51,7 @@ def tiny_corpus(lines):
 
 def test_merge_by_sum():
     corpus = tiny_corpus([record("s", "x", [1, 2], 3), record("s", "x", [1, 2], 4)])
-    assert corpus.entries[0].messages == (((1, 2), 7),)
+    assert rows_by_sample(corpus) == {"s": (((1, 2), 7),)}
 
 
 def test_length_mismatch():
@@ -71,7 +71,7 @@ def test_moprd_shaped_file(moprd):
             )
         )
     corpus = load_corpus("\n".join(lines), moprd)
-    assert len(corpus.entries) == 100
+    assert len(corpus.samples) == 100
     assert corpus.message_length == 10
 
 
@@ -90,6 +90,8 @@ def test_load_rejections():
         load_corpus(HEADER + "\n{broken\n", TINY)
     with pytest.raises(DocumentSyntaxError, match="line 2: invalid JSON"):
         tiny_corpus([record("s", "x", [1, 2]).replace("[1,", f"[{'9' * 5000},")])
+    with pytest.raises(DocumentSyntaxError, match="line 3: invalid JSON"):
+        tiny_corpus([record("s", "x", [1, 2]), "[" * 100_000 + "]" * 100_000])
     with pytest.raises(DocumentSyntaxError):
         load_corpus("", TINY)
 
@@ -107,7 +109,7 @@ def test_array_construction_checks():
     corpus = AnnotatedCorpus(TINY, 4, 2, **good)
     records = [("t", {"a": "y"}, (0, 3), 1), ("s", {"a": "x"}, (1, 2), 2)]
     assert corpus == build_corpus(TINY, 4, 2, records)
-    assert corpus.entries[1].messages == (((0, 3), 1),)
+    assert rows_by_sample(corpus)["t"] == (((0, 3), 1),)
     with pytest.raises(ValueError):
         corpus.counts[0] = 5  # stored arrays are read-only
     swapped = AnnotatedCorpus(TINY, 4, 2, **{**good, "samples": (y, x)})  # owners follow samples
@@ -161,7 +163,6 @@ def test_construction_makes_every_corpus_canonical():
     )
     for corpus in (reversed_rows, split, out_of_id_order):
         assert corpus == expected
-        assert corpus.entries == expected.entries
     with pytest.raises(DocumentSyntaxError, match="duplicate sample id"):
         replace(expected, samples=(s, u, s))
     # split counts merge as Python integers, so their sum cannot wrap around int64
@@ -249,7 +250,7 @@ def share_corpus(counts: dict[tuple[int, ...], int]):
 
 def test_filter_keeps_messages_at_or_above_threshold():
     corpus = share_corpus({(0, 0): 60, (0, 1): 25, (1, 0): 10, (1, 1): 5})
-    kept = filter_by_frequency(corpus, 0.15).entries[0].messages
+    kept = rows_by_sample(filter_by_frequency(corpus, 0.15))["s"]
     assert kept == (((0, 0), 60), ((0, 1), 25))
 
 
@@ -260,7 +261,7 @@ def test_filter_zero_threshold_is_identity():
 
 def test_filter_keeps_equal_shares():
     corpus = share_corpus({(0, 0): 50, (0, 1): 50})
-    assert len(filter_by_frequency(corpus, 0.15).entries[0].messages) == 2
+    assert len(rows_by_sample(filter_by_frequency(corpus, 0.15))["s"]) == 2
 
 
 def test_filter_keeps_every_share_exactly_at_threshold():
@@ -269,7 +270,7 @@ def test_filter_keeps_every_share_exactly_at_threshold():
     for n in range(1, 101):
         for k in range(1, n + 1):
             counts = {(0, 0): k} if k == n else {(0, 0): k, (1, 1): n - k}
-            kept = filter_by_frequency(share_corpus(counts), k / n).entries[0].messages
+            kept = rows_by_sample(filter_by_frequency(share_corpus(counts), k / n))["s"]
             assert ((0, 0), k) in kept, (k, n)
 
 
@@ -302,23 +303,26 @@ def test_filter_idempotent_monotone_and_share_bound(seed):
         return
     assert filter_by_frequency(filtered, high) == filtered
     loose = filter_by_frequency(corpus, low)
-    original_totals = {e.sample.id: e.total_count() for e in corpus.entries}
-    for entry, entry_loose in zip(filtered.entries, loose.entries):
-        kept = set(m for m, _ in entry.messages)
-        kept_loose = set(m for m, _ in entry_loose.messages)
+    original_totals = {
+        sample_id: sum(count for _, count in messages)
+        for sample_id, messages in rows_by_sample(corpus).items()
+    }
+    loose_rows = rows_by_sample(loose)
+    for sample_id, messages in rows_by_sample(filtered).items():
+        kept = set(m for m, _ in messages)
+        kept_loose = set(m for m, _ in loose_rows[sample_id])
         assert kept <= kept_loose
         # shares are judged against the totals at filter time
-        original = original_totals[entry.sample.id]
-        for _, count in entry.messages:
-            assert count >= high * original
+        for _, count in messages:
+            assert count >= high * original_totals[sample_id]
 
 
 def test_every_retained_share_meets_threshold():
     corpus = share_corpus({(0, 0): 60, (0, 1): 25, (1, 0): 10, (1, 1): 5})
     filtered = filter_by_frequency(corpus, 0.15)
     (original_total,) = corpus.totals.tolist()
-    for entry in filtered.entries:
-        for _, count in entry.messages:
+    for messages in rows_by_sample(filtered).values():
+        for _, count in messages:
             assert count >= 0.15 * original_total
 
 

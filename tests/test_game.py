@@ -14,7 +14,7 @@ from emlang.game import GameConfig, _candidates, run_lewis_game
 from emlang.metrics import accuracy_per_speaker
 from emlang.schema import parse_schema
 from emlang.synth import all_combinations, gen_compositional, gen_noisy
-from oracles import closed_form_accuracy
+from oracles import closed_form_accuracy, rows_by_sample
 
 
 def constant_corpus(moprd):
@@ -95,15 +95,15 @@ def coarse_corpus(language):
     sample sharing its shape1, so listeners see ties; odd samples also speak
     (count 1) the one ``language`` gives the first sample sharing its shape2."""
     first = {}
-    for entry in language.entries:
+    for sample, messages in zip(language.samples, rows_by_sample(language).values()):
         for prop in ("shape1", "shape2"):
-            first.setdefault((prop, entry.sample.values[prop]), entry.messages[0][0])
+            first.setdefault((prop, sample.values[prop]), messages[0][0])
     records = []
-    for i, entry in enumerate(language.entries):
-        attrs = {name: entry.sample.values[name] for name in language.schema.attribute_names}
-        records.append((entry.sample.id, attrs, first["shape1", attrs["shape1"]], 3))
+    for i, sample in enumerate(language.samples):
+        attrs = {name: sample.values[name] for name in language.schema.attribute_names}
+        records.append((sample.id, attrs, first["shape1", attrs["shape1"]], 3))
         if i % 2:
-            records.append((entry.sample.id, attrs, first["shape2", attrs["shape2"]], 1))
+            records.append((sample.id, attrs, first["shape2", attrs["shape2"]], 1))
     return build_corpus(language.schema, language.vocab_size, language.message_length, records)
 
 
@@ -149,9 +149,10 @@ def test_candidates_are_uniform_subsets(n, k):
 
 def test_ids_differing_by_a_trailing_nul_are_distinct_samples(moprd):
     corpus, _ = gen_compositional(moprd, 10, 20, seed=1)
+    rows = rows_by_sample(corpus)
     records = [
-        (sample_id, e.sample.values, e.messages[0][0], 1)
-        for sample_id, e in zip(("a", "a\x00"), corpus.entries)
+        (sample_id, sample.values, rows[sample.id][0][0], 1)
+        for sample_id, sample in zip(("a", "a\x00"), corpus.samples)
     ]
     pair = build_corpus(moprd, 20, 10, records)
     matrix = run_lewis_game(pair, GameConfig(seed=1, candidate_count=2, episodes=100))
@@ -209,7 +210,8 @@ def test_message_ids_increase_within_each_owner(data):
 
 def test_agents_must_hold_the_game_samples(moprd):
     corpus, _ = gen_compositional(moprd, 10, 20, seed=4)
-    records = [(e.sample.id, e.sample.values, e.messages[0][0], 1) for e in corpus.entries]
+    rows = rows_by_sample(corpus)
+    records = [(sample.id, sample.values, rows[sample.id][0][0], 1) for sample in corpus.samples]
     fewer = build_corpus(moprd, 20, 10, records[:50])
     renamed = build_corpus(moprd, 20, 10, [("x" + r[0], *r[1:]) for r in records])
     longer = build_corpus(moprd, 20, 11, [(*r[:2], r[2] + (0,), 1) for r in records])

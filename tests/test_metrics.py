@@ -26,7 +26,7 @@ from emlang.metrics import (
 from emlang.schema import Attribute, AttributeSchema, validate_sample
 from emlang.synth import all_combinations, gen_compositional, gen_holistic, gen_noisy
 
-from oracles import brute_levenshtein, brute_spearman, hamming
+from oracles import brute_levenshtein, brute_spearman, hamming, rows_by_sample
 
 messages = st.lists(st.integers(0, 5), min_size=0, max_size=8).map(tuple)
 
@@ -193,9 +193,9 @@ def test_topsim_token_relabelling_invariance(moprd):
         20,
         10,
         [
-            (e.sample.id, e.sample.values, tuple(permutation[t] for t in m), c)
-            for e in corpus.entries
-            for m, c in e.messages
+            (sample.id, sample.values, tuple(permutation[t] for t in m), c)
+            for sample, messages in zip(corpus.samples, rows_by_sample(corpus).values())
+            for m, c in messages
         ],
     )
     assert topsim(relabelled).rho == base
@@ -220,9 +220,8 @@ def test_topsim_needs_two_samples(moprd):
         20,
         10,
         [
-            (e.sample.id, e.sample.values, m, c)
-            for e in corpus.entries[:1]
-            for m, c in e.messages
+            (corpus.samples[0].id, corpus.samples[0].values, m, c)
+            for m, c in rows_by_sample(corpus)[corpus.samples[0].id]
         ],
     )
     with pytest.raises(ConfigError):
@@ -357,7 +356,7 @@ GOLDEN_RHO = {
     "holistic-0": ("holistic", 0, "-0.016905549659464912", "-0.01416275198690063"),
     "holistic-1": ("holistic", 1, "0.010472363639471901", "-0.009813319633055135"),
     "holistic-2": ("holistic", 2, "0.025039222020334238", "0.06958072203080849"),
-    "noisy-1": ("noisy", 1, "0.7507482653012105", "0.7373598781848834"),
+    "noisy-1": ("noisy", 1, "0.7737387098121787", "0.7732399635129307"),
 }
 
 

@@ -17,7 +17,7 @@ from emlang.rules import (
 )
 from emlang.schema import AttributeSchema, Attribute, eval_property, parse_schema
 
-from oracles import naive_extract_rules
+from oracles import naive_extract_rules, rows_by_sample
 
 
 def test_constant_positions_single_message():
@@ -182,16 +182,16 @@ def test_rule_invariants_hold(reference_corpus):
         for prop, value in rule.evidence:
             assert (prop, value) not in evidence_owner
             evidence_owner[(prop, value)] = index
-            for entry in filtered.entries:
-                if eval_property(schema, entry.sample, prop) == value:
-                    for message, _ in entry.messages:
+            for sample, messages in zip(filtered.samples, rows_by_sample(filtered).values()):
+                if eval_property(schema, sample, prop) == value:
+                    for message, _ in messages:
                         assert all(message[pos] == tok for pos, tok in rule.pattern.cells)
 
     for prop in schema.property_names:
         for value in schema.domain(prop):
             populated = any(
-                eval_property(schema, entry.sample, prop) == value
-                for entry in filtered.entries
+                eval_property(schema, sample, prop) == value
+                for sample in filtered.samples
             )
             assert populated == ((prop, value) in evidence_owner)
 
@@ -258,7 +258,7 @@ def test_deep_hyperattribute_chain_is_evaluated_once_per_level():
         ("1", {"flag": "T"}, (1,), 1),
     ])
     start = time.perf_counter()
-    assert eval_property(schema, corpus.entries[1].sample, "h200") == "T"
+    assert eval_property(schema, corpus.samples[1], "h200") == "T"
     table = extract_rules(corpus, threshold=0.0)
     assert time.perf_counter() - start < 1.0
     assert [rule.pattern for rule in table.rules] == [

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emlang.corpus import AnnotatedCorpus, filter_by_frequency
+from emlang.corpus import AnnotatedCorpus, build_corpus, filter_by_frequency
 from emlang.errors import CapacityError, DocumentSyntaxError
 from emlang.rules import extract_rules
 from emlang.schema import AttributeSchema, Attribute, eval_property, validate_sample
@@ -17,7 +20,7 @@ from emlang.synth import (
     gen_noisy,
 )
 
-from oracles import naive_extract_rules
+from oracles import hamming, naive_extract_rules, rows_by_sample
 
 TWO_BY_TWO = AttributeSchema(
     attributes=(
@@ -138,16 +141,16 @@ def test_minority_below_threshold_filters_back_to_base(moprd):
     base = base_corpus(moprd)
     noisy = gen_noisy(base, synonym_count=1, minority_share=0.10, seed=15)
     assert noisy != base
-    for entry in noisy.entries:
-        assert entry.total_count() == 40  # 36 base + 4 synonym
+    for messages in rows_by_sample(noisy).values():
+        assert sum(count for _, count in messages) == 40  # 36 base + 4 synonym
     assert filter_by_frequency(noisy, 0.15) == base
 
 
 def test_minority_at_threshold_survives(moprd):
     base = base_corpus(moprd)
     noisy = gen_noisy(base, synonym_count=1, minority_share=0.20, seed=15)
-    for entry in noisy.entries:
-        assert entry.total_count() == 45  # 36 base + 9 synonym
+    for messages in rows_by_sample(noisy).values():
+        assert sum(count for _, count in messages) == 45  # 36 base + 9 synonym
     assert filter_by_frequency(noisy, 0.15) == noisy
 
 
@@ -155,8 +158,81 @@ def test_noisy_deterministic_and_distinct(moprd):
     base = base_corpus(moprd)
     first = gen_noisy(base, 2, 0.25, seed=8)
     assert first == gen_noisy(base, 2, 0.25, seed=8)
-    for entry in first.entries:
-        assert len(entry.messages) == 3  # original + two distinct synonyms
+    for messages in rows_by_sample(first).values():
+        assert len(messages) == 3  # original + two distinct synonyms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_noisy_laws_over_random_bases(data):
+    """Base rows keep their counts; each sample gains ``k`` new rows, each one
+    substitution from its first canonical row, with counts split evenly and
+    summing to ``max(k, round(share/(1-share) * total))``; a sample with
+    fewer than ``k`` free one-substitution neighbours raises."""
+    length = data.draw(st.integers(1, 4), label="length")
+    vocab = data.draw(st.integers(2, 5), label="vocab")
+    message = st.tuples(*[st.integers(0, vocab - 1)] * length)
+    bases = data.draw(
+        st.lists(st.dictionaries(message, st.integers(1, 50), min_size=1, max_size=4),
+                 min_size=1, max_size=4),
+        label="bases",
+    )
+    k = data.draw(st.integers(1, 4), label="synonym_count")
+    share = data.draw(st.floats(0.01, 0.9), label="share")
+    seed = data.draw(
+        st.integers() | st.integers(max_value=-1) | st.integers(min_value=2**64), label="seed"
+    )
+    schema = concept_schema(len(bases))
+    records = [
+        (f"s{i}", {"concept": value}, msg, count)
+        for i, (value, rows) in enumerate(zip(schema.domain("concept"), bases))
+        for msg, count in rows.items()
+    ]
+    base = build_corpus(schema, vocab, length, records)
+    templates = {f"s{i}": min(rows) for i, rows in enumerate(bases)}
+    room = min(
+        (vocab - 1) * length - sum(hamming(m, templates[f"s{i}"]) == 1 for m in rows)
+        for i, rows in enumerate(bases)
+    )
+    if room < k:
+        with pytest.raises(CapacityError, match="could not find a distinct synonym message"):
+            gen_noisy(base, k, share, seed)
+        return
+    noisy = gen_noisy(base, k, share, seed)
+    assert noisy == gen_noisy(base, k, share, seed)
+    for i, (sample_id, messages) in enumerate(rows_by_sample(noisy).items()):
+        held = dict(messages)
+        original = bases[i]
+        assert {m: held.get(m) for m in original} == original
+        new = {m: c for m, c in held.items() if m not in original}
+        assert len(new) == k and len(held) == len(original) + k
+        assert all(hamming(m, templates[sample_id]) == 1 for m in new)
+        target = max(k, round(share / (1.0 - share) * sum(original.values())))
+        assert sum(new.values()) == target
+        assert max(new.values()) - min(new.values()) <= 1
+
+
+def test_noisy_needs_two_tokens():
+    base = build_corpus(concept_schema(1), 1, 2, [("s", {"concept": "c0"}, (0, 0), 1)])
+    with pytest.raises(CapacityError):
+        gen_noisy(base, 1, 0.1, seed=1)
+
+
+def test_noisy_saturated_sample_raises():
+    """Over two tokens and one position both messages are taken: no synonym fits."""
+    records = [("s", {"concept": "c0"}, (0,), 1), ("s", {"concept": "c0"}, (1,), 1)]
+    base = build_corpus(concept_schema(1), 2, 1, records)
+    with pytest.raises(CapacityError, match="could not find a distinct synonym message"):
+        gen_noisy(base, 1, 0.1, seed=1)
+
+
+def test_noisy_total_past_the_count_limit_is_reported_exactly(moprd):
+    """Synonym totals past 2**63 stay exact up to the corpus bound's error."""
+    corpus, _ = gen_compositional(moprd, 10, 20, seed=2)
+    base = with_counts(corpus, 10000)
+    message = "message counts sum to 9007199254740991361600, at least 2**53"
+    with pytest.raises(DocumentSyntaxError, match=re.escape(message)):
+        gen_noisy(base, 1, 0.9999999999999999, seed=1)
 
 
 def test_noisy_rejects_bad_share(moprd):
