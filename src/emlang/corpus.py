@@ -4,9 +4,10 @@ A corpus ties fixed-length token messages to annotated samples.  The file
 format is line-oriented JSON (UTF-8, LF): a header line
 ``{"meta": {"vocab_size": n, "msg_len": T}}`` followed by one record per
 line, ``{"sample": id, "attrs": {...}, "msg": [ints], "count": k}`` with
-``count`` defaulting to 1.  Sample ids are strings, ``vocab_size`` is at
-most 2**63, ``msg_len`` at most ``MAX_MESSAGE_LENGTH`` = 2**16, and the
-counts of a corpus sum to less than 2**53.  Records repeating the same
+``count`` defaulting to 1.  Sample ids are strings without lone
+surrogates (UTF-8 cannot encode them), ``vocab_size`` is at most 2**63,
+``msg_len`` at most ``MAX_MESSAGE_LENGTH`` = 2**16, and the counts of a
+corpus sum to less than 2**53.  Records repeating the same
 (sample, message) merge by summing counts.
 
 In memory a corpus is columnar.  ``samples`` holds one :class:`Sample` per
@@ -17,11 +18,14 @@ message_length]``) is a message that sample ``samples[owners[r]]`` sent
 constructor puts its samples and rows in that order and merges repeated
 rows, so ``dataclasses.replace(corpus, ...)`` re-canonicalises.
 
-Rows are checked in one place.  Rows that are valid as given (int64
-tokens inside the vocabulary, counts of at least 1, a total below 2**53)
-are sorted and merged as arrays; any other input is merged in Python
-integers, and that path alone reports the first invalid row in canonical
-order.
+Samples and rows are each checked in one place.  The samples' attribute
+values are coded once, by :func:`~emlang.schema.property_codes`, which is
+also the one check that they conform to the schema; the result is the
+corpus's ``codes`` matrix, one row per sample.  Rows that are valid as
+given (int64 tokens inside the vocabulary, counts of at least 1, a total
+below 2**53) are sorted and merged as arrays; any other input is merged in
+Python integers, and that path alone reports the first invalid row in
+canonical order.
 
 Corpora are immutable after construction; filtering returns a new corpus.
 """
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 
@@ -44,9 +48,10 @@ from .errors import (
     LengthMismatch,
     TokenOutOfRange,
     UnknownSample,
+    has_lone_surrogate,
     parse_json,
 )
-from .schema import AttributeSchema, Sample, property_codes, validate_sample
+from .schema import AttributeSchema, Sample, property_codes
 
 Message = tuple[int, ...]
 
@@ -67,13 +72,15 @@ class AnnotatedCorpus:
     """Samples sorted by id, and one row per (sample, message) with its count.
 
     Row r says that ``samples[owners[r]]`` sent ``messages[r]`` ``counts[r]``
-    times.  Construction checks its input and makes it canonical: samples
-    sorted by id (``owners`` renumbered to match), rows sorted by owner and
-    then tokens, and rows repeating an (owner, message) merged by summing
-    their counts.  Input whose rows are all valid as given is sorted and
-    merged as int64 arrays; anything else is merged in Python integers by
-    the one check that reports a row error.  The arrays are stored as fresh
-    read-only int64 arrays, never as the caller's.
+    times, and ``codes[k]`` is the ``property_codes`` row of ``samples[k]``.
+    Construction checks its input, samples first, and makes it canonical:
+    samples sorted by id (``owners`` renumbered to match), rows sorted by
+    owner and then tokens, and rows repeating an (owner, message) merged by
+    summing their counts.  Input whose rows are all valid as given is sorted
+    and merged as int64 arrays; anything else is merged in Python integers by
+    the one check that reports a row error.  The arrays, ``codes``
+    included, are stored as fresh read-only int64 arrays, never as the
+    caller's.
     """
 
     schema: AttributeSchema
@@ -83,10 +90,12 @@ class AnnotatedCorpus:
     messages: np.ndarray
     owners: np.ndarray
     counts: np.ndarray
+    codes: np.ndarray = field(init=False, repr=False)
 
     __hash__ = None
 
     def __post_init__(self):
+        codes = property_codes(self.schema, self.samples)
         _check_shape(self.vocab_size, self.message_length)
         by_id = sorted(range(len(self.samples)), key=lambda k: self.samples[k].id)
         samples = tuple(self.samples[k] for k in by_id)
@@ -94,6 +103,9 @@ class AnnotatedCorpus:
         for before, after in zip(ids, ids[1:]):
             if before == after:
                 raise DocumentSyntaxError(f"duplicate sample id {after!r}")
+        if has_lone_surrogate("".join(ids)):
+            bad = next(i for i in ids if has_lone_surrogate(i))
+            raise DocumentSyntaxError(f"sample id {bad!r} holds a lone surrogate")
         owners = np.asarray(self.owners, dtype=np.int64)
         if not owners.shape == np.shape(self.counts) == (len(self.messages),):
             raise DocumentSyntaxError("messages, owners and counts need one entry per row")
@@ -111,7 +123,7 @@ class AnnotatedCorpus:
                 samples, self.vocab_size, self.message_length, owners, self.messages, self.counts
             )
         object.__setattr__(self, "samples", samples)
-        for name, array in zip(("messages", "owners", "counts"), rows):
+        for name, array in zip(("codes", "messages", "owners", "counts"), (codes[by_id], *rows)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -129,11 +141,6 @@ class AnnotatedCorpus:
     @cached_property
     def sample_ids(self) -> tuple[str, ...]:
         return tuple(sample.id for sample in self.samples)
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """``property_codes`` of the samples: one row per sample."""
-        return property_codes(self.schema, [sample.values for sample in self.samples])
 
     @cached_property
     def totals(self) -> np.ndarray:
@@ -171,16 +178,15 @@ def _corpus_of_records(schema, vocab_size, message_length, ids, attrs, msgs, cou
     Errors come in the order of a record-by-record build: attributes in
     record order, then the header, then rows in canonical order.
     """
-    first: dict[str, int] = {}  # sample id -> index into the lists below
+    first: dict[str, int] = {}  # sample id -> index into samples
     samples: list[Sample] = []
-    raw: list[dict] = []
     owners = []
     for sample_id, values in zip(ids, attrs):
         k = first.setdefault(sample_id, len(first))
         if k == len(samples):
-            samples.append(validate_sample(schema, sample_id, values))
-            raw.append(values)
-        elif raw[k] != values:
+            samples.append(Sample(sample_id, dict(values)))
+        elif samples[k].values != values:
+            property_codes(schema, samples)  # an earlier non-conforming sample comes first
             raise AttributeMismatch(
                 f"sample {sample_id!r} annotated with conflicting attribute values"
             )

@@ -7,6 +7,7 @@ stderr so scripted callers can match on it without parsing messages.
 from __future__ import annotations
 
 import json
+import re
 
 
 class EmlangError(Exception):
@@ -93,14 +94,40 @@ class NotFoundError(EmlangError):
     code = "NotFound"
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def has_lone_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a surrogate code point, which UTF-8 cannot encode.
+
+    A JSON surrogate pair such as ``"\\ud83d\\ude00"`` decodes to one code
+    point, so any surrogate left in a decoded string is a lone one.
+    """
+    return not text.isascii() and _SURROGATE.search(text) is not None
+
+
 def parse_json(text: str, message: str):
     """The JSON value of ``text``, or DocumentSyntaxError with ``message``
     formatted around the decoder's explanation.
 
     Besides malformed JSON this covers an integer of more than 4300 digits
-    (ValueError) and nesting deeper than the interpreter's recursion limit.
+    (ValueError), nesting deeper than the interpreter's recursion limit, and
+    a string or key holding a lone surrogate, which no output could encode.
     """
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise DocumentSyntaxError(message.format(exc)) from None
+    strings, stack = [], [value]
+    while stack:  # a loop, not a recursion: the value may nest to the recursion limit
+        node = stack.pop()
+        if isinstance(node, str):
+            strings.append(node)
+        elif isinstance(node, dict):
+            strings.extend(node)
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    if has_lone_surrogate("".join(strings)):
+        raise DocumentSyntaxError(message.format("a string holds a lone surrogate"))
+    return value

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import AnnotatedCorpus, Message, representative_of
-from .errors import AttributeMismatch, ConfigError, LengthMismatch, ZeroVariance
-from .schema import AttributeSchema, Sample
+from .errors import ConfigError, LengthMismatch, ZeroVariance
+from .schema import AttributeSchema, Sample, property_codes
 
 # Exact enumeration for up to 2000 samples; seeded sampling beyond.
 DEFAULT_MAX_PAIRS = 2000 * 1999 // 2
@@ -65,11 +65,8 @@ def levenshtein(a: Message, b: Message) -> int:
 
 def attribute_edit_distance(s1: Sample, s2: Sample, schema: AttributeSchema) -> int:
     """Number of attributes (hyperattributes excluded) with differing values."""
-    names = schema.attribute_names
-    for sample in (s1, s2):
-        if set(sample.values) != set(names):
-            raise AttributeMismatch(f"sample {sample.id!r} does not conform to the schema")
-    return sum(s1.values[name] != s2.values[name] for name in names)
+    codes = property_codes(schema, [s1, s2])[:, : len(schema.attributes)]
+    return int((codes[0] != codes[1]).sum())
 
 
 def average_ranks(values) -> np.ndarray:
@@ -200,11 +197,13 @@ def topsim(
     Messages enter through each sample's representative (highest-count)
     message.  When the unordered pair count exceeds ``max_pairs`` the pairs
     are drawn uniformly without replacement from a numpy stream seeded by
-    ``seed``, which is then required; any integer seed is accepted.
+    ``seed``, which is then required; any integer seed is accepted.  It
+    needs at least three samples, because the one pair of two cannot be
+    ranked, and ``max_pairs`` of at least 2.
     """
     n = len(corpus.samples)
-    if n < 2:
-        raise ConfigError("topsim needs at least two samples")
+    if n < 3:
+        raise ConfigError("topsim needs at least three samples")
     limit = DEFAULT_MAX_PAIRS if max_pairs is None else max_pairs
     if limit < 2:
         raise ConfigError("max_pairs must be at least 2")

@@ -24,8 +24,9 @@ or the reserved characters ``( ) { } , =``.  An expression may nest at most
 Construction compiles the schema once: one walk over each hyperattribute,
 in declaration order, validates its body and builds its column evaluator (a
 lookup table for a value map, composed column functions for an expression).
-Evaluation works on whole columns (:func:`property_codes`);
-:func:`eval_property` is a one-row view of it.
+Evaluation works on whole columns (:func:`property_codes`), which is also
+the one check that samples conform to the schema; :func:`eval_property` is a
+one-row view of it.
 
 Schemas and samples are immutable after construction; evaluation is pure, so
 all operations here are safe to call concurrently.
@@ -444,16 +445,23 @@ def validate_sample(schema: AttributeSchema, sample_id: str, values: dict[str, s
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def property_codes(schema: AttributeSchema, rows) -> np.ndarray:
-    """Domain index of every property on every row, as ``int64[rows x properties]``.
+def property_codes(schema: AttributeSchema, samples) -> np.ndarray:
+    """Domain index of every property on every sample: ``int64[samples x properties]``,
+    columns in ``property_names`` order.
 
-    ``rows`` holds attribute-value mappings such as ``Sample.values``; columns
-    follow ``property_names``.  Each hyperattribute's compiled evaluator runs
-    once, over whole columns, in declaration order, which is topological.
+    The one conformance check: only a failed lookup or attribute count calls
+    :func:`validate_sample`, which words the first non-conforming sample's error.
     """
-    codes = np.empty((len(rows), len(schema.property_names)), dtype=np.int64)
-    for i, name in enumerate(schema.attribute_names):
-        codes[:, i] = [schema.domain_index(name, row[name]) for row in rows]
+    codes = np.empty((len(samples), len(schema.property_names)), dtype=np.int64)
+    try:
+        if any(len(sample.values) != len(schema.attributes) for sample in samples):
+            raise KeyError("an attribute outside the schema")
+        for i, name in enumerate(schema.attribute_names):  # one dict lookup per value
+            index = schema._indices[name]
+            codes[:, i] = [index[sample.values[name]] for sample in samples]
+    except (KeyError, TypeError):  # TypeError: an unhashable value, such as a JSON list
+        for sample in samples:
+            validate_sample(schema, sample.id, sample.values)
     for i, evaluate in enumerate(schema._evaluators, start=len(schema.attributes)):
         codes[:, i] = evaluate(codes)
     return codes
@@ -471,10 +479,10 @@ def eval_property(schema: AttributeSchema, sample: Sample, prop: str) -> str:
     """Value of an attribute or hyperattribute on a sample.
 
     A one-row view of :func:`property_codes`, so the result always lies in
-    ``schema.domain(prop)``; an unknown name raises UnknownReference.
+    ``schema.domain(prop)``.  An unknown name raises UnknownReference, and a
+    sample that does not conform to the schema AttributeMismatch.
     """
-    column = schema.column(prop)
-    return schema.domain(prop)[property_codes(schema, [sample.values])[0, column]]
+    return schema.domain(prop)[property_codes(schema, [sample])[0, schema.column(prop)]]
 
 
 # ---------------------------------------------------------------------------

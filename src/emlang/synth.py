@@ -20,7 +20,7 @@ import numpy as np
 from .corpus import AnnotatedCorpus, Message, _check_shape, build_corpus
 from .errors import CapacityError
 from .rules import Pattern, RuleTable, SemanticRule, canonical_evidence, rule_sort_key
-from .schema import Attribute, AttributeSchema, observed_values, parse_schema, property_codes
+from .schema import Attribute, AttributeSchema, Sample, observed_values, parse_schema, property_codes
 
 # Leading positions that every message of a holistic language shares.
 HOLISTIC_PREFIX_LENGTH = 2
@@ -184,7 +184,8 @@ def ground_truth_table(codebook: Codebook) -> RuleTable:
     the skeleton.
     """
     schema = codebook.schema
-    codes = property_codes(schema, all_combinations(schema))
+    combos = zip(combination_ids(schema), all_combinations(schema))
+    codes = property_codes(schema, [Sample(*combo) for combo in combos])
     positions, tokens = [], []  # per attribute: its position, the token of each value
     for name in schema.attribute_names:
         encoder = codebook.encoders[name]

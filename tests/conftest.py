@@ -124,8 +124,9 @@ json_values = st.recursive(
 )
 
 
-def mutate(node, data) -> None:
-    """Replace or delete one node below ``node``, walking down a drawn path."""
+def mutate(node, data, values=json_values) -> None:
+    """Replace or delete one node below ``node``, walking down a drawn path;
+    a replacement is drawn from ``values``."""
     while node:
         key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
         child = node[key]
@@ -135,7 +136,7 @@ def mutate(node, data) -> None:
             del node[key]
             return
         else:
-            node[key] = data.draw(json_values)
+            node[key] = data.draw(values)
             return
 
 

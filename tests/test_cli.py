@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emlang import cli
-from emlang.corpus import serialize_corpus
-from emlang.schema import render_schema
+from emlang.report import render_rule_table
+from emlang.rules import extract_rules
+from emlang.corpus import load_corpus, serialize_corpus
+from emlang.schema import parse_schema, render_schema
 from emlang.synth import moprd_schema
 
-from conftest import error_codes, mutate
+from conftest import error_codes, json_values, mutate
 
 
 def run_cli(*args: str, cwd=None, timeout=None):
@@ -336,6 +338,62 @@ def test_unreadable_json_document_is_a_syntax_error(tmp_path, command, value):
     assert result.stderr.startswith("SyntaxError:") and "Traceback" not in result.stderr
 
 
+def write_escaped_inputs(path, value, sample_id):
+    """A schema whose attribute ``a`` takes ``value`` or "y", a corpus whose
+    sample ``sample_id`` carries ``value``, and the rule table of the two;
+    ``value`` and ``sample_id`` are JSON string contents, escapes included."""
+    (path / "s.json").write_text(
+        '{"attributes": [{"name": "a", "values": ["%s", "y"]}]}' % value, encoding="utf-8"
+    )
+    (path / "c.jsonl").write_text(
+        '{"meta": {"vocab_size": 4, "msg_len": 2}}\n'
+        '{"sample": "%s", "attrs": {"a": "%s"}, "msg": [1, 2]}\n'
+        '{"sample": "s2", "attrs": {"a": "y"}, "msg": [1, 3]}\n' % (sample_id, value),
+        encoding="utf-8",
+    )
+    (path / "r.json").write_text(
+        '{"kind": "rule_table", "message_length": 2, "rule_count": 1, '
+        '"global_constants": [[0, 1]], "rules": [{"pattern": [[1, 2]], '
+        '"evidence": [["a", "%s"]], "coverage": {"a": ["%s"]}, "support": 1}]}' % (value, value),
+        encoding="utf-8",
+    )
+
+
+SURROGATE_COMMANDS = {
+    "extract": (["extract", "--corpus", "c.jsonl", "--schema", "s.json", "--format", "markdown"],
+                "schema document is not valid JSON: a string holds a lone surrogate"),
+    "synth-noisy": (["synth", "--kind", "noisy", "--corpus", "c.jsonl", "--schema", "s.json",
+                     "--seed", "1"], "sample id '\\udc00' holds a lone surrogate"),
+    "render": (["render", "--in", "r.json", "--format", "markdown", "--schema", "s.json"],
+               "structured document is not valid JSON: a string holds a lone surrogate"),
+}
+
+
+@pytest.mark.parametrize(("argv", "reason"), SURROGATE_COMMANDS.values(),
+                         ids=SURROGATE_COMMANDS.keys())
+def test_lone_surrogate_is_a_syntax_error(tmp_path, argv, reason):
+    """No output could encode a lone surrogate, so the input that holds one
+    fails: a schema value in every document, or a sample id."""
+    value = "x" if argv[0] == "synth" else "\\ud800"
+    write_escaped_inputs(tmp_path, value, "\\udc00")
+    result = run_cli(*argv, cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"SyntaxError: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in SURROGATE_COMMANDS.values()],
+                         ids=SURROGATE_COMMANDS.keys())
+def test_surrogate_pair_loads_and_round_trips(tmp_path, argv):
+    """A JSON surrogate pair is one code point, which UTF-8 encodes."""
+    write_escaped_inputs(tmp_path, "\\ud83d\\ude00", "\\ud83d\\ude00")
+    result = run_cli(*argv, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "\N{GRINNING FACE}" in result.stdout
+    if argv[0] == "synth":
+        schema = parse_schema((tmp_path / "s.json").read_text(encoding="utf-8"))
+        assert serialize_corpus(load_corpus(result.stdout, schema)) == result.stdout
+
+
 # each case: its arguments, in which "bad" names a file of invalid UTF-8, and
 # the error code it must end with
 FILE_BOUNDARY_CASES = {
@@ -418,15 +476,26 @@ def test_render_rejects_malformed_results(tmp_path, document, reason):
 def fuzz_dir(tmp_path_factory, reference_corpus):
     path = tmp_path_factory.mktemp("fuzz")
     lines = serialize_corpus(reference_corpus).splitlines()[:13]  # header and 12 records
+    table = render_rule_table(extract_rules(reference_corpus), "structured")
     return path, {
         "schema": json.loads(render_schema(moprd_schema())),
         "corpus": [json.loads(line) for line in lines],
+        "result": json.loads(table),
     }
+
+
+# strings that may hold lone surrogates; json.dumps writes those as escapes, so
+# the files stay UTF-8 and the escapes reach the parser
+surrogate_texts = st.lists(
+    st.integers(0xD800, 0xDFFF).map(chr) | st.characters(), min_size=1, max_size=4
+).map("".join)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_schema_and_corpus_fail_only_with_error_codes(fuzz_dir, data):
+    """Every subcommand that reads a schema, corpus or result document exits 0
+    or with an error code, and its output encodes as strict UTF-8."""
     path, valid = fuzz_dir
     documents = json.loads(json.dumps(valid))
     # the vocabulary size and a token may take any integer, and often one past the int64 edge
@@ -434,22 +503,39 @@ def test_schema_and_corpus_fail_only_with_error_codes(fuzz_dir, data):
     header, record = documents["corpus"][:2]
     header["meta"]["vocab_size"] = data.draw(st.just(header["meta"]["vocab_size"]) | wide)
     record["msg"][0] = data.draw(st.just(record["msg"][0]) | wide)
+    record["sample"] = data.draw(st.just(record["sample"]) | surrogate_texts)
     for _ in range(data.draw(st.integers(0, 3))):
-        mutate(documents[data.draw(st.sampled_from(["schema", "corpus"]))], data)
-    schema_path, corpus_path = path / "schema.json", path / "corpus.jsonl"
-    schema_path.write_text(json.dumps(documents["schema"]), encoding="utf-8")
-    corpus_path.write_text(
-        "".join(json.dumps(line) + "\n" for line in documents["corpus"]), encoding="utf-8"
-    )
-    inputs = ["--corpus", str(corpus_path), "--schema", str(schema_path)]
+        mutate(documents[data.draw(st.sampled_from(list(documents)))], data,
+               json_values | surrogate_texts)
+    files = {
+        "schema": json.dumps(documents["schema"]),
+        "corpus": "".join(json.dumps(line) + "\n" for line in documents["corpus"]),
+        "result": json.dumps(documents["result"]),
+    }
+    paths = {name: path / f"{name}.json" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text, encoding="utf-8")
+    replaced = data.draw(st.sampled_from([None, None, *files]))
+    if replaced:  # arbitrary bytes, mostly not UTF-8
+        paths[replaced].write_bytes(data.draw(st.binary(max_size=64)))
+    inputs = ["--corpus", str(paths["corpus"]), "--schema", str(paths["schema"])]
     for argv in (
         ["extract", *inputs],
         ["topsim", *inputs, "--max-pairs", "50", "--seed", "1"],
         ["game", *inputs, "--candidates", "2", "--episodes", "5", "--seed", "1"],
+        ["synth", "--kind", "noisy", *inputs, "--seed", "1"],
+        ["render", "--in", str(paths["result"]), "--format", "markdown",
+         "--schema", str(paths["schema"])],
     ):
-        stdout, stderr = io.StringIO(), io.StringIO()
+        # strict UTF-8, as a terminal or file would take the output: StringIO
+        # would accept a lone surrogate that no file can hold
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             status = cli.main(argv)
+            stdout.flush()
+            stderr.flush()
         assert status in (0, 1)
         if status == 1:
-            assert stderr.getvalue().split(":")[0] in error_codes(), stderr.getvalue()
+            message = stderr.buffer.getvalue().decode("utf-8")
+            assert message.split(":")[0] in error_codes(), message

@@ -132,6 +132,54 @@ def test_array_construction_checks():
             AnnotatedCorpus(TINY, 4, 2, **{**good, **change})
 
 
+def test_construction_checks_samples_against_the_schema():
+    """Constructed and replaced corpora check their samples as loaded ones do,
+    before the header and rows, and store the samples' codes in id order."""
+    x, y = Sample("s", {"a": "x"}), Sample("t", {"a": "y"})
+    corpus = AnnotatedCorpus(TINY, 4, 2, (y, x), [[1, 2], [0, 3]], [0, 1], [1, 1])
+    assert corpus.codes.tolist() == [[0], [1]]
+    with pytest.raises(ValueError):
+        corpus.codes[0, 0] = 1  # stored read-only, like the rows
+    for values, reason in [
+        ({"a": "zzz"}, "value 'zzz' not in domain of 'a'"),
+        ({"a": ["x"]}, "value ['x'] not in domain of 'a'"),
+        ({}, "must assign exactly the attributes ['a']"),
+        ({"a": "x", "b": "x"}, "must assign exactly the attributes ['a']"),
+    ]:
+        bad = Sample("u", values)
+        expected = re.escape("sample 'u'") + ".*" + re.escape(reason)
+        with pytest.raises(AttributeMismatch, match=expected):
+            AnnotatedCorpus(TINY, 0, 2, (x, bad), [[1, 2], [0, 3]], [0, 1], [1, 1])
+        with pytest.raises(AttributeMismatch, match=expected):
+            replace(corpus, samples=(x, bad))
+    # the first non-conforming sample in the given order, not in id order
+    with pytest.raises(AttributeMismatch, match="sample 'v'"):
+        replace(corpus, samples=(Sample("v", {"a": "q"}), Sample("u", {})))
+
+
+def test_a_non_conforming_sample_comes_before_a_conflict():
+    """As in a record-by-record build: a sample whose first record fails the
+    schema wins over a later conflicting annotation, and not the reverse."""
+    records = [
+        ("t", {"a": "z"}, (0, 0), 1),
+        ("s", {"a": "x"}, (0, 0), 1),
+        ("s", {"a": "y"}, (0, 0), 1),
+    ]
+    with pytest.raises(AttributeMismatch, match="sample 't': value 'z' not in domain"):
+        build_corpus(TINY, 4, 2, records)
+    with pytest.raises(AttributeMismatch, match="sample 's' annotated with conflicting"):
+        build_corpus(TINY, 4, 2, records[1:] + records[:1])
+
+
+def test_build_corpus_copies_the_attribute_dicts():
+    values = {"a": "x"}
+    corpus = build_corpus(TINY, 4, 2, [("s", values, (0, 0), 1)])
+    values["a"] = "y"
+    values["b"] = "x"
+    assert corpus.samples[0].values == {"a": "x"}
+    assert corpus == build_corpus(TINY, 4, 2, [("s", {"a": "x"}, (0, 0), 1)])
+
+
 def test_construction_makes_every_corpus_canonical():
     """Rows out of order, a (sample, message) split over two rows, and samples
     out of id order give the corpus that build_corpus gives."""

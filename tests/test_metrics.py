@@ -86,6 +86,9 @@ def test_attribute_edit_distance_rejects_foreign_samples(moprd):
     bad = Sample(id="y", values={"shape1": "○"})
     with pytest.raises(AttributeMismatch):
         attribute_edit_distance(good, bad, moprd)
+    foreign = Sample(id="z", values={"shape1": "pentagon", "shape2": "○", "relationship": "→"})
+    with pytest.raises(AttributeMismatch, match="value 'pentagon' not in domain of 'shape1'"):
+        attribute_edit_distance(good, foreign, moprd)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +216,19 @@ def test_topsim_sampling_reproducible(moprd):
         topsim(corpus, max_pairs=500)
 
 
-def test_topsim_needs_two_samples(moprd):
+def test_topsim_needs_three_samples(moprd):
+    """Two samples give one pair, which cannot be ranked."""
     corpus, _ = gen_compositional(moprd, 10, 20, 0)
-    single = build_corpus(
-        moprd,
-        20,
-        10,
-        [
-            (corpus.samples[0].id, corpus.samples[0].values, m, c)
-            for m, c in rows_by_sample(corpus)[corpus.samples[0].id]
-        ],
-    )
-    with pytest.raises(ConfigError):
-        topsim(single)
+
+    def corpus_of(*indices):
+        samples = [corpus.samples[i] for i in indices]
+        records = [(s.id, s.values, m, c) for s in samples for m, c in rows_by_sample(corpus)[s.id]]
+        return build_corpus(moprd, 20, 10, records)
+
+    for indices in ((0,), (0, 1)):
+        with pytest.raises(ConfigError, match="at least three samples"):
+            topsim(corpus_of(*indices))
+    assert topsim(corpus_of(0, 1, 5)).pair_count == 3  # attribute distances 1, 2, 1
 
 
 def test_pairs_match_enumeration():
@@ -380,7 +383,6 @@ def test_exact_topsim_memory_per_pair():
         attributes=tuple(Attribute(name=f"a{i}", domain=tuple("pqrs")) for i in range(5))
     )
     corpus = gen_holistic(schema, 8, 6, 0)  # 4**5 = 1024 samples
-    corpus.codes  # cached before tracing, as every caller of topsim pays it once
     tracemalloc.start()
     try:
         report = topsim(corpus)

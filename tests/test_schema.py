@@ -26,6 +26,7 @@ from emlang.schema import (
     Not,
     Or,
     Ref,
+    Sample,
     ValueMap,
     eval_property,
     parse_expression,
@@ -116,7 +117,7 @@ def test_long_hyperattribute_chain():
     schema = parse_schema(
         json.dumps({"attributes": [{"name": "a", "values": ["F", "T"]}], "hyperattributes": links})
     )
-    codes = property_codes(schema, [{"a": "F"}, {"a": "T"}])
+    codes = property_codes(schema, [Sample("f", {"a": "F"}), Sample("t", {"a": "T"})])
     assert codes.shape == (2, 10_001)
     assert (codes == codes[:, :1]).all()
     assert codes[:, 0].tolist() == [0, 1]
@@ -157,7 +158,8 @@ def test_compiled_schema_pickles_with_its_corpus():
     copy = pickle.loads(pickle.dumps(corpus))
     assert copy == corpus
     rows = all_combinations(schema)
-    assert property_codes(copy.schema, rows).tolist() == [[0, 0, 1], [1, 0, 0], [2, 1, 0]]
+    samples = [Sample(str(i), row) for i, row in enumerate(rows)]
+    assert property_codes(copy.schema, samples).tolist() == [[0, 0, 1], [1, 0, 0], [2, 1, 0]]
 
 
 def test_value_map_must_cover_source():
@@ -286,6 +288,9 @@ def test_sample_validation(moprd):
         )
     with pytest.raises(UnknownReference):
         eval_property(moprd, sample_of(moprd, "□", "□", "→"), "colour")
+    # eval_property codes its sample through the same check
+    with pytest.raises(AttributeMismatch, match="must assign exactly the attributes"):
+        eval_property(moprd, Sample("s", {"shape1": "□", "shape2": "□"}), "fill1")
 
 
 def expressions(domains: dict[str, tuple[str, ...]]):
@@ -345,4 +350,5 @@ def test_property_codes_match_definitional_evaluation(schema):
         [schema.domain(prop).index(naive_eval(schema, row, prop)) for prop in schema.property_names]
         for row in rows
     ]
-    assert property_codes(schema, rows).tolist() == expected
+    samples = [Sample(str(i), row) for i, row in enumerate(rows)]
+    assert property_codes(schema, samples).tolist() == expected
