@@ -9,6 +9,9 @@ of the candidate's messages (0 if none), ties going to the smallest sample id.
 Every (speaker, listener) cell owns an independent generator derived from
 (seed, speaker index, listener index), so the accuracy matrix is identical
 no matter how cells are scheduled.  Episodes are played in array batches.
+Each distinct listener corpus becomes one table of shares, built once and
+sorted message-major (by message id, then by owner), so the k lookups of an
+episode all fall in the block of the one message spoken.
 """
 
 from __future__ import annotations
@@ -40,13 +43,26 @@ class GameConfig:
 
 def _candidates(rng: np.random.Generator, targets: np.ndarray, n: int, k: int) -> np.ndarray:
     """Each target and ``k - 1`` distinct other samples, rows sorted: Floyd's algorithm,
-    column by column, so every subset is equally likely at O(k) draws per episode."""
-    others = np.empty((len(targets), k - 1), dtype=np.int64)
+    column by column, so every subset is equally likely at O(k) draws per episode.
+    The distractors are stored ``(k - 1, episodes)``: the membership test then ORs
+    whole rows, one per earlier column, instead of reducing each episode's short row."""
+    others = np.empty((k - 1, len(targets)), dtype=np.int64)
     for c, j in enumerate(range(n - k, n - 1)):
         drawn = rng.integers(j + 1, size=len(targets))
-        others[:, c] = np.where((others[:, :c] == drawn[:, None]).any(axis=1), j, drawn)
-    others += others >= targets[:, None]
-    return np.sort(np.column_stack((targets, others)), axis=1)
+        others[c] = np.where((others[:c] == drawn).any(axis=0), j, drawn)
+    others += others >= targets
+    return np.sort(np.vstack((targets, others)).T, axis=1)
+
+
+def _listener_table(
+    listener: AnnotatedCorpus, message_ids: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The listener's rows keyed message-major, ``message id * n + owner``, in key
+    order, and each row's share of its owner's messages.  Keys are unique because
+    a corpus holds one row per (owner, message)."""
+    keys = message_ids * n + listener.owners
+    order = np.argsort(keys)
+    return keys[order], (listener.counts / listener.totals[listener.owners])[order]
 
 
 def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatrix:
@@ -73,17 +89,16 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
             raise ConfigError(
                 "an agent corpus must hold the game corpus's samples and message length"
             )
-    # one message id space for the whole population, sorted once
+    # one message id space for the whole population
     stacked = np.concatenate([a.messages for a in agents.values()])
-    distinct, message_ids = np.unique(stacked, axis=0, return_inverse=True)
+    _, message_ids = np.unique(stacked, axis=0, return_inverse=True)
     bounds = np.cumsum([len(a.messages) for a in agents.values()])[:-1]
     message_ids = dict(zip(agents, np.split(message_ids.reshape(-1), bounds)))
-    # rows are canonical, sorted by owner and then tokens, and ``np.unique``
-    # numbers messages in the same token order: each agent's keys are sorted
-    listeners = [
-        (a.owners * len(distinct) + message_ids[id(a)], a.counts / a.totals[a.owners])
-        for a in listener_corpora
-    ]
+    # one table per distinct listener corpus, however many slots it fills
+    tables = {
+        key: _listener_table(agent, message_ids[key], n)
+        for key, agent in {id(a): a for a in listener_corpora}.items()
+    }
     batch = max(1, _BATCH_KEYS // k)
 
     rows = []
@@ -92,7 +107,8 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
         cumulative = np.cumsum(speaker.counts)
         start = np.cumsum(s_totals) - s_totals
         row = []
-        for j, (keys, shares) in enumerate(listeners):
+        for j, listener in enumerate(listener_corpora):
+            keys, shares = tables[id(listener)]
             rng = np.random.default_rng(np.random.SeedSequence([config.seed % (2**63), i, j]))
             hits = 0
             for played in range(0, config.episodes, batch):
@@ -101,7 +117,7 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
                 candidates = _candidates(rng, targets, n, k)
                 drawn = start[targets] + rng.integers(s_totals[targets])
                 message = spoken[np.searchsorted(cumulative, drawn, side="right")]
-                wanted = candidates * len(distinct) + message[:, None]
+                wanted = message[:, None] * n + candidates
                 at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
                 scores = np.where(keys[at] == wanted, shares[at], 0.0)
                 chosen = candidates[np.arange(size), np.argmax(scores, axis=1)]

@@ -5,6 +5,11 @@ corpus in the standard format.  The compositional generator also returns the
 exact rule table the detector must recover, built from the codebook's
 semantics alone (it never scans the emitted messages), so it can serve as an
 oracle for the extraction pipeline.
+
+The compositional and holistic generators emit one sample per attribute
+combination.  A schema with more than ``MAX_COMBINATIONS`` = 2**18
+combinations (the product of its domain sizes) is a ``CapacityError``,
+raised before any combination is built.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ from .schema import Attribute, AttributeSchema, Sample, observed_values, parse_s
 
 # Leading positions that every message of a holistic language shares.
 HOLISTIC_PREFIX_LENGTH = 2
+# Most attribute combinations a generator enumerates; each becomes a sample in
+# memory (gen_compositional over 65,536 combinations of 16 two-valued
+# attributes peaks at about 190 MB RSS).
+MAX_COMBINATIONS = 2**18
 
 MOPRD_SCHEMA_DOCUMENT = """\
 {
@@ -59,15 +68,27 @@ def concept_schema(value_count: int) -> AttributeSchema:
     return AttributeSchema(attributes=(Attribute(name="concept", domain=values),))
 
 
+def combination_count(schema: AttributeSchema) -> int:
+    """The number of attribute assignments; ``CapacityError`` past ``MAX_COMBINATIONS``."""
+    count = math.prod(len(schema.domain(n)) for n in schema.attribute_names)
+    if count > MAX_COMBINATIONS:
+        raise CapacityError(
+            f"{count} attribute combinations exceed the generator bound of {MAX_COMBINATIONS}"
+        )
+    return count
+
+
 def all_combinations(schema: AttributeSchema) -> list[dict[str, str]]:
-    """Every attribute assignment, in attribute-major domain order."""
+    """Every attribute assignment, in attribute-major domain order; the count
+    is checked against ``MAX_COMBINATIONS`` before any is built."""
+    combination_count(schema)
     names = schema.attribute_names
     domains = [schema.domain(n) for n in names]
     return [dict(zip(names, combo)) for combo in itertools.product(*domains)]
 
 
 def combination_ids(schema: AttributeSchema) -> list[str]:
-    count = math.prod(len(schema.domain(n)) for n in schema.attribute_names)
+    count = combination_count(schema)
     width = len(str(count - 1)) if count > 1 else 1
     return [f"{i:0{width}d}" for i in range(count)]
 

@@ -243,6 +243,23 @@ def closed_form_accuracy(speaker, listener, k: int) -> float:
     return accuracy / n
 
 
+def floyd_candidates(rng, targets, n: int, k: int) -> list[list[int]]:
+    """Candidate sets, episode by episode: Floyd's algorithm picks k - 1 of the
+    n - 1 other samples, reading its draw for each j in n - k .. n - 2 from the
+    column ``rng.integers(j + 1, size=len(targets))``, columns drawn in order.
+    The i-th other sample is i, or i + 1 from the target on; rows are sorted."""
+    columns = [rng.integers(j + 1, size=len(targets)).tolist() for j in range(n - k, n - 1)]
+    rows = []
+    for episode, target in enumerate(targets.tolist()):
+        chosen = set()
+        for j, column in zip(range(n - k, n - 1), columns):
+            draw = column[episode]
+            chosen.add(j if draw in chosen else draw)
+        others = [other + 1 if other >= target else other for other in chosen]
+        rows.append(sorted([target, *others]))
+    return rows
+
+
 def naive_load_corpus(text: str, schema):
     """Record-by-record corpus reader: one ``json.loads`` and one set of
     checks per line, in line order, then :func:`naive_build_corpus`."""

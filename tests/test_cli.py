@@ -495,7 +495,8 @@ surrogate_texts = st.lists(
 @given(st.data())
 def test_schema_and_corpus_fail_only_with_error_codes(fuzz_dir, data):
     """Every subcommand that reads a schema, corpus or result document exits 0
-    or with an error code, and its output encodes as strict UTF-8."""
+    or with an error code, and its output encodes as strict UTF-8; this
+    includes the generators, over schemas with more than 2**64 combinations."""
     path, valid = fuzz_dir
     documents = json.loads(json.dumps(valid))
     # the vocabulary size and a token may take any integer, and often one past the int64 edge
@@ -504,6 +505,11 @@ def test_schema_and_corpus_fail_only_with_error_codes(fuzz_dir, data):
     header["meta"]["vocab_size"] = data.draw(st.just(header["meta"]["vocab_size"]) | wide)
     record["msg"][0] = data.draw(st.just(record["msg"][0]) | wide)
     record["sample"] = data.draw(st.just(record["sample"]) | surrogate_texts)
+    # sometimes 24 or 64 more two-valued attributes: unless a mutation replaces
+    # the attribute list, three mutations leave at least 2**21 combinations,
+    # past the generators' bound, so a generator never builds a large language
+    widened = data.draw(st.sampled_from([0, 0, 24, 64]))
+    documents["schema"]["attributes"] += [{"name": f"w{i}", "values": ["0", "1"]} for i in range(widened)]
     for _ in range(data.draw(st.integers(0, 3))):
         mutate(documents[data.draw(st.sampled_from(list(documents)))], data,
                json_values | surrogate_texts)
@@ -519,11 +525,14 @@ def test_schema_and_corpus_fail_only_with_error_codes(fuzz_dir, data):
     if replaced:  # arbitrary bytes, mostly not UTF-8
         paths[replaced].write_bytes(data.draw(st.binary(max_size=64)))
     inputs = ["--corpus", str(paths["corpus"]), "--schema", str(paths["schema"])]
+    msg_len = data.draw(st.sampled_from(["10", "64"]))  # 64 cells host every widened schema
     for argv in (
         ["extract", *inputs],
         ["topsim", *inputs, "--max-pairs", "50", "--seed", "1"],
         ["game", *inputs, "--candidates", "2", "--episodes", "5", "--seed", "1"],
         ["synth", "--kind", "noisy", *inputs, "--seed", "1"],
+        *(["synth", "--kind", kind, "--schema", str(paths["schema"]), "--msg-len", msg_len,
+           "--seed", "1"] for kind in ("compositional", "holistic")),
         ["render", "--in", str(paths["result"]), "--format", "markdown",
          "--schema", str(paths["schema"])],
     ):

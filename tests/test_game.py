@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from emlang.corpus import build_corpus
 from emlang.errors import ConfigError
-from emlang.game import GameConfig, _candidates, run_lewis_game
+from emlang.game import GameConfig, _candidates, _listener_table, run_lewis_game
 from emlang.metrics import accuracy_per_speaker
 from emlang.schema import parse_schema
 from emlang.synth import all_combinations, gen_compositional, gen_noisy
-from oracles import closed_form_accuracy, rows_by_sample
+from oracles import closed_form_accuracy, floyd_candidates, rows_by_sample
 
 
 def constant_corpus(moprd):
@@ -107,14 +107,20 @@ def coarse_corpus(language):
     return build_corpus(language.schema, language.vocab_size, language.message_length, records)
 
 
-@pytest.mark.parametrize("k", [2, 5])
-def test_every_cell_matches_the_closed_form(moprd, k):
+def closed_form_population(moprd):
+    """A compositional language, a noisy one with ties and a coarse one."""
     compositional, _ = gen_compositional(moprd, 10, 20, seed=8)
-    population = (
+    return (
         compositional,
         gen_noisy(compositional, synonym_count=2, minority_share=0.3, seed=8),
         coarse_corpus(compositional),
     )
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_every_cell_matches_the_closed_form(moprd, k):
+    population = closed_form_population(moprd)
+    compositional = population[0]
     episodes = 20_000
     config = GameConfig(
         seed=11, candidate_count=k, episodes=episodes, speakers=population, listeners=population
@@ -131,6 +137,41 @@ def test_every_cell_matches_the_closed_form(moprd, k):
                 assert abs(observed - expected) <= 5 * error, (i, j, observed, expected)
 
 
+# repr of the accuracy matrix of closed_form_population at 9000 episodes
+# (two batches at k = 2), as computed before the distractors became
+# column-major and the listener table message-major: no value may move
+GOLDEN_ACCURACY = {
+    "k2-seed0": (2, 0, "((1.0, 0.9996666666666667, 0.5078888888888888), "
+                       "(0.6673333333333333, 0.9996666666666667, 0.5045555555555555), "
+                       "(0.5145555555555555, 0.5306666666666666, 0.9151111111111111))"),
+    "k2-seed1": (2, 1, "((1.0, 0.9996666666666667, 0.5186666666666667), "
+                       "(0.6644444444444444, 0.9996666666666667, 0.5078888888888888), "
+                       "(0.514, 0.5255555555555556, 0.9102222222222223))"),
+    "k5-seed0": (5, 0, "((1.0, 0.9975555555555555, 0.22144444444444444), "
+                       "(0.472, 0.9973333333333333, 0.202), "
+                       "(0.23366666666666666, 0.24288888888888888, 0.7142222222222222))"),
+    "k5-seed1": (5, 1, "((1.0, 0.9985555555555555, 0.224), "
+                       "(0.4643333333333333, 0.9976666666666667, 0.21766666666666667), "
+                       "(0.23255555555555554, 0.22944444444444445, 0.7092222222222222))"),
+    "k20-seed0": (20, 0, "((1.0, 0.9928888888888889, 0.08155555555555556), "
+                         "(0.36288888888888887, 0.989, 0.06288888888888888), "
+                         "(0.08944444444444444, 0.09377777777777778, 0.2872222222222222))"),
+    "k20-seed1": (20, 1, "((1.0, 0.9933333333333333, 0.08588888888888889), "
+                         "(0.3631111111111111, 0.989, 0.059333333333333335), "
+                         "(0.08644444444444445, 0.09177777777777778, 0.29555555555555557))"),
+}
+
+
+@pytest.mark.parametrize(("k", "seed", "values"), GOLDEN_ACCURACY.values(),
+                         ids=GOLDEN_ACCURACY.keys())
+def test_game_golden_accuracy(moprd, k, seed, values):
+    population = closed_form_population(moprd)
+    config = GameConfig(
+        seed=seed, candidate_count=k, episodes=9000, speakers=population, listeners=population
+    )
+    assert repr(run_lewis_game(population[0], config).values) == values
+
+
 @pytest.mark.parametrize(("n", "k"), [(6, 2), (6, 4), (6, 6), (7, 3)])
 def test_candidates_are_uniform_subsets(n, k):
     """Every row holds its target and k - 1 distinct others, each subset equally often."""
@@ -145,6 +186,14 @@ def test_candidates_are_uniform_subsets(n, k):
         expected = counts.sum() / subsets
         assert len(counts) == subsets
         assert np.abs(counts - expected).max() <= 5 * math.sqrt(expected)
+
+
+@pytest.mark.parametrize(("n", "k"), [(2, 2), (6, 6), (100, 20), (100, 100), (4096, 100)])
+def test_candidates_match_floyd_oracle(n, k):
+    """The array sampler is Floyd's algorithm, episode by episode, over the same draws."""
+    targets = np.random.default_rng(n).integers(n, size=300)
+    candidates = _candidates(np.random.default_rng(k), targets, n, k)
+    assert candidates.tolist() == floyd_candidates(np.random.default_rng(k), targets, n, k)
 
 
 def test_ids_differing_by_a_trailing_nul_are_distinct_samples(moprd):
@@ -186,10 +235,10 @@ TOKEN_SCHEMA = parse_schema('{"attributes": [{"name": "a", "values": ["x"]}]}')
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_message_ids_increase_within_each_owner(data):
-    """The listener's keys need no sort: over the messages of a population of
-    canonical corpora, ``np.unique`` numbers each owner's rows in increasing
-    order, even at tokens near 2**63."""
+def test_listener_table_is_message_major(data):
+    """Over the messages of a population of canonical corpora, even at tokens
+    near 2**63, each listener's keys ``message id * n + owner`` strictly
+    increase and name every row once, with the share count / total of that row."""
     length = data.draw(st.integers(1, 3))
     token = st.integers(0, 3) | st.integers(0, 2**63 - 1) | st.just(2**63 - 1)
     row = st.tuples(st.integers(0, 3), st.lists(token, min_size=length, max_size=length))
@@ -204,8 +253,13 @@ def test_message_ids_increase_within_each_owner(data):
     _, message_ids = np.unique(stacked, axis=0, return_inverse=True)
     bounds = np.cumsum([len(corpus.messages) for corpus in corpora])[:-1]
     for corpus, ids in zip(corpora, np.split(message_ids.reshape(-1), bounds)):
-        same_owner = corpus.owners[1:] == corpus.owners[:-1]
-        assert (ids[1:][same_owner] > ids[:-1][same_owner]).all()
+        n = len(corpus.samples)
+        keys, shares = _listener_table(corpus, ids, n)
+        assert (np.diff(keys) > 0).all()
+        rows = zip(ids.tolist(), corpus.owners.tolist(), corpus.counts.tolist())
+        share_of = {(message_id, owner): count / corpus.totals[owner] for message_id, owner, count in rows}
+        table = zip(keys.tolist(), shares.tolist())
+        assert {(key // n, key % n): share for key, share in table} == share_of
 
 
 def test_agents_must_hold_the_game_samples(moprd):

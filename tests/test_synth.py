@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from emlang.errors import CapacityError, DocumentSyntaxError
 from emlang.rules import extract_rules
 from emlang.schema import AttributeSchema, Attribute, eval_property, validate_sample
 from emlang.synth import (
+    MAX_COMBINATIONS,
     all_combinations,
+    combination_count,
     concept_schema,
     gen_compositional,
     gen_holistic,
@@ -86,6 +89,26 @@ def test_generators_check_corpus_bounds_first(moprd, generate, length, vocab):
     with pytest.raises(DocumentSyntaxError) as raised:
         generate(moprd, length, vocab, seed=1)
     assert raised.value.code == "SyntaxError"
+
+
+@pytest.mark.parametrize("generate", [gen_compositional, gen_holistic])
+def test_generators_refuse_too_many_combinations_before_enumerating(monkeypatch, generate):
+    """64 two-valued attributes make 2**64 combinations: the count alone refuses them."""
+    def enumerate_nothing(*domains):
+        raise AssertionError("combinations enumerated")
+
+    monkeypatch.setattr("emlang.synth.itertools", SimpleNamespace(product=enumerate_nothing))
+    wide = AttributeSchema(
+        attributes=tuple(Attribute(name=f"a{i}", domain=("0", "1")) for i in range(64))
+    )
+    with pytest.raises(CapacityError, match=f"{2**64} attribute combinations exceed"):
+        generate(wide, 64, 20, seed=1)
+
+
+def test_combination_bound_is_inclusive():
+    assert combination_count(concept_schema(MAX_COMBINATIONS)) == MAX_COMBINATIONS
+    with pytest.raises(CapacityError):
+        combination_count(concept_schema(MAX_COMBINATIONS + 1))
 
 
 # ---------------------------------------------------------------------------
