@@ -5,7 +5,9 @@ format is line-oriented JSON (UTF-8, LF): a header line
 ``{"meta": {"vocab_size": n, "msg_len": T}}`` followed by one record per
 line, ``{"sample": id, "attrs": {...}, "msg": [ints], "count": k}`` with
 ``count`` defaulting to 1.  Sample ids are strings without lone
-surrogates (UTF-8 cannot encode them), ``vocab_size`` is at most 2**63,
+surrogates (UTF-8 cannot encode them); a lone surrogate elsewhere is no
+syntax error, so it loads in a field the reader ignores and is an
+AttributeMismatch in ``attrs``.  ``vocab_size`` is at most 2**63,
 ``msg_len`` at most ``MAX_MESSAGE_LENGTH`` = 2**16, and the counts of a
 corpus sum to less than 2**53.  Records repeating the same
 (sample, message) merge by summing counts.
@@ -21,13 +23,21 @@ rows, so ``dataclasses.replace(corpus, ...)`` re-canonicalises.
 Samples and rows are each checked in one place.  The samples' attribute
 values are coded once, by :func:`~emlang.schema.property_codes`, which is
 also the one check that they conform to the schema; the result is the
-corpus's ``codes`` matrix, one row per sample.  Rows that are valid as
-given (int64 tokens inside the vocabulary, counts of at least 1, a total
-below 2**53) are sorted and merged as arrays; any other input is merged in
-Python integers, and that path alone reports the first invalid row in
-canonical order.
+corpus's ``codes`` matrix, one row per sample.  A corpus built from another
+corpus's own ``samples`` and schema object, as the frequency filter and the
+noisy generator build theirs, takes the checked samples and their codes over
+instead of coding them again.  Rows that are valid as given (int64 tokens
+inside the vocabulary, counts of at least 1, a total below 2**53) are
+sorted and merged as arrays; any other input is merged in Python integers,
+and that path alone reports the first invalid row in canonical order.
 
 Corpora are immutable after construction; filtering returns a new corpus.
+
+:func:`serialize_corpus` writes each record as ``json.dumps(record,
+ensure_ascii=False)`` would, without Python work per row or per token.  Its
+text holds no raw NUL, because JSON escapes U+0000 as ``\\u0000``, and it
+passes a lone surrogate in the names or values of a Python-built schema
+through unchanged, as ``json.dumps`` does.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring  # what json.dumps(..., ensure_ascii=False) calls
 
 import numpy as np
 
@@ -49,7 +60,6 @@ from .errors import (
     TokenOutOfRange,
     UnknownSample,
     has_lone_surrogate,
-    parse_json,
 )
 from .schema import AttributeSchema, Sample, property_codes
 
@@ -63,8 +73,15 @@ VOCAB_LIMIT = 2**63
 # Longest message a corpus may hold.  Rule tables share the bound, because
 # their markdown and CSV renderings hold one column per position.
 MAX_MESSAGE_LENGTH = 2**16
-# Rows that serialize_corpus turns into Python objects at once.
-_SERIALIZE_BLOCK = 4096
+# serialize_corpus assembles at most this many rows at once, in a byte matrix
+# of at most _SERIALIZE_BYTES unless a single row is wider.  Small blocks keep
+# its temporaries small: on the synth-noisy benchmark, 512-row blocks run as
+# fast as 4096-row ones, and the peak RSS stays steady instead of rising by
+# about 4 MB in some runs.
+_SERIALIZE_BLOCK = 512
+_SERIALIZE_BYTES = 2**20
+# Up to this maximum, serialize_corpus indexes its digit tables by value.
+_DIRECT_DIGITS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +95,10 @@ class AnnotatedCorpus:
     owner and then tokens, and rows repeating an (owner, message) merged by
     summing their counts.  Input whose rows are all valid as given is sorted
     and merged as int64 arrays; anything else is merged in Python integers by
-    the one check that reports a row error.  The arrays, ``codes``
-    included, are stored as fresh read-only int64 arrays, never as the
-    caller's.
+    the one check that reports a row error.  The arrays are stored as fresh
+    read-only int64 arrays, never as the caller's.  Samples taken from
+    another corpus over the same schema object keep their order and their
+    read-only ``codes``, which are not computed again.
     """
 
     schema: AttributeSchema
@@ -95,35 +113,44 @@ class AnnotatedCorpus:
     __hash__ = None
 
     def __post_init__(self):
-        codes = property_codes(self.schema, self.samples)
+        samples = self.samples
+        # samples taken over from a corpus over this schema object are checked already
+        checked = type(samples) is _CheckedSamples and samples.schema is self.schema
+        codes = samples.codes if checked else property_codes(self.schema, samples)
         _check_shape(self.vocab_size, self.message_length)
-        by_id = sorted(range(len(self.samples)), key=lambda k: self.samples[k].id)
-        samples = tuple(self.samples[k] for k in by_id)
-        ids = [sample.id for sample in samples]
-        for before, after in zip(ids, ids[1:]):
-            if before == after:
-                raise DocumentSyntaxError(f"duplicate sample id {after!r}")
-        if has_lone_surrogate("".join(ids)):
-            bad = next(i for i in ids if has_lone_surrogate(i))
-            raise DocumentSyntaxError(f"sample id {bad!r} holds a lone surrogate")
+        if not checked:
+            by_id = sorted(range(len(samples)), key=lambda k: samples[k].id)
+            samples = _CheckedSamples(samples[k] for k in by_id)
+            ids = [sample.id for sample in samples]
+            for before, after in zip(ids, ids[1:]):
+                if before == after:
+                    raise DocumentSyntaxError(f"duplicate sample id {after!r}")
+            if has_lone_surrogate("".join(ids)):
+                bad = next(i for i in ids if has_lone_surrogate(i))
+                raise DocumentSyntaxError(f"sample id {bad!r} holds a lone surrogate")
         owners = np.asarray(self.owners, dtype=np.int64)
         if not owners.shape == np.shape(self.counts) == (len(self.messages),):
             raise DocumentSyntaxError("messages, owners and counts need one entry per row")
-        if len(owners) and not 0 <= owners.min() <= owners.max() < len(ids):
+        if len(owners) and not 0 <= owners.min() <= owners.max() < len(samples):
             raise DocumentSyntaxError("a message owner lies outside the samples")
-        rank = np.empty(len(ids), dtype=np.int64)
-        rank[by_id] = np.arange(len(ids))
-        owners = rank[owners]
-        empty = np.flatnonzero(np.bincount(owners, minlength=len(ids)) == 0)
+        if not checked:
+            rank = np.empty(len(samples), dtype=np.int64)
+            rank[by_id] = np.arange(len(samples))
+            owners = rank[owners]
+            codes = codes[by_id]
+            codes.flags.writeable = False
+            samples.schema, samples.codes = self.schema, codes
+        empty = np.flatnonzero(np.bincount(owners, minlength=len(samples)) == 0)
         if len(empty):
-            raise DocumentSyntaxError(f"sample {ids[empty[0]]!r} owns no messages")
+            raise DocumentSyntaxError(f"sample {samples[empty[0]].id!r} owns no messages")
         rows = _int64_rows(owners, self.messages, self.counts, self.vocab_size, self.message_length)
         if rows is None:
             rows = _exact_rows(
                 samples, self.vocab_size, self.message_length, owners, self.messages, self.counts
             )
         object.__setattr__(self, "samples", samples)
-        for name, array in zip(("codes", "messages", "owners", "counts"), (codes[by_id], *rows)):
+        object.__setattr__(self, "codes", codes)
+        for name, array in zip(("messages", "owners", "counts"), rows):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -148,6 +175,16 @@ class AnnotatedCorpus:
         # every partial sum stays below 2**53, so the float accumulation is exact
         weighted = np.bincount(self.owners, weights=self.counts, minlength=len(self.samples))
         return weighted.astype(np.int64)
+
+
+class _CheckedSamples(tuple):
+    """The samples of a corpus: sorted by id, unique, free of lone
+    surrogates, conforming to ``schema`` and coded as ``codes``.  A corpus
+    built from them and the same schema object, as ``filter_by_frequency``
+    and ``gen_noisy`` build theirs, takes them over as they are."""
+
+    schema: AttributeSchema
+    codes: np.ndarray
 
 
 def _check_shape(vocab_size: int, message_length: int) -> None:
@@ -317,7 +354,14 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
 
 
 def _parse_json_line(line: str, lineno: int):
-    return parse_json(line, f"line {lineno}: invalid JSON ({{}})")
+    """The JSON value of one line, which is invalid exactly when the fast
+    path's scan rejects it.  Unlike :func:`~emlang.errors.parse_json`, this
+    takes a lone surrogate, as that scan does: only a sample id or an
+    attribute holding one is rejected, by the content checks."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise DocumentSyntaxError(f"line {lineno}: invalid JSON ({exc})") from None
 
 
 def _check_records(lines: list[str]) -> None:
@@ -340,31 +384,104 @@ def _check_records(lines: list[str]) -> None:
 
 
 def serialize_corpus(corpus: AnnotatedCorpus) -> str:
-    """Canonical corpus document; ``load_corpus(serialize_corpus(c)) == c``."""
-    header = {"meta": {"vocab_size": corpus.vocab_size, "msg_len": corpus.message_length}}
-    names = corpus.schema.attribute_names
-    # each sample's record text up to its first token: '{"sample": ..., "msg": ['
-    prefixes = [
-        json.dumps(
-            {"sample": sample.id, "attrs": {n: sample.values[n] for n in names}, "msg": []},
-            ensure_ascii=False,
-        )[:-2]
-        for sample in corpus.samples
-    ]
-    # %d formats an int exactly as json.dumps does
-    record = "%s" + ", ".join(["%d"] * corpus.message_length) + '], "count": %d}'
-    lines = [json.dumps(header, ensure_ascii=False)]
-    # rows become Python lists one block at a time, so their objects never all coexist
-    for start in range(0, len(corpus.owners), _SERIALIZE_BLOCK):
-        block = slice(start, start + _SERIALIZE_BLOCK)
-        rows = zip(
-            corpus.owners[block].tolist(),
-            corpus.messages[block].tolist(),
-            corpus.counts[block].tolist(),
+    """Canonical corpus document; ``load_corpus(serialize_corpus(c)) == c``.
+
+    Each record line is the ``json.dumps(..., ensure_ascii=False)`` text of
+    ``{"sample", "attrs", "msg", "count"}``, attributes in schema order.  The
+    text holds no raw NUL, since JSON writes U+0000 as ``\\u0000``, and a lone
+    surrogate in the names or values of a Python-built schema passes through
+    unchanged.  Rows are assembled as byte matrices one block at a time, with
+    no Python work per row or per token.
+    """
+    header = json.dumps(
+        {"meta": {"vocab_size": corpus.vocab_size, "msg_len": corpus.message_length}},
+        ensure_ascii=False,
+    )
+    prefixes = _record_prefixes(corpus)
+    token_index, token_table = _digit_table(corpus.messages, b", ")
+    count_index, count_table = _digit_table(corpus.counts, b"}\n")
+    middle = np.frombuffer(b'], "count": ', dtype=np.uint8)
+    # the padded width of a row after its prefix
+    tail = corpus.message_length * token_table.shape[1] - 2 + len(middle) + count_table.shape[1]
+    lengths = np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
+    blocks = [header + "\n"]
+    for start, stop in _blocks(lengths[corpus.owners] + tail):
+        owners = corpus.owners[start:stop]
+        first = owners[0]  # rows are sorted by owner
+        # the prefixes of this block's samples only, NUL-padded to the
+        # longest, so that one long sample id widens no other block
+        table = np.array(prefixes[first : owners[-1] + 1], dtype=bytes)
+        table = table.view(np.uint8).reshape(len(table), -1)
+        # np.take gathers whole rows much faster than fancy indexing does
+        tokens = np.take(token_table, token_index[start:stop], axis=0).reshape(stop - start, -1)
+        rows = np.concatenate(
+            [
+                np.take(table, owners - first, axis=0),
+                tokens[:, :-2],  # the last token is followed by '], "count": ', not ', '
+                np.broadcast_to(middle, (stop - start, len(middle))),
+                np.take(count_table, count_index[start:stop], axis=0),
+            ],
+            axis=1,
         )
-        lines.extend(record % (prefixes[owner], *message, count) for owner, message, count in rows)
-    lines.append("")  # a final newline, without copying the joined document
-    return "\n".join(lines)
+        # JSON escapes U+0000 as \u0000, so every NUL byte is padding
+        blocks.append(rows[rows != 0].tobytes().decode("utf-8", "surrogatepass"))
+    return "".join(blocks)
+
+
+def _record_prefixes(corpus: AnnotatedCorpus) -> list[bytes]:
+    """Each sample's record text up to its first token, '{"sample": ..., "msg": [',
+    in UTF-8; ``surrogatepass`` keeps a lone surrogate of a Python-built schema."""
+    names = corpus.schema.attribute_names
+    entries = []  # each attribute's '"name": "value"' texts, by domain index
+    for name in names:
+        key = encode_basestring(name)
+        values = map(encode_basestring, corpus.schema.domain(name))
+        entries.append([f"{key}: {value}" for value in values])
+    prefix = '{"sample": %s, "attrs": {%s}, "msg": ['
+    return [  # map(list.__getitem__, ...) picks entries[i][codes[i]] for each attribute i
+        (prefix % (encode_basestring(sample.id), ", ".join(map(list.__getitem__, entries, codes))))
+        .encode("utf-8", "surrogatepass")
+        for sample, codes in zip(corpus.samples, corpus.codes[:, : len(names)].tolist())
+    ]
+
+
+def _digit_table(values: np.ndarray, suffix: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, table)`` such that ``table[index]`` is, for each of the
+    non-negative ``values``, its decimal digits NUL-padded on the left and
+    followed by ``suffix``, as uint8 rows.  The table covers ``0..max``
+    when the maximum is small, else only the distinct values."""
+    top = int(values.max(initial=0))
+    if top <= _DIRECT_DIGITS:
+        distinct, index = np.arange(top + 1), values
+    else:
+        distinct, index = np.unique(values, return_inverse=True)
+        index = index.reshape(values.shape)
+    width = len(str(top))
+    table = np.empty((len(distinct), width + len(suffix)), dtype=np.uint8)
+    table[:, width:] = np.frombuffer(suffix, dtype=np.uint8)
+    # one digit position at a time, so that no int64 temporary has width columns
+    for column in range(width):
+        power = 10 ** (width - 1 - column)
+        digits = distinct // power
+        digits %= 10
+        digits += ord("0")
+        if column < width - 1:  # 0 keeps its one digit
+            digits[distinct < power] = 0  # a leading zero
+        table[:, column] = digits
+    return index, table
+
+
+def _blocks(widths: np.ndarray):
+    """``(start, stop)`` row ranges of at most ``_SERIALIZE_BLOCK`` rows whose
+    padded matrix, rows times the widest of their ``widths``, fits in
+    ``_SERIALIZE_BYTES``; a row too wide for that makes a block of its own."""
+    start = 0
+    while start < len(widths):
+        widest = np.maximum.accumulate(widths[start : start + _SERIALIZE_BLOCK])
+        fits = widest * np.arange(1, len(widest) + 1) <= _SERIALIZE_BYTES  # True, then False
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        yield start, stop
+        start = stop
 
 
 def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedCorpus:

@@ -15,9 +15,10 @@ from emlang.report import render_rule_table
 from emlang.rules import extract_rules
 from emlang.corpus import load_corpus, serialize_corpus
 from emlang.schema import parse_schema, render_schema
-from emlang.synth import moprd_schema
+from emlang.synth import gen_compositional, gen_holistic, gen_noisy, moprd_schema
 
 from conftest import error_codes, json_values, mutate
+from oracles import naive_serialize_corpus
 
 
 def run_cli(*args: str, cwd=None, timeout=None):
@@ -165,6 +166,29 @@ def test_synth_topsim_game_pipeline(tmp_path):
     )
     assert game.returncode == 0
     assert "Per-speaker mean: 1.0000" in game.stdout
+
+
+@pytest.mark.parametrize("kind", ["noisy", "compositional", "holistic"])
+def test_synth_writes_one_json_dumps_per_record(workdir, kind):
+    """The bytes on stdout are the record-by-record serialization of the
+    library's corpus for the same arguments."""
+    schema = moprd_schema()
+    argv = ["--msg-len", "12", "--vocab", "30"]
+    if kind == "noisy":
+        argv = ["--corpus", str(workdir / "corpus.jsonl"), "--synonyms", "3"]
+        base = load_corpus((workdir / "corpus.jsonl").read_text(encoding="utf-8"), schema)
+        expected = gen_noisy(base, 3, 0.10, 7)
+    elif kind == "compositional":
+        expected, _ = gen_compositional(schema, 12, 30, 7)
+    else:
+        expected = gen_holistic(schema, 12, 30, 7)
+    result = subprocess.run(
+        [sys.executable, "-m", "emlang", "synth", "--kind", kind, "--schema", "moprd",
+         "--seed", "7", *argv],
+        capture_output=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == naive_serialize_corpus(expected).encode("utf-8")
 
 
 def test_synth_noisy_and_render(tmp_path, workdir):

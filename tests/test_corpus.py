@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import copy
 import json
 import random
 import re
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 
 from emlang.corpus import (
     MAX_MESSAGE_LENGTH,
+    _SERIALIZE_BLOCK,
     AnnotatedCorpus,
+    _blocks,
     build_corpus,
     filter_by_frequency,
     load_corpus,
@@ -29,8 +33,8 @@ from emlang.errors import (
     TokenOutOfRange,
     UnknownSample,
 )
-from emlang.schema import Sample, parse_schema
-from emlang.synth import all_combinations, concept_schema
+from emlang.schema import Attribute, AttributeSchema, Sample, parse_schema, property_codes
+from emlang.synth import all_combinations, concept_schema, gen_holistic, gen_noisy
 
 from conftest import mutate
 from oracles import naive_load_corpus, naive_serialize_corpus, rows_by_sample
@@ -103,6 +107,35 @@ def test_vocab_size_bound_keeps_every_token_in_int64():
         build_corpus(TINY, 2**63 + 1, 2, [("s", {"a": "x"}, (2**63, 0), 1)])
 
 
+NOTED = '{"sample": "s", "attrs": {"a": "x"}, "msg": [1, 2], "note": "\\ud800"}'
+SURROGATE_ATTRIBUTE = '{"sample": "s", "attrs": {"a": "\\ud800"}, "msg": [1, 2]}'
+SURROGATE_CASES = {
+    "ignored-field-then-broken-line": ([HEADER, NOTED, "{broken"], (DocumentSyntaxError, 3)),
+    "attribute-then-broken-line": ([HEADER, SURROGATE_ATTRIBUTE, "{broken"], (DocumentSyntaxError, 3)),
+    "ignored-field": ([HEADER, NOTED, record("t", "y", [0, 1])], None),
+    "ignored-header-field": (
+        [HEADER[:-1] + ', "note": "\\ud800"}', record("s", "x", [1, 2]), record("t", "y", [0, 1])],
+        None,
+    ),
+    "attribute": ([HEADER, SURROGATE_ATTRIBUTE, record("t", "y", [0, 1])], (AttributeMismatch, None)),
+    "record-as-header": ([NOTED], (DocumentSyntaxError, None)),  # no header
+}
+
+
+@pytest.mark.parametrize(("lines", "error"), SURROGATE_CASES.values(), ids=SURROGATE_CASES.keys())
+def test_lone_surrogate_follows_one_rule_on_both_paths(lines, error):
+    """A lone surrogate outside the sample id is no syntax error: a field the
+    reader ignores loads, and an attribute is outside the schema, wherever a
+    malformed line is."""
+    text = "\n".join(lines) + "\n"
+    loaded = outcome(load_corpus, text, TINY)
+    assert loaded == outcome(naive_load_corpus, text, TINY)
+    if error is None:
+        assert rows_by_sample(loaded) == {"s": (((1, 2), 1),), "t": (((0, 1), 1),)}
+    else:
+        assert loaded == error
+
+
 def test_array_construction_checks():
     x, y = Sample("s", {"a": "x"}), Sample("t", {"a": "y"})
     good = dict(samples=(x, y), messages=[[1, 2], [0, 3]], owners=[0, 1], counts=[2, 1])
@@ -130,6 +163,36 @@ def test_array_construction_checks():
     ]:
         with pytest.raises(error):
             AnnotatedCorpus(TINY, 4, 2, **{**good, **change})
+
+
+def test_derived_corpora_take_over_the_samples_codes(monkeypatch, reference_corpus):
+    """The frequency filter and the noisy generator reuse their input's
+    checked samples and codes; input from outside is coded exactly once."""
+    calls = []
+
+    def counted(schema, samples):
+        calls.append(len(samples))
+        return property_codes(schema, samples)
+
+    monkeypatch.setattr("emlang.corpus.property_codes", counted)
+    # a plain tuple of samples comes from outside, so it is checked and coded
+    base = replace(
+        reference_corpus, samples=tuple(reference_corpus.samples), counts=reference_corpus.counts * 10
+    )
+    assert calls == [len(base.samples)]
+    noisy = gen_noisy(base, 2, 0.1, seed=1)
+    filtered = filter_by_frequency(noisy, 0.5)
+    assert calls == [len(base.samples)]
+    assert filtered == base
+    for derived in (noisy, filtered):
+        fresh = replace(derived, samples=tuple(derived.samples))
+        assert fresh == derived and np.array_equal(fresh.codes, derived.codes)
+    assert len(calls) == 3
+    # an equal schema that is another object codes the samples again
+    replace(base, schema=copy.deepcopy(base.schema))
+    assert len(calls) == 4
+    with pytest.raises(TokenOutOfRange):  # taken-over samples leave the rows checked
+        replace(base, messages=base.messages + base.vocab_size)
 
 
 def test_construction_checks_samples_against_the_schema():
@@ -418,6 +481,61 @@ def test_moprd_round_trip(reference_corpus, moprd):
     assert load_corpus(text, moprd) == reference_corpus
 
 
+# Text that JSON escapes or writes through: quotes, backslashes, '%', NUL and
+# other control characters, U+2028 and non-BMP characters.
+hostile_texts = st.text(
+    st.sampled_from('"\\%\x00\x01\n\x1f\x7f\u2028\u00e9\U0001f600') | st.characters(), max_size=4
+)
+# A Python-built schema may also hold a lone surrogate, which UTF-8 cannot encode.
+schema_texts = hostile_texts | st.integers(0xD800, 0xDFFF).map(chr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_serializer_matches_one_json_dumps_per_record(data):
+    """Hostile names and values, tokens up to 2**63 - 1, counts up to
+    2**53 - 1, long and short messages, blocks of any size and no rows."""
+    draw = data.draw
+    names = draw(st.lists(schema_texts, min_size=1, max_size=3, unique=True))
+    domains = [draw(st.lists(schema_texts, min_size=1, max_size=3, unique=True)) for _ in names]
+    schema = AttributeSchema(tuple(map(Attribute, names, map(tuple, domains))))
+    length = draw(st.sampled_from([1, 2, 3, 65, 70]))
+    vocab = draw(st.sampled_from([1, 3, 2**16 + 1, 2**16 + 2, 2**63]))
+    tokens = st.integers(0, vocab - 1) | st.just(vocab - 1)
+    ids = draw(st.lists(hostile_texts, max_size=4, unique=True))
+    samples, rows = [], []
+    for owner, sample_id in enumerate(ids):
+        values = {a.name: draw(st.sampled_from(a.domain)) for a in schema.attributes}
+        samples.append(Sample(sample_id, values))
+        for _ in range(draw(st.integers(1, 3))):
+            rows.append((owner, [draw(tokens) for _ in range(length)], draw(st.integers(1, 9))))
+    if rows and draw(st.booleans()):  # one count as large as the total allows
+        owner, message, _ = rows[0]
+        rows[0] = owner, message, 2**53 - 1 - sum(count for _, _, count in rows[1:])
+    owners, messages, counts = zip(*rows) if rows else ((), np.empty((0, length)), ())
+    corpus = AnnotatedCorpus(schema, vocab, length, tuple(samples), messages, owners, counts)
+    block = draw(st.sampled_from([1, 2, 5, 4096]))
+    width = draw(st.sampled_from([1, 300, 2**22]))  # 1: a block per row
+    with patch.multiple("emlang.corpus", _SERIALIZE_BLOCK=block, _SERIALIZE_BYTES=width):
+        text = serialize_corpus(corpus)
+    assert text == naive_serialize_corpus(corpus)
+    assert load_corpus(text, schema) == corpus
+
+
+def test_serializer_crosses_the_block_size():
+    corpus = gen_holistic(concept_schema(_SERIALIZE_BLOCK + 5), 6, 40, seed=1)
+    assert serialize_corpus(corpus) == naive_serialize_corpus(corpus)
+
+
+def test_serializer_blocks_bound_the_padded_matrix(monkeypatch):
+    """A block's rows times its widest row stay within the byte bound, so one
+    long sample id or message cannot pad thousands of rows to its width."""
+    monkeypatch.setattr("emlang.corpus._SERIALIZE_BLOCK", 4)
+    monkeypatch.setattr("emlang.corpus._SERIALIZE_BYTES", 100)
+    widths = np.array([10, 10, 10, 10, 10, 60, 10, 200, 10, 10])
+    assert list(_blocks(widths)) == [(0, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 10)]
+
+
 # Attribute order b, a differs from key order, so records must follow the schema.
 TWO = parse_schema(
     '{"attributes": [{"name": "b", "values": ["x", "y"]}, {"name": "a", "values": ["u", "v"]}]}'
@@ -426,10 +544,16 @@ IDS = ["s0", "s1", "\u00e9", 'q"t']
 ANNOTATIONS = [{"b": "x", "a": "u"}, {"a": "v", "b": "y"}, {"b": "y", "a": "u"}]
 
 
-def outcome(load, text):
+# strings holding exactly one surrogate code point, which is therefore lone
+lone_surrogate_texts = st.tuples(
+    st.text(max_size=2), st.integers(0xD800, 0xDFFF).map(chr), st.text(max_size=2)
+).map("".join)
+
+
+def outcome(load, text, schema=TWO):
     """The corpus, or the error class and the line number its message names."""
     try:
-        return load(text, TWO)
+        return load(text, schema)
     except EmlangError as exc:
         line = re.match(r"line (\d+):", str(exc))
         return type(exc), line and int(line.group(1))
@@ -467,6 +591,15 @@ def test_loader_matches_record_by_record_oracle(data):
             record["attrs"] = dict(draw(st.sampled_from(ANNOTATIONS)))  # may conflict
         if draw(st.booleans()):
             record["count"] = value(st.integers(1, 5))
+        if draw(st.integers(0, 9)) == 0:  # a lone surrogate, ignored or as an attribute
+            text = draw(lone_surrogate_texts)
+            where = draw(st.sampled_from(["note", "key", "value"]))
+            if where == "note":
+                record["note"] = text
+            elif where == "key":
+                record["attrs"][text] = "x"
+            else:
+                record["attrs"][draw(st.sampled_from(sorted(record["attrs"])))] = text
         records.append(record)
     documents = [{"meta": {"vocab_size": vocab, "msg_len": length}}, *records]
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
