@@ -483,11 +483,13 @@ def test_moprd_round_trip(reference_corpus, moprd):
 
 # Text that JSON escapes or writes through: quotes, backslashes, '%', NUL and
 # other control characters, U+2028 and non-BMP characters.
-hostile_texts = st.text(
-    st.sampled_from('"\\%\x00\x01\n\x1f\x7f\u2028\u00e9\U0001f600') | st.characters(), max_size=4
-)
-# A Python-built schema may also hold a lone surrogate, which UTF-8 cannot encode.
-schema_texts = hostile_texts | st.integers(0xD800, 0xDFFF).map(chr)
+hostile_chars = st.sampled_from('"\\%\x00\x01\n\x1f\x7f\u2028\u00e9\U0001f600')
+# Sample ids hold no surrogate: the constructor refuses a lone one.
+hostile_texts = st.text(hostile_chars | st.characters(codec="utf-8"), max_size=4)
+# A Python-built schema may also hold lone surrogates, which UTF-8 cannot encode.
+schema_texts = st.text(hostile_chars | st.characters(), max_size=4) | st.integers(
+    0xD800, 0xDFFF
+).map(chr)
 
 
 @settings(max_examples=300, deadline=None)
