@@ -26,6 +26,10 @@ from .schema import AttributeSchema, parse_schema
 from .synth import gen_compositional, gen_holistic, gen_noisy, moprd_schema
 
 
+# _emit encodes and writes at most this many characters at once.
+_EMIT_CHUNK = 2**20
+
+
 def _read(path: str) -> str:
     p = Path(path)
     if not p.is_file():
@@ -50,13 +54,29 @@ def _load_corpus(path: str, schema: AttributeSchema):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` as UTF-8 to the file ``out``, or to standard output
+    whatever its encoding."""
     if out is None:
-        sys.stdout.write(text)
+        stream = getattr(sys.stdout, "buffer", None)
+        if stream is None:  # a text stream without bytes underneath, such as io.StringIO
+            sys.stdout.write(text)
+            return
+        sys.stdout.flush()  # text written before comes first
+        _write_utf8(text, stream)
+        stream.flush()
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "wb") as stream:
+            _write_utf8(text, stream)
     except OSError as exc:
         raise NotFoundError(f"cannot write {out}: {exc.strerror}") from None
+
+
+def _write_utf8(text: str, stream) -> None:
+    # one chunk at a time, so that a large document is never held twice, as
+    # text and as bytes
+    for start in range(0, len(text), _EMIT_CHUNK):
+        stream.write(text[start : start + _EMIT_CHUNK].encode("utf-8"))
 
 
 def _parse_tokens(text: str) -> tuple[int, ...]:

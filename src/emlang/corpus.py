@@ -12,6 +12,15 @@ AttributeMismatch in ``attrs``.  ``vocab_size`` is at most 2**63,
 corpus sum to less than 2**53.  Records repeating the same
 (sample, message) merge by summing counts.
 
+:func:`load_corpus` has two readers with one result.  A document whose
+record lines all hold the spelling :func:`serialize_corpus` writes, as
+``json.dumps`` does (the keys in that order, ``", "`` and ``": "``
+separators, strings without escapes or control characters, integers of at
+most 18 digits without sign or leading zero), is read by one regular
+expression over the whole text, provided no sample id comes with two attrs
+spellings.  Any other document is read one JSON value per line.  Both give
+the same corpus, or the same error class, message and line.
+
 In memory a corpus is columnar.  ``samples`` holds one :class:`Sample` per
 distinct id, sorted by id.  Row r of ``messages`` (``int64[rows x
 message_length]``) is a message that sample ``samples[owners[r]]`` sent
@@ -43,6 +52,7 @@ through unchanged, as ``json.dumps`` does.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -258,12 +268,41 @@ def _int64_rows(owners, msgs, counts, vocab_size, message_length):
         and counts.sum(dtype=np.float64) < COUNT_LIMIT
     ):
         return None
-    order = np.lexsort((*messages.T[::-1], owners))
+    if _strictly_increasing(owners, messages):  # as serialized files and filtered corpora are
+        return messages.copy(), owners.copy(), counts.copy()
+    order = np.lexsort((*_token_keys(messages, vocab_size)[::-1], owners))
     messages, owners, counts = messages[order], owners[order], counts[order]
     starts = np.ones(len(owners), dtype=bool)
     starts[1:] = (owners[1:] != owners[:-1]) | (messages[1:] != messages[:-1]).any(axis=1)
     starts = np.flatnonzero(starts)
     return messages[starts], owners[starts], np.add.reduceat(counts, starts)
+
+
+def _token_keys(messages: np.ndarray, vocab_size: int) -> list[np.ndarray]:
+    """Int64 keys, most significant first, that sort the rows as their token
+    sequences sort: each packs as many consecutive tokens below
+    ``vocab_size`` as fit in 63 bits, so there are fewer keys than tokens."""
+    width = max(1, (vocab_size - 1).bit_length())  # bits per token
+    per_key = 63 // width
+    keys = []
+    for start in range(0, messages.shape[1], per_key):
+        key = np.zeros(len(messages), dtype=np.int64)
+        for column in messages.T[start : start + per_key]:
+            key <<= width
+            key |= column
+        keys.append(key)
+    return keys
+
+
+def _strictly_increasing(owners: np.ndarray, messages: np.ndarray) -> bool:
+    """Whether each row comes after the one before it by owner, then tokens:
+    the rows are canonical, sorted with no repeated (owner, message)."""
+    later, earlier = messages[1:], messages[:-1]
+    rows = np.arange(len(later))
+    first = (later != earlier).argmax(axis=1)  # the first differing position; 0 for equal rows
+    ahead = later[rows, first] > earlier[rows, first]  # so equal rows are not ahead
+    step = np.diff(owners)
+    return bool(((step > 0) | ((step == 0) & ahead)).all())
 
 
 def _exact_rows(samples, vocab_size, message_length, owners, msgs, counts):
@@ -309,11 +348,16 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
     Line numbers count non-blank lines.  Errors come in the order of a
     line-by-line reader: record syntax in line order, then attributes in
     record order, then content (header bounds, rows in canonical order).
+    Records in the spelling :func:`serialize_corpus` writes are read in one
+    regular-expression pass (:func:`_lex_records`); any other document is
+    read one JSON value per line (:func:`_scan_records`).  Both give the
+    same corpus or the same error.
     """
-    lines = [line for line in text.split("\n") if line.strip()]
+    lines = _lines(text)
     if not lines:
         raise DocumentSyntaxError("corpus document is empty")
-    header = _parse_json_line(lines[0], 1)
+    header, records = _parse_json_line(lines[0], 1), len(lines) - 1
+    del lines  # the lexer reads the text; its columns need the memory
     if not isinstance(header, dict):
         raise DocumentSyntaxError("line 1: expected a JSON object")
     meta = header.get("meta")
@@ -324,17 +368,83 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
     vocab_size, message_length = meta["vocab_size"], meta["msg_len"]
     if not _is_int(vocab_size) or not _is_int(message_length):
         raise DocumentSyntaxError("vocab_size and msg_len must be integers")
+    lexed = _lex_records(text, records, message_length)
+    if lexed is not None:
+        return AnnotatedCorpus(schema, vocab_size, message_length, *lexed)
+    columns = _scan_records(_lines(text)[1:])
+    return _corpus_of_records(schema, vocab_size, message_length, *columns)
 
+
+def _lines(text: str) -> list[str]:
+    """The non-blank lines of a corpus document, which line numbers count."""
+    return [line for line in text.split("\n") if line.strip()]
+
+
+# The text between the quotes of a JSON string without escapes or control
+# characters, which is the string's value; and a JSON number written as
+# serialize_corpus writes it, without sign, fraction or exponent, in at most
+# 18 digits so that it fits int64.
+_PLAIN_TEXT = r'[^"\\\x00-\x1f]*'
+_PLAIN_NUMBER = r"(?:0|[1-9][0-9]{0,17})"
+_PLAIN_PAIR = f'"{_PLAIN_TEXT}": "{_PLAIN_TEXT}"'
+
+
+def _record_pattern(message_length: int) -> re.Pattern:
+    """A whole line holding one record as serialize_corpus spells it, with
+    ``message_length`` tokens; the groups are the sample id without its
+    quotes, the attrs object, the tokens and the count."""
+    return re.compile(
+        rf'^\{{"sample": "({_PLAIN_TEXT})", '
+        rf'"attrs": (\{{(?:{_PLAIN_PAIR}(?:, {_PLAIN_PAIR})*)?\}}), '
+        rf'"msg": \[({_PLAIN_NUMBER}(?:, {_PLAIN_NUMBER}){{{message_length - 1}}})\], '
+        rf'"count": ({_PLAIN_NUMBER})\}}$',
+        re.MULTILINE,
+    )
+
+
+def _lex_records(text: str, records: int, message_length):
+    """``(samples, messages, owners, counts)`` of the ``records`` record
+    lines of ``text`` when every one of them is spelt as serialize_corpus
+    spells it and no sample id comes with two attrs spellings; else None.
+
+    A match is one whole line and no header or blank line matches, so as
+    many matches as record lines means that every record line matched.
+    Each matched line is a JSON object whose values are the groups' plain
+    texts, so the columns equal those :func:`_scan_records` would read.
+    """
+    if not records or not 1 <= message_length <= MAX_MESSAGE_LENGTH:
+        return None
+    found = _record_pattern(message_length).findall(text)
+    if len(found) != records:
+        return None
+    ids, attrs, msgs, counts = zip(*found)
+    del found
+    spellings = dict.fromkeys(zip(ids, attrs))  # distinct (id, attrs text), first seen first
+    index = {sample_id: k for k, (sample_id, _) in enumerate(spellings)}
+    if len(index) != len(spellings):  # an id with two attrs spellings: the scan words it
+        return None
+    # each attrs text is one whole JSON object, so the joined texts are one JSON array
+    values = json.loads("[" + ", ".join(spelling for _, spelling in spellings) + "]")
+    samples = tuple(map(Sample, index, values))
+    owners = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=records)
+    messages = np.fromstring(", ".join(msgs), dtype=np.int64, sep=",")
+    counts = np.fromstring(" ".join(counts), dtype=np.int64, sep=" ")
+    return samples, messages.reshape(records, message_length), owners, counts
+
+
+def _scan_records(lines: list[str]):
+    """The ``(ids, attrs, msgs, counts)`` columns of the record lines, one
+    JSON value per line, or the error of the first bad record."""
     scan = json.JSONDecoder().scan_once
     ids, attrs, msgs, counts = [], [], [], []
-    for line in lines[1:]:
+    for line in lines:
         line = line.strip(" \t\r")  # JSON whitespace; lines hold no newline
         try:
             record, end = scan(line, 0)
         except (StopIteration, ValueError, RecursionError):
             end = None
         if end != len(line):  # not one JSON value: report the first bad record
-            _check_records(lines[1:])
+            _check_records(lines)
         # only the fields stay alive; a missing one reads None, which the type checks reject
         get = record.get if type(record) is dict else {}.get
         ids.append(get("sample"))
@@ -348,9 +458,8 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
         and set(map(type, msgs)) <= {list}
         and set(map(type, chain.from_iterable(msgs))) <= {int}
     ):
-        _check_records(lines[1:])
-    del lines  # only error reports read the lines; the arrays built next need the memory
-    return _corpus_of_records(schema, vocab_size, message_length, ids, attrs, msgs, counts)
+        _check_records(lines)
+    return ids, attrs, msgs, counts
 
 
 def _parse_json_line(line: str, lineno: int):

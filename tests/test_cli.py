@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -189,6 +190,38 @@ def test_synth_writes_one_json_dumps_per_record(workdir, kind):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == naive_serialize_corpus(expected).encode("utf-8")
+
+
+def test_output_is_utf8_whatever_the_stdout_encoding(tmp_path):
+    """Standard output takes the bytes the --out file holds, even where the
+    terminal's encoding cannot spell them."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(
+        '{"attributes": [{"name": "a", "values": ["é", "x"]}, '
+        '{"name": "b", "values": ["y", "z"]}]}',
+        encoding="utf-8",
+    )
+    argv = [sys.executable, "-m", "emlang", "synth", "--kind", "holistic", "--schema",
+            str(schema), "--seed", "1"]
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    printed = subprocess.run(argv, capture_output=True, env=env)
+    assert printed.returncode == 0, printed.stderr
+    written = subprocess.run([*argv, "--out", str(tmp_path / "out.jsonl")], env=env)
+    assert written.returncode == 0
+    assert printed.stdout == (tmp_path / "out.jsonl").read_bytes()
+    assert "é".encode("utf-8") in printed.stdout
+
+
+def test_emit_writes_large_documents_in_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", 3)
+    text = "abé\U0001f600c" * 5
+    cli._emit(text, str(tmp_path / "out.txt"))
+    assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    stdout.write("head ")
+    with contextlib.redirect_stdout(stdout):
+        cli._emit(text, None)
+    assert stdout.buffer.getvalue() == b"head " + text.encode("utf-8")
 
 
 def test_synth_noisy_and_render(tmp_path, workdir):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import emlang.corpus
 from emlang.corpus import (
     MAX_MESSAGE_LENGTH,
     _SERIALIZE_BLOCK,
@@ -37,7 +38,7 @@ from emlang.schema import Attribute, AttributeSchema, Sample, parse_schema, prop
 from emlang.synth import all_combinations, concept_schema, gen_holistic, gen_noisy
 
 from conftest import mutate
-from oracles import naive_load_corpus, naive_serialize_corpus, rows_by_sample
+from oracles import naive_build_corpus, naive_load_corpus, naive_serialize_corpus, rows_by_sample
 
 TINY = parse_schema('{"attributes": [{"name": "a", "values": ["x", "y"]}]}')
 
@@ -330,6 +331,42 @@ def test_construction_sorts_nearly_sorted_rows(data):
             array[[i, j]] = array[[j, i]]
     corpus = AnnotatedCorpus(TINY, 4, 2, expected.samples, messages, owners, counts)
     assert corpus == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_construction_is_blind_to_row_order_and_splits(data):
+    """Any permutation of a corpus's rows, with rows split into repeated
+    (owner, message) rows, builds the record-by-record corpus, whatever the
+    vocabulary size and message length.  Canonical rows are kept as given,
+    but stored as read-only copies, never as the caller's arrays."""
+    vocab = data.draw(st.sampled_from([1, 2, 3, 5, 2**21, 2**21 + 1, 2**31 + 1, 2**62, 2**63]))
+    length = data.draw(st.sampled_from([1, 2, 3, 4, 64, 70]))
+    tokens = st.integers(0, min(3, vocab - 1)) | st.integers(0, vocab - 1) | st.just(vocab - 1)
+    message = st.lists(tokens, min_size=length, max_size=length).map(tuple)
+    rows = data.draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), message), st.integers(1, 9), min_size=1, max_size=12
+        )
+    )
+    records = [(f"s{o}", {"a": "xy"[o % 2]}, msg, count) for (o, msg), count in rows.items()]
+    expected = naive_build_corpus(TINY, vocab, length, records)
+    canonical = [a.copy() for a in (expected.messages, expected.owners, expected.counts)]
+    same = AnnotatedCorpus(TINY, vocab, length, expected.samples, *canonical)
+    assert same == expected
+    for given, stored in zip(canonical, (same.messages, same.owners, same.counts)):
+        assert given.flags.writeable and not stored.flags.writeable
+        assert not np.shares_memory(given, stored)
+    parts = []
+    for msg, owner, count in zip(*(a.tolist() for a in canonical)):
+        cuts = []
+        if count > 1:
+            cuts = data.draw(st.lists(st.integers(1, count - 1), max_size=2, unique=True))
+        bounds = [0, *sorted(cuts), count]
+        parts += [(msg, owner, high - low) for low, high in zip(bounds, bounds[1:])]
+    messages, owners, counts = zip(*data.draw(st.permutations(parts)))
+    shuffled = AnnotatedCorpus(TINY, vocab, length, expected.samples, messages, owners, counts)
+    assert shuffled == expected
 
 
 def test_message_length_bound():
@@ -631,3 +668,107 @@ def test_loader_matches_record_by_record_oracle(data):
     if not isinstance(expected, tuple):
         assert serialize_corpus(expected) == naive_serialize_corpus(expected)
         assert load_corpus(serialize_corpus(expected), TWO) == expected
+
+
+WIDE = '{"meta": {"vocab_size": 9223372036854775808, "msg_len": 2}}'
+FIRST = '{"sample": "s0", "attrs": {"b": "x", "a": "u"}, "msg": [1, 2], "count": 3}'
+SECOND = '{"sample": "s1", "attrs": {"b": "y", "a": "v"}, "msg": [0, 3], "count": 1}'
+
+
+def respelt(old, new, header=HEADER):
+    """Two records, the first with ``old`` respelt as ``new``."""
+    assert old in FIRST
+    return "\n".join([header, FIRST.replace(old, new, 1), SECOND]) + "\n"
+
+
+def document(*lines):
+    return "\n".join(lines) + "\n"
+
+
+# Respellings at the edge of the spelling the bulk lexer reads, each with
+# whether the lexer reads the document (True) or the per-line reader does.
+LEXER_EDGES = {
+    "canonical": (respelt("", ""), True),
+    # numbers
+    "leading-zero": (respelt("[1, 2]", "[01, 2]"), False),
+    "minus-zero": (respelt("[1, 2]", "[-0, 2]"), False),
+    "fraction": (respelt("[1, 2]", "[1.0, 2]"), False),
+    "exponent": (respelt("[1, 2]", "[1e2, 2]"), False),
+    "zero-count": (respelt('"count": 3', '"count": 0'), True),
+    "count-leading-zero": (respelt('"count": 3', '"count": 03'), False),
+    "count-total-2**53": (respelt('"count": 3', f'"count": {2**53 - 1}'), True),
+    "18-digits": (respelt("[1, 2]", f"[{10**18 - 1}, 2]", WIDE), True),
+    "18-digits-outside-vocabulary": (respelt("[1, 2]", f"[{10**18 - 1}, 2]"), True),
+    "19-digits": (respelt("[1, 2]", f"[{10**18}, 2]", WIDE), False),
+    "2**63-1": (respelt("[1, 2]", f"[{2**63 - 1}, 2]", WIDE), False),
+    "2**63": (respelt("[1, 2]", f"[{2**63}, 2]", WIDE), False),
+    "19-digit-count": (respelt('"count": 3', f'"count": {10**18}'), False),
+    "short-message": (respelt("[1, 2]", "[1]"), False),
+    "long-message": (respelt("[1, 2]", "[1, 2, 3]"), False),
+    # strings
+    "escaped-quote-in-id": (respelt('"s0"', r'"s\"0"'), False),
+    "escaped-accent-in-id": (respelt('"s0"', r'"\u00e9"'), False),
+    "accent-in-id": (respelt('"s0"', '"é"'), True),
+    "braces-in-id": (respelt('"s0"', '"{s}, {"'), True),
+    "raw-quote-in-id": (respelt('"s0"', '"s"0"'), False),
+    "control-character-in-id": (respelt('"s0"', '"s\x010"'), False),
+    "brace-in-value": (respelt('"x"', '"x}"'), True),
+    "raw-quote-in-value": (respelt('"x"', '"x"y"'), False),
+    "escaped-value": (respelt('"x"', r'"\u0078"'), False),
+    "empty-attrs": (respelt('{"b": "x", "a": "u"}', "{}"), True),
+    # layout
+    "swapped-keys": (respelt('"sample": "s0", "attrs": {"b": "x", "a": "u"}',
+                             '"attrs": {"b": "x", "a": "u"}, "sample": "s0"'), False),
+    "swapped-attrs": (respelt('{"b": "x", "a": "u"}', '{"a": "u", "b": "x"}'), True),
+    "duplicate-attrs-key": (respelt('{"b": "x"', '{"b": "y", "b": "x"'), True),
+    "no-count": (respelt(', "count": 3', ""), False),
+    "extra-key": (respelt('"count": 3', '"count": 3, "note": 1'), False),
+    "no-space-after-comma": (respelt("[1, 2]", "[1,2]"), False),
+    "tab": (respelt('"msg": ', '"msg":\t'), False),
+    "crlf": (respelt('"count": 3}', '"count": 3}\r'), False),
+    "no-final-newline": (respelt("", "")[:-1], True),
+    "blank-lines": (document("  ", HEADER, "", FIRST, " \t", SECOND, "\x1c"), True),
+    "repeated-record": (document(HEADER, FIRST, SECOND, FIRST), True),
+    "id-with-two-spellings": (
+        document(HEADER, FIRST, SECOND, FIRST.replace('"b": "x", "a": "u"', '"a": "u", "b": "x"')),
+        False,
+    ),
+    "conflicting-annotations": (
+        document(HEADER, FIRST, SECOND, FIRST.replace('"x"', '"y"')), False
+    ),
+    "two-records-on-one-line": (document(HEADER, FIRST + " " + SECOND), False),
+    "header-only": (document(HEADER), False),
+}
+
+
+@pytest.mark.parametrize(("text", "lexed"), LEXER_EDGES.values(), ids=LEXER_EDGES.keys())
+def test_lexer_edges_match_record_by_record_oracle(monkeypatch, text, lexed):
+    """At the edge of the lexer's spelling, the same corpus, or the same error
+    class at the same line, as a reader that parses one record at a time."""
+    scanned = []
+    scan = emlang.corpus._scan_records
+    monkeypatch.setattr(
+        "emlang.corpus._scan_records", lambda lines: scanned.append(1) or scan(lines)
+    )
+    assert outcome(load_corpus, text) == outcome(naive_load_corpus, text)
+    assert scanned == ([] if lexed else [1])
+
+
+def test_serialized_corpora_load_without_the_per_line_reader(monkeypatch, reference_corpus):
+    """Every document serialize_corpus writes is lexed in bulk, and its
+    canonical rows are not sorted again."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the per-line reader or the row sort ran")
+
+    corpora = [
+        reference_corpus,  # non-ASCII attribute values
+        gen_holistic(concept_schema(300), 7, 50, seed=3),
+        gen_noisy(reference_corpus, 3, 0.2, seed=1),  # counts above 1
+    ]
+    texts = [serialize_corpus(corpus) for corpus in corpora]
+    monkeypatch.setattr("emlang.corpus._scan_records", unreachable)
+    monkeypatch.setattr("emlang.corpus._check_records", unreachable)
+    monkeypatch.setattr("emlang.corpus.np.lexsort", unreachable)
+    for corpus, text in zip(corpora, texts):
+        assert load_corpus(text, corpus.schema) == corpus
