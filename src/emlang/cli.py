@@ -29,6 +29,10 @@ from .synth import gen_compositional, gen_holistic, gen_noisy, moprd_schema
 # _emit encodes and writes at most this many characters at once.
 _EMIT_CHUNK = 2**20
 
+# game --speakers and --listeners each take 1 to this many agents; the
+# accuracy matrix then has at most MAX_POPULATION**2 cells.
+MAX_POPULATION = 2**10
+
 
 def _read(path: str) -> str:
     p = Path(path)
@@ -114,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", type=int, default=20)
     p.add_argument("--episodes", type=int, default=10_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--speakers", type=int, default=1, help="population size")
-    p.add_argument("--listeners", type=int, default=1, help="population size")
+    p.add_argument("--speakers", type=int, default=1, help=f"population size, 1..{MAX_POPULATION}")
+    p.add_argument("--listeners", type=int, default=1, help=f"population size, 1..{MAX_POPULATION}")
     p.add_argument("--out")
     p.add_argument("--format", choices=["structured", "markdown"], default="structured")
 
@@ -160,8 +164,10 @@ def _cmd_topsim(args) -> None:
 def _cmd_game(args) -> None:
     schema = _load_schema(args.schema)
     loaded = _load_corpus(args.corpus, schema)
-    if args.speakers < 1 or args.listeners < 1:
-        raise ConfigError("a population needs at least one agent")
+    # checked before the population tuples are built, which a huge size could not be
+    for size in (args.speakers, args.listeners):
+        if not 1 <= size <= MAX_POPULATION:
+            raise ConfigError(f"a population holds 1 to {MAX_POPULATION} agents, not {size}")
     config = GameConfig(
         seed=args.seed,
         candidate_count=args.candidates,

@@ -8,11 +8,15 @@ above ``max_pairs`` the pair list is subsampled from a numpy stream seeded by
 the mandatory ``seed``.
 
 Both distance sequences are small non-negative integers, and every TopSim
-array is kept at the narrowest integer type that holds it: attribute codes,
-message tokens (as dense ids), and the distances themselves.  Pairs are
-handled ``_CHUNK`` at a time, so only the two distance sequences and their
-ranks grow with the pair count.  Integer distances are ranked by counting,
-with no sort, and give the same ranks, bit for bit, as the float path.
+array is kept at the narrowest integer type that holds it: attribute codes
+(one contiguous column per attribute), message tokens (as dense ids, which
+``topsim`` renumbers once per call; ``pairwise_levenshtein`` compares the
+tokens it is given), and the distances themselves.  Pairs are handled
+``_CHUNK`` at a time, unranked from sorted indices, so only the two distance
+sequences and their ranks grow with the pair count.  Levenshtein walks each
+block's DP grids together, bit-sliced and one anti-diagonal at a time.
+Integer distances are ranked by counting, with no sort, and give the same
+ranks, bit for bit, as the float path.
 """
 
 from __future__ import annotations
@@ -119,13 +123,29 @@ def spearman(x, y) -> float:
     return float(np.dot(dx, dy) / math.sqrt(sxx * syy))
 
 
+def _row_of(index: int, n: int) -> int:
+    """The row of a linear pair index: the largest i whose row start
+    i*n - i*(i+1)//2 is at most ``index``, from the smaller root of that
+    quadratic in exact integers (isqrt can put it one row too far)."""
+    i = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * index)) // 2
+    return i - (i * n - i * (i + 1) // 2 > index)
+
+
 def _pairs(indices: np.ndarray, n: int) -> np.ndarray:
-    """Map linear indices into the (i, j), i < j, pair enumeration to pairs."""
-    rows = np.arange(n - 1, dtype=np.int64)
+    """Map linear indices into the (i, j), i < j, pair enumeration to pairs.
+
+    The indices must be sorted ascending and not empty.  Each row's pairs are
+    then one run, so only the rows between the first and the last index are
+    looked at: one ``searchsorted`` counts each row's run, and ``np.repeat``
+    spreads the row and its start over it.
+    """
+    first, last = _row_of(int(indices[0]), n), _row_of(int(indices[-1]), n)
+    rows = np.arange(first, last + 1, dtype=np.int64)
     # row i holds (i, i+1) .. (i, n-1) and starts after the n-1 + ... + n-i earlier pairs
     starts = rows * n - rows * (rows + 1) // 2
-    i = np.searchsorted(starts, indices, side="right") - 1
-    return np.column_stack([i, indices - starts[i] + i + 1])
+    runs = np.diff(np.searchsorted(indices, starts), append=len(indices))
+    # stored column by column, so each side of the pairs is one contiguous row
+    return np.stack([np.repeat(rows, runs), indices - np.repeat(starts - rows - 1, runs)]).T
 
 
 _CHUNK = 1 << 16
@@ -155,35 +175,60 @@ def pairwise_levenshtein(messages: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     (D[0, j] = j) and column 0 vertical deltas +1 (D[i, 0] = i); the
     distance is D[L, 0] = L plus the bottom row's horizontal deltas.
 
-    The DP reads tokens only through Eq, so the messages are first renumbered
-    to dense ids of the narrowest unsigned type that holds them.
+    The grid is walked by anti-diagonal: cell (i, j) reads only the vertical
+    delta of row i and the horizontal delta of column j, written on diagonal
+    i + j - 1, so the cells of one diagonal are independent.  Row-indexed
+    planes (a's positions, vertical deltas) and column-indexed planes stored
+    reversed (b's positions, horizontal deltas) make each diagonal one
+    contiguous slice of every plane, advanced by one call per operation.
+
+    Tokens are compared as given, in any integer dtype; :func:`topsim`
+    renumbers its messages to narrow dense ids first.
     """
-    length = messages.shape[1]
-    distinct, dense = np.unique(messages, return_inverse=True)
-    dense = dense.reshape(messages.shape).astype(np.min_scalar_type(len(distinct)))
-    columns = np.ascontiguousarray(dense.T)
+    count, length = messages.shape
+    if len(pairs) and not -count <= pairs.min() <= pairs.max() < count:
+        raise IndexError(f"pair indices must lie in -{count}..{count - 1}")
+    columns = np.ascontiguousarray(messages.T)
+    reversed_columns = columns[::-1]
     ones = ~np.uint64(0)
     out = np.empty(len(pairs), dtype=np.int64)
     for start in range(0, len(pairs), _CHUNK):
-        block = pairs[start : start + _CHUNK]
-        # whole words only: padding pairs compare message 0 with itself
-        index = np.zeros((2, -(-len(block) // 64) * 64), dtype=np.int64)
-        index[:, : len(block)] = block.T
-        a = np.take(columns, index[0], axis=1)
-        b = np.take(columns, index[1], axis=1)
-        words = index.shape[1] // 64
-        ph = np.full((length, words), ones)
-        mh = np.zeros((length, words), dtype=np.uint64)
-        for i in range(length):
-            eq = np.packbits(a[i] == b, axis=1, bitorder="little").view(np.uint64)
-            pv, mv = np.full(words, ones), np.zeros(words, dtype=np.uint64)
-            for j in range(length):
-                xv = eq[j] | mv
-                xh = eq[j] | mh[j]
-                pv, mv, ph[j], mh[j] = mh[j] | ~(xv | ph[j]), ph[j] & xv, mv | ~(xh | pv), pv & xh
-        bottom = np.unpackbits(np.stack([ph, mh]).view(np.uint8), axis=2, bitorder="little")
-        plus, minus = bottom.sum(axis=1, dtype=np.int64)
-        out[start : start + len(block)] = (length + plus - minus)[: len(block)]
+        first, second = np.ascontiguousarray(pairs[start : start + _CHUNK].T)
+        size, width = len(first), -(-len(first) // 64) * 64
+        # one 1-D take per position, far cheaper than one take along axis 1;
+        # "wrap" (the indices are in range) skips the copy "raise" makes of out
+        a = np.empty((length, width), dtype=columns.dtype)
+        b = np.empty_like(a)  # row r holds position length-1-r
+        for position in range(length):
+            np.take(columns[position], first, out=a[position, :size], mode="wrap")
+            np.take(reversed_columns[position], second, out=b[position, :size], mode="wrap")
+        # whole words only: padding pairs compare equal tokens
+        a[:, size:] = b[:, size:] = 0
+        same = np.empty((length, width), dtype=bool)  # every diagonal's token compares
+        words = width // 64
+        pv, ph = np.full((2, length, words), ones)
+        mv, mh = np.zeros((2, length, words), dtype=np.uint64)
+        for d in range(2 * length - 1):
+            # cells (i, d - i) for i in rows; column d - i is reversed row length-1-d+i
+            rows = slice(max(0, d - length + 1), min(d, length - 1) + 1)
+            cols = slice(rows.start + length - 1 - d, rows.stop + length - 1 - d)
+            equal = np.equal(a[rows], b[cols], out=same[: rows.stop - rows.start])
+            eq = np.packbits(equal, axis=1, bitorder="little").view(np.uint64)
+            xv, xh = eq | mv[rows], eq | mh[cols]
+            pv[rows], mv[rows], ph[cols], mh[cols] = (
+                mh[cols] | ~(xv | ph[cols]),
+                ph[cols] & xv,
+                mv[rows] | ~(xh | pv[rows]),
+                pv[rows] & xh,
+            )
+        # at most length deltas per pair, so the sums fit a type that holds length;
+        # one row at a time, so no (length x pairs) array is unpacked at once
+        plus, minus = np.zeros((2, width), dtype=np.min_scalar_type(length))
+        for column in range(length):
+            plus += np.unpackbits(ph[column].view(np.uint8), bitorder="little")
+            minus += np.unpackbits(mh[column].view(np.uint8), bitorder="little")
+        np.subtract(plus[:size], minus[:size], out=out[start : start + size], dtype=np.int64)
+        out[start : start + size] += length
     return out
 
 
@@ -214,22 +259,27 @@ def topsim(
         if seed is None:
             raise ConfigError("sampling pairs requires a seed")
         rng = np.random.default_rng(np.random.SeedSequence(seed % (2**63)))
-        indices = np.sort(rng.choice(total_pairs, limit, replace=False, shuffle=False))
+        indices = rng.choice(total_pairs, limit, replace=False, shuffle=False)
+        indices.sort()
     count = limit if sampled else total_pairs
 
     # attribute columns lead the code matrix; differing code <=> differing value
     attribute_count = len(corpus.schema.attributes)
     codes = corpus.codes[:, :attribute_count]
-    codes = codes.astype(np.min_scalar_type(codes.max(initial=0)))
+    columns = np.ascontiguousarray(codes.T, dtype=np.min_scalar_type(codes.max(initial=0)))
+    # Levenshtein reads tokens only through equality: dense ids of the narrowest type
     reps = corpus.messages[representative_of(corpus)]
+    distinct, dense = np.unique(reps, return_inverse=True)
+    reps = dense.reshape(reps.shape).astype(np.min_scalar_type(len(distinct)))
     # distances lie in 0..attribute_count and 0..message_length
-    attr_dist = np.empty(count, dtype=np.min_scalar_type(attribute_count))
+    attr_dist = np.zeros(count, dtype=np.min_scalar_type(attribute_count))
     msg_dist = np.empty(count, dtype=np.min_scalar_type(corpus.message_length))
     # one block of pairs at a time, so per-pair gathers never span every pair
     for start in range(0, count, _CHUNK):
         stop = min(start + _CHUNK, count)
         pairs = _pairs(indices[start:stop] if sampled else np.arange(start, stop), n)
-        attr_dist[start:stop] = (codes[pairs[:, 0]] != codes[pairs[:, 1]]).sum(axis=1)
+        for column in columns:
+            attr_dist[start:stop] += column[pairs[:, 0]] != column[pairs[:, 1]]
         msg_dist[start:stop] = pairwise_levenshtein(reps, pairs)
     rho = spearman(attr_dist, msg_dist)
     return TopSimReport(

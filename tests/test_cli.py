@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emlang import cli
+from emlang.cli import MAX_POPULATION
 from emlang.report import render_rule_table
 from emlang.rules import extract_rules
 from emlang.corpus import load_corpus, serialize_corpus
@@ -95,6 +96,21 @@ def test_empty_population_is_a_config_error(workdir, flag, size):
     )
     assert result.returncode == 1
     assert result.stderr.startswith("ConfigError")
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("flag", ["--speakers", "--listeners"])
+@pytest.mark.parametrize("size", [str(MAX_POPULATION + 1), "99999999999999999999"])
+def test_population_above_the_bound_is_a_config_error(workdir, flag, size):
+    """Refused before the population is built: N agents would take N tuple slots."""
+    result = run_cli(
+        "game", "--corpus", str(workdir / "corpus.jsonl"), "--schema", "moprd",
+        "--candidates", "2", "--episodes", "5", "--seed", "1", flag, size,
+    )
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"ConfigError: a population holds 1 to {MAX_POPULATION} agents, not {size}\n"
+    )
     assert result.stdout == ""
 
 

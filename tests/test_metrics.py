@@ -245,6 +245,20 @@ def test_pairs_match_enumeration():
     assert (_pairs(lasts, n) == np.column_stack([rows, np.full(n - 1, n - 1)])).all()
 
 
+def test_pairs_find_the_rows_of_any_indices():
+    """Row i's first and last pair, and the next row's first, for n up to
+    where a float square root could no longer tell the rows apart."""
+    rng = random.Random(0)
+    for n in (3, 4, 7, 100_000, 3_000_000_000):
+        for _ in range(300):
+            i = rng.randrange(n - 2)
+            first = i * n - i * (i + 1) // 2
+            last = first + n - i - 2
+            assert _pairs(np.array([first, last, last + 1]), n).tolist() == [
+                [i, i + 1], [i, n - 1], [i + 1, i + 2],
+            ]
+
+
 # ---------------------------------------------------------------------------
 # Accuracy aggregation
 # ---------------------------------------------------------------------------
@@ -345,6 +359,76 @@ def test_pairwise_levenshtein_equals_scalar_pair_by_pair(data):
     assert pairwise_levenshtein(msgs, pairs).tolist() == [scalar[i, j] for i, j in pairs]
 
 
+@pytest.mark.parametrize(("dtype", "tokens"), [
+    (np.int64, [-(2**63), -(2**32), -1, 0, 1, 2**32, 2**32 + 1, 2**63 - 1]),
+    # 2**64 - 2 and 2**64 - 1 are one float64: a float compare would merge them
+    (np.uint64, [0, 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1]),
+])
+def test_pairwise_levenshtein_compares_tokens_as_given(dtype, tokens):
+    """Tokens that agree in their low bits, or in float64, stay apart."""
+    rng = np.random.default_rng(len(tokens))
+    msgs = np.array(tokens, dtype=dtype)[rng.integers(0, len(tokens), size=(40, 9))]
+    pairs = rng.integers(0, len(msgs), size=(500, 2))
+    rows = [tuple(row) for row in msgs.tolist()]
+    assert pairwise_levenshtein(msgs, pairs).tolist() == [
+        levenshtein(rows[i], rows[j]) for i, j in pairs
+    ]
+
+
+def test_pairwise_levenshtein_rejects_pairs_out_of_range():
+    msgs = np.zeros((3, 4), np.int64)
+    assert pairwise_levenshtein(msgs, np.array([[-3, 2]])).tolist() == [0]
+    for bad in ([[0, 3]], [[-4, 0]]):
+        with pytest.raises(IndexError):
+            pairwise_levenshtein(msgs, np.array(bad))
+
+
+def _micro_corpus(rng: random.Random, length: int):
+    """A few samples over nine attributes, one with 300 values (codes 259
+    and 299 share their low byte with 3 and 43), each sample with a majority
+    message and sometimes a rarer synonym."""
+    wide = tuple(f"w{k}" for k in range(300))
+    attributes = [Attribute(name="wide", domain=wide)]
+    attributes += [Attribute(name=f"a{k}", domain=("p", "q", "r")[: 2 + k % 2]) for k in range(8)]
+    schema = AttributeSchema(attributes=tuple(attributes))
+    combos, count = set(), rng.randint(4, 8)
+    while len(combos) < count:
+        values = {"wide": rng.choice(("w3", "w259", "w43", "w299"))}
+        values |= {a.name: rng.choice(a.domain) for a in attributes[1:]}
+        combos.add(tuple(sorted(values.items())))
+    vocab = rng.choice((2, 3, 300))
+    records = []
+    for number, combo in enumerate(sorted(combos)):
+        message = tuple(rng.randrange(vocab) for _ in range(length))
+        records.append((f"s{number}", dict(combo), message, 5))
+        synonym = tuple(rng.randrange(vocab) for _ in range(length))
+        if synonym != message and rng.random() < 0.5:
+            records.append((f"s{number}", dict(combo), synonym, rng.randint(1, 4)))
+    return schema, vocab, records
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 64, 65, 130])
+@pytest.mark.parametrize("seed", range(3))
+def test_topsim_matches_brute_oracle(length, seed):
+    """Exact topsim equals Spearman over naive attribute distances and
+    recursive Levenshtein distances of the majority messages."""
+    rng = random.Random(f"{length}:{seed}")
+    while True:
+        schema, vocab, records = _micro_corpus(rng, length)
+        majority = {r[0]: r for r in records if r[3] == 5}
+        ids = sorted(majority)
+        pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1 :]]
+        attr = [sum(majority[a][1][k] != majority[b][1][k] for k in majority[a][1])
+                for a, b in pairs]
+        msg = [brute_levenshtein(majority[a][2], majority[b][2]) for a, b in pairs]
+        if len(set(attr)) > 1 and len(set(msg)) > 1:
+            break
+    corpus = build_corpus(schema, vocab, length, records)
+    report = topsim(corpus)
+    assert report.pair_count == len(pairs)
+    assert report.rho == pytest.approx(brute_spearman(attr, msg), abs=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-50, 50), min_size=2, max_size=12))
 def test_spearman_self_correlation_is_one(x):
@@ -371,6 +455,33 @@ def test_topsim_golden_rho(moprd, kind, seed, exact, sampled):
     else:
         base, _ = gen_compositional(moprd, 10, 20, seed)
         corpus, max_pairs = gen_noisy(base, 1, 0.2, seed=seed), 777
+    assert repr(topsim(corpus).rho) == exact
+    assert repr(topsim(corpus, max_pairs=max_pairs, seed=seed).rho) == sampled
+
+
+# repr(rho) of exact and sampled topsim on noisy 625-sample corpora, as
+# computed before the anti-diagonal Levenshtein: 195,000 exact and at least
+# 140,000 sampled pairs run more than two _CHUNK blocks each
+GRID_GOLDEN_RHO = {
+    "len12-seed1": (12, 20, 1, 0.2, 1, 150_000, "0.7232789754711838", "0.7230502516682441"),
+    "len12-seed2": (12, 20, 1, 0.2, 2, 150_000, "0.7048754454265602", "0.7042765386469184"),
+    "len17-seed4": (17, 30, 2, 0.3, 4, 140_000, "0.7546298594080745", "0.7549083609124965"),
+}
+
+
+@pytest.mark.parametrize(
+    ("msg_len", "vocab", "synonyms", "share", "seed", "max_pairs", "exact", "sampled"),
+    GRID_GOLDEN_RHO.values(),
+    ids=GRID_GOLDEN_RHO.keys(),
+)
+def test_topsim_golden_rho_over_many_blocks(msg_len, vocab, synonyms, share, seed, max_pairs,
+                                            exact, sampled):
+    schema = AttributeSchema(
+        attributes=tuple(Attribute(name=f"a{i}", domain=tuple("pqrst")) for i in range(4))
+    )
+    base, _ = gen_compositional(schema, msg_len, vocab, seed)
+    corpus = gen_noisy(base, synonyms, share, seed=seed)
+    assert 2 * metrics._CHUNK < max_pairs < len(corpus.samples) * (len(corpus.samples) - 1) // 2
     assert repr(topsim(corpus).rho) == exact
     assert repr(topsim(corpus, max_pairs=max_pairs, seed=seed).rho) == sampled
 
