@@ -32,5 +32,5 @@ print("20% synonyms, filtered at 15% -> nothing removed:",
 
 # the rows of the first sample: its base message and its synonym
 rows = loud.owners == 0
-print("sample", loud.samples[0].id, "messages:",
+print("sample", loud.sample_ids[0], "messages:",
       [(m[:4], c) for m, c in zip(loud.messages[rows].tolist(), loud.counts[rows].tolist())])

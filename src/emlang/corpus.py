@@ -21,26 +21,15 @@ expression over the whole text, provided no sample id comes with two attrs
 spellings.  Any other document is read one JSON value per line.  Both give
 the same corpus, or the same error class, message and line.
 
-In memory a corpus is columnar.  ``samples`` holds one :class:`Sample` per
-distinct id, sorted by id.  Row r of ``messages`` (``int64[rows x
-message_length]``) is a message that sample ``samples[owners[r]]`` sent
-``counts[r]`` times.  Every corpus is canonical: one row per distinct
-(sample, message), sorted by sample, then by token sequence.  The
-constructor puts its samples and rows in that order and merges repeated
-rows, so ``dataclasses.replace(corpus, ...)`` re-canonicalises.
-
-Samples and rows are each checked in one place.  The samples' attribute
-values are coded once, by :func:`~emlang.schema.property_codes`, which is
-also the one check that they conform to the schema; the result is the
-corpus's ``codes`` matrix, one row per sample.  A corpus built from another
-corpus's own ``samples`` and schema object, as the frequency filter and the
-noisy generator build theirs, takes the checked samples and their codes over
-instead of coding them again.  Rows that are valid as given (int64 tokens
-inside the vocabulary, counts of at least 1, a total below 2**53) are
-sorted and merged as arrays; any other input is merged in Python integers,
-and that path alone reports the first invalid row in canonical order.
-
-Corpora are immutable after construction; filtering returns a new corpus.
+In memory a corpus is columnar, its attributes dictionary-encoded: sorted
+``sample_ids``, their ``attribute_codes`` (domain indices), and rows, row r
+of ``messages`` being a message that sample ``owners[r]`` sent ``counts[r]``
+times.  Every corpus is immutable and canonical, one row per distinct
+(sample, message), sorted by sample and tokens: every construction checks
+its codes, ids and rows and sorts them, so ``dataclasses.replace`` re-sorts.
+Attribute dicts are coded, and checked, only where records become a corpus,
+by :func:`~emlang.schema.property_codes`; ``samples`` spells them back for
+callers, and no stage of the pipeline reads it.
 
 :func:`serialize_corpus` writes each record as ``json.dumps(record,
 ensure_ascii=False)`` would, without Python work per row or per token.  Its
@@ -71,7 +60,7 @@ from .errors import (
     UnknownSample,
     has_lone_surrogate,
 )
-from .schema import AttributeSchema, Sample, property_codes
+from .schema import AttributeSchema, Sample, extend_codes, property_codes
 
 Message = tuple[int, ...]
 
@@ -96,25 +85,24 @@ _DIRECT_DIGITS = 2**16
 
 @dataclass(frozen=True, eq=False)
 class AnnotatedCorpus:
-    """Samples sorted by id, and one row per (sample, message) with its count.
+    """Sorted sample ids, their attribute codes, and one row per (sample,
+    message) with its count.
 
-    Row r says that ``samples[owners[r]]`` sent ``messages[r]`` ``counts[r]``
-    times, and ``codes[k]`` is the ``property_codes`` row of ``samples[k]``.
-    Construction checks its input, samples first, and makes it canonical:
-    samples sorted by id (``owners`` renumbered to match), rows sorted by
-    owner and then tokens, and rows repeating an (owner, message) merged by
-    summing their counts.  Input whose rows are all valid as given is sorted
-    and merged as int64 arrays; anything else is merged in Python integers by
-    the one check that reports a row error.  The arrays are stored as fresh
-    read-only int64 arrays, never as the caller's.  Samples taken from
-    another corpus over the same schema object keep their order and their
-    read-only ``codes``, which are not computed again.
+    Row k of ``attribute_codes`` holds the domain index of each attribute of
+    sample k, and ``codes`` adds the hyperattribute columns.  Row r says that
+    sample ``owners[r]`` sent ``messages[r]`` ``counts[r]`` times.
+    Construction checks the attribute codes, the header, the ids and the
+    rows, in that order, then sorts samples by id (renumbering ``owners``)
+    and rows by owner and tokens, merging repeated rows: as int64 arrays
+    when all rows are valid, else in Python integers by the one check that
+    words a row error.  Arrays are stored fresh and read-only.
     """
 
     schema: AttributeSchema
     vocab_size: int
     message_length: int
-    samples: tuple[Sample, ...]
+    sample_ids: tuple[str, ...]
+    attribute_codes: np.ndarray
     messages: np.ndarray
     owners: np.ndarray
     counts: np.ndarray
@@ -123,44 +111,43 @@ class AnnotatedCorpus:
     __hash__ = None
 
     def __post_init__(self):
-        samples = self.samples
-        # samples taken over from a corpus over this schema object are checked already
-        checked = type(samples) is _CheckedSamples and samples.schema is self.schema
-        codes = samples.codes if checked else property_codes(self.schema, samples)
+        ids = tuple(self.sample_ids)
+        attribute_codes = _checked_codes(self.schema, ids, self.attribute_codes)
         _check_shape(self.vocab_size, self.message_length)
-        if not checked:
-            by_id = sorted(range(len(samples)), key=lambda k: samples[k].id)
-            samples = _CheckedSamples(samples[k] for k in by_id)
-            ids = [sample.id for sample in samples]
-            for before, after in zip(ids, ids[1:]):
-                if before == after:
-                    raise DocumentSyntaxError(f"duplicate sample id {after!r}")
-            if has_lone_surrogate("".join(ids)):
-                bad = next(i for i in ids if has_lone_surrogate(i))
-                raise DocumentSyntaxError(f"sample id {bad!r} holds a lone surrogate")
+        try:
+            joined = "".join(ids)
+        except TypeError:
+            bad = next(i for i in ids if not isinstance(i, str))
+            raise DocumentSyntaxError(f"sample id {bad!r} is not a string") from None
+        ids, given = tuple(sorted(ids)), ids
+        by_id = None if ids == given else sorted(range(len(ids)), key=given.__getitem__)
+        if len(set(ids)) != len(ids):
+            repeated = next(after for before, after in zip(ids, ids[1:]) if before == after)
+            raise DocumentSyntaxError(f"duplicate sample id {repeated!r}")
+        if has_lone_surrogate(joined):
+            bad = next(i for i in ids if has_lone_surrogate(i))
+            raise DocumentSyntaxError(f"sample id {bad!r} holds a lone surrogate")
         owners = np.asarray(self.owners, dtype=np.int64)
         if not owners.shape == np.shape(self.counts) == (len(self.messages),):
             raise DocumentSyntaxError("messages, owners and counts need one entry per row")
-        if len(owners) and not 0 <= owners.min() <= owners.max() < len(samples):
+        if len(owners) and not 0 <= owners.min() <= owners.max() < len(ids):
             raise DocumentSyntaxError("a message owner lies outside the samples")
-        if not checked:
-            rank = np.empty(len(samples), dtype=np.int64)
-            rank[by_id] = np.arange(len(samples))
-            owners = rank[owners]
-            codes = codes[by_id]
-            codes.flags.writeable = False
-            samples.schema, samples.codes = self.schema, codes
-        empty = np.flatnonzero(np.bincount(owners, minlength=len(samples)) == 0)
+        if by_id is not None:
+            rank = np.empty(len(ids), dtype=np.int64)
+            rank[by_id] = np.arange(len(ids))
+            owners, attribute_codes = rank[owners], attribute_codes[by_id]
+        empty = np.flatnonzero(np.bincount(owners, minlength=len(ids)) == 0)
         if len(empty):
-            raise DocumentSyntaxError(f"sample {samples[empty[0]].id!r} owns no messages")
+            raise DocumentSyntaxError(f"sample {ids[empty[0]]!r} owns no messages")
         rows = _int64_rows(owners, self.messages, self.counts, self.vocab_size, self.message_length)
         if rows is None:
             rows = _exact_rows(
-                samples, self.vocab_size, self.message_length, owners, self.messages, self.counts
+                ids, self.vocab_size, self.message_length, owners, self.messages, self.counts
             )
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "codes", codes)
-        for name, array in zip(("messages", "owners", "counts"), rows):
+        codes = extend_codes(self.schema, attribute_codes)
+        object.__setattr__(self, "sample_ids", ids)
+        arrays = (codes, codes[:, : len(self.schema.attributes)], *rows)
+        for name, array in zip(("codes", "attribute_codes", "messages", "owners", "counts"), arrays):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -168,33 +155,49 @@ class AnnotatedCorpus:
         if not isinstance(other, AnnotatedCorpus):
             return NotImplemented
         return (
-            (self.schema, self.vocab_size, self.message_length, self.samples)
-            == (other.schema, other.vocab_size, other.message_length, other.samples)
+            (self.schema, self.vocab_size, self.message_length, self.sample_ids)
+            == (other.schema, other.vocab_size, other.message_length, other.sample_ids)
+            and np.array_equal(self.attribute_codes, other.attribute_codes)
             and np.array_equal(self.messages, other.messages)
             and np.array_equal(self.owners, other.owners)
             and np.array_equal(self.counts, other.counts)
         )
 
     @cached_property
-    def sample_ids(self) -> tuple[str, ...]:
-        return tuple(sample.id for sample in self.samples)
+    def samples(self) -> tuple[Sample, ...]:
+        """Each sample spelt from its codes, for callers; no pipeline stage reads it."""
+        names = self.schema.attribute_names
+        domains = [self.schema.domain(name) for name in names]
+        return tuple(
+            Sample(sample_id, dict(zip(names, map(tuple.__getitem__, domains, row))))
+            for sample_id, row in zip(self.sample_ids, self.attribute_codes.tolist())
+        )
 
     @cached_property
     def totals(self) -> np.ndarray:
         """Count total of each sample."""
         # every partial sum stays below 2**53, so the float accumulation is exact
-        weighted = np.bincount(self.owners, weights=self.counts, minlength=len(self.samples))
+        weighted = np.bincount(self.owners, weights=self.counts, minlength=len(self.sample_ids))
         return weighted.astype(np.int64)
 
 
-class _CheckedSamples(tuple):
-    """The samples of a corpus: sorted by id, unique, free of lone
-    surrogates, conforming to ``schema`` and coded as ``codes``.  A corpus
-    built from them and the same schema object, as ``filter_by_frequency``
-    and ``gen_noisy`` build theirs, takes them over as they are."""
-
-    schema: AttributeSchema
-    codes: np.ndarray
+def _checked_codes(schema: AttributeSchema, ids: tuple, attribute_codes) -> np.ndarray:
+    """The codes, integers with a row per id and a column per attribute, each
+    inside its domain; else AttributeMismatch, naming the first bad sample."""
+    names = schema.attribute_names
+    try:
+        codes = np.asarray(attribute_codes)
+    except (ValueError, TypeError):  # ragged rows, for one
+        codes = np.asarray(None)
+    shape = (len(ids), len(names))
+    if codes.dtype.kind not in "iu" or codes.shape != shape:  # no bool, float or object codes
+        raise AttributeMismatch(f"attribute codes must be integers of shape {shape}")
+    outside = (codes < 0) | (codes >= [len(schema.domain(name)) for name in names])
+    if outside.any():
+        row, column = np.argwhere(outside)[0]
+        code, name = codes[row, column], names[column]
+        raise AttributeMismatch(f"sample {ids[row]!r}: code {code} outside the domain of {name!r}")
+    return codes
 
 
 def _check_shape(vocab_size: int, message_length: int) -> None:
@@ -213,32 +216,24 @@ def build_corpus(
     """Assemble a corpus from (sample_id, attrs, message, count) records.
 
     Duplicate (sample, message) records merge by summing counts; a sample id
-    reappearing with different attributes is an AttributeMismatch.
+    reappearing with different attributes is an AttributeMismatch.  Errors
+    come in the order of a record-by-record build: attributes in record
+    order, then the header, then rows in canonical order.
     """
-    columns = list(zip(*records)) or [(), (), (), ()]
-    return _corpus_of_records(schema, vocab_size, message_length, *columns)
-
-
-def _corpus_of_records(schema, vocab_size, message_length, ids, attrs, msgs, counts):
-    """The corpus of records given as parallel sequences, in record order.
-
-    Errors come in the order of a record-by-record build: attributes in
-    record order, then the header, then rows in canonical order.
-    """
-    first: dict[str, int] = {}  # sample id -> index into samples
-    samples: list[Sample] = []
-    owners = []
-    for sample_id, values in zip(ids, attrs):
+    ids, attrs, msgs, counts = list(zip(*records)) or [(), (), (), ()]
+    first: dict[str, int] = {}  # sample id -> index into values, its first attribute dict
+    values, owners = [], []
+    for sample_id, assigned in zip(ids, attrs):
         k = first.setdefault(sample_id, len(first))
-        if k == len(samples):
-            samples.append(Sample(sample_id, dict(values)))
-        elif samples[k].values != values:
-            property_codes(schema, samples)  # an earlier non-conforming sample comes first
-            raise AttributeMismatch(
-                f"sample {sample_id!r} annotated with conflicting attribute values"
-            )
+        if k == len(values):
+            values.append(assigned)
+        elif values[k] != assigned:  # an earlier non-conforming sample comes first
+            property_codes(schema, list(first), values)
+            conflict = f"sample {sample_id!r} annotated with conflicting attribute values"
+            raise AttributeMismatch(conflict)
         owners.append(k)
-    return AnnotatedCorpus(schema, vocab_size, message_length, tuple(samples), msgs, owners, counts)
+    codes = property_codes(schema, list(first), values)[:, : len(schema.attributes)]
+    return AnnotatedCorpus(schema, vocab_size, message_length, first, codes, msgs, owners, counts)
 
 
 def _int64_rows(owners, msgs, counts, vocab_size, message_length):
@@ -305,7 +300,7 @@ def _strictly_increasing(owners: np.ndarray, messages: np.ndarray) -> bool:
     return bool(((step > 0) | ((step == 0) & ahead)).all())
 
 
-def _exact_rows(samples, vocab_size, message_length, owners, msgs, counts):
+def _exact_rows(sample_ids, vocab_size, message_length, owners, msgs, counts):
     """The merged canonical rows, merged in Python integers so that sums
     cannot wrap, or the error of the first invalid row in canonical order.
     The only code that words a row error."""
@@ -317,7 +312,7 @@ def _exact_rows(samples, vocab_size, message_length, owners, msgs, counts):
     rows = sorted(merged.items())
     total = 0
     for (owner, message), count in rows:
-        sample_id = samples[owner].id
+        sample_id = sample_ids[owner]
         if len(message) != message_length:
             raise LengthMismatch(
                 f"sample {sample_id!r}: message of length {len(message)}, "
@@ -368,11 +363,10 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
     vocab_size, message_length = meta["vocab_size"], meta["msg_len"]
     if not _is_int(vocab_size) or not _is_int(message_length):
         raise DocumentSyntaxError("vocab_size and msg_len must be integers")
-    lexed = _lex_records(text, records, message_length)
+    lexed = _lex_records(text, records, schema, message_length)
     if lexed is not None:
         return AnnotatedCorpus(schema, vocab_size, message_length, *lexed)
-    columns = _scan_records(_lines(text)[1:])
-    return _corpus_of_records(schema, vocab_size, message_length, *columns)
+    return build_corpus(schema, vocab_size, message_length, zip(*_scan_records(_lines(text)[1:])))
 
 
 def _lines(text: str) -> list[str]:
@@ -402,15 +396,16 @@ def _record_pattern(message_length: int) -> re.Pattern:
     )
 
 
-def _lex_records(text: str, records: int, message_length):
-    """``(samples, messages, owners, counts)`` of the ``records`` record
-    lines of ``text`` when every one of them is spelt as serialize_corpus
-    spells it and no sample id comes with two attrs spellings; else None.
+def _lex_records(text: str, records: int, schema: AttributeSchema, message_length):
+    """``(sample_ids, attribute_codes, messages, owners, counts)`` of the
+    ``records`` record lines of ``text`` when every one of them is spelt as
+    serialize_corpus spells it and no sample id comes with two attrs
+    spellings; else None.
 
     A match is one whole line and no header or blank line matches, so as
     many matches as record lines means that every record line matched.
     Each matched line is a JSON object whose values are the groups' plain
-    texts, so the columns equal those :func:`_scan_records` would read.
+    texts, so the columns, their codes and errors equal the per-line reader's.
     """
     if not records or not 1 <= message_length <= MAX_MESSAGE_LENGTH:
         return None
@@ -425,11 +420,11 @@ def _lex_records(text: str, records: int, message_length):
         return None
     # each attrs text is one whole JSON object, so the joined texts are one JSON array
     values = json.loads("[" + ", ".join(spelling for _, spelling in spellings) + "]")
-    samples = tuple(map(Sample, index, values))
+    codes = property_codes(schema, list(index), values)[:, : len(schema.attributes)]
     owners = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=records)
     messages = np.fromstring(", ".join(msgs), dtype=np.int64, sep=",")
     counts = np.fromstring(" ".join(counts), dtype=np.int64, sep=" ")
-    return samples, messages.reshape(records, message_length), owners, counts
+    return tuple(index), codes, messages.reshape(records, message_length), owners, counts
 
 
 def _scan_records(lines: list[str]):
@@ -548,9 +543,9 @@ def _record_prefixes(corpus: AnnotatedCorpus) -> list[bytes]:
         entries.append([f"{key}: {value}" for value in values])
     prefix = '{"sample": %s, "attrs": {%s}, "msg": ['
     return [  # map(list.__getitem__, ...) picks entries[i][codes[i]] for each attribute i
-        (prefix % (encode_basestring(sample.id), ", ".join(map(list.__getitem__, entries, codes))))
+        (prefix % (encode_basestring(sample_id), ", ".join(map(list.__getitem__, entries, codes))))
         .encode("utf-8", "surrogatepass")
-        for sample, codes in zip(corpus.samples, corpus.codes[:, : len(names)].tolist())
+        for sample_id, codes in zip(corpus.sample_ids, corpus.attribute_codes.tolist())
     ]
 
 
@@ -604,12 +599,11 @@ def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedC
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
     # counts and totals lie below 2**53, so the float division is the exact share rounded once
     kept = corpus.counts / corpus.totals[corpus.owners] >= threshold
-    emptied = np.flatnonzero(np.bincount(corpus.owners[kept], minlength=len(corpus.samples)) == 0)
+    ids = corpus.sample_ids
+    emptied = np.flatnonzero(np.bincount(corpus.owners[kept], minlength=len(ids)) == 0)
     if len(emptied):
-        raise EmptySample(
-            f"threshold {threshold} drops every message of sample "
-            f"{corpus.samples[emptied[0]].id!r}"
-        )
+        sample_id = ids[emptied[0]]
+        raise EmptySample(f"threshold {threshold} drops every message of sample {sample_id!r}")
     return replace(
         corpus,
         messages=corpus.messages[kept],

@@ -72,7 +72,7 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
     without replacement, let the speaker describe the target, and score a
     hit when the listener picks it.
     """
-    n, k = len(corpus.samples), config.candidate_count
+    n, k = len(corpus.sample_ids), config.candidate_count
     if k < 2:
         raise ConfigError("candidate sets need at least two samples")
     if k > n:

@@ -69,8 +69,8 @@ def levenshtein(a: Message, b: Message) -> int:
 
 def attribute_edit_distance(s1: Sample, s2: Sample, schema: AttributeSchema) -> int:
     """Number of attributes (hyperattributes excluded) with differing values."""
-    codes = property_codes(schema, [s1, s2])[:, : len(schema.attributes)]
-    return int((codes[0] != codes[1]).sum())
+    codes = property_codes(schema, [s1.id, s2.id], [s1.values, s2.values])
+    return int((codes[0] != codes[1])[: len(schema.attributes)].sum())
 
 
 def average_ranks(values) -> np.ndarray:
@@ -246,7 +246,7 @@ def topsim(
     needs at least three samples, because the one pair of two cannot be
     ranked, and ``max_pairs`` of at least 2.
     """
-    n = len(corpus.samples)
+    n = len(corpus.sample_ids)
     if n < 3:
         raise ConfigError("topsim needs at least three samples")
     limit = DEFAULT_MAX_PAIRS if max_pairs is None else max_pairs
@@ -263,9 +263,8 @@ def topsim(
         indices.sort()
     count = limit if sampled else total_pairs
 
-    # attribute columns lead the code matrix; differing code <=> differing value
-    attribute_count = len(corpus.schema.attributes)
-    codes = corpus.codes[:, :attribute_count]
+    codes = corpus.attribute_codes  # differing code <=> differing value
+    attribute_count = codes.shape[1]
     columns = np.ascontiguousarray(codes.T, dtype=np.min_scalar_type(codes.max(initial=0)))
     # Levenshtein reads tokens only through equality: dense ids of the narrowest type
     reps = corpus.messages[representative_of(corpus)]

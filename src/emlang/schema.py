@@ -23,10 +23,11 @@ or the reserved characters ``( ) { } , =``.  An expression may nest at most
 
 Construction compiles the schema once: one walk over each hyperattribute,
 in declaration order, validates its body and builds its column evaluator (a
-lookup table for a value map, composed column functions for an expression).
-Evaluation works on whole columns (:func:`property_codes`), which is also
-the one check that samples conform to the schema; :func:`eval_property` is a
-one-row view of it.
+lookup table for a value map or ``in``, composed column functions otherwise).
+Evaluation works on whole columns: :func:`property_codes` codes attribute
+dicts, and is the one check that they conform to the schema;
+:func:`extend_codes` derives the hyperattribute columns from attribute codes;
+:func:`eval_property` is a one-row view of them.
 
 Schemas and samples are immutable after construction; evaluation is pure, so
 all operations here are safe to call concurrently.
@@ -352,8 +353,9 @@ class AttributeSchema:
                 return partial(_equals, column, self.domain_index(expr.prop, expr.value))
             if isinstance(expr, Member):
                 column = resolve(expr.prop)
-                wanted = [self.domain_index(expr.prop, value) for value in expr.values]
-                return partial(_member, column, wanted)
+                table = np.zeros(len(self._domains[expr.prop]), dtype=bool)
+                table[[self.domain_index(expr.prop, value) for value in expr.values]] = True
+                return partial(_lookup, column, table)
             if isinstance(expr, Not):
                 return partial(_apply, np.logical_not, (build(expr.operand),))
             op = np.logical_and if isinstance(expr, And) else np.logical_or
@@ -407,10 +409,6 @@ def _equals(column: int, code: int, codes: np.ndarray) -> np.ndarray:
     return codes[:, column] == code
 
 
-def _member(column: int, wanted: list[int], codes: np.ndarray) -> np.ndarray:
-    return np.isin(codes[:, column], wanted)
-
-
 def _apply(op, operands, codes: np.ndarray) -> np.ndarray:
     return op(*(operand(codes) for operand in operands))
 
@@ -445,23 +443,28 @@ def validate_sample(schema: AttributeSchema, sample_id: str, values: dict[str, s
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def property_codes(schema: AttributeSchema, samples) -> np.ndarray:
-    """Domain index of every property on every sample: ``int64[samples x properties]``,
-    columns in ``property_names`` order.
-
+def property_codes(schema: AttributeSchema, ids, values) -> np.ndarray:
+    """Domain index of every property in each attribute dict of ``values``:
+    ``int64[len(values) x properties]``, columns in ``property_names`` order.
     The one conformance check: only a failed lookup or attribute count calls
-    :func:`validate_sample`, which words the first non-conforming sample's error.
-    """
-    codes = np.empty((len(samples), len(schema.property_names)), dtype=np.int64)
+    :func:`validate_sample`, whose error names the sample by its entry of ``ids``."""
+    codes = np.empty((len(values), len(schema.attributes)), dtype=np.int64)
     try:
-        if any(len(sample.values) != len(schema.attributes) for sample in samples):
+        if any(len(assigned) != len(schema.attributes) for assigned in values):
             raise KeyError("an attribute outside the schema")
         for i, name in enumerate(schema.attribute_names):  # one dict lookup per value
             index = schema._indices[name]
-            codes[:, i] = [index[sample.values[name]] for sample in samples]
+            codes[:, i] = [index[assigned[name]] for assigned in values]
     except (KeyError, TypeError):  # TypeError: an unhashable value, such as a JSON list
-        for sample in samples:
-            validate_sample(schema, sample.id, sample.values)
+        for sample_id, assigned in zip(ids, values):
+            validate_sample(schema, sample_id, assigned)
+    return extend_codes(schema, codes)
+
+
+def extend_codes(schema: AttributeSchema, attribute_codes: np.ndarray) -> np.ndarray:
+    """Valid attribute codes, then each hyperattribute's column, in a fresh matrix."""
+    codes = np.empty((len(attribute_codes), len(schema.property_names)), dtype=np.int64)
+    codes[:, : len(schema.attributes)] = attribute_codes
     for i, evaluate in enumerate(schema._evaluators, start=len(schema.attributes)):
         codes[:, i] = evaluate(codes)
     return codes
@@ -482,7 +485,8 @@ def eval_property(schema: AttributeSchema, sample: Sample, prop: str) -> str:
     ``schema.domain(prop)``.  An unknown name raises UnknownReference, and a
     sample that does not conform to the schema AttributeMismatch.
     """
-    return schema.domain(prop)[property_codes(schema, [sample])[0, schema.column(prop)]]
+    codes = property_codes(schema, [sample.id], [sample.values])
+    return schema.domain(prop)[codes[0, schema.column(prop)]]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from .corpus import AnnotatedCorpus, Message, _check_shape, build_corpus
 from .errors import CapacityError
 from .rules import Pattern, RuleTable, SemanticRule, canonical_evidence, rule_sort_key
-from .schema import Attribute, AttributeSchema, Sample, observed_values, parse_schema, property_codes
+from .schema import Attribute, AttributeSchema, extend_codes, observed_values, parse_schema
 
 # Leading positions that every message of a holistic language shares.
 HOLISTIC_PREFIX_LENGTH = 2
@@ -205,8 +205,9 @@ def ground_truth_table(codebook: Codebook) -> RuleTable:
     the skeleton.
     """
     schema = codebook.schema
-    combos = zip(combination_ids(schema), all_combinations(schema))
-    codes = property_codes(schema, [Sample(*combo) for combo in combos])
+    # every combination's domain indices, in all_combinations' attribute-major order
+    sizes = [len(schema.domain(name)) for name in schema.attribute_names]
+    codes = extend_codes(schema, np.indices(sizes).reshape(len(sizes), combination_count(schema)).T)
     positions, tokens = [], []  # per attribute: its position, the token of each value
     for name in schema.attribute_names:
         encoder = codebook.encoders[name]
@@ -298,7 +299,7 @@ def gen_noisy(
         raise CapacityError(f"minority share must lie in (0, 1), got {minority_share}")
     if synonym_count < 1:
         raise CapacityError("need at least one synonym")
-    sample_count, length, vocab_size = len(base.samples), base.message_length, base.vocab_size
+    sample_count, length, vocab_size = len(base.sample_ids), base.message_length, base.vocab_size
     if sample_count and vocab_size < 2:
         raise CapacityError("cannot perturb messages over a one-token vocabulary")
     if sample_count and synonym_count > (vocab_size - 1) * length:

@@ -345,7 +345,11 @@ def naive_build_corpus(schema, vocab_size: int, message_length: int, records):
         schema=schema,
         vocab_size=vocab_size,
         message_length=message_length,
-        samples=tuple(samples[sample_id] for sample_id in ids),
+        sample_ids=tuple(ids),
+        attribute_codes=np.array(
+            [[schema.domain(name).index(samples[i].values[name]) for name in names] for i in ids],
+            dtype=np.int64,
+        ).reshape(len(ids), len(names)),
         messages=np.array([message for _, message, _ in rows], dtype=np.int64).reshape(
             len(rows), message_length
         ),

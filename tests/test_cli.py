@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from emlang import cli
 from emlang.cli import MAX_POPULATION
 from emlang.report import render_rule_table
 from emlang.rules import extract_rules
-from emlang.corpus import load_corpus, serialize_corpus
+from emlang.corpus import AnnotatedCorpus, load_corpus, serialize_corpus
 from emlang.schema import parse_schema, render_schema
 from emlang.synth import gen_compositional, gen_holistic, gen_noisy, moprd_schema
 
@@ -183,6 +184,73 @@ def test_synth_topsim_game_pipeline(tmp_path):
     )
     assert game.returncode == 0
     assert "Per-speaker mean: 1.0000" in game.stdout
+
+
+def test_no_command_spells_the_samples_view(workdir, tmp_path, monkeypatch):
+    """extract, topsim, game and synth --kind noisy work from sample ids and
+    codes: each succeeds while reading ``AnnotatedCorpus.samples`` raises."""
+
+    def unreachable(corpus):
+        raise AssertionError("a command spelt the samples view")
+
+    monkeypatch.setattr(AnnotatedCorpus, "samples", property(unreachable))
+    inputs = ["--corpus", str(workdir / "corpus.jsonl"), "--schema", "moprd"]
+    for command, *argv in (
+        ["extract", "--format", "markdown"],
+        ["topsim", "--max-pairs", "50", "--seed", "1"],
+        ["game", "--candidates", "3", "--episodes", "20", "--seed", "1"],
+        ["synth", "--kind", "noisy", "--seed", "1"],
+    ):
+        out = tmp_path / f"{command}.out"
+        assert cli.main([command, *inputs, *argv, "--out", str(out)]) == 0
+        assert out.stat().st_size > 0
+
+
+# A schema with a value map, an expression over it and a one-value attribute,
+# whose value is a global constant of every message.
+PINNED_SCHEMA = {
+    "attributes": [
+        {"name": "color", "values": ["r", "g", "b"]},
+        {"name": "size", "values": ["s", "l"]},
+        {"name": "kind", "values": ["k"]},
+        {"name": "n", "values": ["0", "1", "2", "3"]},
+    ],
+    "hyperattributes": [
+        {"name": "warm", "map": {"source": "color", "cases": {"r": "hot", "g": "cold", "b": "cold"}}},
+        {"name": "big_warm", "expr": "size == l and warm == hot"},
+        {"name": "even", "expr": "n in {0, 2}"},
+    ],
+}
+# SHA-256 of the --truth-out and --out bytes of synth --kind compositional,
+# per (schema, seed), as the dict-built ground truth wrote them.
+SYNTH_DIGESTS = {
+    ("moprd", "1"): ("c873336dd9eb941e7c9f0eaca1f6301f72cef2e7fe6963cdc1dd124f6c7dac2e",
+                     "56a9dea99e06dde06b9a3e3b7fa81116c32ad68f13f057ef4f3c128d0de74462"),
+    ("moprd", "2"): ("6897e26e032f08799fcd342289ea4a6843a99f090b6ed201fc7ca85a860a4e3d",
+                     "737d55ac2ea81f8dbc830f0faf86e7add1bf79ddbf10d38cfebe387a1093f373"),
+    ("moprd", "3"): ("20d4fbe02329e39f11142e10b8a4e66723bd3667589d490cd875b2c3b08a579d",
+                     "e3d91c31d7be86c84c7be70b51469c553395bfb61efd69c7de85299536556c51"),
+    ("pinned", "1"): ("f5da21e7a448185cf32ae43062624d8edf672e36d588dd179e0f0eb92699cfa9",
+                      "7c3b61047d6050b3f35a9c7e81406f6edfa236f2d3aabcd9cae7aa3cc7b97d4e"),
+    ("pinned", "2"): ("8525311d15a5b664f4e53db1e8f2424d5d6300be4ef68e05bc5ce0ce709bc8f8",
+                      "d40effb994b27cc51277fa1642beaaf2234d8d5e8d477f5e8de19a8a5855e122"),
+    ("pinned", "3"): ("fb73ba360b2906cfc1d80d68de9175bd5b46bb593c83362c0e9e64157ed8ad18",
+                      "40e760193f399234facd3d7cca15622936d5f3d02eb9c8aafb9474a54af3092e"),
+}
+
+
+@pytest.mark.parametrize(("schema", "seed"), SYNTH_DIGESTS)
+def test_synth_truth_and_corpus_bytes_are_pinned(tmp_path, schema, seed):
+    argv = ["synth", "--kind", "compositional", "--seed", seed, "--schema"]
+    if schema == "moprd":
+        argv += ["moprd", "--msg-len", "10", "--vocab", "20"]
+    else:
+        (tmp_path / "schema.json").write_text(json.dumps(PINNED_SCHEMA), encoding="utf-8")
+        argv += [str(tmp_path / "schema.json"), "--msg-len", "8", "--vocab", "12"]
+    truth, corpus = tmp_path / "truth.json", tmp_path / "corpus.jsonl"
+    assert cli.main([*argv, "--truth-out", str(truth), "--out", str(corpus)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (truth, corpus))
+    assert digests == SYNTH_DIGESTS[schema, seed]
 
 
 @pytest.mark.parametrize("kind", ["noisy", "compositional", "holistic"])

@@ -76,7 +76,7 @@ def test_moprd_shaped_file(moprd):
             )
         )
     corpus = load_corpus("\n".join(lines), moprd)
-    assert len(corpus.samples) == 100
+    assert len(corpus.sample_ids) == 100
     assert corpus.message_length == 10
 
 
@@ -138,22 +138,29 @@ def test_lone_surrogate_follows_one_rule_on_both_paths(lines, error):
 
 
 def test_array_construction_checks():
-    x, y = Sample("s", {"a": "x"}), Sample("t", {"a": "y"})
-    good = dict(samples=(x, y), messages=[[1, 2], [0, 3]], owners=[0, 1], counts=[2, 1])
+    good = dict(
+        sample_ids=("s", "t"), attribute_codes=[[0], [1]],
+        messages=[[1, 2], [0, 3]], owners=[0, 1], counts=[2, 1],
+    )
     corpus = AnnotatedCorpus(TINY, 4, 2, **good)
     records = [("t", {"a": "y"}, (0, 3), 1), ("s", {"a": "x"}, (1, 2), 2)]
     assert corpus == build_corpus(TINY, 4, 2, records)
     assert rows_by_sample(corpus)["t"] == (((0, 3), 1),)
     with pytest.raises(ValueError):
         corpus.counts[0] = 5  # stored arrays are read-only
-    swapped = AnnotatedCorpus(TINY, 4, 2, **{**good, "samples": (y, x)})  # owners follow samples
+    # owners follow the ids, and codes follow them too
+    swapped = AnnotatedCorpus(
+        TINY, 4, 2, **{**good, "sample_ids": ("t", "s"), "attribute_codes": [[1], [0]]}
+    )
     records = [("t", {"a": "y"}, (1, 2), 2), ("s", {"a": "x"}, (0, 3), 1)]
     assert swapped == build_corpus(TINY, 4, 2, records)
     for token in (4, 2**64):  # sample t owns no messages, whatever the other rows hold
         with pytest.raises(DocumentSyntaxError, match="sample 't' owns no messages"):
             AnnotatedCorpus(TINY, 4, 2, **{**good, "owners": [0, 0], "messages": [[1, 2], [0, token]]})
     for change, error in [
-        ({"samples": (x, x)}, DocumentSyntaxError),  # duplicate id
+        ({"sample_ids": ("s", "s")}, DocumentSyntaxError),  # duplicate id
+        ({"sample_ids": ("s", 1)}, DocumentSyntaxError),  # an id that is not a string
+        ({"sample_ids": ("s", "\ud800")}, DocumentSyntaxError),  # lone surrogate
         ({"owners": [0, 2]}, DocumentSyntaxError),  # owner outside the samples
         ({"owners": [0, 0]}, DocumentSyntaxError),  # sample t owns no messages
         ({"counts": [1]}, DocumentSyntaxError),  # one count for two rows
@@ -166,59 +173,76 @@ def test_array_construction_checks():
             AnnotatedCorpus(TINY, 4, 2, **{**good, **change})
 
 
-def test_derived_corpora_take_over_the_samples_codes(monkeypatch, reference_corpus):
-    """The frequency filter and the noisy generator reuse their input's
-    checked samples and codes; input from outside is coded exactly once."""
+def test_derived_corpora_never_call_property_codes(monkeypatch, reference_corpus):
+    """Only records are coded: the frequency filter, the noisy generator and
+    ``replace`` build their corpora from ids and codes, and the constructor
+    never calls ``property_codes``."""
     calls = []
 
-    def counted(schema, samples):
-        calls.append(len(samples))
-        return property_codes(schema, samples)
+    def counted(schema, ids, values):
+        calls.append(len(values))
+        return property_codes(schema, ids, values)
 
     monkeypatch.setattr("emlang.corpus.property_codes", counted)
-    # a plain tuple of samples comes from outside, so it is checked and coded
-    base = replace(
-        reference_corpus, samples=tuple(reference_corpus.samples), counts=reference_corpus.counts * 10
-    )
-    assert calls == [len(base.samples)]
+    records = [
+        (sample.id, sample.values, tuple(message), 10 * count)
+        for sample, rows in zip(reference_corpus.samples, rows_by_sample(reference_corpus).values())
+        for message, count in rows
+    ]
+    reference = reference_corpus
+    base = build_corpus(reference.schema, reference.vocab_size, reference.message_length, records)
+    assert calls == [len(base.sample_ids)]  # records are coded once
     noisy = gen_noisy(base, 2, 0.1, seed=1)
     filtered = filter_by_frequency(noisy, 0.5)
-    assert calls == [len(base.samples)]
     assert filtered == base
     for derived in (noisy, filtered):
-        fresh = replace(derived, samples=tuple(derived.samples))
+        fresh = replace(derived, schema=copy.deepcopy(derived.schema))
         assert fresh == derived and np.array_equal(fresh.codes, derived.codes)
-    assert len(calls) == 3
-    # an equal schema that is another object codes the samples again
-    replace(base, schema=copy.deepcopy(base.schema))
-    assert len(calls) == 4
-    with pytest.raises(TokenOutOfRange):  # taken-over samples leave the rows checked
+    assert calls == [len(base.sample_ids)]
+    with pytest.raises(TokenOutOfRange):  # rows are checked on every construction
         replace(base, messages=base.messages + base.vocab_size)
 
 
 def test_construction_checks_samples_against_the_schema():
-    """Constructed and replaced corpora check their samples as loaded ones do,
-    before the header and rows, and store the samples' codes in id order."""
-    x, y = Sample("s", {"a": "x"}), Sample("t", {"a": "y"})
-    corpus = AnnotatedCorpus(TINY, 4, 2, (y, x), [[1, 2], [0, 3]], [0, 1], [1, 1])
+    """Records are checked against the schema as loaded ones are, before the
+    header and rows; given codes are checked before the header too, and
+    every corpus stores its codes read-only, in id order."""
+    corpus = AnnotatedCorpus(TINY, 4, 2, ("t", "s"), [[1], [0]], [[1, 2], [0, 3]], [0, 1], [1, 1])
+    assert corpus.sample_ids == ("s", "t")
     assert corpus.codes.tolist() == [[0], [1]]
     with pytest.raises(ValueError):
         corpus.codes[0, 0] = 1  # stored read-only, like the rows
+    with pytest.raises(ValueError):
+        corpus.attribute_codes[0, 0] = 1
+    x = ("s", {"a": "x"}, (1, 2), 1)
     for values, reason in [
         ({"a": "zzz"}, "value 'zzz' not in domain of 'a'"),
         ({"a": ["x"]}, "value ['x'] not in domain of 'a'"),
         ({}, "must assign exactly the attributes ['a']"),
         ({"a": "x", "b": "x"}, "must assign exactly the attributes ['a']"),
     ]:
-        bad = Sample("u", values)
         expected = re.escape("sample 'u'") + ".*" + re.escape(reason)
         with pytest.raises(AttributeMismatch, match=expected):
-            AnnotatedCorpus(TINY, 0, 2, (x, bad), [[1, 2], [0, 3]], [0, 1], [1, 1])
-        with pytest.raises(AttributeMismatch, match=expected):
-            replace(corpus, samples=(x, bad))
+            build_corpus(TINY, 0, 2, [x, ("u", values, (0, 3), 1)])
     # the first non-conforming sample in the given order, not in id order
     with pytest.raises(AttributeMismatch, match="sample 'v'"):
-        replace(corpus, samples=(Sample("v", {"a": "q"}), Sample("u", {})))
+        build_corpus(TINY, 4, 2, [("v", {"a": "q"}, (0, 0), 1), ("u", {}, (0, 0), 1)])
+    for codes, reason in [
+        ([[0], [2]], "sample 't': code 2 outside the domain of 'a'"),
+        ([[-1], [2]], "sample 's': code -1 outside the domain of 'a'"),
+        ([[0], [1.0]], "attribute codes must be integers of shape (2, 1)"),
+        ([[False], [True]], "attribute codes must be integers of shape (2, 1)"),
+        ([[0], [0, 1]], "attribute codes must be integers of shape (2, 1)"),  # ragged
+        ([[0, 0], [1, 1]], "attribute codes must be integers of shape (2, 1)"),
+        ([0, 1], "attribute codes must be integers of shape (2, 1)"),
+    ]:
+        with pytest.raises(AttributeMismatch, match=re.escape(reason)):
+            AnnotatedCorpus(TINY, 0, 2, ("s", "t"), codes, [[1, 2], [0, 3]], [0, 1], [1, 1])
+        with pytest.raises(AttributeMismatch, match=re.escape(reason)):
+            replace(corpus, sample_ids=("s", "t"), attribute_codes=codes)
+    # codes are named in the given order: sample 'u' comes before 's'
+    with pytest.raises(AttributeMismatch, match="sample 'u'"):
+        replace(corpus, sample_ids=("u", "s"), attribute_codes=[[5], [7]])
 
 
 def test_a_non_conforming_sample_comes_before_a_conflict():
@@ -241,6 +265,7 @@ def test_build_corpus_copies_the_attribute_dicts():
     values["a"] = "y"
     values["b"] = "x"
     assert corpus.samples[0].values == {"a": "x"}
+    assert corpus.attribute_codes.tolist() == [[0]]
     assert corpus == build_corpus(TINY, 4, 2, [("s", {"a": "x"}, (0, 0), 1)])
 
 
@@ -254,7 +279,6 @@ def test_construction_makes_every_corpus_canonical():
         ("s", {"a": "x"}, (0, 3), 5),
     ]
     expected = build_corpus(TINY, 4, 2, records)
-    s, t, u = expected.samples
     reversed_rows = replace(
         expected,
         messages=expected.messages[::-1],
@@ -262,13 +286,13 @@ def test_construction_makes_every_corpus_canonical():
         counts=expected.counts[::-1],
     )
     split = AnnotatedCorpus(
-        TINY, 4, 2, (s, t, u),
+        TINY, 4, 2, ("s", "t", "u"), [[0], [1], [0]],
         messages=[[0, 3], [1, 2], [2, 2], [0, 3], [3, 0]],
         owners=[0, 0, 1, 0, 2],
         counts=[2, 2, 1, 3, 4],
     )
     out_of_id_order = AnnotatedCorpus(
-        TINY, 4, 2, (u, t, s),
+        TINY, 4, 2, ("u", "t", "s"), [[0], [1], [0]],
         messages=[[1, 2], [3, 0], [2, 2], [0, 3]],
         owners=[2, 0, 1, 2],
         counts=[2, 4, 1, 5],
@@ -276,7 +300,7 @@ def test_construction_makes_every_corpus_canonical():
     for corpus in (reversed_rows, split, out_of_id_order):
         assert corpus == expected
     with pytest.raises(DocumentSyntaxError, match="duplicate sample id"):
-        replace(expected, samples=(s, u, s))
+        replace(expected, sample_ids=("s", "u", "s"))
     # split counts merge as Python integers, so their sum cannot wrap around int64
     one_row = share_corpus({(0, 0): 1})
     for counts in ([2**62, 2**62], [2**42] * 2**11, [2**53], [2**63 - 1, 2**63 - 2]):
@@ -329,7 +353,9 @@ def test_construction_sorts_nearly_sorted_rows(data):
         i, j = data.draw(st.sampled_from(pairs))
         for array in (messages, owners, counts):
             array[[i, j]] = array[[j, i]]
-    corpus = AnnotatedCorpus(TINY, 4, 2, expected.samples, messages, owners, counts)
+    corpus = AnnotatedCorpus(
+        TINY, 4, 2, expected.sample_ids, expected.attribute_codes, messages, owners, counts
+    )
     assert corpus == expected
 
 
@@ -352,7 +378,8 @@ def test_construction_is_blind_to_row_order_and_splits(data):
     records = [(f"s{o}", {"a": "xy"[o % 2]}, msg, count) for (o, msg), count in rows.items()]
     expected = naive_build_corpus(TINY, vocab, length, records)
     canonical = [a.copy() for a in (expected.messages, expected.owners, expected.counts)]
-    same = AnnotatedCorpus(TINY, vocab, length, expected.samples, *canonical)
+    columns = expected.sample_ids, expected.attribute_codes
+    same = AnnotatedCorpus(TINY, vocab, length, *columns, *canonical)
     assert same == expected
     for given, stored in zip(canonical, (same.messages, same.owners, same.counts)):
         assert given.flags.writeable and not stored.flags.writeable
@@ -365,7 +392,7 @@ def test_construction_is_blind_to_row_order_and_splits(data):
         bounds = [0, *sorted(cuts), count]
         parts += [(msg, owner, high - low) for low, high in zip(bounds, bounds[1:])]
     messages, owners, counts = zip(*data.draw(st.permutations(parts)))
-    shuffled = AnnotatedCorpus(TINY, vocab, length, expected.samples, messages, owners, counts)
+    shuffled = AnnotatedCorpus(TINY, vocab, length, *columns, messages, owners, counts)
     assert shuffled == expected
 
 
@@ -542,17 +569,16 @@ def test_serializer_matches_one_json_dumps_per_record(data):
     vocab = draw(st.sampled_from([1, 3, 2**16 + 1, 2**16 + 2, 2**63]))
     tokens = st.integers(0, vocab - 1) | st.just(vocab - 1)
     ids = draw(st.lists(hostile_texts, max_size=4, unique=True))
-    samples, rows = [], []
-    for owner, sample_id in enumerate(ids):
-        values = {a.name: draw(st.sampled_from(a.domain)) for a in schema.attributes}
-        samples.append(Sample(sample_id, values))
+    codes, rows = np.zeros((len(ids), len(names)), dtype=np.int64), []
+    for owner in range(len(ids)):
+        codes[owner] = [draw(st.integers(0, len(domain) - 1)) for domain in domains]
         for _ in range(draw(st.integers(1, 3))):
             rows.append((owner, [draw(tokens) for _ in range(length)], draw(st.integers(1, 9))))
     if rows and draw(st.booleans()):  # one count as large as the total allows
         owner, message, _ = rows[0]
         rows[0] = owner, message, 2**53 - 1 - sum(count for _, _, count in rows[1:])
     owners, messages, counts = zip(*rows) if rows else ((), np.empty((0, length)), ())
-    corpus = AnnotatedCorpus(schema, vocab, length, tuple(samples), messages, owners, counts)
+    corpus = AnnotatedCorpus(schema, vocab, length, ids, codes, messages, owners, counts)
     block = draw(st.sampled_from([1, 2, 5, 4096]))
     width = draw(st.sampled_from([1, 300, 2**22]))  # 1: a block per row
     with patch.multiple("emlang.corpus", _SERIALIZE_BLOCK=block, _SERIALIZE_BYTES=width):
@@ -772,3 +798,60 @@ def test_serialized_corpora_load_without_the_per_line_reader(monkeypatch, refere
     monkeypatch.setattr("emlang.corpus.np.lexsort", unreachable)
     for corpus, text in zip(corpora, texts):
         assert load_corpus(text, corpus.schema) == corpus
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_constructor_arguments_raise_emlang_errors_only(data):
+    """Sample ids and attribute codes, as given: valid ones in any sample
+    order rebuild the build_corpus corpus and its samples; codes that are
+    negative, past their domain, float, bool or misshapen are an
+    AttributeMismatch, and ids that are not strings, repeated or hold a lone
+    surrogate a DocumentSyntaxError."""
+    draw = data.draw
+    ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=4, unique=True))
+    annotation = {sample_id: draw(st.sampled_from(ANNOTATIONS)) for sample_id in ids}
+    message = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    records = [
+        (sample_id, annotation[sample_id], draw(message), draw(st.integers(1, 5)))
+        for sample_id in ids
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    corpus = build_corpus(TWO, 4, 2, records)
+    rows = corpus.messages, corpus.owners, corpus.counts
+    rebuilt = AnnotatedCorpus(TWO, 4, 2, corpus.sample_ids, corpus.attribute_codes, *rows)
+    assert rebuilt == corpus
+    assert rebuilt.samples == corpus.samples == tuple(Sample(i, annotation[i]) for i in sorted(ids))
+    order = np.array(draw(st.permutations(range(len(ids)))))
+    rank = np.argsort(order)  # new position of each sample
+    sample_ids = [corpus.sample_ids[k] for k in order]
+    codes = corpus.attribute_codes[order]
+    rows = corpus.messages, rank[corpus.owners], corpus.counts
+    assert AnnotatedCorpus(TWO, 4, 2, sample_ids, codes, *rows) == corpus
+
+    kind = draw(st.sampled_from(
+        ["negative", "past-domain", "float", "bool", "shape", "not-str", "repeated", "surrogate"]
+    ))
+    codes, sample_ids = codes.copy(), list(sample_ids)
+    row, column = draw(st.integers(0, len(ids) - 1)), draw(st.integers(0, 1))
+    if kind == "negative":
+        codes[row, column] = draw(st.integers(-(2**63), -1))
+    elif kind == "past-domain":
+        codes[row, column] = draw(st.integers(2, 2**63 - 1))  # both domains hold two values
+    elif kind == "float":
+        codes = codes.astype(draw(st.sampled_from([np.float64, np.float32])))
+    elif kind == "bool":
+        codes = codes.astype(bool)
+    elif kind == "shape":
+        misshapen = [codes[:, :1], codes[1:], codes.T[:1], codes.ravel(), codes[None]]
+        codes = draw(st.sampled_from(misshapen))
+    elif kind == "not-str":
+        sample_ids[row] = draw(st.sampled_from([None, 1, b"s0", ("s0",)]))
+    elif kind == "repeated":
+        assume(len(ids) > 1)
+        sample_ids[row] = sample_ids[row - 1]
+    else:
+        sample_ids[row] = draw(lone_surrogate_texts)
+    codes_kinds = ("negative", "past-domain", "float", "bool", "shape")
+    with pytest.raises(AttributeMismatch if kind in codes_kinds else DocumentSyntaxError):
+        AnnotatedCorpus(TWO, 4, 2, sample_ids, codes, *rows)

@@ -117,7 +117,7 @@ def test_long_hyperattribute_chain():
     schema = parse_schema(
         json.dumps({"attributes": [{"name": "a", "values": ["F", "T"]}], "hyperattributes": links})
     )
-    codes = property_codes(schema, [Sample("f", {"a": "F"}), Sample("t", {"a": "T"})])
+    codes = property_codes(schema, ["f", "t"], [{"a": "F"}, {"a": "T"}])
     assert codes.shape == (2, 10_001)
     assert (codes == codes[:, :1]).all()
     assert codes[:, 0].tolist() == [0, 1]
@@ -158,8 +158,8 @@ def test_compiled_schema_pickles_with_its_corpus():
     copy = pickle.loads(pickle.dumps(corpus))
     assert copy == corpus
     rows = all_combinations(schema)
-    samples = [Sample(str(i), row) for i, row in enumerate(rows)]
-    assert property_codes(copy.schema, samples).tolist() == [[0, 0, 1], [1, 0, 0], [2, 1, 0]]
+    ids = [str(i) for i in range(len(rows))]
+    assert property_codes(copy.schema, ids, rows).tolist() == [[0, 0, 1], [1, 0, 0], [2, 1, 0]]
 
 
 def test_value_map_must_cover_source():
@@ -350,5 +350,5 @@ def test_property_codes_match_definitional_evaluation(schema):
         [schema.domain(prop).index(naive_eval(schema, row, prop)) for prop in schema.property_names]
         for row in rows
     ]
-    samples = [Sample(str(i), row) for i, row in enumerate(rows)]
-    assert property_codes(schema, samples).tolist() == expected
+    ids = [str(i) for i in range(len(rows))]
+    assert property_codes(schema, ids, rows).tolist() == expected
