@@ -172,6 +172,46 @@ def test_game_golden_accuracy(moprd, k, seed, values):
     assert repr(run_lewis_game(population[0], config).values) == values
 
 
+def two_message_corpus(moprd):
+    """Every sample speaks the same two messages once each: every share ties."""
+    records = [
+        (f"{i:02d}", combo, (token,) * 10, 1)
+        for i, combo in enumerate(all_combinations(moprd))
+        for token in (0, 1)
+    ]
+    return build_corpus(moprd, 20, 10, records)
+
+
+# repr of the accuracy matrix of compositional, noisy, constant and two-message
+# agents, as computed when every episode still drew and scored its distractors.
+# Constant and two-message listeners leave almost no target sure to win and
+# never heard most compositional messages; k = 100 plays all n samples; no
+# episode count is a multiple of the batch.  No value may move.
+GOLDEN_TIES = {
+    "k2-seed0": (2, 0, 1000, "((1.0, 0.998, 0.501, 0.493), (0.671, 1.0, 0.506, 0.501), "
+                             "(0.507, 0.483, 0.502, 0.474), (0.528, 0.493, 0.515, 0.513))"),
+    "k20-seed1": (20, 1, 3000, "((1.0, 0.9946666666666667, 0.05266666666666667, 0.05266666666666667), "
+                               "(0.36333333333333334, 0.9883333333333333, 0.04766666666666667, 0.052), "
+                               "(0.044, 0.043333333333333335, 0.043, 0.048), "
+                               "(0.05366666666666667, 0.04633333333333333, 0.056666666666666664, "
+                               "0.04733333333333333))"),
+    "k100-seed2": (100, 2, 500, "((1.0, 0.97, 0.01, 0.008), (0.332, 0.942, 0.008, 0.012), "
+                                "(0.018, 0.008, 0.012, 0.002), (0.01, 0.006, 0.014, 0.02))"),
+}
+
+
+@pytest.mark.parametrize(("k", "seed", "episodes", "values"), GOLDEN_TIES.values(),
+                         ids=GOLDEN_TIES.keys())
+def test_game_golden_ties_and_unheard_messages(moprd, k, seed, episodes, values):
+    compositional, _ = gen_compositional(moprd, 10, 20, seed=8)
+    noisy = gen_noisy(compositional, synonym_count=2, minority_share=0.3, seed=8)
+    population = (compositional, noisy, constant_corpus(moprd), two_message_corpus(moprd))
+    config = GameConfig(
+        seed=seed, candidate_count=k, episodes=episodes, speakers=population, listeners=population
+    )
+    assert repr(run_lewis_game(compositional, config).values) == values
+
+
 @pytest.mark.parametrize(("n", "k"), [(6, 2), (6, 4), (6, 6), (7, 3)])
 def test_candidates_are_uniform_subsets(n, k):
     """Every row holds its target and k - 1 distinct others, each subset equally often."""
