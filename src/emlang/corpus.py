@@ -28,7 +28,7 @@ times.  Every corpus is immutable and canonical, one row per distinct
 (sample, message), sorted by sample and tokens: every construction checks
 its codes, ids and rows and sorts them, so ``dataclasses.replace`` re-sorts.
 Attribute dicts are coded, and checked, only where records become a corpus,
-by :func:`~emlang.schema.property_codes`; ``samples`` spells them back for
+by :func:`~emlang.schema.code_attributes`; ``samples`` spells them back for
 callers, and no stage of the pipeline reads it.
 
 :func:`serialize_corpus` writes each record as ``json.dumps(record,
@@ -60,7 +60,7 @@ from .errors import (
     UnknownSample,
     has_lone_surrogate,
 )
-from .schema import AttributeSchema, Sample, extend_codes, property_codes
+from .schema import AttributeSchema, Sample, code_attributes, extend_codes
 
 Message = tuple[int, ...]
 
@@ -163,9 +163,10 @@ class AnnotatedCorpus:
             and np.array_equal(self.counts, other.counts)
         )
 
-    @cached_property
+    @property
     def samples(self) -> tuple[Sample, ...]:
-        """Each sample spelt from its codes, for callers; no pipeline stage reads it."""
+        """Each sample spelt afresh from its codes on every read, so no copy can go
+        stale; for callers, as no pipeline stage reads it."""
         names = self.schema.attribute_names
         domains = [self.schema.domain(name) for name in names]
         return tuple(
@@ -228,11 +229,11 @@ def build_corpus(
         if k == len(values):
             values.append(assigned)
         elif values[k] != assigned:  # an earlier non-conforming sample comes first
-            property_codes(schema, list(first), values)
+            code_attributes(schema, list(first), values)
             conflict = f"sample {sample_id!r} annotated with conflicting attribute values"
             raise AttributeMismatch(conflict)
         owners.append(k)
-    codes = property_codes(schema, list(first), values)[:, : len(schema.attributes)]
+    codes = code_attributes(schema, list(first), values)
     return AnnotatedCorpus(schema, vocab_size, message_length, first, codes, msgs, owners, counts)
 
 
@@ -420,7 +421,7 @@ def _lex_records(text: str, records: int, schema: AttributeSchema, message_lengt
         return None
     # each attrs text is one whole JSON object, so the joined texts are one JSON array
     values = json.loads("[" + ", ".join(spelling for _, spelling in spellings) + "]")
-    codes = property_codes(schema, list(index), values)[:, : len(schema.attributes)]
+    codes = code_attributes(schema, list(index), values)
     owners = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=records)
     messages = np.fromstring(", ".join(msgs), dtype=np.int64, sep=",")
     counts = np.fromstring(" ".join(counts), dtype=np.int64, sep=" ")

@@ -12,6 +12,10 @@ no matter how cells are scheduled.  Episodes are played in array batches.
 Each distinct listener corpus becomes one table of shares, built once and
 sorted message-major (by message id, then by owner), so the k lookups of an
 episode all fall in the block of the one message spoken.
+
+Episodes whose target is the listener's pick among all samples for the message
+spoken are hits whatever the distractors; they still make their draws, so the
+stream and every matrix stay those of playing them out, but skip the scoring.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .corpus import AnnotatedCorpus
 from .errors import ConfigError
 from .metrics import AccuracyMatrix
 
-# Candidates per batch (episodes x k); larger batches cost memory, not time.
+# Candidates per batch (episodes x k); a new size reorders the draws, changing every matrix.
 _BATCH_KEYS = 2**14
 
 
@@ -41,17 +45,19 @@ class GameConfig:
     __hash__ = None
 
 
-def _candidates(rng: np.random.Generator, targets: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Each target and ``k - 1`` distinct other samples, rows sorted: Floyd's algorithm,
-    column by column, so every subset is equally likely at O(k) draws per episode.
-    The distractors are stored ``(k - 1, episodes)``: the membership test then ORs
-    whole rows, one per earlier column, instead of reducing each episode's short row."""
-    others = np.empty((k - 1, len(targets)), dtype=np.int64)
-    for c, j in enumerate(range(n - k, n - 1)):
-        drawn = rng.integers(j + 1, size=len(targets))
-        others[c] = np.where((others[:c] == drawn).any(axis=0), j, drawn)
-    others += others >= targets
-    return np.sort(np.vstack((targets, others)).T, axis=1)
+def _draw_columns(rng: np.random.Generator, n: int, k: int, size: int) -> np.ndarray:
+    """Floyd's draws for ``size`` episodes, ``(k - 1, size)``: row c holds
+    ``rng.integers(j + 1)`` for the c-th j of ``n - k .. n - 2``, drawn in that order."""
+    return np.stack([rng.integers(j + 1, size=size) for j in range(n - k, n - 1)])
+
+
+def _candidates(columns: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
+    """Each target and the ``k - 1`` others Floyd's algorithm picks from its column of
+    draws, rows sorted; resolves ``columns`` (C order) in place, row by earlier row."""
+    for c, j in enumerate(range(n - len(columns) - 1, n - 1)):
+        columns[c] = np.where((columns[:c] == columns[c]).any(axis=0), j, columns[c])
+    columns += columns >= targets
+    return np.sort(np.vstack((targets, columns)).T, axis=1)
 
 
 def _listener_table(
@@ -63,6 +69,19 @@ def _listener_table(
     keys = message_ids * n + listener.owners
     order = np.argsort(keys)
     return keys[order], (listener.counts / listener.totals[listener.owners])[order]
+
+
+def _top_owners(keys: np.ndarray, shares: np.ndarray, n: int, message_count: int) -> np.ndarray:
+    """Per message id, the owner a listener table picks among all samples: the first
+    of the largest share in the message's block of keys; -1 if it never heard it."""
+    messages = keys // n
+    starts = np.flatnonzero(np.diff(messages, prepend=-1))
+    best = np.repeat(np.maximum.reduceat(shares, starts), np.diff(starts, append=len(keys)))
+    first = np.flatnonzero(shares == best)
+    first = first[np.diff(messages[first], prepend=-1) != 0]
+    top = np.full(message_count, -1, dtype=np.int64)
+    top[messages[first]] = keys[first] % n
+    return top
 
 
 def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatrix:
@@ -91,14 +110,13 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
             )
     # one message id space for the whole population
     stacked = np.concatenate([a.messages for a in agents.values()])
-    _, message_ids = np.unique(stacked, axis=0, return_inverse=True)
+    distinct, message_ids = np.unique(stacked, axis=0, return_inverse=True)
     bounds = np.cumsum([len(a.messages) for a in agents.values()])[:-1]
     message_ids = dict(zip(agents, np.split(message_ids.reshape(-1), bounds)))
     # one table per distinct listener corpus, however many slots it fills
-    tables = {
-        key: _listener_table(agent, message_ids[key], n)
-        for key, agent in {id(a): a for a in listener_corpora}.items()
-    }
+    listeners = {id(a): a for a in listener_corpora}
+    tables = {key: _listener_table(agent, message_ids[key], n) for key, agent in listeners.items()}
+    tops = {key: _top_owners(*table, n, len(distinct)) for key, table in tables.items()}
     batch = max(1, _BATCH_KEYS // k)
 
     rows = []
@@ -109,18 +127,30 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
         row = []
         for j, listener in enumerate(listener_corpora):
             keys, shares = tables[id(listener)]
+            sure = tops[id(listener)][spoken] == speaker.owners  # rows no distractor can beat
             rng = np.random.default_rng(np.random.SeedSequence([config.seed % (2**63), i, j]))
-            hits = 0
+            hits, pending = 0, []  # pending: (targets, columns, said) of unplayed episodes
             for played in range(0, config.episodes, batch):
                 size = min(batch, config.episodes - played)
                 targets = rng.integers(n, size=size)
-                candidates = _candidates(rng, targets, n, k)
+                columns = _draw_columns(rng, n, k, size)
                 drawn = start[targets] + rng.integers(s_totals[targets])
-                message = spoken[np.searchsorted(cumulative, drawn, side="right")]
-                wanted = message[:, None] * n + candidates
+                said = np.searchsorted(cumulative, drawn, side="right")
+                open_ = np.flatnonzero(~sure[said])
+                if 2 * len(open_) <= size:  # else play all: a sure episode is a hit anyway
+                    hits += size - len(open_)
+                    targets, said = targets[open_], said[open_]
+                    columns = np.take(columns, open_, axis=1)  # C order, unlike columns[:, open_]
+                pending.append((targets, columns, said))
+                if sum(len(p[0]) for p in pending) < batch and played + size < config.episodes:
+                    continue  # play a batch's worth of episodes at once
+                targets, columns, said = (np.concatenate(p, axis=-1) for p in zip(*pending))
+                pending = []
+                candidates = _candidates(columns, targets, n)
+                wanted = spoken[said, None] * n + candidates
                 at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
                 scores = np.where(keys[at] == wanted, shares[at], 0.0)
-                chosen = candidates[np.arange(size), np.argmax(scores, axis=1)]
+                chosen = candidates[np.arange(len(targets)), np.argmax(scores, axis=1)]
                 hits += int(np.count_nonzero(chosen == targets))
             row.append(hits / config.episodes)
         rows.append(tuple(row))

@@ -24,10 +24,10 @@ or the reserved characters ``( ) { } , =``.  An expression may nest at most
 Construction compiles the schema once: one walk over each hyperattribute,
 in declaration order, validates its body and builds its column evaluator (a
 lookup table for a value map or ``in``, composed column functions otherwise).
-Evaluation works on whole columns: :func:`property_codes` codes attribute
+Evaluation works on whole columns: :func:`code_attributes` codes attribute
 dicts, and is the one check that they conform to the schema;
 :func:`extend_codes` derives the hyperattribute columns from attribute codes;
-:func:`eval_property` is a one-row view of them.
+:func:`property_codes` does both, and :func:`eval_property` is a one-row view.
 
 Schemas and samples are immutable after construction; evaluation is pure, so
 all operations here are safe to call concurrently.
@@ -445,7 +445,13 @@ def validate_sample(schema: AttributeSchema, sample_id: str, values: dict[str, s
 
 def property_codes(schema: AttributeSchema, ids, values) -> np.ndarray:
     """Domain index of every property in each attribute dict of ``values``:
-    ``int64[len(values) x properties]``, columns in ``property_names`` order.
+    ``int64[len(values) x properties]``, columns in ``property_names`` order."""
+    return extend_codes(schema, code_attributes(schema, ids, values))
+
+
+def code_attributes(schema: AttributeSchema, ids, values) -> np.ndarray:
+    """Domain index of every attribute in each attribute dict of ``values``:
+    ``int64[len(values) x attributes]``, columns in ``attribute_names`` order.
     The one conformance check: only a failed lookup or attribute count calls
     :func:`validate_sample`, whose error names the sample by its entry of ``ids``."""
     codes = np.empty((len(values), len(schema.attributes)), dtype=np.int64)
@@ -458,7 +464,7 @@ def property_codes(schema: AttributeSchema, ids, values) -> np.ndarray:
     except (KeyError, TypeError):  # TypeError: an unhashable value, such as a JSON list
         for sample_id, assigned in zip(ids, values):
             validate_sample(schema, sample_id, assigned)
-    return extend_codes(schema, codes)
+    return codes
 
 
 def extend_codes(schema: AttributeSchema, attribute_codes: np.ndarray) -> np.ndarray:

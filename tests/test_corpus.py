@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -34,7 +35,14 @@ from emlang.errors import (
     TokenOutOfRange,
     UnknownSample,
 )
-from emlang.schema import Attribute, AttributeSchema, Sample, parse_schema, property_codes
+from emlang.schema import (
+    Attribute,
+    AttributeSchema,
+    Sample,
+    code_attributes,
+    extend_codes,
+    parse_schema,
+)
 from emlang.synth import all_combinations, concept_schema, gen_holistic, gen_noisy
 
 from conftest import mutate
@@ -174,16 +182,21 @@ def test_array_construction_checks():
 
 
 def test_derived_corpora_never_call_property_codes(monkeypatch, reference_corpus):
-    """Only records are coded: the frequency filter, the noisy generator and
-    ``replace`` build their corpora from ids and codes, and the constructor
-    never calls ``property_codes``."""
-    calls = []
+    """Only records are coded, by the attribute coder alone: the frequency
+    filter, the noisy generator and ``replace`` build their corpora from ids
+    and codes, and only the constructor derives the hyperattribute columns."""
+    calls, extended = [], []
 
     def counted(schema, ids, values):
         calls.append(len(values))
-        return property_codes(schema, ids, values)
+        return code_attributes(schema, ids, values)
 
-    monkeypatch.setattr("emlang.corpus.property_codes", counted)
+    def counted_extend(schema, attribute_codes):
+        extended.append(len(attribute_codes))
+        return extend_codes(schema, attribute_codes)
+
+    monkeypatch.setattr("emlang.corpus.code_attributes", counted)
+    monkeypatch.setattr("emlang.corpus.extend_codes", counted_extend)
     records = [
         (sample.id, sample.values, tuple(message), 10 * count)
         for sample, rows in zip(reference_corpus.samples, rows_by_sample(reference_corpus).values())
@@ -191,7 +204,7 @@ def test_derived_corpora_never_call_property_codes(monkeypatch, reference_corpus
     ]
     reference = reference_corpus
     base = build_corpus(reference.schema, reference.vocab_size, reference.message_length, records)
-    assert calls == [len(base.sample_ids)]  # records are coded once
+    assert calls == extended == [len(base.sample_ids)]  # records are coded once
     noisy = gen_noisy(base, 2, 0.1, seed=1)
     filtered = filter_by_frequency(noisy, 0.5)
     assert filtered == base
@@ -257,6 +270,23 @@ def test_a_non_conforming_sample_comes_before_a_conflict():
         build_corpus(TINY, 4, 2, records)
     with pytest.raises(AttributeMismatch, match="sample 's' annotated with conflicting"):
         build_corpus(TINY, 4, 2, records[1:] + records[:1])
+
+
+def test_samples_view_is_spelt_afresh_on_every_read(moprd):
+    """``samples`` equals the samples build_corpus was given, sorted by id;
+    mutating one read changes neither a second read nor the serialized text,
+    and a corpus pickles after it was read."""
+    combinations = all_combinations(moprd)[:6]
+    records = [(f"s{5 - i}", combo, (i, 0), 1) for i, combo in enumerate(combinations)]
+    corpus = build_corpus(moprd, 6, 2, records)
+    expected = tuple(Sample(sample_id, combo) for sample_id, combo, _, _ in reversed(records))
+    assert corpus.samples == expected
+    text = serialize_corpus(corpus)
+    corpus.samples[0].values["shape1"] = "zzz"
+    assert corpus.samples == expected
+    assert serialize_corpus(corpus) == text
+    thawed = pickle.loads(pickle.dumps(corpus))
+    assert thawed == corpus and thawed.samples == expected
 
 
 def test_build_corpus_copies_the_attribute_dicts():

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from emlang.corpus import build_corpus
 from emlang.errors import ConfigError
-from emlang.game import GameConfig, _candidates, _listener_table, run_lewis_game
+from emlang.game import (
+    GameConfig,
+    _candidates,
+    _draw_columns,
+    _listener_table,
+    _top_owners,
+    run_lewis_game,
+)
 from emlang.metrics import accuracy_per_speaker
 from emlang.schema import parse_schema
 from emlang.synth import all_combinations, gen_compositional, gen_noisy
@@ -212,12 +219,18 @@ def test_game_golden_ties_and_unheard_messages(moprd, k, seed, episodes, values)
     assert repr(run_lewis_game(compositional, config).values) == values
 
 
+def played_candidates(rng, targets, n, k):
+    """The candidate sets the game plays, rows sorted: each target and the
+    distractors that Floyd's algorithm resolves from its column draws."""
+    return _candidates(_draw_columns(rng, n, k, len(targets)), targets, n)
+
+
 @pytest.mark.parametrize(("n", "k"), [(6, 2), (6, 4), (6, 6), (7, 3)])
 def test_candidates_are_uniform_subsets(n, k):
     """Every row holds its target and k - 1 distinct others, each subset equally often."""
     rng = np.random.default_rng(0)
     targets = rng.integers(n, size=60_000)
-    candidates = _candidates(rng, targets, n, k)
+    candidates = played_candidates(rng, targets, n, k)
     assert (np.diff(candidates, axis=1) > 0).all()
     assert (candidates == targets[:, None]).any(axis=1).all()
     subsets = math.comb(n - 1, k - 1)
@@ -232,7 +245,7 @@ def test_candidates_are_uniform_subsets(n, k):
 def test_candidates_match_floyd_oracle(n, k):
     """The array sampler is Floyd's algorithm, episode by episode, over the same draws."""
     targets = np.random.default_rng(n).integers(n, size=300)
-    candidates = _candidates(np.random.default_rng(k), targets, n, k)
+    candidates = played_candidates(np.random.default_rng(k), targets, n, k)
     assert candidates.tolist() == floyd_candidates(np.random.default_rng(k), targets, n, k)
 
 
@@ -300,6 +313,39 @@ def test_listener_table_is_message_major(data):
         share_of = {(message_id, owner): count / corpus.totals[owner] for message_id, owner, count in rows}
         table = zip(keys.tolist(), shares.tolist())
         assert {(key // n, key % n): share for key, share in table} == share_of
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_top_owner_is_the_pick_among_all_samples(data):
+    """Per message id of a population, ``_top_owners`` is the brute-force argmax
+    over every sample of the listener (share descending, then id), and -1 for a
+    message it never heard; shares tie often, and a listener may be given its
+    rows out of canonical order."""
+    row = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(1, 3))  # owner, token, count
+    corpora = []
+    for rows in data.draw(st.lists(st.lists(row, min_size=1, max_size=12), min_size=1, max_size=3)):
+        corpus = build_corpus(
+            TOKEN_SCHEMA, 4, 1, [(f"s{owner}", {"a": "x"}, (token,), count) for owner, token, count in rows]
+        )
+        if data.draw(st.booleans()):
+            corpus = replace(
+                corpus, messages=corpus.messages[::-1], owners=corpus.owners[::-1], counts=corpus.counts[::-1]
+            )
+        corpora.append(corpus)
+    stacked = np.concatenate([corpus.messages for corpus in corpora])
+    distinct, message_ids = np.unique(stacked, axis=0, return_inverse=True)
+    bounds = np.cumsum([len(corpus.messages) for corpus in corpora])[:-1]
+    for corpus, ids in zip(corpora, np.split(message_ids.reshape(-1), bounds)):
+        n = len(corpus.sample_ids)
+        rows = zip(ids.tolist(), corpus.owners.tolist(), corpus.counts.tolist())
+        share_of = {(message_id, owner): count / corpus.totals[owner] for message_id, owner, count in rows}
+        expected = []
+        for message_id in range(len(distinct)):
+            share, owner = max((share_of.get((message_id, owner), 0.0), -owner) for owner in range(n))
+            expected.append(-owner if share > 0 else -1)
+        keys, shares = _listener_table(corpus, ids, n)
+        assert _top_owners(keys, shares, n, len(distinct)).tolist() == expected
 
 
 def test_agents_must_hold_the_game_samples(moprd):
