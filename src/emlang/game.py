@@ -129,7 +129,7 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
             keys, shares = tables[id(listener)]
             sure = tops[id(listener)][spoken] == speaker.owners  # rows no distractor can beat
             rng = np.random.default_rng(np.random.SeedSequence([config.seed % (2**63), i, j]))
-            hits, pending = 0, []  # pending: (targets, columns, said) of unplayed episodes
+            hits = 0
             for played in range(0, config.episodes, batch):
                 size = min(batch, config.episodes - played)
                 targets = rng.integers(n, size=size)
@@ -137,16 +137,10 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
                 drawn = start[targets] + rng.integers(s_totals[targets])
                 said = np.searchsorted(cumulative, drawn, side="right")
                 open_ = np.flatnonzero(~sure[said])
-                if 2 * len(open_) <= size:  # else play all: a sure episode is a hit anyway
-                    hits += size - len(open_)
-                    targets, said = targets[open_], said[open_]
-                    columns = np.take(columns, open_, axis=1)  # C order, unlike columns[:, open_]
-                pending.append((targets, columns, said))
-                if sum(len(p[0]) for p in pending) < batch and played + size < config.episodes:
-                    continue  # play a batch's worth of episodes at once
-                targets, columns, said = (np.concatenate(p, axis=-1) for p in zip(*pending))
-                pending = []
-                candidates = _candidates(columns, targets, n)
+                hits += size - len(open_)
+                targets, said = targets[open_], said[open_]
+                # np.take keeps C order; columns[:, open_] is F order, which slows Floyd's rows
+                candidates = _candidates(np.take(columns, open_, axis=1), targets, n)
                 wanted = spoken[said, None] * n + candidates
                 at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
                 scores = np.where(keys[at] == wanted, shares[at], 0.0)
