@@ -7,14 +7,14 @@ semantics alone (it never scans the emitted messages), so it can serve as an
 oracle for the extraction pipeline.
 
 The compositional and holistic generators emit one sample per attribute
-combination.  A schema with more than ``MAX_COMBINATIONS`` = 2**18
-combinations (the product of its domain sizes) is a ``CapacityError``,
-raised before any combination is built.
+combination, enumerated once as the code matrix of :func:`combination_codes`,
+which the rule table reads too; no attribute dict is built.  A schema with
+more than ``MAX_COMBINATIONS`` = 2**18 combinations (the product of its
+domain sizes) is a ``CapacityError``, raised before any combination is built.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from bisect import bisect_right
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Message, _check_shape, build_corpus
+from .corpus import AnnotatedCorpus, Message, _check_shape
 from .errors import CapacityError
 from .rules import Pattern, RuleTable, SemanticRule, canonical_evidence, rule_sort_key
 from .schema import Attribute, AttributeSchema, extend_codes, observed_values, parse_schema
@@ -31,8 +31,11 @@ from .schema import Attribute, AttributeSchema, extend_codes, observed_values, p
 HOLISTIC_PREFIX_LENGTH = 2
 # Most attribute combinations a generator enumerates; each becomes a sample in
 # memory (gen_compositional over 65,536 combinations of 16 two-valued
-# attributes peaks at about 190 MB RSS).
+# attributes peaks at about 90 MB RSS, the interpreter and numpy included).
 MAX_COMBINATIONS = 2**18
+# Most synonym rows gen_noisy adds (samples x synonyms), checked before any is
+# built; each row takes about 0.5 KB of working memory at message length 10.
+MAX_SYNONYM_ROWS = 2**22
 
 MOPRD_SCHEMA_DOCUMENT = """\
 {
@@ -78,45 +81,55 @@ def combination_count(schema: AttributeSchema) -> int:
     return count
 
 
-def all_combinations(schema: AttributeSchema) -> list[dict[str, str]]:
-    """Every attribute assignment, in attribute-major domain order; the count
+def combination_codes(schema: AttributeSchema) -> np.ndarray:
+    """Every attribute assignment as a row of domain indices, in the
+    attribute-major order of ``itertools.product`` over the domains; the count
     is checked against ``MAX_COMBINATIONS`` before any is built."""
-    combination_count(schema)
+    count = combination_count(schema)
+    sizes = [len(schema.domain(n)) for n in schema.attribute_names]
+    return np.indices(sizes).reshape(len(sizes), count).T
+
+
+def all_combinations(schema: AttributeSchema) -> list[dict[str, str]]:
+    """Every attribute assignment as a dict, in ``combination_codes`` order."""
     names = schema.attribute_names
     domains = [schema.domain(n) for n in names]
-    return [dict(zip(names, combo)) for combo in itertools.product(*domains)]
-
-
-def combination_ids(schema: AttributeSchema) -> list[str]:
-    count = combination_count(schema)
-    width = len(str(count - 1)) if count > 1 else 1
-    return [f"{i:0{width}d}" for i in range(count)]
+    return [
+        dict(zip(names, map(tuple.__getitem__, domains, row)))
+        for row in combination_codes(schema).tolist()
+    ]
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """Sample-to-message map: fixed filler cells plus per-attribute encoders.
+    """Sample-to-message map: fixed filler cells plus one cell per attribute.
 
-    ``encoders[attr][value]`` is a (positions, tokens) pair; encoder position
-    blocks are pairwise disjoint and disjoint from the fixed cells.
+    Attribute ``a`` writes ``tokens[a][v]`` at ``positions[a]`` for its value
+    of code ``v``; the positions are distinct and apart from the fixed cells.
     """
 
     schema: AttributeSchema
     message_length: int
     fixed: Pattern
-    encoders: dict[str, dict[str, tuple[tuple[int, ...], tuple[int, ...]]]]
+    positions: tuple[int, ...]
+    tokens: tuple[tuple[int, ...], ...]
 
-    __hash__ = None
-
-    def encode(self, values: dict[str, str]) -> Message:
-        message = [0] * self.message_length
+    def encode(self, codes: np.ndarray) -> np.ndarray:
+        """The message of each row of attribute codes."""
+        messages = np.empty((len(codes), self.message_length), dtype=np.int64)
         for pos, tok in self.fixed.cells:
-            message[pos] = tok
-        for attr, value in values.items():
-            positions, tokens = self.encoders[attr][value]
-            for pos, tok in zip(positions, tokens):
-                message[pos] = tok
-        return tuple(message)
+            messages[:, pos] = tok
+        for column, (pos, tokens) in enumerate(zip(self.positions, self.tokens)):
+            messages[:, pos] = np.array(tokens, dtype=np.int64)[codes[:, column]]
+        return messages
+
+
+def _one_sample_each(schema, vocab_size, message_length, codes, messages) -> AnnotatedCorpus:
+    """Sample i, its id i zero-padded to one width, sends ``messages[i]`` once."""
+    count, width = len(codes), len(str(len(codes) - 1))
+    ids = [str(i).zfill(width) for i in range(count)]
+    owners, counts = np.arange(count), np.ones(count, dtype=np.int64)
+    return AnnotatedCorpus(schema, vocab_size, message_length, ids, codes, messages, owners, counts)
 
 
 def gen_compositional(
@@ -146,16 +159,15 @@ def gen_compositional(
             f"vocabulary of {vocab_size} too small for a domain of {max_domain}"
         )
 
-    positions = rng.sample(range(message_length), len(names))
+    positions = tuple(rng.sample(range(message_length), len(names)))
     total_values = sum(len(schema.domain(n)) for n in names)
     disjoint = vocab_size >= total_values + 1
 
     taken: set[int] = set()  # every code, when codes are disjoint
-    encoders: dict[str, dict[str, tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    for name, pos in zip(names, positions):
-        domain = schema.domain(name)
-        codes = _distinct_tokens(rng, vocab_size, len(domain), taken if disjoint else set())
-        encoders[name] = {v: ((pos,), (code,)) for v, code in zip(domain, codes)}
+    tokens = tuple(
+        tuple(_distinct_tokens(rng, vocab_size, len(schema.domain(n)), taken if disjoint else set()))
+        for n in names
+    )
     # filler tokens are uniform over the free tokens (those outside ``taken``);
     # the r-th free token is r plus the number of taken tokens that have at
     # most r free tokens below them
@@ -165,17 +177,9 @@ def gen_compositional(
         if pos not in positions:
             r = rng.randrange(vocab_size - len(taken))
             cells[pos] = r + bisect_right(free_below, r)
-    fixed = Pattern.from_dict(cells)
-    codebook = Codebook(
-        schema=schema, message_length=message_length, fixed=fixed, encoders=encoders
-    )
-
-    combos = all_combinations(schema)
-    records = [
-        (sample_id, combo, codebook.encode(combo), 1)
-        for sample_id, combo in zip(combination_ids(schema), combos)
-    ]
-    corpus = build_corpus(schema, vocab_size, message_length, records)
+    codebook = Codebook(schema, message_length, Pattern.from_dict(cells), positions, tokens)
+    codes = combination_codes(schema)
+    corpus = _one_sample_each(schema, vocab_size, message_length, codes, codebook.encode(codes))
     return corpus, ground_truth_table(codebook)
 
 
@@ -205,14 +209,8 @@ def ground_truth_table(codebook: Codebook) -> RuleTable:
     the skeleton.
     """
     schema = codebook.schema
-    # every combination's domain indices, in all_combinations' attribute-major order
-    sizes = [len(schema.domain(name)) for name in schema.attribute_names]
-    codes = extend_codes(schema, np.indices(sizes).reshape(len(sizes), combination_count(schema)).T)
-    positions, tokens = [], []  # per attribute: its position, the token of each value
-    for name in schema.attribute_names:
-        encoder = codebook.encoders[name]
-        positions.append(encoder[schema.domain(name)[0]][0][0])
-        tokens.append([encoder[value][1][0] for value in schema.domain(name)])
+    codes = extend_codes(schema, combination_codes(schema))
+    positions, tokens = codebook.positions, codebook.tokens
     variable = [a for a, toks in enumerate(tokens) if len(toks) > 1]
     global_cells = dict(codebook.fixed.cells)
     global_cells.update({positions[a]: toks[0] for a, toks in enumerate(tokens) if len(toks) == 1})
@@ -258,25 +256,22 @@ def gen_holistic(
     """
     _check_shape(vocab_size, message_length)
     rng = random.Random(seed)
-    combos = all_combinations(schema)
+    codes = combination_codes(schema)
     variable = message_length - HOLISTIC_PREFIX_LENGTH
     if variable < 1:
         raise CapacityError("need at least one variable position")
-    if vocab_size**variable < len(combos):
+    if vocab_size**variable < len(codes):
         raise CapacityError(
-            f"{vocab_size}^{variable} messages cannot cover {len(combos)} combinations"
+            f"{vocab_size}^{variable} messages cannot cover {len(codes)} combinations"
         )
-    prefix = tuple(rng.randrange(vocab_size) for _ in range(HOLISTIC_PREFIX_LENGTH))
-    seen: set[Message] = set()
-    records = []
-    for sample_id, combo in zip(combination_ids(schema), combos):
-        while True:
-            body = tuple(rng.randrange(vocab_size) for _ in range(variable))
-            if body not in seen:
-                seen.add(body)
-                break
-        records.append((sample_id, combo, prefix + body, 1))
-    return build_corpus(schema, vocab_size, message_length, records)
+    prefix = [rng.randrange(vocab_size) for _ in range(HOLISTIC_PREFIX_LENGTH)]
+    bodies: dict[Message, None] = {}  # distinct bodies in draw order; a repeat is drawn again
+    while len(bodies) < len(codes):
+        bodies[tuple(rng.randrange(vocab_size) for _ in range(variable))] = None
+    messages = np.empty((len(codes), message_length), dtype=np.int64)
+    messages[:, :HOLISTIC_PREFIX_LENGTH] = prefix
+    messages[:, HOLISTIC_PREFIX_LENGTH:] = list(bodies)
+    return _one_sample_each(schema, vocab_size, message_length, codes, messages)
 
 
 def gen_noisy(
@@ -294,6 +289,7 @@ def gen_noisy(
     one substitution away from the sample's first message in canonical
     order, distinct from everything the sample already holds.  The draws
     come from ``np.random.default_rng(np.random.SeedSequence(seed % 2**63))``.
+    More than ``MAX_SYNONYM_ROWS`` synonyms in all is a ``CapacityError``.
     """
     if not 0.0 < minority_share < 1.0:
         raise CapacityError(f"minority share must lie in (0, 1), got {minority_share}")
@@ -305,6 +301,11 @@ def gen_noisy(
     if sample_count and synonym_count > (vocab_size - 1) * length:
         # a template has (vocab_size - 1) * length neighbours, too few to draw from
         raise CapacityError("could not find a distinct synonym message")
+    if sample_count * synonym_count > MAX_SYNONYM_ROWS:
+        raise CapacityError(
+            f"{sample_count} samples x {synonym_count} synonyms exceed the bound of "
+            f"{MAX_SYNONYM_ROWS} synonym rows"
+        )
     templates = base.messages[np.searchsorted(base.owners, np.arange(sample_count))]
     # A synonym is a cell (owner, position, token) where it differs from its
     # template.  The only base rows it can equal are those one substitution

@@ -18,7 +18,7 @@ from emlang.report import render_rule_table
 from emlang.rules import extract_rules
 from emlang.corpus import AnnotatedCorpus, load_corpus, serialize_corpus
 from emlang.schema import parse_schema, render_schema
-from emlang.synth import gen_compositional, gen_holistic, gen_noisy, moprd_schema
+from emlang.synth import MAX_SYNONYM_ROWS, gen_compositional, gen_holistic, gen_noisy, moprd_schema
 
 from conftest import error_codes, json_values, mutate
 from oracles import naive_serialize_corpus
@@ -306,6 +306,19 @@ def test_emit_writes_large_documents_in_chunks(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(stdout):
         cli._emit(text, None)
     assert stdout.buffer.getvalue() == b"head " + text.encode("utf-8")
+
+
+def test_synth_noisy_refuses_a_huge_synonym_count(tmp_path):
+    base = tmp_path / "base.jsonl"
+    assert run_cli("synth", "--kind", "compositional", "--schema", "moprd",
+                   "--vocab", str(2**62), "--seed", "1", "--out", str(base)).returncode == 0
+    result = run_cli("synth", "--kind", "noisy", "--schema", "moprd", "--corpus", str(base),
+                     "--synonyms", str(10**15), "--seed", "1")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"CapacityError: 100 samples x {10**15} synonyms exceed the bound of "
+        f"{MAX_SYNONYM_ROWS} synonym rows\n"
+    )
 
 
 def test_synth_noisy_and_render(tmp_path, workdir):

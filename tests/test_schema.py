@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,8 @@ from emlang.schema import (
     Sample,
     ValueMap,
     eval_property,
+    extend_codes,
+    observed_values,
     parse_expression,
     parse_schema,
     property_codes,
@@ -352,3 +355,33 @@ def test_property_codes_match_definitional_evaluation(schema):
     ]
     ids = [str(i) for i in range(len(rows))]
     assert property_codes(schema, ids, rows).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_observed_values_match_a_unique_per_column(data):
+    """Flags at per-property offsets give what ``np.unique`` gives column by
+    column, with no rows, 300-value attributes and hyperattributes of both kinds."""
+    sizes = data.draw(st.lists(st.sampled_from([1, 2, 3, 300]), min_size=1, max_size=3), label="sizes")
+    attributes = tuple(
+        Attribute(f"a{i}", tuple(f"v{k}" for k in range(size))) for i, size in enumerate(sizes)
+    )
+    source = data.draw(st.sampled_from(attributes), label="source")
+    labels = data.draw(st.lists(st.sampled_from("pqr"), min_size=len(source.domain),
+                                max_size=len(source.domain)), label="labels")
+    members = data.draw(st.sets(st.sampled_from(source.domain), min_size=1), label="members")
+    schema = AttributeSchema(
+        attributes=attributes,
+        hyperattributes=(
+            HyperattributeDef("m", ValueMap(source.name, tuple(zip(source.domain, labels)))),
+            HyperattributeDef("e", Member(source.name, tuple(sorted(members)))),
+            HyperattributeDef("n", Not(Ref("e"))),
+        ),
+    )
+    rows = data.draw(st.lists(st.tuples(*(st.integers(0, size - 1) for size in sizes)), max_size=20),
+                     label="rows")
+    codes = extend_codes(schema, np.array(rows, dtype=np.int64).reshape(len(rows), len(sizes)))
+    assert observed_values(schema, codes) == {
+        prop: tuple(schema.domain(prop)[k] for k in np.unique(codes[:, i]))
+        for i, prop in enumerate(schema.property_names)
+    }

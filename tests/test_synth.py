@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from emlang.rules import extract_rules
 from emlang.schema import AttributeSchema, Attribute, eval_property, validate_sample
 from emlang.synth import (
     MAX_COMBINATIONS,
+    MAX_SYNONYM_ROWS,
     all_combinations,
     combination_count,
     concept_schema,
@@ -94,10 +94,10 @@ def test_generators_check_corpus_bounds_first(moprd, generate, length, vocab):
 @pytest.mark.parametrize("generate", [gen_compositional, gen_holistic])
 def test_generators_refuse_too_many_combinations_before_enumerating(monkeypatch, generate):
     """64 two-valued attributes make 2**64 combinations: the count alone refuses them."""
-    def enumerate_nothing(*domains):
+    def enumerate_nothing(sizes):
         raise AssertionError("combinations enumerated")
 
-    monkeypatch.setattr("emlang.synth.itertools", SimpleNamespace(product=enumerate_nothing))
+    monkeypatch.setattr("emlang.synth.np.indices", enumerate_nothing)
     wide = AttributeSchema(
         attributes=tuple(Attribute(name=f"a{i}", domain=("0", "1")) for i in range(64))
     )
@@ -264,3 +264,21 @@ def test_noisy_rejects_bad_share(moprd):
         gen_noisy(base, 1, 0.0, seed=1)
     with pytest.raises(CapacityError):
         gen_noisy(base, 0, 0.5, seed=1)
+
+
+def test_noisy_refuses_too_many_synonym_rows_before_building_any(moprd):
+    """Just past the bound on a large-vocabulary base, where every sample has
+    room for the synonyms: refused by the count, with nothing allocated."""
+    base, _ = gen_compositional(moprd, 10, 2**62, seed=1)
+    synonyms = MAX_SYNONYM_ROWS // 100 + 1
+    message = f"100 samples x {synonyms} synonyms exceed the bound of {MAX_SYNONYM_ROWS} synonym rows"
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        gen_noisy(base, synonyms, 0.1, seed=1)
+
+
+def test_synonym_row_bound_is_inclusive(monkeypatch, moprd):
+    monkeypatch.setattr("emlang.synth.MAX_SYNONYM_ROWS", 300)
+    base, _ = gen_compositional(moprd, 10, 20, seed=1)
+    assert len(gen_noisy(base, 3, 0.1, seed=1).counts) == 100 + 300
+    with pytest.raises(CapacityError, match="100 samples x 4 synonyms exceed the bound of 300"):
+        gen_noisy(base, 4, 0.1, seed=1)
