@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -478,15 +477,10 @@ def extend_codes(schema: AttributeSchema, attribute_codes: np.ndarray) -> np.nda
 
 
 def observed_values(schema: AttributeSchema, codes: np.ndarray) -> dict[str, tuple[str, ...]]:
-    """Per property, the values present in rows of ``property_codes``, in domain
-    order: one flag per value of every property, indexed by code plus offset."""
-    domains = [schema.domain(prop) for prop in schema.property_names]
-    starts = list(accumulate(map(len, domains), initial=0))
-    present = np.zeros(starts[-1], dtype=bool)
-    present[codes + starts[:-1]] = True
+    """Per property, the values present in rows of ``property_codes``, in domain order."""
     return {
-        prop: tuple(map(domain.__getitem__, np.flatnonzero(present[start:end]).tolist()))
-        for prop, domain, start, end in zip(schema.property_names, domains, starts, starts[1:])
+        prop: tuple(schema.domain(prop)[k] for k in np.unique(codes[:, i]))
+        for i, prop in enumerate(schema.property_names)
     }
 
 

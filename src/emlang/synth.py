@@ -7,10 +7,9 @@ semantics alone (it never scans the emitted messages), so it can serve as an
 oracle for the extraction pipeline.
 
 The compositional and holistic generators emit one sample per attribute
-combination, enumerated once as the code matrix of :func:`combination_codes`,
-which the rule table reads too; no attribute dict is built.  A schema with
-more than ``MAX_COMBINATIONS`` = 2**18 combinations (the product of its
-domain sizes) is a ``CapacityError``, raised before any combination is built.
+combination, enumerated once by :func:`combination_codes`; more than
+``MAX_COMBINATIONS`` = 2**18 combinations (the product of the domain sizes)
+is a ``CapacityError``, raised before any combination is built.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -31,11 +30,14 @@ from .schema import Attribute, AttributeSchema, extend_codes, observed_values, p
 HOLISTIC_PREFIX_LENGTH = 2
 # Most attribute combinations a generator enumerates; each becomes a sample in
 # memory (gen_compositional over 65,536 combinations of 16 two-valued
-# attributes peaks at about 90 MB RSS, the interpreter and numpy included).
+# attributes peaks at about 85 MB RSS, the interpreter and numpy included).
 MAX_COMBINATIONS = 2**18
-# Most synonym rows gen_noisy adds (samples x synonyms), checked before any is
-# built; each row takes about 0.5 KB of working memory at message length 10.
-MAX_SYNONYM_ROWS = 2**22
+# Most working cells gen_noisy may take for its synonyms, checked before any is
+# built.  A synonym row takes its message length plus 5 cells (its owner,
+# position and token, and their sort keys), about 36 bytes a cell at any length
+# (measured at lengths 1 to 100 with 20,000 to 2,000,000 rows), so the bound
+# keeps the working memory near 1.2 GB.
+MAX_SYNONYM_CELLS = 2**25
 
 MOPRD_SCHEMA_DOCUMENT = """\
 {
@@ -111,12 +113,21 @@ class Codebook:
     schema: AttributeSchema
     message_length: int
     fixed: Pattern
-    positions: tuple[int, ...]
-    tokens: tuple[tuple[int, ...], ...]
+    positions: tuple[int, ...] = ()
+    tokens: tuple[tuple[int, ...], ...] = ()
+    # the same map per value, {attribute: {value: ((position,), (token,))}}; it
+    # sets positions and tokens from each encoder's first cell and is not kept
+    encoders: InitVar[dict | None] = None
+
+    def __post_init__(self, encoders) -> None:
+        if encoders is not None:
+            pairs = [[encoders[n][v] for v in self.schema.domain(n)] for n in self.schema.attribute_names]
+            object.__setattr__(self, "positions", tuple(p[0][0][0] for p in pairs))
+            object.__setattr__(self, "tokens", tuple(tuple(tok[0] for _, tok in p) for p in pairs))
 
     def encode(self, codes: np.ndarray) -> np.ndarray:
         """The message of each row of attribute codes."""
-        messages = np.empty((len(codes), self.message_length), dtype=np.int64)
+        messages = np.zeros((len(codes), self.message_length), dtype=np.int64)
         for pos, tok in self.fixed.cells:
             messages[:, pos] = tok
         for column, (pos, tokens) in enumerate(zip(self.positions, self.tokens)):
@@ -289,7 +300,7 @@ def gen_noisy(
     one substitution away from the sample's first message in canonical
     order, distinct from everything the sample already holds.  The draws
     come from ``np.random.default_rng(np.random.SeedSequence(seed % 2**63))``.
-    More than ``MAX_SYNONYM_ROWS`` synonyms in all is a ``CapacityError``.
+    More than ``MAX_SYNONYM_CELLS`` working cells is a ``CapacityError``.
     """
     if not 0.0 < minority_share < 1.0:
         raise CapacityError(f"minority share must lie in (0, 1), got {minority_share}")
@@ -301,10 +312,11 @@ def gen_noisy(
     if sample_count and synonym_count > (vocab_size - 1) * length:
         # a template has (vocab_size - 1) * length neighbours, too few to draw from
         raise CapacityError("could not find a distinct synonym message")
-    if sample_count * synonym_count > MAX_SYNONYM_ROWS:
+    working = sample_count * synonym_count * (length + 5)
+    if working > MAX_SYNONYM_CELLS:
         raise CapacityError(
-            f"{sample_count} samples x {synonym_count} synonyms exceed the bound of "
-            f"{MAX_SYNONYM_ROWS} synonym rows"
+            f"{sample_count} samples x {synonym_count} synonyms of length {length} need "
+            f"{working} working cells, past the bound of {MAX_SYNONYM_CELLS}"
         )
     templates = base.messages[np.searchsorted(base.owners, np.arange(sample_count))]
     # A synonym is a cell (owner, position, token) where it differs from its

@@ -18,7 +18,7 @@ from emlang.report import render_rule_table
 from emlang.rules import extract_rules
 from emlang.corpus import AnnotatedCorpus, load_corpus, serialize_corpus
 from emlang.schema import parse_schema, render_schema
-from emlang.synth import MAX_SYNONYM_ROWS, gen_compositional, gen_holistic, gen_noisy, moprd_schema
+from emlang.synth import MAX_SYNONYM_CELLS, gen_compositional, gen_holistic, gen_noisy, moprd_schema
 
 from conftest import error_codes, json_values, mutate
 from oracles import naive_serialize_corpus
@@ -316,8 +316,8 @@ def test_synth_noisy_refuses_a_huge_synonym_count(tmp_path):
                      "--synonyms", str(10**15), "--seed", "1")
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == (
-        f"CapacityError: 100 samples x {10**15} synonyms exceed the bound of "
-        f"{MAX_SYNONYM_ROWS} synonym rows\n"
+        f"CapacityError: 100 samples x {10**15} synonyms of length 10 need {100 * 10**15 * 15} "
+        f"working cells, past the bound of {MAX_SYNONYM_CELLS}\n"
     )
 
 

@@ -359,9 +359,9 @@ def test_property_codes_match_definitional_evaluation(schema):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_observed_values_match_a_unique_per_column(data):
-    """Flags at per-property offsets give what ``np.unique`` gives column by
-    column, with no rows, 300-value attributes and hyperattributes of both kinds."""
+def test_observed_values_are_the_present_values_in_domain_order(data):
+    """Against a set per column, with no rows, 300-value attributes and
+    hyperattributes of both kinds."""
     sizes = data.draw(st.lists(st.sampled_from([1, 2, 3, 300]), min_size=1, max_size=3), label="sizes")
     attributes = tuple(
         Attribute(f"a{i}", tuple(f"v{k}" for k in range(size))) for i, size in enumerate(sizes)
@@ -382,6 +382,6 @@ def test_observed_values_match_a_unique_per_column(data):
                      label="rows")
     codes = extend_codes(schema, np.array(rows, dtype=np.int64).reshape(len(rows), len(sizes)))
     assert observed_values(schema, codes) == {
-        prop: tuple(schema.domain(prop)[k] for k in np.unique(codes[:, i]))
+        prop: tuple(v for k, v in enumerate(schema.domain(prop)) if k in set(codes[:, i].tolist()))
         for i, prop in enumerate(schema.property_names)
     }

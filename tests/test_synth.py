@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from emlang.corpus import AnnotatedCorpus, build_corpus, filter_by_frequency
 from emlang.errors import CapacityError, DocumentSyntaxError
-from emlang.rules import extract_rules
+from emlang.rules import Pattern, extract_rules
 from emlang.schema import AttributeSchema, Attribute, eval_property, validate_sample
 from emlang.synth import (
     MAX_COMBINATIONS,
-    MAX_SYNONYM_ROWS,
+    MAX_SYNONYM_CELLS,
+    Codebook,
     all_combinations,
+    combination_codes,
     combination_count,
     concept_schema,
     gen_compositional,
@@ -266,19 +268,45 @@ def test_noisy_rejects_bad_share(moprd):
         gen_noisy(base, 0, 0.5, seed=1)
 
 
-def test_noisy_refuses_too_many_synonym_rows_before_building_any(moprd):
+def test_noisy_refuses_too_many_synonym_cells_before_building_any(moprd):
     """Just past the bound on a large-vocabulary base, where every sample has
     room for the synonyms: refused by the count, with nothing allocated."""
     base, _ = gen_compositional(moprd, 10, 2**62, seed=1)
-    synonyms = MAX_SYNONYM_ROWS // 100 + 1
-    message = f"100 samples x {synonyms} synonyms exceed the bound of {MAX_SYNONYM_ROWS} synonym rows"
+    synonyms = MAX_SYNONYM_CELLS // (100 * 15) + 1
+    message = (f"100 samples x {synonyms} synonyms of length 10 need {100 * synonyms * 15} "
+               f"working cells, past the bound of {MAX_SYNONYM_CELLS}")
     with pytest.raises(CapacityError, match=re.escape(message)):
         gen_noisy(base, synonyms, 0.1, seed=1)
 
 
-def test_synonym_row_bound_is_inclusive(monkeypatch, moprd):
-    monkeypatch.setattr("emlang.synth.MAX_SYNONYM_ROWS", 300)
+def test_synonym_cell_bound_counts_the_message_length():
+    """At message length 2**16 a few hundred synonym rows reach the bound."""
+    base, _ = gen_compositional(concept_schema(2), 2**16, 2**62, seed=1)
+    synonyms = MAX_SYNONYM_CELLS // (2 * (2**16 + 5)) + 1
+    assert synonyms == 256
+    message = (f"2 samples x 256 synonyms of length 65536 need {2 * 256 * (2**16 + 5)} "
+               f"working cells, past the bound of {MAX_SYNONYM_CELLS}")
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        gen_noisy(base, synonyms, 0.1, seed=1)
+
+
+def test_synonym_cell_bound_is_inclusive(monkeypatch, moprd):
+    monkeypatch.setattr("emlang.synth.MAX_SYNONYM_CELLS", 100 * 3 * 15)
     base, _ = gen_compositional(moprd, 10, 20, seed=1)
     assert len(gen_noisy(base, 3, 0.1, seed=1).counts) == 100 + 300
-    with pytest.raises(CapacityError, match="100 samples x 4 synonyms exceed the bound of 300"):
+    with pytest.raises(CapacityError, match="100 samples x 4 synonyms of length 10 need 6000 working"):
         gen_noisy(base, 4, 0.1, seed=1)
+
+
+def test_codebook_from_per_value_encoders_is_the_same_codebook(moprd):
+    fixed = Pattern.from_dict({1: 7, 4: 8, 5: 9})
+    positions, tokens = (3, 0, 2), ((10, 11, 12, 13, 14), (15, 16, 17, 18, 19), (20, 21, 22, 23))
+    encoders = {
+        name: {value: ((pos,), (tok,)) for value, tok in zip(moprd.domain(name), toks)}
+        for name, pos, toks in zip(moprd.attribute_names, positions, tokens)
+    }
+    assert Codebook(moprd, 6, fixed, encoders=encoders) == Codebook(moprd, 6, fixed, positions, tokens)
+    # a cell neither fixed nor an attribute's holds 0
+    messages = Codebook(moprd, 7, fixed, positions, tokens).encode(combination_codes(moprd))
+    assert messages[:, 6].tolist() == [0] * 100
+    assert messages[:, 1:2].tolist() == [[7]] * 100
