@@ -4,7 +4,9 @@ Subcommands: ``extract`` (rule detection), ``topsim`` (compositionality),
 ``game`` (referential-game accuracy), ``synth`` (corpus generators),
 ``distance`` (message edit distance), ``render`` (re-render structured
 results).  Exit status 0 on success, 2 on usage errors, 1 on data or
-validation errors with the stable error code on stderr.
+validation errors with the stable error code on stderr.  ``run`` is the
+command's one entry point (``emlang`` and ``python -m emlang``); ``main``
+runs a command in process and returns its status.
 
 Identical invocations produce byte-identical output; stochastic subcommands
 require an explicit seed.
@@ -13,8 +15,11 @@ require an explicit seed.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import corpus as corpus_mod
 from . import report as report_mod
@@ -65,9 +70,18 @@ def _emit(text: str, out: str | None) -> None:
         if stream is None:  # a text stream without bytes underneath, such as io.StringIO
             sys.stdout.write(text)
             return
-        sys.stdout.flush()  # text written before comes first
-        _write_utf8(text, stream)
-        stream.flush()
+        try:
+            sys.stdout.flush()  # text written before comes first
+            _write_utf8(text, stream)
+            stream.flush()
+        except OSError as exc:
+            # Nothing more can reach this stdout.  Point its descriptor at
+            # os.devnull, so that the interpreter's final flush of what is
+            # still buffered neither fails again nor turns the status into 120.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise NotFoundError(f"cannot write <stdout>: {exc.strerror}") from None
         return
     try:
         with open(out, "wb") as stream:
@@ -80,7 +94,9 @@ def _write_utf8(text: str, stream) -> None:
     # one chunk at a time, so that a large document is never held twice, as
     # text and as bytes
     for start in range(0, len(text), _EMIT_CHUNK):
-        stream.write(text[start : start + _EMIT_CHUNK].encode("utf-8"))
+        data = memoryview(text[start : start + _EMIT_CHUNK].encode("utf-8"))
+        while data:  # an unbuffered stdout (python -u) may take only a part
+            data = data[stream.write(data) :]
 
 
 def _parse_tokens(text: str) -> tuple[int, ...]:
@@ -219,7 +235,7 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_distance(args) -> None:
-    print(levenshtein(_parse_tokens(args.a), _parse_tokens(args.b)))
+    _emit(f"{levenshtein(_parse_tokens(args.a), _parse_tokens(args.b))}\n", None)
 
 
 def _cmd_render(args) -> None:
@@ -253,5 +269,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> NoReturn:
+    """Run the command named by ``sys.argv`` and exit with its status.
+
+    Every object the interpreter then tracks is frozen out of the garbage
+    collector, also when argparse exits on a usage error or ``--help``: the
+    process is about to end, and the full collections of interpreter
+    shutdown would only walk them again after the output is written.
+    ``atexit`` handlers and the final flush of the standard streams still run.
+    """
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)

@@ -308,6 +308,100 @@ def test_emit_writes_large_documents_in_chunks(tmp_path, monkeypatch):
     assert stdout.buffer.getvalue() == b"head " + text.encode("utf-8")
 
 
+def _env(unbuffered: bool) -> dict[str, str]:
+    """This process's environment, with standard output buffered or not
+    (``python -u``, where a write may take only a part of its bytes)."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+NOISY_ARGV = ["synth", "--kind", "noisy", "--schema", "moprd", "--synonyms", "50", "--seed", "1"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["distance", "--a", "1,2", "--b", "2"],
+    ["extract", "--corpus", "corpus.jsonl", "--schema", "moprd"],
+    [*NOISY_ARGV, "--corpus", "corpus.jsonl"],
+], ids=["distance", "extract", "synth"])
+def test_full_stdout_is_not_found(workdir, argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "emlang", *argv], cwd=workdir,
+                                stdout=full, stderr=subprocess.PIPE, text=True,
+                                env=_env(unbuffered))
+    assert result.returncode == 1
+    assert result.stderr == "NotFound: cannot write <stdout>: No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_closed_by_its_reader_is_not_found(workdir, unbuffered):
+    """The output outgrows the pipe, so the command is still writing when the
+    reader closes it after a few bytes."""
+    base = load_corpus((workdir / "corpus.jsonl").read_text(encoding="utf-8"), moprd_schema())
+    assert len(serialize_corpus(gen_noisy(base, 50, 0.10, 1)).encode("utf-8")) > 2**16
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "emlang", *NOISY_ARGV, "--corpus", "corpus.jsonl"],
+        cwd=workdir, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(unbuffered),
+    )
+    assert proc.stdout.read(10) == b'{"meta": {'
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stderr == b"NotFound: cannot write <stdout>: Broken pipe\n"
+
+
+# the installed ``emlang`` script calls cli.run as this one does
+CONSOLE_SCRIPT = [sys.executable, "-c", "import sys; from emlang.cli import run; sys.exit(run())"]
+
+
+@pytest.mark.parametrize(("argv", "status", "stdout", "stderr"), [
+    (["distance", "--a", "1,2,3", "--b", "1,3,3"], 0, "1\n", ""),
+    (["--help"], 0, "usage: emlang", ""),
+    (["extract", "--corpus", "missing.jsonl", "--schema", "moprd"], 1, "",
+     "NotFound: no such file: missing.jsonl\n"),
+    (["extract"], 2, "", "usage: emlang extract"),
+    (["no-such-command"], 2, "", "usage: emlang"),
+], ids=["success", "help", "error-code", "missing-argument", "unknown-command"])
+def test_run_exit_status(tmp_path, argv, status, stdout, stderr):
+    result = subprocess.run([*CONSOLE_SCRIPT, *argv], capture_output=True, text=True, cwd=tmp_path)
+    assert result.returncode == status
+    for text, start in ((result.stdout, stdout), (result.stderr, stderr)):
+        assert text.startswith(start) and bool(text) == bool(start)
+
+
+@pytest.mark.parametrize(("argv", "status"), [
+    (["distance", "--a", "1", "--b", "2"], 0),
+    (["extract", "--corpus", "missing.jsonl", "--schema", "moprd"], 1),
+    (["extract"], 2),
+], ids=["success", "error-code", "usage-error"])
+def test_run_keeps_atexit_handlers_and_freezes_the_collector(tmp_path, argv, status):
+    """run() is called only in a child: it freezes the garbage collector of
+    the process it runs in."""
+    code = (
+        "import atexit, gc\n"
+        "from emlang.cli import run\n"
+        "atexit.register(lambda: print('atexit, frozen:', gc.get_freeze_count() > 0))\n"
+        "run()\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                            text=True, cwd=tmp_path)
+    assert result.returncode == status
+    assert result.stdout.endswith("atexit, frozen: True\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["distance", "--a", "1,2,3", "--b", "1,3,3"],
+    ["extract", "--corpus", "corpus.jsonl", "--schema", "moprd"],
+], ids=["distance", "extract"])
+def test_run_writes_the_bytes_of_in_process_main(workdir, monkeypatch, capsysbinary, argv):
+    result = subprocess.run([*CONSOLE_SCRIPT, *argv], capture_output=True, cwd=workdir)
+    assert result.returncode == 0, result.stderr
+    monkeypatch.chdir(workdir)
+    assert cli.main(argv) == 0
+    assert capsysbinary.readouterr().out == result.stdout
+
+
 def test_synth_noisy_refuses_a_huge_synonym_count(tmp_path):
     base = tmp_path / "base.jsonl"
     assert run_cli("synth", "--kind", "compositional", "--schema", "moprd",

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
+
+import pytest
 
 import emlang
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_lists_exactly_the_public_imports():
@@ -14,3 +20,22 @@ def test_all_lists_exactly_the_public_imports():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == set(emlang.__all__)
+
+
+def test_console_script_and_python_m_call_one_entry_point():
+    """The installed ``emlang`` script and ``python -m emlang`` both call
+    ``cli.run``, and ``cli.py`` holds no third way in."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    script = project["project"]["scripts"]["emlang"]
+    package = ROOT / "src" / "emlang"
+    tree = ast.parse((package / "__main__.py").read_text(encoding="utf-8"))
+    imported = [f"emlang.{node.module}:{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    called = [node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert script == "emlang.cli:run"
+    assert imported == [script]
+    assert called == ["run"]
+    assert "__main__" not in (package / "cli.py").read_text(encoding="utf-8")
