@@ -1,10 +1,13 @@
-"""Golden digests of the compositional and holistic generators.
+"""Golden digests of the generators.
 
-Each digest covers every (seed, message length, vocabulary) case of one
-generator on one schema: the serialized corpus and the structured rule table
-of each case that succeeds, and the error class and text of each that fails.
-They were computed before the generators moved to code matrices, so any
-change to a generated corpus, truth table or error text shows here.
+Each compositional or holistic digest covers every (seed, message length,
+vocabulary) case of one generator on one schema: the serialized corpus and
+the structured rule table of each case that succeeds, and the error class and
+text of each that fails.  They were computed before the generators moved to
+code matrices, so any change to a generated corpus, truth table or error text
+shows here.  Each noisy digest covers every (seed, synonym count, share) case
+of ``gen_noisy`` on one base corpus, so a change to its random stream shows
+too.
 """
 
 from __future__ import annotations
@@ -14,11 +17,18 @@ import itertools
 
 import pytest
 
-from emlang.corpus import serialize_corpus
+from emlang.corpus import build_corpus, serialize_corpus
 from emlang.errors import EmlangError
 from emlang.report import render_rule_table
 from emlang.schema import Attribute, AttributeSchema, HyperattributeDef, ValueMap, parse_expression
-from emlang.synth import all_combinations, concept_schema, gen_compositional, gen_holistic, moprd_schema
+from emlang.synth import (
+    all_combinations,
+    concept_schema,
+    gen_compositional,
+    gen_holistic,
+    gen_noisy,
+    moprd_schema,
+)
 
 SCHEMAS = {
     "moprd": moprd_schema,
@@ -91,3 +101,53 @@ def test_all_combinations_is_the_attribute_product(name):
     names = schema.attribute_names
     domains = [schema.domain(n) for n in names]
     assert all_combinations(schema) == [dict(zip(names, combo)) for combo in itertools.product(*domains)]
+
+
+def _noisy_base(rows, length: int, vocab: int):
+    """A corpus over one attribute whose sample k sends the (message, count)
+    pairs of ``rows[k]``."""
+    schema = AttributeSchema(attributes=(Attribute(name="s", domain=tuple(map(str, range(len(rows))))),))
+    records = [(f"s{k}", {"s": str(k)}, message, count)
+               for k, pairs in enumerate(rows) for message, count in pairs]
+    return build_corpus(schema, vocab, length, records)
+
+
+NOISY_BASES = {
+    "moprd": lambda: gen_compositional(moprd_schema(), 10, 20, seed=3)[0],
+    # two positions over three tokens leave each template four neighbours, so
+    # the synonyms of a sample draw the same cells again and again; every
+    # second sample also owns one of them, at a count tied with its template
+    "tied": lambda: _noisy_base(
+        [[((k % 3, 0), 2)] + [((k % 3, 1), 2)] * (k % 2 == 0) for k in range(6)], 2, 3
+    ),
+    # base rows one substitution from their template (the first row), which
+    # no synonym may equal, next to rows further away
+    "near": lambda: _noisy_base(
+        [[((0, k % 4, 1, 2), 5), ((0, k % 4, 1, 3), 1), ((1, k % 4, 1, 2), 2), ((3, 3, 0, 0), 4)]
+         for k in range(8)], 4, 5
+    ),
+}
+NOISY_CASES = tuple(itertools.product(SEEDS, (1, 3, 7), (0.1, 0.5, 0.9)))
+
+GOLDEN_NOISY = {
+    "moprd": "a620833c55061fec13dc2f1a817af99018d8cd6a40118eeb47f659abacf4acc2",
+    "tied": "c9cd8e3514cd8eb4d84d668c9ad293bead6400c5257cbc347f2d44b7a05c7e68",
+    "near": "8162aa98482f33eb2de5bb9047423939bd1e74379c5179f421728896716508d9",
+}
+
+
+def noisy_text(base, seed: int, synonyms: int, share: float) -> str:
+    try:
+        return serialize_corpus(gen_noisy(base, synonyms, share, seed))
+    except EmlangError as error:
+        return f"{type(error).__name__}: {error}\n"
+
+
+@pytest.mark.parametrize("name", GOLDEN_NOISY)
+def test_noisy_golden(name):
+    base = NOISY_BASES[name]()
+    digest = hashlib.sha256()
+    for seed, synonyms, share in NOISY_CASES:
+        digest.update(f"{seed} {synonyms} {share}\n".encode())
+        digest.update(noisy_text(base, seed, synonyms, share).encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_NOISY[name]
