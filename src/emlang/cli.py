@@ -106,8 +106,20 @@ def _parse_tokens(text: str) -> tuple[int, ...]:
         raise DocumentSyntaxError(f"expected comma-separated integers, got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help reaches standard output through
+    :func:`_emit`, so that a failed write is ``NotFound`` there too; usage
+    errors still go to standard error."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _emit(message, None)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="emlang",
         description="Semantic rule extraction and metrics for message corpora.",
     )
@@ -260,8 +272,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # exits on --help and on a usage error
         _COMMANDS[args.command](args)
     except EmlangError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Message, filter_by_frequency
+from .corpus import AnnotatedCorpus, Message, _token_keys, filter_by_frequency
 from .errors import EmptyCorpus, EmptyInput
-from .schema import observed_values
+from .schema import AttributeSchema, distinct_keys, observed_by_group
 
 
 @dataclass(frozen=True)
@@ -99,24 +99,170 @@ def coverage_summary(
     A sample is covered when at least one of its retained messages matches
     the pattern; the empty pattern covers every sample.  Value sets come
     back in domain order; an uncovered corpus yields empty sets, support 0.
+    The one-pattern view of the kernel that :func:`extract_rules` runs.
     """
-    matched = (corpus.messages[:, list(pattern.positions)] == pattern.tokens).all(axis=1)
-    covered = np.unique(corpus.owners[matched])
-    return observed_values(corpus.schema, corpus.codes[covered]), len(covered)
+    positions = list(pattern.positions)
+    kept = np.zeros((1, corpus.message_length), dtype=bool)
+    kept[0, positions] = True
+    cells = np.zeros((1, corpus.message_length), dtype=np.int64)
+    if all(0 <= token < corpus.vocab_size for token in pattern.tokens):
+        cells[0, positions] = pattern.tokens
+    else:  # no message holds the token
+        kept = np.zeros((0, corpus.message_length), dtype=bool)
+    by_column = np.ascontiguousarray(corpus.messages.T)
+    supports, coverages = _cover(
+        corpus.schema, by_column, corpus.vocab_size, corpus.owners, corpus.codes, kept, cells
+    )
+    if not supports:
+        return dict.fromkeys(corpus.schema.property_names, ()), 0
+    return dict(zip(corpus.schema.property_names, coverages[0])), supports[0]
 
 
 def rule_sort_key(rule: SemanticRule):
     """Canonical rule order: by positions, then tokens; empty pattern last."""
-    return (rule.pattern.is_empty(), rule.pattern.positions, rule.pattern.tokens)
+    cells = rule.pattern.cells
+    return (not cells, *zip(*cells))  # (False, positions, tokens), or (True,)
 
 
-def canonical_evidence(
-    corpus_schema, pairs: set[tuple[str, str]]
-) -> tuple[tuple[str, str], ...]:
-    """Order evidence pairs by schema property order, then domain order."""
-    return tuple(sorted(
-        pairs, key=lambda pv: (corpus_schema.column(pv[0]), corpus_schema.domain_index(*pv))
-    ))
+def semantic_rules(
+    schema: AttributeSchema,
+    values: np.ndarray,
+    vocab_size: int,
+    owners: np.ndarray,
+    codes: np.ndarray,
+    columns: list[int],
+    fixed: np.ndarray,
+    pattern_of=Pattern,
+) -> tuple[SemanticRule, ...]:
+    """The rules of a table of rows, in canonical order: the one grouping
+    kernel, behind both :func:`extract_rules` and the generators' ground truth.
+
+    Row r of ``values`` holds values below ``vocab_size`` and belongs to
+    sample ``owners[r]``, whose property codes are row ``owners[r]`` of
+    ``codes``.  For each property column in ``columns`` and each of its codes
+    that some row carries, that group of rows keeps the value columns that
+    are constant over it and not ``fixed``, with their shared values; groups
+    that keep the same (column, value) cells make one rule, whose evidence is
+    their (property, value) pairs.  A rule covers the samples that own a row
+    carrying all its cells: its support counts them, and its coverage lists,
+    per property, the values they show.  ``pattern_of`` turns a rule's cells,
+    (column, value) pairs by column, into its pattern.
+
+    Each property column is sorted once, and a value column is constant in a
+    group iff its minimum over the group equals its maximum.  The order
+    inside a group does not matter to either, so the sort need not be stable.
+    """
+    columns = list(dict.fromkeys(columns))
+    if not columns:
+        return ()
+    by_column = np.ascontiguousarray(values.T)  # each reduction runs along a row
+    group_columns, group_codes, lows, keeps = [], [], [], []
+    for column in columns:
+        keys = codes[owners, column]
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        block = np.take(by_column, order, axis=1)
+        low = np.minimum.reduceat(block, starts, axis=1)
+        group_columns.append(np.full(len(starts), column))
+        group_codes.append(keys[starts])
+        lows.append(low.T)
+        keeps.append((low == np.maximum.reduceat(block, starts, axis=1)).T & ~fixed)
+    column_of, code_of = np.concatenate(group_columns), np.concatenate(group_codes)
+    kept = np.concatenate(keeps)
+    cells = np.where(kept, np.concatenate(lows), 0)
+
+    # one rule per distinct (kept columns, cells) row; sorting by the kept
+    # columns first puts the rules of one column set next to each other
+    keys = [*_token_keys(kept, 2), *_token_keys(cells, vocab_size)]
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    rule_of = np.empty(len(order), dtype=np.int64)
+    rule_of[order] = np.cumsum(new) - 1
+    firsts = order[new]
+    supports, coverages = _cover(
+        schema, by_column, vocab_size, owners, codes, kept[firsts], cells[firsts]
+    )
+
+    names = schema.property_names
+    domains = [schema.domain(name) for name in names]
+    evidence = [[] for _ in firsts]
+    # groups in schema column order, then domain order, so evidence is canonical
+    canonical = np.lexsort((code_of, column_of))
+    for rule, column, code in zip(*(a[canonical].tolist() for a in (rule_of, column_of, code_of))):
+        evidence[rule].append((names[column], domains[column][code]))
+    rows, at = np.nonzero(kept[firsts])
+    pairs = tuple(zip(at.tolist(), cells[firsts][rows, at].tolist()))
+    bounds = np.searchsorted(rows, np.arange(len(firsts) + 1)).tolist()
+    rules = [
+        SemanticRule(
+            pattern_of(pairs[start:stop]), tuple(found), tuple(zip(names, coverage)), support
+        )
+        for start, stop, found, coverage, support in zip(
+            bounds, bounds[1:], evidence, coverages, supports
+        )
+    ]
+    return tuple(sorted(rules, key=rule_sort_key))
+
+
+def _cover(schema, by_column, vocab_size, owners, codes, kept, cells):
+    """Support and coverage of each pattern, given as a row of ``kept``
+    columns and its ``cells`` values there, over the rows whose values are
+    the columns of ``by_column``: the patterns are distinct, and those that
+    keep the same columns are adjacent.
+
+    The patterns of one column set are matched against every row at once,
+    and their covered (pattern, sample) pairs made distinct by one sort."""
+    new_set = np.ones(len(kept) + 1, dtype=bool)
+    new_set[1:-1] = (kept[1:] != kept[:-1]).any(axis=1)
+    bounds = np.flatnonzero(new_set) if len(kept) else []
+    count = max(1, len(codes))
+    by_property = np.ascontiguousarray(codes.T)  # each gather reads one row
+    supports, coverages = [], []
+    for start, stop in zip(bounds, bounds[1:]):
+        at = np.flatnonzero(kept[start])
+        found = _find_rows(cells[start:stop, at], by_column[at].T, vocab_size)
+        hit = found >= 0
+        pairs = distinct_keys(found[hit] * count + owners[hit], (stop - start) * count)
+        pattern, sample = np.divmod(pairs, count)
+        supports += np.bincount(pattern, minlength=stop - start).tolist()
+        coverages += observed_by_group(schema, by_property, sample, pattern, stop - start)
+    return supports, coverages
+
+
+def _find_rows(table: np.ndarray, rows: np.ndarray, vocab_size: int) -> np.ndarray:
+    """For each of ``rows``, the index of the equal row of ``table``, whose
+    rows are distinct, or -1; values lie below ``vocab_size``.
+
+    Rows compare as their packed int64 keys.  Each key in turn folds into a
+    rank among the table's sorted entries, (rank so far, rank of the key),
+    so the ranks stay below ``len(table)``**2 however many keys there are."""
+    if not table.shape[1]:  # the empty pattern matches every row
+        return np.zeros(len(rows), dtype=np.int64)
+    table_keys, row_keys = _token_keys(table, vocab_size), _token_keys(rows, vocab_size)
+    table_rank, row_rank, found = _ranks(table_keys[0], row_keys[0])
+    size = len(table)
+    for table_key, row_key in zip(table_keys[1:], row_keys[1:]):
+        table_next, row_next, hit = _ranks(table_key, row_key)
+        table_rank, row_rank, same = _ranks(
+            table_rank * size + table_next, row_rank * size + row_next
+        )
+        found &= hit & same
+    index = np.empty(size, dtype=np.int64)
+    index[table_rank] = np.arange(size)  # distinct rows end with distinct ranks
+    return np.where(found, index[row_rank], -1)
+
+
+def _ranks(table_key: np.ndarray, key: np.ndarray):
+    """Rank of each table entry and of each key among the sorted table
+    entries (equal entries share a rank), and whether the key is an entry."""
+    ordered = np.sort(table_key)
+    rank = np.searchsorted(ordered, key).clip(max=len(ordered) - 1)
+    return np.searchsorted(ordered, table_key), rank, ordered[rank] == key
 
 
 def extract_rules(
@@ -130,7 +276,8 @@ def extract_rules(
     constant pattern; for each property value with at least one sample,
     intersect the group's retained messages and strip global positions;
     merge identical patterns (all empty candidates collapse into one rule);
-    attach coverage; sort canonically.
+    attach coverage; sort canonically.  The groups, their patterns and
+    their coverage come from :func:`semantic_rules`.
     """
     filtered = filter_by_frequency(corpus, threshold)
     schema = filtered.schema
@@ -138,31 +285,14 @@ def extract_rules(
     columns = [schema.column(prop) for prop in props]  # an unknown name raises UnknownReference
 
     globals_ = global_constants(filtered)
-    global_pos = set(globals_.positions)
-
-    candidates: dict[Pattern, set[tuple[str, str]]] = {}
-    for prop, index in zip(props, columns):
-        column = filtered.codes[filtered.owners, index]
-        for code, value in enumerate(schema.domain(prop)):
-            group = filtered.messages[column == code]
-            if not len(group):
-                continue
-            pattern = constant_positions(group).without_positions(global_pos)
-            candidates.setdefault(pattern, set()).add((prop, value))
-
-    rules = []
-    for pattern, evidence in candidates.items():
-        coverage, support = coverage_summary(filtered, pattern)
-        rules.append(
-            SemanticRule(
-                pattern=pattern,
-                evidence=canonical_evidence(schema, evidence),
-                coverage=tuple(coverage.items()),
-                support=support,
-            )
-        )
+    fixed = np.zeros(filtered.message_length, dtype=bool)
+    fixed[list(globals_.positions)] = True
+    rules = semantic_rules(
+        schema, filtered.messages, filtered.vocab_size, filtered.owners, filtered.codes,
+        columns, fixed,
+    )
     return RuleTable(
         message_length=filtered.message_length,
         global_constants=globals_,
-        rules=tuple(sorted(rules, key=rule_sort_key)),
+        rules=rules,
     )

@@ -477,11 +477,41 @@ def extend_codes(schema: AttributeSchema, attribute_codes: np.ndarray) -> np.nda
 
 
 def observed_values(schema: AttributeSchema, codes: np.ndarray) -> dict[str, tuple[str, ...]]:
-    """Per property, the values present in rows of ``property_codes``, in domain order."""
-    return {
-        prop: tuple(schema.domain(prop)[k] for k in np.unique(codes[:, i]))
-        for i, prop in enumerate(schema.property_names)
-    }
+    """Per property, the values present in rows of ``property_codes``, in domain order:
+    the one-group view of :func:`observed_by_group`."""
+    codes = np.asarray(codes, dtype=np.int64)
+    rows = np.arange(len(codes))
+    (observed,) = observed_by_group(schema, codes.T, rows, np.zeros_like(rows), 1)
+    return dict(zip(schema.property_names, observed))
+
+
+def observed_by_group(
+    schema: AttributeSchema, columns: np.ndarray, rows: np.ndarray, groups: np.ndarray, count: int
+) -> list[tuple[tuple[str, ...], ...]]:
+    """For each group k below ``count``, per property, the values present in
+    the rows ``rows[i]`` with ``groups[i] == k``, in domain order; row
+    ``column`` of ``columns`` holds each row's code of that property.
+
+    Each property reads one sorted (group, code) key, so the work grows with
+    the rows and the values found, not with the groups times the rows."""
+    per_property = []
+    for prop, column in zip(schema.property_names, columns):
+        domain = schema.domain(prop)
+        keys = groups * len(domain) + column[rows]
+        group, code = np.divmod(distinct_keys(keys, count * len(domain)), len(domain))
+        values = list(map(domain.__getitem__, code.tolist()))
+        bounds = np.searchsorted(group, np.arange(count + 1)).tolist()
+        per_property.append([tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])])
+    return list(zip(*per_property)) if per_property else [()] * count
+
+
+def distinct_keys(keys: np.ndarray, bound: int) -> np.ndarray:
+    """The distinct values of ``keys``, each in [0, bound), ascending: counted
+    when ``bound`` is at most twice their number, else sorted."""
+    if bound <= 2 * len(keys):
+        return np.flatnonzero(np.bincount(keys, minlength=bound))
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def eval_property(schema: AttributeSchema, sample: Sample, prop: str) -> str:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .corpus import AnnotatedCorpus, Message, _check_shape
 from .errors import CapacityError
-from .rules import Pattern, RuleTable, SemanticRule, canonical_evidence, rule_sort_key
-from .schema import Attribute, AttributeSchema, extend_codes, observed_values, parse_schema
+from .rules import Pattern, RuleTable, semantic_rules
+from .schema import Attribute, AttributeSchema, extend_codes, parse_schema
 
 # Leading positions that every message of a holistic language shares.
 HOLISTIC_PREFIX_LENGTH = 2
@@ -212,44 +212,32 @@ def ground_truth_table(codebook: Codebook) -> RuleTable:
     """Rule table implied by a single-position-per-attribute codebook.
 
     Works purely on the codebook's semantics over the full combination
-    space: a group's pattern fixes an attribute's cell exactly when every
-    combination in the group shares that attribute's value, and a pattern
-    covers exactly the combinations carrying its constrained values (token
-    codes are injective, so cell and value constraints coincide).
-    Attributes with one-value domains are globally constant and belong to
-    the skeleton.
+    space: the rule kernel groups the combinations' attribute codes, so a
+    group's pattern fixes an attribute's cell exactly when every combination
+    in the group shares that attribute's value, and a pattern covers exactly
+    the combinations carrying its constrained values (token codes are
+    injective, so cell and value constraints coincide).  Attributes with
+    one-value domains are globally constant and belong to the skeleton.
     """
     schema = codebook.schema
-    codes = extend_codes(schema, combination_codes(schema))
+    combinations = combination_codes(schema)
+    codes = extend_codes(schema, combinations)
     positions, tokens = codebook.positions, codebook.tokens
-    variable = [a for a, toks in enumerate(tokens) if len(toks) > 1]
+    single = np.array([len(toks) == 1 for toks in tokens], dtype=bool)
     global_cells = dict(codebook.fixed.cells)
     global_cells.update({positions[a]: toks[0] for a, toks in enumerate(tokens) if len(toks) == 1})
 
-    covered_and_evidence: dict[Pattern, tuple[np.ndarray, set[tuple[str, str]]]] = {}
-    for p, prop in enumerate(schema.property_names):
-        for code, value in enumerate(schema.domain(prop)):
-            group = codes[codes[:, p] == code]
-            if not len(group):
-                continue
-            shared = [a for a in variable if (group[:, a] == group[0, a]).all()]
-            pattern = Pattern.from_dict({positions[a]: tokens[a][group[0, a]] for a in shared})
-            covered = (codes[:, shared] == group[0, shared]).all(axis=1)
-            covered_and_evidence.setdefault(pattern, (covered, set()))[1].add((prop, value))
+    def pattern_of(cells) -> Pattern:
+        return Pattern.from_dict({positions[a]: tokens[a][code] for a, code in cells})
 
-    rules = [
-        SemanticRule(
-            pattern=pattern,
-            evidence=canonical_evidence(schema, evidence),
-            coverage=tuple(observed_values(schema, codes[covered]).items()),
-            support=int(covered.sum()),
-        )
-        for pattern, (covered, evidence) in covered_and_evidence.items()
-    ]
+    rules = semantic_rules(
+        schema, combinations, max(map(len, tokens)), np.arange(len(codes)), codes,
+        range(len(schema.property_names)), single, pattern_of,
+    )
     return RuleTable(
         message_length=codebook.message_length,
         global_constants=Pattern.from_dict(global_cells),
-        rules=tuple(sorted(rules, key=rule_sort_key)),
+        rules=rules,
     )
 
 
@@ -333,6 +321,7 @@ def gen_noisy(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed % 2**63))
     pending = np.arange(len(near), cells.shape[1])
+    drawn = np.zeros(cells.shape[1], dtype=bool)  # True on the columns of pending
     for _ in range(1000):
         owners = cells[0, pending]
         positions = rng.integers(length, size=len(pending))
@@ -344,7 +333,9 @@ def gen_noisy(
         drew = np.zeros(sample_count, dtype=bool)
         drew[owners] = True
         checked = np.flatnonzero(drew[cells[0]])
-        order = np.lexsort((np.isin(checked, pending), *cells[:, checked]))
+        drawn[pending] = True
+        order = np.lexsort((drawn[checked], *cells[:, checked]))
+        drawn[pending] = False
         ranked = cells[:, checked[order]]
         repeats = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
         pending = np.sort(checked[order[1:][repeats]])

@@ -16,9 +16,16 @@ from emlang import cli
 from emlang.cli import MAX_POPULATION
 from emlang.report import render_rule_table
 from emlang.rules import extract_rules
-from emlang.corpus import AnnotatedCorpus, load_corpus, serialize_corpus
+from emlang.corpus import AnnotatedCorpus, build_corpus, load_corpus, serialize_corpus
 from emlang.schema import parse_schema, render_schema
-from emlang.synth import MAX_SYNONYM_CELLS, gen_compositional, gen_holistic, gen_noisy, moprd_schema
+from emlang.synth import (
+    MAX_SYNONYM_CELLS,
+    concept_schema,
+    gen_compositional,
+    gen_holistic,
+    gen_noisy,
+    moprd_schema,
+)
 
 from conftest import error_codes, json_values, mutate
 from oracles import naive_serialize_corpus
@@ -324,7 +331,9 @@ NOISY_ARGV = ["synth", "--kind", "noisy", "--schema", "moprd", "--synonyms", "50
     ["distance", "--a", "1,2", "--b", "2"],
     ["extract", "--corpus", "corpus.jsonl", "--schema", "moprd"],
     [*NOISY_ARGV, "--corpus", "corpus.jsonl"],
-], ids=["distance", "extract", "synth"])
+    ["--help"],
+    ["extract", "--help"],
+], ids=["distance", "extract", "synth", "help", "command-help"])
 def test_full_stdout_is_not_found(workdir, argv, unbuffered):
     with open("/dev/full", "wb") as full:
         result = subprocess.run([sys.executable, "-m", "emlang", *argv], cwd=workdir,
@@ -332,6 +341,19 @@ def test_full_stdout_is_not_found(workdir, argv, unbuffered):
                                 env=_env(unbuffered))
     assert result.returncode == 1
     assert result.stderr == "NotFound: cannot write <stdout>: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_usage_error_with_full_stdout_exits_two(workdir, unbuffered):
+    """Usage goes to standard error, so a full standard output does not matter."""
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "emlang", "extract"], cwd=workdir,
+                                stdout=full, stderr=subprocess.PIPE, text=True,
+                                env=_env(unbuffered))
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage: emlang extract")
+    assert "the following arguments are required" in result.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -400,6 +422,50 @@ def test_run_writes_the_bytes_of_in_process_main(workdir, monkeypatch, capsysbin
     monkeypatch.chdir(workdir)
     assert cli.main(argv) == 0
     assert capsysbinary.readouterr().out == result.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--corpus", "corpus.jsonl", "--schema", "moprd", "--out", "rules.json"],
+    ["topsim", "--corpus", "corpus.jsonl", "--schema", "moprd", "--out", "rho.json"],
+    ["topsim", "--corpus", "corpus.jsonl", "--schema", "moprd", "--max-pairs", "50", "--seed", "1",
+     "--out", "rho.json"],
+    ["game", "--corpus", "corpus.jsonl", "--schema", "moprd", "--seed", "1", "--episodes", "200",
+     "--candidates", "5", "--speakers", "2", "--out", "game.json"],
+    ["synth", "--kind", "noisy", "--schema", "tied.json", "--corpus", "tied.jsonl", "--synonyms", "4",
+     "--seed", "1", "--out", "noisy.jsonl"],
+    ["synth", "--kind", "compositional", "--schema", "moprd", "--seed", "1", "--out", "c.jsonl",
+     "--truth-out", "truth.json"],
+    ["synth", "--kind", "holistic", "--schema", "moprd", "--seed", "1", "--out", "h.jsonl"],
+    ["render", "--in", "table.json", "--format", "markdown", "--schema", "moprd"],
+], ids=["extract", "topsim", "topsim-sampled", "game", "synth-noisy", "synth-compositional",
+        "synth-holistic", "render"])
+def test_no_command_loads_numpy_ma(tmp_path, reference_corpus, argv):
+    """numpy.ma takes 12-18 ms to import, and no command needs masked arrays:
+    a bare np.unique loads it, so a command that does fails here.  In the
+    tied corpus all 300 samples send (0, 0) over three tokens, so the four
+    synonyms of a sample collide and the rejection rounds re-check scattered
+    columns."""
+    (tmp_path / "corpus.jsonl").write_text(serialize_corpus(reference_corpus), encoding="utf-8")
+    concepts = concept_schema(300)
+    (tmp_path / "tied.json").write_text(render_schema(concepts), encoding="utf-8")
+    tied = build_corpus(concepts, 3, 2, [
+        (value, {"concept": value}, (0, 0), 1) for value in concepts.domain("concept")
+    ])
+    (tmp_path / "tied.jsonl").write_text(serialize_corpus(tied), encoding="utf-8")
+    (tmp_path / "table.json").write_text(
+        render_rule_table(extract_rules(reference_corpus), "structured"), encoding="utf-8"
+    )
+    code = (
+        "import sys\n"
+        "from emlang import cli\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                            text=True, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "False\n"
 
 
 def test_synth_noisy_refuses_a_huge_synonym_count(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from emlang.rules import (
     global_constants,
 )
 from emlang.schema import AttributeSchema, Attribute, eval_property, parse_schema
+from emlang.synth import concept_schema, gen_holistic, gen_noisy
 
 from oracles import naive_extract_rules, rows_by_sample
 
@@ -142,6 +144,15 @@ def test_coverage_of_unused_pattern_is_empty(reference_corpus):
     assert all(values == () for values in coverage.values())
 
 
+def test_coverage_of_a_token_past_int64_is_empty():
+    """2**63 + 5 is no token of the corpus, although as a float it equals 2**63 - 1."""
+    corpus = build_corpus(TWO_BY_TWO, 2**63, 2, [
+        ("0", {"size": "small", "tone": "dark"}, (2**63 - 1, 0), 1),
+    ])
+    assert coverage_summary(corpus, Pattern.from_dict({0: 2**63 + 5}))[1] == 0
+    assert coverage_summary(corpus, Pattern.from_dict({0: 2**63 - 1}))[1] == 1
+
+
 def test_coverage_single_sample():
     corpus = build_corpus(TWO_BY_TWO, 4, 2, [
         ("0", {"size": "small", "tone": "dark"}, (0, 2), 1),
@@ -265,3 +276,30 @@ def test_deep_hyperattribute_chain_is_evaluated_once_per_level():
         Pattern.from_dict({0: 0}), Pattern.from_dict({0: 1})
     ]
     assert table.rules[1].evidence == tuple((name, "T") for name in schema.property_names)
+
+
+# ---------------------------------------------------------------------------
+# The grouping kernel at scale and past one int64 key
+# ---------------------------------------------------------------------------
+
+def test_matches_exhaustive_oracle_on_2000_concepts():
+    """Each concept is a group of its own and makes one rule."""
+    corpus = gen_holistic(concept_schema(2000), 12, 20, seed=1)
+    table = extract_rules(corpus, threshold=0.15)
+    assert table.rule_count == 2000
+    assert table == naive_extract_rules(corpus, 0.15)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_matches_exhaustive_oracle_with_keys_past_one_int64(seed):
+    """Tokens below 2**63 take 63 bits each, so a rule's cells among the twelve
+    positions after the holistic prefix pack into as many int64 keys.  Each
+    concept groups one sample; its synonyms, each one substitution away and
+    about 7% of its count, may also vary the prefix, unless the 0.15 filter
+    drops them."""
+    base = gen_holistic(concept_schema(60), 14, 2**63, seed=seed)
+    corpus = gen_noisy(replace(base, counts=base.counts * 10), 2, 0.25, seed=seed)
+    for threshold in (0.0, 0.15):
+        table = extract_rules(corpus, threshold)
+        assert table == naive_extract_rules(corpus, threshold)
+        assert max(len(rule.pattern.cells) for rule in table.rules) >= 10

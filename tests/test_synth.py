@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from emlang.corpus import AnnotatedCorpus, build_corpus, filter_by_frequency
 from emlang.errors import CapacityError, DocumentSyntaxError
 from emlang.rules import Pattern, extract_rules
-from emlang.schema import AttributeSchema, Attribute, eval_property, validate_sample
+from emlang.schema import (
+    AttributeSchema,
+    Attribute,
+    HyperattributeDef,
+    ValueMap,
+    eval_property,
+    parse_expression,
+    validate_sample,
+)
 from emlang.synth import (
     MAX_COMBINATIONS,
     MAX_SYNONYM_CELLS,
@@ -83,6 +91,23 @@ def test_compositional_at_the_vocabulary_limit(moprd):
     corpus, truth = gen_compositional(moprd, 10, 2**63, seed=1)
     assert corpus.vocab_size == 2**63
     assert extract_rules(corpus, threshold=0.15) == truth
+
+
+@pytest.mark.parametrize("vocab", [40, 2**63])
+def test_ground_truth_matches_extraction_on_4096_combinations(vocab):
+    """Twelve two-valued attributes make 2**12 combinations; the hyperattributes
+    group them across attributes, so some groups keep several cells."""
+    schema = AttributeSchema(
+        attributes=tuple(Attribute(name=f"b{i}", domain=("0", "1")) for i in range(12)),
+        hyperattributes=(
+            HyperattributeDef(name="both", body=parse_expression("b0 == 1 and b1 == 1")),
+            HyperattributeDef(name="pair", body=ValueMap("b2", (("0", "x"), ("1", "y")))),
+        ),
+    )
+    corpus, truth = gen_compositional(schema, 14, vocab, seed=4)
+    assert len(corpus.sample_ids) == 2**12
+    assert extract_rules(corpus, threshold=0.15) == truth
+    assert any(len(rule.pattern.cells) == 2 for rule in truth.rules)
 
 
 @pytest.mark.parametrize("generate", [gen_compositional, gen_holistic])
