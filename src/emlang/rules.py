@@ -174,11 +174,11 @@ def semantic_rules(
 
     # one rule per distinct (kept columns, cells) row; sorting by the kept
     # columns first puts the rules of one column set next to each other
-    keys = [*_token_keys(kept, 2), *_token_keys(cells, vocab_size)]
-    order = np.lexsort(keys[::-1])
+    pattern_keys = [*_token_keys(kept, 2), *_token_keys(cells, vocab_size)]
+    order = np.lexsort(pattern_keys[::-1])
     new = np.zeros(len(order), dtype=bool)
     new[0] = True
-    for key in keys:
+    for key in pattern_keys:
         ranked = key[order]
         new[1:] |= ranked[1:] != ranked[:-1]
     rule_of = np.empty(len(order), dtype=np.int64)
