@@ -101,21 +101,19 @@ def coverage_summary(
     back in domain order; an uncovered corpus yields empty sets, support 0.
     The one-pattern view of the kernel that :func:`extract_rules` runs.
     """
+    names = corpus.schema.property_names
+    if not all(0 <= token < corpus.vocab_size for token in pattern.tokens):
+        return dict.fromkeys(names, ()), 0  # no message holds the token
     positions = list(pattern.positions)
     kept = np.zeros((1, corpus.message_length), dtype=bool)
     kept[0, positions] = True
     cells = np.zeros((1, corpus.message_length), dtype=np.int64)
-    if all(0 <= token < corpus.vocab_size for token in pattern.tokens):
-        cells[0, positions] = pattern.tokens
-    else:  # no message holds the token
-        kept = np.zeros((0, corpus.message_length), dtype=bool)
+    cells[0, positions] = pattern.tokens
     by_column = np.ascontiguousarray(corpus.messages.T)
-    supports, coverages = _cover(
+    (support,), (coverage,) = _cover(
         corpus.schema, by_column, corpus.vocab_size, corpus.owners, corpus.codes, kept, cells
     )
-    if not supports:
-        return dict.fromkeys(corpus.schema.property_names, ()), 0
-    return dict(zip(corpus.schema.property_names, coverages[0])), supports[0]
+    return dict(zip(names, coverage)), support
 
 
 def rule_sort_key(rule: SemanticRule):
@@ -184,9 +182,8 @@ def semantic_rules(
     rule_of = np.empty(len(order), dtype=np.int64)
     rule_of[order] = np.cumsum(new) - 1
     firsts = order[new]
-    supports, coverages = _cover(
-        schema, by_column, vocab_size, owners, codes, kept[firsts], cells[firsts]
-    )
+    kept, cells = kept[firsts], cells[firsts]
+    supports, coverages = _cover(schema, by_column, vocab_size, owners, codes, kept, cells)
 
     names = schema.property_names
     domains = [schema.domain(name) for name in names]
@@ -195,8 +192,8 @@ def semantic_rules(
     canonical = np.lexsort((code_of, column_of))
     for rule, column, code in zip(*(a[canonical].tolist() for a in (rule_of, column_of, code_of))):
         evidence[rule].append((names[column], domains[column][code]))
-    rows, at = np.nonzero(kept[firsts])
-    pairs = tuple(zip(at.tolist(), cells[firsts][rows, at].tolist()))
+    rows, at = np.nonzero(kept)
+    pairs = tuple(zip(at.tolist(), cells[rows, at].tolist()))
     bounds = np.searchsorted(rows, np.arange(len(firsts) + 1)).tolist()
     rules = [
         SemanticRule(
@@ -219,7 +216,7 @@ def _cover(schema, by_column, vocab_size, owners, codes, kept, cells):
     and their covered (pattern, sample) pairs made distinct by one sort."""
     new_set = np.ones(len(kept) + 1, dtype=bool)
     new_set[1:-1] = (kept[1:] != kept[:-1]).any(axis=1)
-    bounds = np.flatnonzero(new_set) if len(kept) else []
+    bounds = np.flatnonzero(new_set)
     count = max(1, len(codes))
     by_property = np.ascontiguousarray(codes.T)  # each gather reads one row
     supports, coverages = [], []
