@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import AnnotatedCorpus, Message, _token_keys, filter_by_frequency
 from .errors import EmptyCorpus, EmptyInput
-from .schema import AttributeSchema, distinct_keys, observed_by_group
+from .schema import AttributeSchema, distinct_keys, observed_by_group, run_starts
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,9 @@ def coverage_summary(
     kept[0, positions] = True
     cells = np.zeros((1, corpus.message_length), dtype=np.int64)
     cells[0, positions] = pattern.tokens
-    by_column = np.ascontiguousarray(corpus.messages.T)
     (support,), (coverage,) = _cover(
-        corpus.schema, by_column, corpus.vocab_size, corpus.owners, corpus.codes, kept, cells
+        corpus.schema, _by_column(corpus.messages), corpus.vocab_size, corpus.owners,
+        corpus.codes, kept, cells,
     )
     return dict(zip(names, coverage)), support
 
@@ -149,23 +149,30 @@ def semantic_rules(
     Each property column is sorted once, and a value column is constant in a
     group iff its minimum over the group equals its maximum.  The order
     inside a group does not matter to either, so the sort need not be stable.
+    One value column is gathered at a time, from a column-major copy of
+    ``values`` in the narrowest integer type that holds them, so each work
+    array holds about one column of rows.
     """
     columns = list(dict.fromkeys(columns))
     if not columns:
         return ()
-    by_column = np.ascontiguousarray(values.T)  # each reduction runs along a row
+    by_column = _by_column(values)
     group_columns, group_codes, lows, keeps = [], [], [], []
     for column in columns:
         keys = codes[owners, column]
         order = np.argsort(keys)
         keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        block = np.take(by_column, order, axis=1)
-        low = np.minimum.reduceat(block, starts, axis=1)
+        starts = np.flatnonzero(run_starts(keys))
+        low = np.empty((len(starts), len(by_column)), dtype=np.int64)
+        keep = np.empty(low.shape, dtype=bool)
+        for at, value_column in enumerate(by_column):
+            ranked = value_column[order]
+            low[:, at] = np.minimum.reduceat(ranked, starts)
+            keep[:, at] = low[:, at] == np.maximum.reduceat(ranked, starts)
         group_columns.append(np.full(len(starts), column))
         group_codes.append(keys[starts])
-        lows.append(low.T)
-        keeps.append((low == np.maximum.reduceat(block, starts, axis=1)).T & ~fixed)
+        lows.append(low)
+        keeps.append(keep & ~fixed)
     column_of, code_of = np.concatenate(group_columns), np.concatenate(group_codes)
     kept = np.concatenate(keeps)
     cells = np.where(kept, np.concatenate(lows), 0)
@@ -213,22 +220,35 @@ def _cover(schema, by_column, vocab_size, owners, codes, kept, cells):
     keep the same columns are adjacent.
 
     The patterns of one column set are matched against every row at once,
-    and their covered (pattern, sample) pairs made distinct by one sort."""
+    and their covered (pattern, sample) pairs made distinct by one sort.
+    So the work grows with the rows times the distinct column sets, which
+    are no more than the groups nor the subsets of columns: one set for a
+    noise-free concept corpus, where every group keeps the same positions,
+    and more as noise breaks different positions in different groups."""
     new_set = np.ones(len(kept) + 1, dtype=bool)
     new_set[1:-1] = (kept[1:] != kept[:-1]).any(axis=1)
     bounds = np.flatnonzero(new_set)
     count = max(1, len(codes))
-    by_property = np.ascontiguousarray(codes.T)  # each gather reads one row
+    by_property = _by_column(codes)
     supports, coverages = [], []
     for start, stop in zip(bounds, bounds[1:]):
         at = np.flatnonzero(kept[start])
         found = _find_rows(cells[start:stop, at], by_column[at].T, vocab_size)
         hit = found >= 0
-        pairs = distinct_keys(found[hit] * count + owners[hit], (stop - start) * count)
+        pairs = distinct_keys(found[hit] * count + owners[hit])
         pattern, sample = np.divmod(pairs, count)
         supports += np.bincount(pattern, minlength=stop - start).tolist()
         coverages += observed_by_group(schema, by_property, sample, pattern, stop - start)
     return supports, coverages
+
+
+def _by_column(table: np.ndarray) -> np.ndarray:
+    """The columns of ``table``, whose entries are non-negative, as the rows
+    of a C-contiguous array of the narrowest signed integer type that holds
+    them: each column then gathers from one short contiguous row."""
+    top = int(table.max(initial=0))
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+    return np.ascontiguousarray(table.T, dtype=dtype)
 
 
 def _find_rows(table: np.ndarray, rows: np.ndarray, vocab_size: int) -> np.ndarray:

@@ -498,20 +498,26 @@ def observed_by_group(
     for prop, column in zip(schema.property_names, columns):
         domain = schema.domain(prop)
         keys = groups * len(domain) + column[rows]
-        group, code = np.divmod(distinct_keys(keys, count * len(domain)), len(domain))
+        group, code = np.divmod(distinct_keys(keys), len(domain))
         values = list(map(domain.__getitem__, code.tolist()))
         bounds = np.searchsorted(group, np.arange(count + 1)).tolist()
         per_property.append([tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])])
     return list(zip(*per_property)) if per_property else [()] * count
 
 
-def distinct_keys(keys: np.ndarray, bound: int) -> np.ndarray:
-    """The distinct values of ``keys``, each in [0, bound), ascending: counted
-    when ``bound`` is at most twice their number, else sorted."""
-    if bound <= 2 * len(keys):
-        return np.flatnonzero(np.bincount(keys, minlength=bound))
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending, by one sort."""
     keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=-1) != 0]
+    return keys[run_starts(keys)]
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted ``ordered`` starts a run of equal
+    entries: differs from the entry before it, or is the first."""
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
 
 
 def eval_property(schema: AttributeSchema, sample: Sample, prop: str) -> str:

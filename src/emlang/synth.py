@@ -220,8 +220,7 @@ def ground_truth_table(codebook: Codebook) -> RuleTable:
     one-value domains are globally constant and belong to the skeleton.
     """
     schema = codebook.schema
-    combinations = combination_codes(schema)
-    codes = extend_codes(schema, combinations)
+    codes = extend_codes(schema, combination_codes(schema))  # attributes first
     positions, tokens = codebook.positions, codebook.tokens
     single = np.array([len(toks) == 1 for toks in tokens], dtype=bool)
     global_cells = dict(codebook.fixed.cells)
@@ -231,7 +230,7 @@ def ground_truth_table(codebook: Codebook) -> RuleTable:
         return Pattern.from_dict({positions[a]: tokens[a][code] for a, code in cells})
 
     rules = semantic_rules(
-        schema, combinations, max(map(len, tokens)), np.arange(len(codes)), codes,
+        schema, codes[:, : len(tokens)], max(map(len, tokens)), np.arange(len(codes)), codes,
         range(len(schema.property_names)), single, pattern_of,
     )
     return RuleTable(

@@ -303,3 +303,25 @@ def test_matches_exhaustive_oracle_with_keys_past_one_int64(seed):
         table = extract_rules(corpus, threshold)
         assert table == naive_extract_rules(corpus, threshold)
         assert max(len(rule.pattern.cells) for rule in table.rules) >= 10
+
+
+@pytest.mark.parametrize("top", [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1])
+def test_matches_exhaustive_oracle_at_integer_type_edges(top):
+    """The kernel gathers tokens through the narrowest integer type that holds
+    the largest one, so a token at each type's edge must come back intact."""
+    rng = random.Random(top)
+    records = []
+    for sample in range(12):
+        values = {"size": rng.choice(("small", "large")), "tone": rng.choice(("dark", "light"))}
+        for _ in range(rng.randint(1, 3)):
+            message = tuple(rng.choice((0, 1, top - 1, top)) for _ in range(4))
+            records.append((str(sample), values, message, rng.randint(1, 4)))
+    corpus = build_corpus(TWO_BY_TWO, top + 1, 4, records)
+    for threshold in (0.0, 0.3):
+        assert extract_rules(corpus, threshold) == naive_extract_rules(corpus, threshold)
+    for pattern in (Pattern.from_dict({0: top}), Pattern.from_dict({1: top, 3: top - 1})):
+        covered = sum(
+            any(all(message[p] == t for p, t in pattern.cells) for message, _ in rows)
+            for rows in rows_by_sample(corpus).values()
+        )
+        assert coverage_summary(corpus, pattern)[1] == covered

@@ -107,6 +107,7 @@ def test_ground_truth_matches_extraction_on_4096_combinations(vocab):
     corpus, truth = gen_compositional(schema, 14, vocab, seed=4)
     assert len(corpus.sample_ids) == 2**12
     assert extract_rules(corpus, threshold=0.15) == truth
+    assert naive_extract_rules(corpus, 0.15) == truth  # shares no code with the kernel
     assert any(len(rule.pattern.cells) == 2 for rule in truth.rules)
 
 
