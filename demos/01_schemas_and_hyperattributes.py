@@ -8,7 +8,20 @@ explicit value maps.  Here we build the two-shapes-plus-relationship schema
 and watch the derived properties react to samples.
 """
 
-from emlang import eval_property, moprd_schema, parse_schema, validate_sample
+from emlang import moprd_schema, parse_schema
+from emlang.schema import code_attributes, extend_codes
+
+
+def properties(schema, sample_id, values):
+    """Every property's value on one sample: its attributes are coded as domain
+    indices, the hyperattribute columns derived from them, and each code
+    spelt back through the property's domain."""
+    codes = extend_codes(schema, code_attributes(schema, [sample_id], [values]))
+    return {
+        prop: schema.domain(prop)[code]
+        for prop, code in zip(schema.property_names, codes[0].tolist())
+    }
+
 
 schema = moprd_schema()
 print("properties:", ", ".join(schema.property_names))
@@ -17,11 +30,9 @@ print("all_empty domain:", schema.domain("all_empty"))
 print()
 
 # A filled circle next to a cross, stacked vertically.
-sample = validate_sample(
-    schema, "demo", {"shape1": "●", "shape2": "×", "relationship": "↑"}
-)
-for prop in schema.property_names:
-    print(f"  {prop:>12} = {eval_property(schema, sample, prop)}")
+sample = properties(schema, "demo", {"shape1": "●", "shape2": "×", "relationship": "↑"})
+for prop, value in sample.items():
+    print(f"  {prop:>12} = {value}")
 print()
 
 # Value maps relabel a single property; the label set becomes the domain.
@@ -41,5 +52,5 @@ grouped = parse_schema(
     """
 )
 print("group_entity domain:", grouped.domain("group_entity"))
-wheel = validate_sample(grouped, "img", {"entity": "wheel"})
-print("wheel is grouped as:", eval_property(grouped, wheel, "group_entity"))
+wheel = properties(grouped, "img", {"entity": "wheel"})
+print("wheel is grouped as:", wheel["group_entity"])

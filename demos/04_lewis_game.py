@@ -11,11 +11,13 @@ guessing at chance level 1/|C|.  A population of speaker and listener
 corpora plays every pairing, each cell with its own random stream.
 """
 
+from dataclasses import replace
+
+import numpy as np
+
 from emlang import (
     GameConfig,
     accuracy_per_speaker,
-    all_combinations,
-    build_corpus,
     gen_compositional,
     moprd_schema,
     run_lewis_game,
@@ -27,15 +29,8 @@ language, _ = gen_compositional(schema, message_length=10, vocab_size=20, seed=1
 perfect = run_lewis_game(language, GameConfig(seed=5, candidate_count=20, episodes=1000))
 print("unambiguous language:", perfect.values[0][0])
 
-mute = build_corpus(
-    schema,
-    vocab_size=20,
-    message_length=10,
-    records=[
-        (f"{i:02d}", combo, (0,) * 10, 1)
-        for i, combo in enumerate(all_combinations(schema))
-    ],
-)
+# The same samples, every one sending the all-zero message.
+mute = replace(language, messages=np.zeros_like(language.messages))
 chance = run_lewis_game(mute, GameConfig(seed=101, candidate_count=5, episodes=10_000))
 print("constant message, |C|=5:", chance.values[0][0], "(chance is 0.2)")
 

@@ -12,7 +12,6 @@ from .corpus import (
     build_corpus,
     filter_by_frequency,
     load_corpus,
-    representative_message,
     serialize_corpus,
 )
 from .game import GameConfig, run_lewis_game
@@ -20,7 +19,6 @@ from .metrics import (
     AccuracyMatrix,
     TopSimReport,
     accuracy_per_speaker,
-    attribute_edit_distance,
     levenshtein,
     spearman,
     topsim,
@@ -36,7 +34,6 @@ from .rules import (
     RuleTable,
     SemanticRule,
     constant_positions,
-    coverage_summary,
     extract_rules,
     global_constants,
 )
@@ -44,16 +41,12 @@ from .schema import (
     AttributeSchema,
     Attribute,
     HyperattributeDef,
-    Sample,
     ValueMap,
-    eval_property,
     parse_schema,
     render_schema,
-    validate_sample,
 )
 from .synth import (
     Codebook,
-    all_combinations,
     concept_schema,
     gen_compositional,
     gen_holistic,
@@ -73,18 +66,13 @@ __all__ = [
     "Message",
     "Pattern",
     "RuleTable",
-    "Sample",
     "SemanticRule",
     "TopSimReport",
     "ValueMap",
     "accuracy_per_speaker",
-    "all_combinations",
-    "attribute_edit_distance",
     "build_corpus",
     "concept_schema",
     "constant_positions",
-    "coverage_summary",
-    "eval_property",
     "extract_rules",
     "filter_by_frequency",
     "gen_compositional",
@@ -101,10 +89,8 @@ __all__ = [
     "render_metrics",
     "render_rule_table",
     "render_schema",
-    "representative_message",
     "run_lewis_game",
     "serialize_corpus",
     "spearman",
     "topsim",
-    "validate_sample",
 ]

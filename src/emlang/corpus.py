@@ -28,8 +28,8 @@ times.  Every corpus is immutable and canonical, one row per distinct
 (sample, message), sorted by sample and tokens: every construction checks
 its codes, ids and rows and sorts them, so ``dataclasses.replace`` re-sorts.
 Attribute dicts are coded, and checked, only where records become a corpus,
-by :func:`~emlang.schema.code_attributes`; ``samples`` spells them back for
-callers, and no stage of the pipeline reads it.
+by :func:`~emlang.schema.code_attributes`; every stage of the pipeline reads
+the codes, and ``schema.domain`` spells a code back as its value.
 
 :func:`serialize_corpus` writes each record as ``json.dumps(record,
 ensure_ascii=False)`` would, without Python work per row or per token.  Its
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
@@ -57,10 +56,9 @@ from .errors import (
     EmptySample,
     LengthMismatch,
     TokenOutOfRange,
-    UnknownSample,
     has_lone_surrogate,
 )
-from .schema import AttributeSchema, Sample, code_attributes, extend_codes
+from .schema import AttributeSchema, code_attributes, extend_codes
 
 Message = tuple[int, ...]
 
@@ -95,7 +93,8 @@ class AnnotatedCorpus:
     rows, in that order, then sorts samples by id (renumbering ``owners``)
     and rows by owner and tokens, merging repeated rows: as int64 arrays
     when all rows are valid, else in Python integers by the one check that
-    words a row error.  Arrays are stored fresh and read-only.
+    words a row error.  A token or count that is not an integer is refused,
+    not cast.  Arrays are stored fresh and read-only.
     """
 
     schema: AttributeSchema
@@ -139,6 +138,7 @@ class AnnotatedCorpus:
         empty = np.flatnonzero(np.bincount(owners, minlength=len(ids)) == 0)
         if len(empty):
             raise DocumentSyntaxError(f"sample {ids[empty[0]]!r} owns no messages")
+        _check_integers(self.messages, self.counts)
         rows = _int64_rows(owners, self.messages, self.counts, self.vocab_size, self.message_length)
         if rows is None:
             rows = _exact_rows(
@@ -161,17 +161,6 @@ class AnnotatedCorpus:
             and np.array_equal(self.messages, other.messages)
             and np.array_equal(self.owners, other.owners)
             and np.array_equal(self.counts, other.counts)
-        )
-
-    @property
-    def samples(self) -> tuple[Sample, ...]:
-        """Each sample spelt afresh from its codes on every read, so no copy can go
-        stale; for callers, as no pipeline stage reads it."""
-        names = self.schema.attribute_names
-        domains = [self.schema.domain(name) for name in names]
-        return tuple(
-            Sample(sample_id, dict(zip(names, map(tuple.__getitem__, domains, row))))
-            for sample_id, row in zip(self.sample_ids, self.attribute_codes.tolist())
         )
 
     @cached_property
@@ -201,6 +190,24 @@ def _checked_codes(schema: AttributeSchema, ids: tuple, attribute_codes) -> np.n
     return codes
 
 
+def _check_integers(messages, counts) -> None:
+    """DocumentSyntaxError for a token or count that is not an integer, such
+    as a float or a bool, which a cast to int64 would truncate.  An integer
+    array is not read; the entries of anything else are, by type."""
+    for entries, what in ((messages, "token"), (counts, "count")):
+        if isinstance(entries, np.ndarray) and entries.dtype.kind in "iu":
+            continue
+        if what == "token":
+            try:
+                entries = list(chain.from_iterable(entries))
+            except TypeError:  # not rows of tokens: the shape check words it
+                continue
+        bad = [t for t in set(map(type, entries)) if t is not int and not issubclass(t, np.integer)]
+        if bad:
+            value = next(value for value in entries if type(value) in bad)
+            raise DocumentSyntaxError(f"message {what} {value!r} is not an integer")
+
+
 def _check_shape(vocab_size: int, message_length: int) -> None:
     if not 1 <= message_length <= MAX_MESSAGE_LENGTH:
         raise DocumentSyntaxError(f"message length must lie in 1..{MAX_MESSAGE_LENGTH}")
@@ -225,7 +232,11 @@ def build_corpus(
     first: dict[str, int] = {}  # sample id -> index into values, its first attribute dict
     values, owners = [], []
     for sample_id, assigned in zip(ids, attrs):
-        k = first.setdefault(sample_id, len(first))
+        try:
+            k = first.setdefault(sample_id, len(first))
+        except TypeError:  # unhashable, such as a JSON list; attributes up to here come first
+            code_attributes(schema, [*first, sample_id], [*values, assigned])
+            raise DocumentSyntaxError(f"sample id {sample_id!r} is not a string") from None
         if k == len(values):
             values.append(assigned)
         elif values[k] != assigned:  # an earlier non-conforming sample comes first
@@ -622,9 +633,3 @@ def representative_of(corpus: AnnotatedCorpus) -> np.ndarray:
     first[1:] = owners[1:] != owners[:-1]
     return order[first]
 
-
-def representative_message(corpus: AnnotatedCorpus, sample_id: str) -> Message:
-    k = bisect_left(corpus.sample_ids, sample_id)
-    if k == len(corpus.sample_ids) or corpus.sample_ids[k] != sample_id:
-        raise UnknownSample(f"no sample {sample_id!r} in corpus")
-    return tuple(corpus.messages[representative_of(corpus)[k]].tolist())

@@ -68,10 +68,6 @@ class EmptyCorpus(EmlangError):
     code = "EmptyCorpus"
 
 
-class UnknownSample(EmlangError):
-    code = "UnknownSample"
-
-
 class ZeroVariance(EmlangError):
     """A correlation input is constant; reported instead of silently mapping to 0."""
 

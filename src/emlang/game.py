@@ -89,14 +89,21 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
 
     Per episode: draw a target and ``candidate_count - 1`` distractors
     without replacement, let the speaker describe the target, and score a
-    hit when the listener picks it.
+    hit when the listener picks it.  The seed, candidate count and episode
+    count are integers, numpy's included and bool not; else ConfigError.
     """
-    n, k = len(corpus.sample_ids), config.candidate_count
+    fields = {"seed": config.seed, "candidate count": config.candidate_count,
+              "episode count": config.episodes}
+    for name, value in fields.items():
+        if type(value) is not int and not isinstance(value, np.integer):  # no bool
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    seed, k, episodes = map(int, fields.values())
+    n = len(corpus.sample_ids)
     if k < 2:
         raise ConfigError("candidate sets need at least two samples")
     if k > n:
         raise ConfigError(f"candidate count {k} exceeds {n} samples")
-    if config.episodes < 1:
+    if episodes < 1:
         raise ConfigError("need at least one episode")
 
     speaker_corpora = config.speakers or (corpus,)
@@ -128,10 +135,10 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
         for j, listener in enumerate(listener_corpora):
             keys, shares = tables[id(listener)]
             sure = tops[id(listener)][spoken] == speaker.owners  # rows no distractor can beat
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed % (2**63), i, j]))
+            rng = np.random.default_rng(np.random.SeedSequence([seed % (2**63), i, j]))
             hits = 0
-            for played in range(0, config.episodes, batch):
-                size = min(batch, config.episodes - played)
+            for played in range(0, episodes, batch):
+                size = min(batch, episodes - played)
                 targets = rng.integers(n, size=size)
                 columns = _draw_columns(rng, n, k, size)
                 drawn = start[targets] + rng.integers(s_totals[targets])
@@ -146,6 +153,6 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
                 scores = np.where(keys[at] == wanted, shares[at], 0.0)
                 chosen = candidates[np.arange(len(targets)), np.argmax(scores, axis=1)]
                 hits += int(np.count_nonzero(chosen == targets))
-            row.append(hits / config.episodes)
+            row.append(hits / episodes)
         rows.append(tuple(row))
-    return AccuracyMatrix(values=tuple(rows), episodes_per_cell=config.episodes)
+    return AccuracyMatrix(values=tuple(rows), episodes_per_cell=episodes)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .corpus import AnnotatedCorpus, Message, representative_of
 from .errors import ConfigError, LengthMismatch, ZeroVariance
-from .schema import AttributeSchema, Sample, property_codes
 
 # Exact enumeration for up to 2000 samples; seeded sampling beyond.
 DEFAULT_MAX_PAIRS = 2000 * 1999 // 2
@@ -65,12 +64,6 @@ def levenshtein(a: Message, b: Message) -> int:
             )
         previous = current
     return previous[len(b)]
-
-
-def attribute_edit_distance(s1: Sample, s2: Sample, schema: AttributeSchema) -> int:
-    """Number of attributes (hyperattributes excluded) with differing values."""
-    codes = property_codes(schema, [s1.id, s2.id], [s1.values, s2.values])
-    return int((codes[0] != codes[1])[: len(schema.attributes)].sum())
 
 
 def average_ranks(values) -> np.ndarray:

@@ -12,7 +12,9 @@ Each rule keeps two views of its meaning:
 
 Both are read off the corpus arrays: a group is the messages whose owners
 share a code in one column of ``AnnotatedCorpus.codes``; coverage is the
-distinct codes of the owners of the messages a pattern matches.
+distinct codes of the owners of the messages a pattern matches.  They are
+computed for all rules at once, by :func:`semantic_rules`; a pattern's
+coverage is read off the rule table, not computed one pattern at a time.
 
 All functions are pure over immutable corpora; group computations are
 independent and merged in a canonical order, so output is deterministic.
@@ -50,9 +52,6 @@ class Pattern:
     def is_empty(self) -> bool:
         return not self.cells
 
-    def without_positions(self, positions: set[int]) -> "Pattern":
-        return Pattern(cells=tuple(c for c in self.cells if c[0] not in positions))
-
 
 @dataclass(frozen=True)
 class SemanticRule:
@@ -89,31 +88,6 @@ def global_constants(corpus: AnnotatedCorpus) -> Pattern:
     if not len(corpus.messages):
         raise EmptyCorpus("corpus holds no messages")
     return constant_positions(corpus.messages)
-
-
-def coverage_summary(
-    corpus: AnnotatedCorpus, pattern: Pattern
-) -> tuple[dict[str, tuple[str, ...]], int]:
-    """Observed value sets per property, and support, over covered samples.
-
-    A sample is covered when at least one of its retained messages matches
-    the pattern; the empty pattern covers every sample.  Value sets come
-    back in domain order; an uncovered corpus yields empty sets, support 0.
-    The one-pattern view of the kernel that :func:`extract_rules` runs.
-    """
-    names = corpus.schema.property_names
-    if not all(0 <= token < corpus.vocab_size for token in pattern.tokens):
-        return dict.fromkeys(names, ()), 0  # no message holds the token
-    positions = list(pattern.positions)
-    kept = np.zeros((1, corpus.message_length), dtype=bool)
-    kept[0, positions] = True
-    cells = np.zeros((1, corpus.message_length), dtype=np.int64)
-    cells[0, positions] = pattern.tokens
-    (support,), (coverage,) = _cover(
-        corpus.schema, _by_column(corpus.messages), corpus.vocab_size, corpus.owners,
-        corpus.codes, kept, cells,
-    )
-    return dict(zip(names, coverage)), support
 
 
 def rule_sort_key(rule: SemanticRule):

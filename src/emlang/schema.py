@@ -24,18 +24,20 @@ or the reserved characters ``( ) { } , =``.  An expression may nest at most
 Construction compiles the schema once: one walk over each hyperattribute,
 in declaration order, validates its body and builds its column evaluator (a
 lookup table for a value map or ``in``, composed column functions otherwise).
-Evaluation works on whole columns: :func:`code_attributes` codes attribute
-dicts, and is the one check that they conform to the schema;
-:func:`extend_codes` derives the hyperattribute columns from attribute codes;
-:func:`property_codes` does both, and :func:`eval_property` is a one-row view.
+Evaluation works on whole columns of domain indices: :func:`code_attributes`
+codes attribute dicts, and is the one check that they conform to the schema;
+:func:`extend_codes` derives the hyperattribute columns from attribute codes.
+A property's value on a sample is its domain entry at the sample's code in
+the property's column, ``schema.domain(prop)[codes[row, schema.column(prop)]]``.
 
-Schemas and samples are immutable after construction; evaluation is pure, so
-all operations here are safe to call concurrently.
+Schemas are immutable after construction; evaluation is pure, so all
+operations here are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -382,7 +384,7 @@ class AttributeSchema:
             raise UnknownReference(f"unknown property {prop!r}") from None
 
     def column(self, prop: str) -> int:
-        """Index of ``prop`` in ``property_names``: its column of :func:`property_codes`."""
+        """Index of ``prop`` in ``property_names``: its column of :func:`extend_codes`."""
         try:
             return self._columns[prop]
         except KeyError:
@@ -413,19 +415,33 @@ def _apply(op, operands, codes: np.ndarray) -> np.ndarray:
     return op(*(operand(codes) for operand in operands))
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One annotated input: an id plus one value per schema attribute."""
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
 
-    id: str
-    values: dict[str, str]
+def code_attributes(schema: AttributeSchema, ids, values) -> np.ndarray:
+    """Domain index of every attribute in each attribute dict of ``values``:
+    ``int64[len(values) x attributes]``, columns in ``attribute_names`` order.
+    The one conformance check: only a failed lookup or attribute count calls
+    :func:`_check_attributes`, whose error names the sample by its entry of ``ids``."""
+    codes = np.empty((len(values), len(schema.attributes)), dtype=np.int64)
+    try:
+        if any(len(assigned) != len(schema.attributes) for assigned in values):
+            raise KeyError("an attribute outside the schema")
+        for i, name in enumerate(schema.attribute_names):  # one dict lookup per value
+            index = schema._indices[name]
+            codes[:, i] = [index[assigned[name]] for assigned in values]
+    except (KeyError, TypeError):  # TypeError: an unhashable value, such as a JSON list
+        for sample_id, assigned in zip(ids, values):
+            _check_attributes(schema, sample_id, assigned)
+    return codes
 
-    __hash__ = None  # dict field; identity lives in .id
 
-
-def validate_sample(schema: AttributeSchema, sample_id: str, values: dict[str, str]) -> Sample:
+def _check_attributes(schema: AttributeSchema, sample_id, values) -> None:
+    """AttributeMismatch, naming ``sample_id``, unless ``values`` is a mapping
+    that assigns each attribute, and nothing else, a value of its domain."""
     expected = schema.attribute_names
-    if values.keys() != set(expected):
+    if not isinstance(values, Mapping) or values.keys() != set(expected):
         raise AttributeMismatch(
             f"sample {sample_id!r} must assign exactly the attributes {list(expected)}"
         )
@@ -436,35 +452,6 @@ def validate_sample(schema: AttributeSchema, sample_id: str, values: dict[str, s
             raise AttributeMismatch(
                 f"sample {sample_id!r}: value {values[name]!r} not in domain of {name!r}"
             ) from None
-    return Sample(id=sample_id, values={name: values[name] for name in expected})
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def property_codes(schema: AttributeSchema, ids, values) -> np.ndarray:
-    """Domain index of every property in each attribute dict of ``values``:
-    ``int64[len(values) x properties]``, columns in ``property_names`` order."""
-    return extend_codes(schema, code_attributes(schema, ids, values))
-
-
-def code_attributes(schema: AttributeSchema, ids, values) -> np.ndarray:
-    """Domain index of every attribute in each attribute dict of ``values``:
-    ``int64[len(values) x attributes]``, columns in ``attribute_names`` order.
-    The one conformance check: only a failed lookup or attribute count calls
-    :func:`validate_sample`, whose error names the sample by its entry of ``ids``."""
-    codes = np.empty((len(values), len(schema.attributes)), dtype=np.int64)
-    try:
-        if any(len(assigned) != len(schema.attributes) for assigned in values):
-            raise KeyError("an attribute outside the schema")
-        for i, name in enumerate(schema.attribute_names):  # one dict lookup per value
-            index = schema._indices[name]
-            codes[:, i] = [index[assigned[name]] for assigned in values]
-    except (KeyError, TypeError):  # TypeError: an unhashable value, such as a JSON list
-        for sample_id, assigned in zip(ids, values):
-            validate_sample(schema, sample_id, assigned)
-    return codes
 
 
 def extend_codes(schema: AttributeSchema, attribute_codes: np.ndarray) -> np.ndarray:
@@ -474,15 +461,6 @@ def extend_codes(schema: AttributeSchema, attribute_codes: np.ndarray) -> np.nda
     for i, evaluate in enumerate(schema._evaluators, start=len(schema.attributes)):
         codes[:, i] = evaluate(codes)
     return codes
-
-
-def observed_values(schema: AttributeSchema, codes: np.ndarray) -> dict[str, tuple[str, ...]]:
-    """Per property, the values present in rows of ``property_codes``, in domain order:
-    the one-group view of :func:`observed_by_group`."""
-    codes = np.asarray(codes, dtype=np.int64)
-    rows = np.arange(len(codes))
-    (observed,) = observed_by_group(schema, codes.T, rows, np.zeros_like(rows), 1)
-    return dict(zip(schema.property_names, observed))
 
 
 def observed_by_group(
@@ -518,17 +496,6 @@ def run_starts(ordered: np.ndarray) -> np.ndarray:
     starts[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     return starts
-
-
-def eval_property(schema: AttributeSchema, sample: Sample, prop: str) -> str:
-    """Value of an attribute or hyperattribute on a sample.
-
-    A one-row view of :func:`property_codes`, so the result always lies in
-    ``schema.domain(prop)``.  An unknown name raises UnknownReference, and a
-    sample that does not conform to the schema AttributeMismatch.
-    """
-    codes = property_codes(schema, [sample.id], [sample.values])
-    return schema.domain(prop)[codes[0, schema.column(prop)]]
 
 
 # ---------------------------------------------------------------------------

@@ -92,16 +92,6 @@ def combination_codes(schema: AttributeSchema) -> np.ndarray:
     return np.indices(sizes).reshape(len(sizes), count).T
 
 
-def all_combinations(schema: AttributeSchema) -> list[dict[str, str]]:
-    """Every attribute assignment as a dict, in ``combination_codes`` order."""
-    names = schema.attribute_names
-    domains = [schema.domain(n) for n in names]
-    return [
-        dict(zip(names, map(tuple.__getitem__, domains, row)))
-        for row in combination_codes(schema).tolist()
-    ]
-
-
 @dataclass(frozen=True)
 class Codebook:
     """Sample-to-message map: fixed filler cells plus one cell per attribute.

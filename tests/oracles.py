@@ -7,6 +7,7 @@ beyond the public data types.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from functools import lru_cache
@@ -16,7 +17,7 @@ import numpy as np
 from emlang.corpus import AnnotatedCorpus
 from emlang.errors import AttributeMismatch, DocumentSyntaxError, LengthMismatch, TokenOutOfRange
 from emlang.rules import Pattern, RuleTable, SemanticRule
-from emlang.schema import And, Equals, Member, Not, Or, Ref, Sample, ValueMap
+from emlang.schema import And, Equals, Member, Not, Or, Ref, ValueMap
 
 
 def brute_levenshtein(a, b) -> int:
@@ -66,10 +67,30 @@ def brute_spearman(x, y) -> float:
     return num / math.sqrt(vx * vy)
 
 
+def attribute_product(schema) -> list[dict[str, str]]:
+    """Every attribute dict, in the order of ``itertools.product`` over the domains."""
+    names = schema.attribute_names
+    domains = [schema.domain(name) for name in names]
+    return [dict(zip(names, combo)) for combo in itertools.product(*domains)]
+
+
+def attribute_values(corpus) -> dict[str, dict[str, str]]:
+    """{sample id: {attribute: value}}, samples in ``sample_ids`` order, each
+    value spelt from its code through ``schema.domain``."""
+    schema = corpus.schema
+    return {
+        sample_id: {
+            name: schema.domain(name)[code]
+            for name, code in zip(schema.attribute_names, row)
+        }
+        for sample_id, row in zip(corpus.sample_ids, corpus.attribute_codes.tolist())
+    }
+
+
 def rows_by_sample(corpus) -> dict[str, tuple[tuple[tuple[int, ...], int], ...]]:
-    """{sample id: ((message, count), ...)}, every sample in ``samples``
+    """{sample id: ((message, count), ...)}, every sample in ``sample_ids``
     order and its rows in row order, read from the arrays one row at a time."""
-    ids = [sample.id for sample in corpus.samples]
+    ids = list(corpus.sample_ids)
     grouped = {sample_id: [] for sample_id in ids}
     rows = zip(corpus.owners.tolist(), corpus.messages.tolist(), corpus.counts.tolist())
     for owner, message, count in rows:
@@ -113,7 +134,7 @@ def naive_extract_rules(corpus, threshold: float, properties=None) -> RuleTable:
 
     # frequency filter, recomputed from scratch
     kept: dict[str, list[tuple[tuple[int, ...], int]]] = {}
-    samples = {sample.id: sample for sample in corpus.samples}
+    samples = attribute_values(corpus)
     for sample_id, messages in rows_by_sample(corpus).items():
         total = 0
         for _, count in messages:
@@ -128,7 +149,7 @@ def naive_extract_rules(corpus, threshold: float, properties=None) -> RuleTable:
     def group_messages(prop, value):
         out = []
         for sid in kept:
-            if naive_eval(schema, samples[sid].values, prop) == value:
+            if naive_eval(schema, samples[sid], prop) == value:
                 for message, _ in kept[sid]:
                     out.append(message)
         return out
@@ -175,7 +196,7 @@ def naive_extract_rules(corpus, threshold: float, properties=None) -> RuleTable:
         ]
         coverage = []
         for prop in schema.property_names:
-            observed = {naive_eval(schema, samples[sid].values, prop) for sid in covered}
+            observed = {naive_eval(schema, samples[sid], prop) for sid in covered}
             coverage.append(
                 (prop, tuple(v for v in schema.domain(prop) if v in observed))
             )
@@ -306,7 +327,7 @@ def naive_build_corpus(schema, vocab_size: int, message_length: int, records):
     """Record-by-record corpus builder: validate every record's attributes,
     merge repeats in a dict, sort, then check every row and token in Python."""
     names = schema.attribute_names
-    samples: dict[str, Sample] = {}
+    samples: dict[str, dict[str, str]] = {}
     merged: dict[str, dict[tuple, int]] = {}
     for sample_id, attrs, message, count in records:
         if sorted(attrs) != sorted(names):
@@ -314,10 +335,10 @@ def naive_build_corpus(schema, vocab_size: int, message_length: int, records):
         for name in names:
             if attrs[name] not in schema.domain(name):
                 raise AttributeMismatch(f"sample {sample_id!r}: {attrs[name]!r} not in {name!r}")
-        sample = Sample(id=sample_id, values={name: attrs[name] for name in names})
-        if sample_id in samples and samples[sample_id].values != sample.values:
+        values = {name: attrs[name] for name in names}
+        if sample_id in samples and samples[sample_id] != values:
             raise AttributeMismatch(f"sample {sample_id!r} annotated with conflicting values")
-        samples.setdefault(sample_id, sample)
+        samples.setdefault(sample_id, values)
         counts = merged.setdefault(sample_id, {})
         counts[message] = counts.get(message, 0) + count
     if not 1 <= message_length <= 2**16:
@@ -347,7 +368,7 @@ def naive_build_corpus(schema, vocab_size: int, message_length: int, records):
         message_length=message_length,
         sample_ids=tuple(ids),
         attribute_codes=np.array(
-            [[schema.domain(name).index(samples[i].values[name]) for name in names] for i in ids],
+            [[schema.domain(name).index(samples[i][name]) for name in names] for i in ids],
             dtype=np.int64,
         ).reshape(len(ids), len(names)),
         messages=np.array([message for _, message, _ in rows], dtype=np.int64).reshape(
@@ -366,9 +387,9 @@ def naive_serialize_corpus(corpus) -> str:
             ensure_ascii=False,
         )
     ]
-    for sample, messages in zip(corpus.samples, rows_by_sample(corpus).values()):
-        attrs = {name: sample.values[name] for name in corpus.schema.attribute_names}
+    values = attribute_values(corpus)
+    for sample_id, messages in rows_by_sample(corpus).items():
         for message, count in messages:
-            record = {"sample": sample.id, "attrs": attrs, "msg": list(message)}
+            record = {"sample": sample_id, "attrs": values[sample_id], "msg": list(message)}
             lines.append(json.dumps({**record, "count": count}, ensure_ascii=False))
     return "\n".join(lines) + "\n"

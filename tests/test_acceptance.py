@@ -22,7 +22,6 @@ from emlang.game import GameConfig, run_lewis_game
 from emlang.metrics import accuracy_per_speaker, levenshtein, spearman, topsim
 from emlang.rules import Pattern, RuleTable, SemanticRule, extract_rules
 from emlang.synth import (
-    all_combinations,
     concept_schema,
     gen_compositional,
     gen_holistic,
@@ -31,7 +30,7 @@ from emlang.synth import (
 from emlang.corpus import build_corpus
 
 from conftest import random_micro_corpus
-from oracles import brute_spearman, hamming, naive_extract_rules
+from oracles import attribute_product, brute_spearman, hamming, naive_extract_rules
 
 SHAPES = ("□", "○", "■", "●", "×")
 RELS = ("→", "↗", "↑", "↖")
@@ -232,7 +231,7 @@ def test_criterion_8_game_harness(moprd):
         moprd,
         20,
         10,
-        [(f"{i:02d}", combo, (0,) * 10, 1) for i, combo in enumerate(all_combinations(moprd))],
+        [(f"{i:02d}", combo, (0,) * 10, 1) for i, combo in enumerate(attribute_product(moprd))],
     )
     chance = run_lewis_game(constant, GameConfig(seed=101, candidate_count=5, episodes=10_000))
     assert 0.17 <= chance.values[0][0] <= 0.23

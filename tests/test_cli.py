@@ -16,7 +16,7 @@ from emlang import cli
 from emlang.cli import MAX_POPULATION
 from emlang.report import render_rule_table
 from emlang.rules import extract_rules
-from emlang.corpus import AnnotatedCorpus, build_corpus, load_corpus, serialize_corpus
+from emlang.corpus import build_corpus, load_corpus, serialize_corpus
 from emlang.schema import parse_schema, render_schema
 from emlang.synth import (
     MAX_SYNONYM_CELLS,
@@ -191,26 +191,6 @@ def test_synth_topsim_game_pipeline(tmp_path):
     )
     assert game.returncode == 0
     assert "Per-speaker mean: 1.0000" in game.stdout
-
-
-def test_no_command_spells_the_samples_view(workdir, tmp_path, monkeypatch):
-    """extract, topsim, game and synth --kind noisy work from sample ids and
-    codes: each succeeds while reading ``AnnotatedCorpus.samples`` raises."""
-
-    def unreachable(corpus):
-        raise AssertionError("a command spelt the samples view")
-
-    monkeypatch.setattr(AnnotatedCorpus, "samples", property(unreachable))
-    inputs = ["--corpus", str(workdir / "corpus.jsonl"), "--schema", "moprd"]
-    for command, *argv in (
-        ["extract", "--format", "markdown"],
-        ["topsim", "--max-pairs", "50", "--seed", "1"],
-        ["game", "--candidates", "3", "--episodes", "20", "--seed", "1"],
-        ["synth", "--kind", "noisy", "--seed", "1"],
-    ):
-        out = tmp_path / f"{command}.out"
-        assert cli.main([command, *inputs, *argv, "--out", str(out)]) == 0
-        assert out.stat().st_size > 0
 
 
 # A schema with a value map, an expression over it and a one-value attribute,

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import copy
 import json
-import pickle
 import random
 import re
 from dataclasses import replace
@@ -22,7 +21,7 @@ from emlang.corpus import (
     build_corpus,
     filter_by_frequency,
     load_corpus,
-    representative_message,
+    representative_of,
     serialize_corpus,
 )
 from emlang.errors import (
@@ -33,20 +32,25 @@ from emlang.errors import (
     EmptySample,
     LengthMismatch,
     TokenOutOfRange,
-    UnknownSample,
 )
 from emlang.schema import (
     Attribute,
     AttributeSchema,
-    Sample,
     code_attributes,
     extend_codes,
     parse_schema,
 )
-from emlang.synth import all_combinations, concept_schema, gen_holistic, gen_noisy
+from emlang.synth import concept_schema, gen_holistic, gen_noisy
 
 from conftest import mutate
-from oracles import naive_build_corpus, naive_load_corpus, naive_serialize_corpus, rows_by_sample
+from oracles import (
+    attribute_product,
+    attribute_values,
+    naive_build_corpus,
+    naive_load_corpus,
+    naive_serialize_corpus,
+    rows_by_sample,
+)
 
 TINY = parse_schema('{"attributes": [{"name": "a", "values": ["x", "y"]}]}')
 
@@ -76,7 +80,7 @@ def test_moprd_shaped_file(moprd):
     lines = ['{"meta": {"vocab_size": 20, "msg_len": 10}}']
     import json
 
-    for index, combo in enumerate(all_combinations(moprd)):
+    for index, combo in enumerate(attribute_product(moprd)):
         lines.append(
             json.dumps(
                 {"sample": f"{index:02d}", "attrs": combo, "msg": [index % 20] * 10},
@@ -197,9 +201,10 @@ def test_derived_corpora_never_call_property_codes(monkeypatch, reference_corpus
 
     monkeypatch.setattr("emlang.corpus.code_attributes", counted)
     monkeypatch.setattr("emlang.corpus.extend_codes", counted_extend)
+    values = attribute_values(reference_corpus)
     records = [
-        (sample.id, sample.values, tuple(message), 10 * count)
-        for sample, rows in zip(reference_corpus.samples, rows_by_sample(reference_corpus).values())
+        (sample_id, values[sample_id], tuple(message), 10 * count)
+        for sample_id, rows in rows_by_sample(reference_corpus).items()
         for message, count in rows
     ]
     reference = reference_corpus
@@ -233,6 +238,9 @@ def test_construction_checks_samples_against_the_schema():
         ({"a": ["x"]}, "value ['x'] not in domain of 'a'"),
         ({}, "must assign exactly the attributes ['a']"),
         ({"a": "x", "b": "x"}, "must assign exactly the attributes ['a']"),
+        (["x"], "must assign exactly the attributes ['a']"),  # attrs that are no mapping
+        ("x", "must assign exactly the attributes ['a']"),
+        (None, "must assign exactly the attributes ['a']"),
     ]:
         expected = re.escape("sample 'u'") + ".*" + re.escape(reason)
         with pytest.raises(AttributeMismatch, match=expected):
@@ -272,21 +280,53 @@ def test_a_non_conforming_sample_comes_before_a_conflict():
         build_corpus(TINY, 4, 2, records[1:] + records[:1])
 
 
-def test_samples_view_is_spelt_afresh_on_every_read(moprd):
-    """``samples`` equals the samples build_corpus was given, sorted by id;
-    mutating one read changes neither a second read nor the serialized text,
-    and a corpus pickles after it was read."""
-    combinations = all_combinations(moprd)[:6]
-    records = [(f"s{5 - i}", combo, (i, 0), 1) for i, combo in enumerate(combinations)]
-    corpus = build_corpus(moprd, 6, 2, records)
-    expected = tuple(Sample(sample_id, combo) for sample_id, combo, _, _ in reversed(records))
-    assert corpus.samples == expected
-    text = serialize_corpus(corpus)
-    corpus.samples[0].values["shape1"] = "zzz"
-    assert corpus.samples == expected
-    assert serialize_corpus(corpus) == text
-    thawed = pickle.loads(pickle.dumps(corpus))
-    assert thawed == corpus and thawed.samples == expected
+def test_an_unhashable_sample_id_is_a_syntax_error():
+    """Worded as a non-string id is, after the attributes of the records
+    before it and its own."""
+    x = ("s", {"a": "x"}, (1, 2), 1)
+    with pytest.raises(DocumentSyntaxError, match=re.escape("sample id ['x'] is not a string")):
+        build_corpus(TINY, 4, 2, [x, (["x"], {"a": "x"}, (0, 3), 1)])
+    with pytest.raises(AttributeMismatch, match=re.escape("sample ['x']: value 'z'")):
+        build_corpus(TINY, 4, 2, [x, (["x"], {"a": "z"}, (0, 3), 1)])
+    with pytest.raises(AttributeMismatch, match="sample 's': value 'z'"):
+        build_corpus(TINY, 4, 2, [("s", {"a": "z"}, (1, 2), 1), (["x"], {"a": "x"}, (0, 3), 1)])
+
+
+def test_non_integer_tokens_and_counts_are_refused():
+    """A float, bool or other non-integer token or count is a syntax error,
+    as it is in a corpus file, not truncated by a cast; integer arrays of any
+    width and numpy integer entries are taken, and an integer array is not
+    read entry by entry."""
+    corpus = build_corpus(TINY, 4, 2, [("s", {"a": "x"}, (0, 1), 2)])
+    for message, count, bad in [
+        ((0.7, 1.9), 1, "message token 0.7"),
+        ((True, 1), 1, "message token True"),
+        ((0, "1"), 1, "message token '1'"),
+        ((0, 1), 2.9, "message count 2.9"),
+        ((0, 1), True, "message count True"),
+        ((0, 1), None, "message count None"),
+    ]:
+        with pytest.raises(DocumentSyntaxError, match=re.escape(f"{bad} is not an integer")):
+            build_corpus(TINY, 4, 2, [("s", {"a": "x"}, message, count)])
+    for change in [
+        {"counts": np.array([2.9])},
+        {"counts": np.array([True])},
+        {"messages": np.array([[0.0, 1.0]])},
+        {"messages": np.ones((1, 2), dtype=bool)},
+    ]:
+        with pytest.raises(DocumentSyntaxError, match="is not an integer"):
+            replace(corpus, **change)
+    numpy_entries = [("s", {"a": "x"}, (np.int8(0), np.uint64(1)), np.int32(2))]
+    assert build_corpus(TINY, 4, 2, numpy_entries) == corpus
+    narrow = replace(corpus, messages=corpus.messages.astype(np.uint8), counts=np.array([2], np.int16))
+    assert narrow == corpus
+
+    class Unread(np.ndarray):
+        def __iter__(self):
+            raise AssertionError("an integer array was read entry by entry")
+
+    unread = corpus.messages.view(Unread), corpus.counts.view(Unread)
+    assert replace(corpus, messages=unread[0], counts=unread[1]) == corpus
 
 
 def test_build_corpus_copies_the_attribute_dicts():
@@ -294,7 +334,7 @@ def test_build_corpus_copies_the_attribute_dicts():
     corpus = build_corpus(TINY, 4, 2, [("s", values, (0, 0), 1)])
     values["a"] = "y"
     values["b"] = "x"
-    assert corpus.samples[0].values == {"a": "x"}
+    assert attribute_values(corpus) == {"s": {"a": "x"}}
     assert corpus.attribute_codes.tolist() == [[0]]
     assert corpus == build_corpus(TINY, 4, 2, [("s", {"a": "x"}, (0, 0), 1)])
 
@@ -532,14 +572,17 @@ def test_every_retained_share_meets_threshold():
 
 
 def test_representative_message():
-    corpus = share_corpus({(1, 2): 5, (1, 3): 2})
-    assert representative_message(corpus, "s") == (1, 2)
-    tie = share_corpus({(2, 1): 3, (1, 3): 3})
-    assert representative_message(tie, "s") == (1, 3)
-    single = share_corpus({(0, 3): 1})
-    assert representative_message(single, "s") == (0, 3)
-    with pytest.raises(UnknownSample):
-        representative_message(single, "nope")
+    """Each sample's highest-count message; a tie goes to the smallest message."""
+
+    def representative(corpus):
+        return corpus.messages[representative_of(corpus)].tolist()
+
+    assert representative(share_corpus({(1, 2): 5, (1, 3): 2})) == [[1, 2]]
+    assert representative(share_corpus({(2, 1): 3, (1, 3): 3})) == [[1, 3]]
+    assert representative(share_corpus({(0, 3): 1})) == [[0, 3]]
+    two = build_corpus(TINY, 4, 2, [("t", {"a": "y"}, (3, 3), 2), ("t", {"a": "y"}, (0, 1), 1),
+                                    ("s", {"a": "x"}, (2, 2), 1), ("s", {"a": "x"}, (1, 1), 1)])
+    assert representative(two) == [[1, 1], [3, 3]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -851,7 +894,9 @@ def test_constructor_arguments_raise_emlang_errors_only(data):
     rows = corpus.messages, corpus.owners, corpus.counts
     rebuilt = AnnotatedCorpus(TWO, 4, 2, corpus.sample_ids, corpus.attribute_codes, *rows)
     assert rebuilt == corpus
-    assert rebuilt.samples == corpus.samples == tuple(Sample(i, annotation[i]) for i in sorted(ids))
+    spelt = attribute_values(rebuilt)
+    assert spelt == attribute_values(corpus) == {i: annotation[i] for i in ids}
+    assert list(spelt) == sorted(ids)
     order = np.array(draw(st.permutations(range(len(ids)))))
     rank = np.argsort(order)  # new position of each sample
     sample_ids = [corpus.sample_ids[k] for k in order]

@@ -20,14 +20,20 @@ from emlang.game import (
 )
 from emlang.metrics import accuracy_per_speaker
 from emlang.schema import parse_schema
-from emlang.synth import all_combinations, gen_compositional, gen_noisy
-from oracles import closed_form_accuracy, floyd_candidates, rows_by_sample
+from emlang.synth import gen_compositional, gen_noisy
+from oracles import (
+    attribute_product,
+    attribute_values,
+    closed_form_accuracy,
+    floyd_candidates,
+    rows_by_sample,
+)
 
 
 def constant_corpus(moprd):
     records = [
         (f"{i:02d}", combo, (0,) * 10, 1)
-        for i, combo in enumerate(all_combinations(moprd))
+        for i, combo in enumerate(attribute_product(moprd))
     ]
     return build_corpus(moprd, 20, 10, records)
 
@@ -97,20 +103,42 @@ def test_config_validation(moprd):
         run_lewis_game(corpus, GameConfig(seed=1, candidate_count=5, episodes=0))
 
 
+def test_config_fields_must_be_integers(moprd):
+    """A seed, candidate count or episode count that is not an integer, bool
+    included, is a ConfigError; numpy integers play the matrix of their value."""
+    corpus, _ = gen_compositional(moprd, 10, 20, seed=4)
+    noisy = gen_noisy(corpus, 1, 0.4, seed=1)
+    for field, value in [
+        ("seed", "a"), ("seed", 1.0), ("seed", True), ("seed", None),
+        ("candidate_count", 2.5), ("candidate_count", True), ("candidate_count", np.float64(3)),
+        ("episodes", 2.5), ("episodes", "5"), ("episodes", True), ("episodes", np.bool_(True)),
+    ]:
+        config = GameConfig(**{"seed": 1, "candidate_count": 5, "episodes": 10, field: value})
+        with pytest.raises(ConfigError, match="must be an integer"):
+            run_lewis_game(corpus, config)
+    config = GameConfig(seed=3, candidate_count=5, episodes=50, speakers=(noisy,))
+    matrix = run_lewis_game(corpus, config)
+    assert matrix.episodes_per_cell == 50 and matrix.values[0][0] < 1.0
+    numpy_config = replace(
+        config, seed=np.int64(3), candidate_count=np.int32(5), episodes=np.uint16(50)
+    )
+    assert run_lewis_game(corpus, numpy_config) == matrix
+
+
 def coarse_corpus(language):
     """Each sample speaks (count 3) the message ``language`` gives the first
     sample sharing its shape1, so listeners see ties; odd samples also speak
     (count 1) the one ``language`` gives the first sample sharing its shape2."""
     first = {}
-    for sample, messages in zip(language.samples, rows_by_sample(language).values()):
+    values = attribute_values(language)
+    for sample_id, messages in rows_by_sample(language).items():
         for prop in ("shape1", "shape2"):
-            first.setdefault((prop, sample.values[prop]), messages[0][0])
+            first.setdefault((prop, values[sample_id][prop]), messages[0][0])
     records = []
-    for i, sample in enumerate(language.samples):
-        attrs = {name: sample.values[name] for name in language.schema.attribute_names}
-        records.append((sample.id, attrs, first["shape1", attrs["shape1"]], 3))
+    for i, (sample_id, attrs) in enumerate(values.items()):
+        records.append((sample_id, attrs, first["shape1", attrs["shape1"]], 3))
         if i % 2:
-            records.append((sample.id, attrs, first["shape2", attrs["shape2"]], 1))
+            records.append((sample_id, attrs, first["shape2", attrs["shape2"]], 1))
     return build_corpus(language.schema, language.vocab_size, language.message_length, records)
 
 
@@ -183,7 +211,7 @@ def two_message_corpus(moprd):
     """Every sample speaks the same two messages once each: every share ties."""
     records = [
         (f"{i:02d}", combo, (token,) * 10, 1)
-        for i, combo in enumerate(all_combinations(moprd))
+        for i, combo in enumerate(attribute_product(moprd))
         for token in (0, 1)
     ]
     return build_corpus(moprd, 20, 10, records)
@@ -252,9 +280,10 @@ def test_candidates_match_floyd_oracle(n, k):
 def test_ids_differing_by_a_trailing_nul_are_distinct_samples(moprd):
     corpus, _ = gen_compositional(moprd, 10, 20, seed=1)
     rows = rows_by_sample(corpus)
+    values = attribute_values(corpus)
     records = [
-        (sample_id, sample.values, rows[sample.id][0][0], 1)
-        for sample_id, sample in zip(("a", "a\x00"), corpus.samples)
+        (sample_id, values[source], rows[source][0][0], 1)
+        for sample_id, source in zip(("a", "a\x00"), corpus.sample_ids)
     ]
     pair = build_corpus(moprd, 20, 10, records)
     matrix = run_lewis_game(pair, GameConfig(seed=1, candidate_count=2, episodes=100))
@@ -306,7 +335,7 @@ def test_listener_table_is_message_major(data):
     _, message_ids = np.unique(stacked, axis=0, return_inverse=True)
     bounds = np.cumsum([len(corpus.messages) for corpus in corpora])[:-1]
     for corpus, ids in zip(corpora, np.split(message_ids.reshape(-1), bounds)):
-        n = len(corpus.samples)
+        n = len(corpus.sample_ids)
         keys, shares = _listener_table(corpus, ids, n)
         assert (np.diff(keys) > 0).all()
         rows = zip(ids.tolist(), corpus.owners.tolist(), corpus.counts.tolist())
@@ -351,7 +380,10 @@ def test_top_owner_is_the_pick_among_all_samples(data):
 def test_agents_must_hold_the_game_samples(moprd):
     corpus, _ = gen_compositional(moprd, 10, 20, seed=4)
     rows = rows_by_sample(corpus)
-    records = [(sample.id, sample.values, rows[sample.id][0][0], 1) for sample in corpus.samples]
+    records = [
+        (sample_id, attrs, rows[sample_id][0][0], 1)
+        for sample_id, attrs in attribute_values(corpus).items()
+    ]
     fewer = build_corpus(moprd, 20, 10, records[:50])
     renamed = build_corpus(moprd, 20, 10, [("x" + r[0], *r[1:]) for r in records])
     longer = build_corpus(moprd, 20, 11, [(*r[:2], r[2] + (0,), 1) for r in records])

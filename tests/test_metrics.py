@@ -16,17 +16,24 @@ from emlang.metrics import (
     AccuracyMatrix,
     _pairs,
     accuracy_per_speaker,
-    attribute_edit_distance,
     average_ranks,
     levenshtein,
     pairwise_levenshtein,
     spearman,
     topsim,
 )
-from emlang.schema import Attribute, AttributeSchema, validate_sample
-from emlang.synth import all_combinations, gen_compositional, gen_holistic, gen_noisy
+from emlang.schema import Attribute, AttributeSchema
+from emlang.synth import gen_compositional, gen_holistic, gen_noisy
 
-from oracles import brute_levenshtein, brute_spearman, hamming, rows_by_sample
+from oracles import (
+    attribute_product,
+    attribute_values,
+    brute_levenshtein,
+    brute_spearman,
+    hamming,
+    naive_eval,
+    rows_by_sample,
+)
 
 messages = st.lists(st.integers(0, 5), min_size=0, max_size=8).map(tuple)
 
@@ -70,25 +77,54 @@ def test_levenshtein_bounded_by_hamming(n, data):
 # Attribute edit distance
 # ---------------------------------------------------------------------------
 
-def test_attribute_edit_distance(moprd):
-    def s(s1, s2, rel):
-        return validate_sample(moprd, "x", {"shape1": s1, "shape2": s2, "relationship": rel})
+def moprd_corpus(moprd, samples: dict[str, tuple[tuple[str, str, str], tuple[int, ...]]]):
+    """One record per sample id: its (shape1, shape2, relationship) and message."""
+    records = [
+        (sample_id, dict(zip(moprd.attribute_names, values)), message, 1)
+        for sample_id, (values, message) in samples.items()
+    ]
+    return build_corpus(moprd, 2, 3, records)
 
-    assert attribute_edit_distance(s("○", "○", "→"), s("○", "●", "→"), moprd) == 1
-    assert attribute_edit_distance(s("○", "○", "→"), s("○", "○", "→"), moprd) == 0
-    assert attribute_edit_distance(s("○", "○", "→"), s("■", "●", "↑"), moprd) == 3
+
+def test_attribute_edit_distance(moprd):
+    """TopSim's attribute distance counts the attributes whose values differ,
+    hyperattributes excluded: pairs (a, b) .. (c, d) lie 2, 1, 1, 2, 3, 2
+    apart.  Counting moprd's hyperattributes too would give another rho."""
+    corpus = moprd_corpus(moprd, {
+        "a": (("○", "○", "→"), (0, 0, 0)),
+        "b": (("□", "×", "→"), (1, 1, 0)),
+        "c": (("●", "○", "→"), (0, 0, 1)),
+        "d": (("○", "○", "↗"), (0, 1, 0)),
+    })
+    values, rows = attribute_values(corpus), rows_by_sample(corpus)
+    pairs = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+    msg = [brute_levenshtein(rows[x][0][0], rows[y][0][0]) for x, y in pairs]
+    every_property = [
+        sum(naive_eval(moprd, values[x], p) != naive_eval(moprd, values[y], p)
+            for p in moprd.property_names)
+        for x, y in pairs
+    ]
+    rho = topsim(corpus).rho
+    assert rho == pytest.approx(brute_spearman([2, 1, 1, 2, 3, 2], msg), abs=1e-12)
+    assert rho != pytest.approx(brute_spearman(every_property, msg), abs=1e-3)
 
 
 def test_attribute_edit_distance_rejects_foreign_samples(moprd):
-    from emlang.schema import Sample
-
-    good = validate_sample(moprd, "x", {"shape1": "○", "shape2": "○", "relationship": "→"})
-    bad = Sample(id="y", values={"shape1": "○"})
-    with pytest.raises(AttributeMismatch):
-        attribute_edit_distance(good, bad, moprd)
-    foreign = Sample(id="z", values={"shape1": "pentagon", "shape2": "○", "relationship": "→"})
+    """The distance reads only attribute codes the corpus checked: a sample
+    missing an attribute, or with a value or code outside its domain, makes
+    no corpus."""
+    corpus = moprd_corpus(moprd, {
+        "x": (("○", "○", "→"), (0, 0, 0)),
+        "y": (("●", "○", "→"), (1, 0, 0)),
+    })
+    good = ("x", {"shape1": "○", "shape2": "○", "relationship": "→"}, (0, 0, 0), 1)
+    with pytest.raises(AttributeMismatch, match="sample 'y' must assign exactly"):
+        build_corpus(moprd, 2, 3, [good, ("y", {"shape1": "○"}, (1, 0, 0), 1)])
+    foreign = {"shape1": "pentagon", "shape2": "○", "relationship": "→"}
     with pytest.raises(AttributeMismatch, match="value 'pentagon' not in domain of 'shape1'"):
-        attribute_edit_distance(good, foreign, moprd)
+        build_corpus(moprd, 2, 3, [good, ("z", foreign, (1, 0, 0), 1)])
+    with pytest.raises(AttributeMismatch, match="sample 'y': code 5 outside the domain of 'shape1'"):
+        replace(corpus, attribute_codes=[[1, 1, 0], [5, 1, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +215,7 @@ def test_topsim_compositional_is_one(moprd):
 def test_topsim_identical_messages_zero_variance(moprd):
     records = [
         (f"{i:02d}", combo, (1, 1, 1), 1)
-        for i, combo in enumerate(all_combinations(moprd))
+        for i, combo in enumerate(attribute_product(moprd))
     ]
     corpus = build_corpus(moprd, 4, 3, records)
     with pytest.raises(ZeroVariance):
@@ -191,13 +227,14 @@ def test_topsim_token_relabelling_invariance(moprd):
     base = topsim(corpus).rho
     permutation = list(range(20))
     random.Random(3).shuffle(permutation)
+    values = attribute_values(corpus)
     relabelled = build_corpus(
         moprd,
         20,
         10,
         [
-            (sample.id, sample.values, tuple(permutation[t] for t in m), c)
-            for sample, messages in zip(corpus.samples, rows_by_sample(corpus).values())
+            (sample_id, values[sample_id], tuple(permutation[t] for t in m), c)
+            for sample_id, messages in rows_by_sample(corpus).items()
             for m, c in messages
         ],
     )
@@ -220,9 +257,11 @@ def test_topsim_needs_three_samples(moprd):
     """Two samples give one pair, which cannot be ranked."""
     corpus, _ = gen_compositional(moprd, 10, 20, 0)
 
+    values, rows = attribute_values(corpus), rows_by_sample(corpus)
+
     def corpus_of(*indices):
-        samples = [corpus.samples[i] for i in indices]
-        records = [(s.id, s.values, m, c) for s in samples for m, c in rows_by_sample(corpus)[s.id]]
+        ids = [corpus.sample_ids[i] for i in indices]
+        records = [(i, values[i], m, c) for i in ids for m, c in rows[i]]
         return build_corpus(moprd, 20, 10, records)
 
     for indices in ((0,), (0, 1)):
@@ -481,7 +520,8 @@ def test_topsim_golden_rho_over_many_blocks(msg_len, vocab, synonyms, share, see
     )
     base, _ = gen_compositional(schema, msg_len, vocab, seed)
     corpus = gen_noisy(base, synonyms, share, seed=seed)
-    assert 2 * metrics._CHUNK < max_pairs < len(corpus.samples) * (len(corpus.samples) - 1) // 2
+    n = len(corpus.sample_ids)
+    assert 2 * metrics._CHUNK < max_pairs < n * (n - 1) // 2
     assert repr(topsim(corpus).rho) == exact
     assert repr(topsim(corpus, max_pairs=max_pairs, seed=seed).rho) == sampled
 

@@ -12,14 +12,19 @@ from emlang.errors import EmptyCorpus, EmptyInput, UnknownReference
 from emlang.rules import (
     Pattern,
     constant_positions,
-    coverage_summary,
     extract_rules,
     global_constants,
 )
-from emlang.schema import AttributeSchema, Attribute, eval_property, parse_schema
+from emlang.schema import AttributeSchema, Attribute, parse_schema
 from emlang.synth import concept_schema, gen_holistic, gen_noisy
 
-from oracles import naive_extract_rules, rows_by_sample
+from oracles import (
+    attribute_product,
+    attribute_values,
+    naive_eval,
+    naive_extract_rules,
+    rows_by_sample,
+)
 
 
 def test_constant_positions_single_message():
@@ -98,11 +103,9 @@ def test_extract_on_two_by_two():
 
 
 def test_fully_invariant_language_collapses_to_one_empty_rule(moprd):
-    from emlang.synth import all_combinations
-
     records = [
         (f"{i:02d}", combo, (7, 7, 7), 1)
-        for i, combo in enumerate(all_combinations(moprd))
+        for i, combo in enumerate(attribute_product(moprd))
     ]
     corpus = build_corpus(moprd, 8, 3, records)
     table = extract_rules(corpus, threshold=0.15)
@@ -117,40 +120,33 @@ def test_fully_invariant_language_collapses_to_one_empty_rule(moprd):
 
 
 def test_coverage_summary_cases(reference_corpus, moprd):
-    coverage, support = coverage_summary(reference_corpus, Pattern.from_dict({}))
+    """Hand-computed support and coverage of rules of the reference language."""
+    rules = {rule.pattern.cells: rule for rule in extract_rules(reference_corpus).rules}
+
+    def summary(*cells):
+        rule = rules[cells]
+        return dict(rule.coverage), rule.support
+
+    coverage, support = summary()  # the empty pattern covers every sample
     assert support == 100
     for prop in moprd.property_names:
         assert coverage[prop] == moprd.domain(prop)
 
     # {2:12, 8:10} matches every sample except both-filled pairs and the two
     # mixed circle/filled-square pairs; only all_fill is pinned.
-    coverage, support = coverage_summary(reference_corpus, Pattern.from_dict({2: 12, 8: 10}))
+    coverage, support = summary((2, 12), (8, 10))
     assert support == 76
     assert coverage["all_fill"] == ("F",)
     assert coverage["shape1"] == moprd.domain("shape1")
     assert coverage["shape2"] == moprd.domain("shape2")
     assert coverage["all_empty"] == ("F", "T")
 
-    # position 8 = 11 happens only for the two mixed circle/filled-square pairs
-    coverage, support = coverage_summary(reference_corpus, Pattern.from_dict({8: 11}))
-    assert support == 8
-    assert coverage["shape1"] == ("○", "■")
-    assert coverage["all_fill"] == ("F",)
-
-
-def test_coverage_of_unused_pattern_is_empty(reference_corpus):
-    coverage, support = coverage_summary(reference_corpus, Pattern.from_dict({0: 1}))
-    assert support == 0
-    assert all(values == () for values in coverage.values())
-
-
-def test_coverage_of_a_token_past_int64_is_empty():
-    """2**63 + 5 is no token of the corpus, although as a float it equals 2**63 - 1."""
-    corpus = build_corpus(TWO_BY_TWO, 2**63, 2, [
-        ("0", {"size": "small", "tone": "dark"}, (2**63 - 1, 0), 1),
-    ])
-    assert coverage_summary(corpus, Pattern.from_dict({0: 2**63 + 5}))[1] == 0
-    assert coverage_summary(corpus, Pattern.from_dict({0: 2**63 - 1}))[1] == 1
+    # position 2 = 10 happens only when both shapes are filled: 2 x 2 x 4 samples
+    coverage, support = summary((2, 10), (8, 10), (9, 10))
+    assert support == 16
+    assert coverage["shape1"] == coverage["shape2"] == ("■", "●")
+    assert coverage["all_fill"] == ("T",)
+    assert coverage["relationship"] == moprd.domain("relationship")
 
 
 def test_coverage_single_sample():
@@ -158,9 +154,10 @@ def test_coverage_single_sample():
         ("0", {"size": "small", "tone": "dark"}, (0, 2), 1),
         ("1", {"size": "large", "tone": "light"}, (1, 3), 1),
     ])
-    coverage, support = coverage_summary(corpus, Pattern.from_dict({0: 0}))
-    assert support == 1
-    assert coverage == {"size": ("small",), "tone": ("dark",)}
+    rules = {rule.pattern.cells: rule for rule in extract_rules(corpus, threshold=0.0).rules}
+    rule = rules[(0, 0), (1, 2)]
+    assert rule.support == 1
+    assert dict(rule.coverage) == {"size": ("small",), "tone": ("dark",)}
 
 
 def test_extract_rejects_unknown_property(reference_corpus):
@@ -182,6 +179,7 @@ def test_rule_invariants_hold(reference_corpus):
     filtered = filter_by_frequency(reference_corpus, 0.15)
     schema = filtered.schema
     global_pos = set(table.global_constants.positions)
+    values = attribute_values(filtered)
 
     seen_patterns = set()
     evidence_owner: dict[tuple, int] = {}
@@ -193,16 +191,15 @@ def test_rule_invariants_hold(reference_corpus):
         for prop, value in rule.evidence:
             assert (prop, value) not in evidence_owner
             evidence_owner[(prop, value)] = index
-            for sample, messages in zip(filtered.samples, rows_by_sample(filtered).values()):
-                if eval_property(schema, sample, prop) == value:
+            for sample_id, messages in rows_by_sample(filtered).items():
+                if naive_eval(schema, values[sample_id], prop) == value:
                     for message, _ in messages:
                         assert all(message[pos] == tok for pos, tok in rule.pattern.cells)
 
     for prop in schema.property_names:
         for value in schema.domain(prop):
             populated = any(
-                eval_property(schema, sample, prop) == value
-                for sample in filtered.samples
+                naive_eval(schema, attrs, prop) == value for attrs in values.values()
             )
             assert populated == ((prop, value) in evidence_owner)
 
@@ -264,12 +261,12 @@ def test_deep_hyperattribute_chain_is_evaluated_once_per_level():
         "attributes": [{"name": "flag", "values": ["F", "T"]}],
         "hyperattributes": hypers,
     }))
+    start = time.perf_counter()
     corpus = build_corpus(schema, 2, 1, [
         ("0", {"flag": "F"}, (0,), 1),
         ("1", {"flag": "T"}, (1,), 1),
     ])
-    start = time.perf_counter()
-    assert eval_property(schema, corpus.samples[1], "h200") == "T"
+    assert schema.domain("h200")[corpus.codes[1, schema.column("h200")]] == "T"
     table = extract_rules(corpus, threshold=0.0)
     assert time.perf_counter() - start < 1.0
     assert [rule.pattern for rule in table.rules] == [
@@ -308,20 +305,20 @@ def test_matches_exhaustive_oracle_with_keys_past_one_int64(seed):
 @pytest.mark.parametrize("top", [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1])
 def test_matches_exhaustive_oracle_at_integer_type_edges(top):
     """The kernel gathers tokens through the narrowest integer type that holds
-    the largest one, so a token at each type's edge must come back intact."""
+    the largest one, so a token at each type's edge must come back intact, in
+    the patterns and in the coverage of the rules that hold it: position 0
+    carries ``top`` exactly for the small samples, the other three are random."""
     rng = random.Random(top)
     records = []
     for sample in range(12):
         values = {"size": rng.choice(("small", "large")), "tone": rng.choice(("dark", "light"))}
         for _ in range(rng.randint(1, 3)):
-            message = tuple(rng.choice((0, 1, top - 1, top)) for _ in range(4))
-            records.append((str(sample), values, message, rng.randint(1, 4)))
+            message = tuple(rng.choice((0, 1, top - 1, top)) for _ in range(3))
+            first = top if values["size"] == "small" else top - 1
+            records.append((str(sample), values, (first, *message), rng.randint(1, 4)))
     corpus = build_corpus(TWO_BY_TWO, top + 1, 4, records)
     for threshold in (0.0, 0.3):
-        assert extract_rules(corpus, threshold) == naive_extract_rules(corpus, threshold)
-    for pattern in (Pattern.from_dict({0: top}), Pattern.from_dict({1: top, 3: top - 1})):
-        covered = sum(
-            any(all(message[p] == t for p, t in pattern.cells) for message, _ in rows)
-            for rows in rows_by_sample(corpus).values()
-        )
-        assert coverage_summary(corpus, pattern)[1] == covered
+        table = extract_rules(corpus, threshold)
+        assert table == naive_extract_rules(corpus, threshold)
+        (rule,) = [rule for rule in table.rules if ("size", "small") in rule.evidence]
+        assert rule.pattern.cells[0] == (0, top) and dict(rule.coverage)["size"] == ("small",)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -27,21 +28,18 @@ from emlang.schema import (
     Not,
     Or,
     Ref,
-    Sample,
     ValueMap,
-    eval_property,
+    code_attributes,
     extend_codes,
-    observed_values,
+    observed_by_group,
     parse_expression,
     parse_schema,
-    property_codes,
     render_expression,
     render_schema,
-    validate_sample,
 )
-from emlang.synth import all_combinations, gen_holistic
+from emlang.synth import combination_codes, gen_holistic
 
-from oracles import naive_eval
+from oracles import attribute_product, naive_eval
 
 GROUPED_ENTITIES = """
 {
@@ -60,10 +58,16 @@ GROUPED_ENTITIES = """
 """
 
 
-def sample_of(schema, s1, s2, rel):
-    return validate_sample(
-        schema, "s", {"shape1": s1, "shape2": s2, "relationship": rel}
-    )
+def extended_codes(schema, rows):
+    """The ``extend_codes`` columns of the ``code_attributes`` codes of the
+    attribute dicts ``rows``, sample ids counting from 0."""
+    return extend_codes(schema, code_attributes(schema, list(map(str, range(len(rows)))), rows))
+
+
+def evaluate(schema, values) -> dict[str, str]:
+    """Each property's value on one attribute dict, read from its code."""
+    (row,) = extended_codes(schema, [values]).tolist()
+    return {prop: schema.domain(prop)[code] for prop, code in zip(schema.property_names, row)}
 
 
 def test_moprd_document_shape(moprd):
@@ -120,7 +124,7 @@ def test_long_hyperattribute_chain():
     schema = parse_schema(
         json.dumps({"attributes": [{"name": "a", "values": ["F", "T"]}], "hyperattributes": links})
     )
-    codes = property_codes(schema, ["f", "t"], [{"a": "F"}, {"a": "T"}])
+    codes = extended_codes(schema, [{"a": "F"}, {"a": "T"}])
     assert codes.shape == (2, 10_001)
     assert (codes == codes[:, :1]).all()
     assert codes[:, 0].tolist() == [0, 1]
@@ -131,8 +135,8 @@ def test_long_hyperattribute_chain():
     [("fill1", "T"), ("aligned", "T"), ("all_fill", "F")],
 )
 def test_eval_on_filled_circle_cross_top(moprd, prop, expected):
-    sample = sample_of(moprd, "●", "×", "↑")
-    assert eval_property(moprd, sample, prop) == expected
+    values = evaluate(moprd, {"shape1": "●", "shape2": "×", "relationship": "↑"})
+    assert values[prop] == expected
 
 
 def test_property_domains(moprd):
@@ -144,8 +148,7 @@ def test_property_domains(moprd):
 
 def test_value_map_evaluation():
     grouped = parse_schema(GROUPED_ENTITIES)
-    sample = validate_sample(grouped, "img", {"entity": "giraffe"})
-    assert eval_property(grouped, sample, "group_entity") == "animal"
+    assert evaluate(grouped, {"entity": "giraffe"})["group_entity"] == "animal"
 
 
 def test_compiled_schema_pickles_with_its_corpus():
@@ -160,9 +163,9 @@ def test_compiled_schema_pickles_with_its_corpus():
     corpus = gen_holistic(schema, 4, 8, seed=1)
     copy = pickle.loads(pickle.dumps(corpus))
     assert copy == corpus
-    rows = all_combinations(schema)
-    ids = [str(i) for i in range(len(rows))]
-    assert property_codes(copy.schema, ids, rows).tolist() == [[0, 0, 1], [1, 0, 0], [2, 1, 0]]
+    expected = [[0, 0, 1], [1, 0, 0], [2, 1, 0]]
+    assert extended_codes(copy.schema, attribute_product(schema)).tolist() == expected
+    assert extend_codes(copy.schema, combination_codes(schema)).tolist() == expected
 
 
 def test_value_map_must_cover_source():
@@ -179,26 +182,26 @@ def test_value_map_must_cover_source():
 
 def test_moprd_hyperattribute_identities(moprd):
     """Boolean identities hold on every one of the 100 combinations."""
-    for index, combo in enumerate(all_combinations(moprd)):
-        sample = validate_sample(moprd, str(index), combo)
-        fill1 = eval_property(moprd, sample, "fill1")
-        fill2 = eval_property(moprd, sample, "fill2")
-        assert eval_property(moprd, sample, "all_fill") == (
-            "T" if fill1 == "T" and fill2 == "T" else "F"
-        )
-        assert eval_property(moprd, sample, "all_empty") == (
-            "T" if fill1 == "F" and fill2 == "F" else "F"
-        )
-        assert eval_property(moprd, sample, "aligned") == (
-            "T" if combo["relationship"] in ("→", "↑") else "F"
-        )
+    combos = attribute_product(moprd)
+    codes = extended_codes(moprd, combos)
+    T = BOOL_DOMAIN.index("T")
+    fill1, fill2, all_fill, all_empty, aligned = (
+        codes[:, moprd.column(prop)] == T
+        for prop in ("fill1", "fill2", "all_fill", "all_empty", "aligned")
+    )
+    assert len(codes) == 100
+    assert (all_fill == (fill1 & fill2)).all()
+    assert (all_empty == (~fill1 & ~fill2)).all()
+    assert aligned.tolist() == [combo["relationship"] in ("→", "↑") for combo in combos]
 
 
 def test_evaluation_total_and_in_domain(moprd):
-    for index, combo in enumerate(all_combinations(moprd)):
-        sample = validate_sample(moprd, str(index), combo)
-        for prop in moprd.property_names:
-            assert eval_property(moprd, sample, prop) in moprd.domain(prop)
+    """Every column of the extended codes holds domain indices of its property."""
+    codes = extend_codes(moprd, combination_codes(moprd))
+    assert codes.shape == (100, len(moprd.property_names))
+    for prop in moprd.property_names:
+        column = codes[:, moprd.column(prop)]
+        assert 0 <= column.min() and column.max() < len(moprd.domain(prop))
 
 
 def test_parse_render_round_trip(moprd):
@@ -283,17 +286,24 @@ def test_structural_rejections():
 
 
 def test_sample_validation(moprd):
-    with pytest.raises(AttributeMismatch):
-        validate_sample(moprd, "s", {"shape1": "□", "shape2": "□"})
-    with pytest.raises(AttributeMismatch):
-        validate_sample(
-            moprd, "s", {"shape1": "pentagon", "shape2": "□", "relationship": "→"}
-        )
+    """code_attributes names the first bad sample by its id, and a property
+    outside the schema has no column."""
+    good = {"shape1": "□", "shape2": "□", "relationship": "→"}
+    for values, reason in [
+        ({"shape1": "□", "shape2": "□"}, "must assign exactly the attributes"),
+        ({**good, "colour": "red"}, "must assign exactly the attributes"),
+        (["shape1", "shape2", "relationship"], "must assign exactly the attributes"),
+        (None, "must assign exactly the attributes"),
+        ({**good, "shape1": "pentagon"}, "value 'pentagon' not in domain of 'shape1'"),
+        ({**good, "shape1": ["□"]}, "value ['□'] not in domain of 'shape1'"),
+    ]:
+        expected = re.escape("sample 'b'") + ".*" + re.escape(reason)
+        with pytest.raises(AttributeMismatch, match=expected):
+            code_attributes(moprd, ["a", "b"], [good, values])
     with pytest.raises(UnknownReference):
-        eval_property(moprd, sample_of(moprd, "□", "□", "→"), "colour")
-    # eval_property codes its sample through the same check
-    with pytest.raises(AttributeMismatch, match="must assign exactly the attributes"):
-        eval_property(moprd, Sample("s", {"shape1": "□", "shape2": "□"}), "fill1")
+        moprd.column("colour")
+    with pytest.raises(UnknownReference):
+        moprd.domain("colour")
 
 
 def expressions(domains: dict[str, tuple[str, ...]]):
@@ -348,13 +358,16 @@ def chained_schemas(draw):
 @settings(max_examples=200, deadline=None)
 @given(chained_schemas())
 def test_property_codes_match_definitional_evaluation(schema):
-    rows = all_combinations(schema)
+    """The extended codes of every attribute dict equal the domain indices of
+    the values the schema's definitions give, from dicts and from
+    ``combination_codes`` alike."""
+    rows = attribute_product(schema)
     expected = [
         [schema.domain(prop).index(naive_eval(schema, row, prop)) for prop in schema.property_names]
         for row in rows
     ]
-    ids = [str(i) for i in range(len(rows))]
-    assert property_codes(schema, ids, rows).tolist() == expected
+    assert extended_codes(schema, rows).tolist() == expected
+    assert extend_codes(schema, combination_codes(schema)).tolist() == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -381,7 +394,9 @@ def test_observed_values_are_the_present_values_in_domain_order(data):
     rows = data.draw(st.lists(st.tuples(*(st.integers(0, size - 1) for size in sizes)), max_size=20),
                      label="rows")
     codes = extend_codes(schema, np.array(rows, dtype=np.int64).reshape(len(rows), len(sizes)))
-    assert observed_values(schema, codes) == {
-        prop: tuple(v for k, v in enumerate(schema.domain(prop)) if k in set(codes[:, i].tolist()))
+    everything = np.arange(len(rows))
+    (observed,) = observed_by_group(schema, codes.T, everything, np.zeros_like(everything), count=1)
+    assert observed == tuple(
+        tuple(v for k, v in enumerate(schema.domain(prop)) if k in set(codes[:, i].tolist()))
         for i, prop in enumerate(schema.property_names)
-    }
+    )

@@ -16,15 +16,14 @@ from emlang.schema import (
     Attribute,
     HyperattributeDef,
     ValueMap,
-    eval_property,
+    code_attributes,
+    extend_codes,
     parse_expression,
-    validate_sample,
 )
 from emlang.synth import (
     MAX_COMBINATIONS,
     MAX_SYNONYM_CELLS,
     Codebook,
-    all_combinations,
     combination_codes,
     combination_count,
     concept_schema,
@@ -44,12 +43,12 @@ TWO_BY_TWO = AttributeSchema(
 
 
 def test_moprd_schema_shape(moprd):
-    assert len(all_combinations(moprd)) == 5 * 5 * 4
+    assert len(combination_codes(moprd)) == 5 * 5 * 4
     assert moprd.domain("aligned") == ("F", "T")
-    sample = validate_sample(
-        moprd, "s", {"shape1": "■", "shape2": "○", "relationship": "→"}
-    )
-    assert eval_property(moprd, sample, "fill1") == "T"
+    values = {"shape1": "■", "shape2": "○", "relationship": "→"}
+    attributes = code_attributes(moprd, ["s"], [values])
+    fill1 = extend_codes(moprd, attributes)[0, moprd.column("fill1")]
+    assert moprd.domain("fill1")[fill1] == "T"
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from emlang.errors import EmlangError
 from emlang.report import render_rule_table
 from emlang.schema import Attribute, AttributeSchema, HyperattributeDef, ValueMap, parse_expression
 from emlang.synth import (
-    all_combinations,
+    combination_codes,
     concept_schema,
     gen_compositional,
     gen_holistic,
@@ -97,10 +97,11 @@ def test_generators_golden(kind, name):
 
 @pytest.mark.parametrize("name", SCHEMAS)
 def test_all_combinations_is_the_attribute_product(name):
+    """``combination_codes`` enumerates every attribute combination once, as
+    the domain indices of ``itertools.product`` over the domains, in its order."""
     schema = SCHEMAS[name]()
-    names = schema.attribute_names
-    domains = [schema.domain(n) for n in names]
-    assert all_combinations(schema) == [dict(zip(names, combo)) for combo in itertools.product(*domains)]
+    indices = [range(len(schema.domain(n))) for n in schema.attribute_names]
+    assert combination_codes(schema).tolist() == list(map(list, itertools.product(*indices)))
 
 
 def _noisy_base(rows, length: int, vocab: int):
