@@ -126,6 +126,7 @@ class AnnotatedCorpus:
         if has_lone_surrogate(joined):
             bad = next(i for i in ids if has_lone_surrogate(i))
             raise DocumentSyntaxError(f"sample id {bad!r} holds a lone surrogate")
+        _check_integers((self.owners, "owner"))
         owners = np.asarray(self.owners, dtype=np.int64)
         if not owners.shape == np.shape(self.counts) == (len(self.messages),):
             raise DocumentSyntaxError("messages, owners and counts need one entry per row")
@@ -138,7 +139,7 @@ class AnnotatedCorpus:
         empty = np.flatnonzero(np.bincount(owners, minlength=len(ids)) == 0)
         if len(empty):
             raise DocumentSyntaxError(f"sample {ids[empty[0]]!r} owns no messages")
-        _check_integers(self.messages, self.counts)
+        _check_integers((self.messages, "token"), (self.counts, "count"))
         rows = _int64_rows(owners, self.messages, self.counts, self.vocab_size, self.message_length)
         if rows is None:
             rows = _exact_rows(
@@ -190,11 +191,12 @@ def _checked_codes(schema: AttributeSchema, ids: tuple, attribute_codes) -> np.n
     return codes
 
 
-def _check_integers(messages, counts) -> None:
-    """DocumentSyntaxError for a token or count that is not an integer, such
-    as a float or a bool, which a cast to int64 would truncate.  An integer
-    array is not read; the entries of anything else are, by type."""
-    for entries, what in ((messages, "token"), (counts, "count")):
+def _check_integers(*named) -> None:
+    """DocumentSyntaxError for an entry that is not an integer, such as a
+    float or a bool, which a cast to int64 would truncate; ``named`` holds
+    (entries, what) pairs, and the entries of a "token" pair are rows.  An
+    integer array is not read; the entries of anything else are, by type."""
+    for entries, what in named:
         if isinstance(entries, np.ndarray) and entries.dtype.kind in "iu":
             continue
         if what == "token":
@@ -206,6 +208,14 @@ def _check_integers(messages, counts) -> None:
         if bad:
             value = next(value for value in entries if type(value) in bad)
             raise DocumentSyntaxError(f"message {what} {value!r} is not an integer")
+
+
+def _config_int(value, name: str) -> int:
+    """``value`` as an int; ConfigError unless it is an int or a numpy
+    integer (a bool is neither)."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_shape(vocab_size: int, message_length: int) -> None:
@@ -607,6 +617,8 @@ def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedC
     threshold 0 is the identity.  Samples are never dropped: a sample left
     without messages (threshold above its maximum share) raises EmptySample.
     """
+    if type(threshold) is bool or not isinstance(threshold, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"threshold must be a number, got {threshold!r}")
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
     # counts and totals lie below 2**53, so the float division is the exact share rounded once

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus
+from .corpus import AnnotatedCorpus, _config_int
 from .errors import ConfigError
 from .metrics import AccuracyMatrix
 
@@ -94,10 +94,7 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
     """
     fields = {"seed": config.seed, "candidate count": config.candidate_count,
               "episode count": config.episodes}
-    for name, value in fields.items():
-        if type(value) is not int and not isinstance(value, np.integer):  # no bool
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    seed, k, episodes = map(int, fields.values())
+    seed, k, episodes = (_config_int(value, name) for name, value in fields.items())
     n = len(corpus.sample_ids)
     if k < 2:
         raise ConfigError("candidate sets need at least two samples")

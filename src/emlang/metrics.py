@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Message, representative_of
+from .corpus import AnnotatedCorpus, Message, _config_int, representative_of
 from .errors import ConfigError, LengthMismatch, ZeroVariance
 
 # Exact enumeration for up to 2000 samples; seeded sampling beyond.
@@ -237,12 +237,14 @@ def topsim(
     are drawn uniformly without replacement from a numpy stream seeded by
     ``seed``, which is then required; any integer seed is accepted.  It
     needs at least three samples, because the one pair of two cannot be
-    ranked, and ``max_pairs`` of at least 2.
+    ranked, and ``max_pairs`` of at least 2.  A seed or ``max_pairs`` given
+    is an integer, numpy's included and bool not; else ConfigError.
     """
     n = len(corpus.sample_ids)
     if n < 3:
         raise ConfigError("topsim needs at least three samples")
-    limit = DEFAULT_MAX_PAIRS if max_pairs is None else max_pairs
+    limit = DEFAULT_MAX_PAIRS if max_pairs is None else _config_int(max_pairs, "max_pairs")
+    seed = None if seed is None else _config_int(seed, "seed")
     if limit < 2:
         raise ConfigError("max_pairs must be at least 2")
     total_pairs = n * (n - 1) // 2

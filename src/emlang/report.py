@@ -40,7 +40,7 @@ def placeholders(count: int) -> list[str]:
 def general_pattern(table: RuleTable) -> str:
     """The corpus-wide skeleton, e.g. ``13-12-XX-10-10-10-10-10-YY-ZZ``."""
     fixed = dict(table.global_constants.cells)
-    variable = [p for p in range(table.message_length) if p not in fixed]
+    variable = _variable_positions(table)
     marks = dict(zip(variable, placeholders(len(variable))))
     return "-".join(
         str(fixed[p]) if p in fixed else marks[p] for p in range(table.message_length)

@@ -1,8 +1,9 @@
 """Semantic rule extraction from annotated message corpora.
 
 The detector partitions samples by the value of each property, finds message
-positions that stay constant inside each group, strips corpus-wide constant
-positions, and reports the surviving position-token combinations as rules.
+positions that stay constant inside each group, apart from the corpus-wide
+constant positions, which it never reads, and reports the position-token
+combinations it finds as rules.
 Each rule keeps two views of its meaning:
 
 * evidence — the (property, value) groupings whose constant positions
@@ -16,8 +17,9 @@ distinct codes of the owners of the messages a pattern matches.  They are
 computed for all rules at once, by :func:`semantic_rules`; a pattern's
 coverage is read off the rule table, not computed one pattern at a time.
 
-All functions are pure over immutable corpora; group computations are
-independent and merged in a canonical order, so output is deterministic.
+All functions are pure over immutable corpora.  The rules come in canonical
+order, by positions, then tokens, the empty pattern last, and that order
+comes from the same array sort that merges the groups' equal patterns.
 """
 
 from __future__ import annotations
@@ -90,47 +92,40 @@ def global_constants(corpus: AnnotatedCorpus) -> Pattern:
     return constant_positions(corpus.messages)
 
 
-def rule_sort_key(rule: SemanticRule):
-    """Canonical rule order: by positions, then tokens; empty pattern last."""
-    cells = rule.pattern.cells
-    return (not cells, *zip(*cells))  # (False, positions, tokens), or (True,)
-
-
 def semantic_rules(
     schema: AttributeSchema,
     values: np.ndarray,
-    vocab_size: int,
     owners: np.ndarray,
     codes: np.ndarray,
     columns: list[int],
-    fixed: np.ndarray,
-    pattern_of=Pattern,
+    positions: list[int],
 ) -> tuple[SemanticRule, ...]:
     """The rules of a table of rows, in canonical order: the one grouping
     kernel, behind both :func:`extract_rules` and the generators' ground truth.
 
-    Row r of ``values`` holds values below ``vocab_size`` and belongs to
-    sample ``owners[r]``, whose property codes are row ``owners[r]`` of
-    ``codes``.  For each property column in ``columns`` and each of its codes
-    that some row carries, that group of rows keeps the value columns that
-    are constant over it and not ``fixed``, with their shared values; groups
-    that keep the same (column, value) cells make one rule, whose evidence is
-    their (property, value) pairs.  A rule covers the samples that own a row
-    carrying all its cells: its support counts them, and its coverage lists,
-    per property, the values they show.  ``pattern_of`` turns a rule's cells,
-    (column, value) pairs by column, into its pattern.
+    Row r of ``values`` holds values at the ascending message ``positions``
+    and belongs to sample ``owners[r]``, whose property codes are row
+    ``owners[r]`` of ``codes``.  For each property column in ``columns`` and
+    each of its codes that some row carries, that group of rows keeps the
+    positions whose value is constant over it; groups that keep the same
+    (position, value) cells make one rule, whose pattern is those cells and
+    whose evidence is their (property, value) pairs.  A rule covers the
+    samples that own a row carrying all its cells: its support counts them,
+    and its coverage lists, per property, the values they show.
 
     Each property column is sorted once, and a value column is constant in a
     group iff its minimum over the group equals its maximum.  The order
     inside a group does not matter to either, so the sort need not be stable.
     One value column is gathered at a time, from a column-major copy of
     ``values`` in the narrowest integer type that holds them, so each work
-    array holds about one column of rows.
+    array holds about one column of rows.  The sort that makes the groups'
+    cells distinct gives the canonical order: by positions, then values.
     """
     columns = list(dict.fromkeys(columns))
     if not columns:
         return ()
     by_column = _by_column(values)
+    size = int(by_column.max(initial=0)) + 1  # every value lies below it
     group_columns, group_codes, lows, keeps = [], [], [], []
     for column in columns:
         keys = codes[owners, column]
@@ -146,14 +141,17 @@ def semantic_rules(
         group_columns.append(np.full(len(starts), column))
         group_codes.append(keys[starts])
         lows.append(low)
-        keeps.append(keep & ~fixed)
+        keeps.append(keep)
     column_of, code_of = np.concatenate(group_columns), np.concatenate(group_codes)
     kept = np.concatenate(keeps)
     cells = np.where(kept, np.concatenate(lows), 0)
 
-    # one rule per distinct (kept columns, cells) row; sorting by the kept
-    # columns first puts the rules of one column set next to each other
-    pattern_keys = [*_token_keys(kept, 2), *_token_keys(cells, vocab_size)]
+    # one rule per distinct (kept columns, cells) row, the empty one last; a
+    # column counts 1 if kept, 2 if a later one is, else 0, so the counts sort
+    # as the kept positions do and the rules of one position set are adjacent
+    later = np.logical_or.accumulate(kept[:, ::-1], axis=1)[:, ::-1]
+    position_keys = _token_keys(np.where(kept, 1, 2 * later), 3)
+    pattern_keys = [~kept.any(axis=1), *position_keys, *_token_keys(cells, size)]
     order = np.lexsort(pattern_keys[::-1])
     new = np.zeros(len(order), dtype=bool)
     new[0] = True
@@ -164,7 +162,7 @@ def semantic_rules(
     rule_of[order] = np.cumsum(new) - 1
     firsts = order[new]
     kept, cells = kept[firsts], cells[firsts]
-    supports, coverages = _cover(schema, by_column, vocab_size, owners, codes, kept, cells)
+    supports, coverages = _cover(schema, by_column, size, owners, codes, kept, cells)
 
     names = schema.property_names
     domains = [schema.domain(name) for name in names]
@@ -174,20 +172,17 @@ def semantic_rules(
     for rule, column, code in zip(*(a[canonical].tolist() for a in (rule_of, column_of, code_of))):
         evidence[rule].append((names[column], domains[column][code]))
     rows, at = np.nonzero(kept)
-    pairs = tuple(zip(at.tolist(), cells[rows, at].tolist()))
+    pairs = tuple(zip(np.asarray(positions)[at].tolist(), cells[rows, at].tolist()))
     bounds = np.searchsorted(rows, np.arange(len(firsts) + 1)).tolist()
-    rules = [
-        SemanticRule(
-            pattern_of(pairs[start:stop]), tuple(found), tuple(zip(names, coverage)), support
-        )
+    return tuple(
+        SemanticRule(Pattern(pairs[start:stop]), tuple(found), tuple(zip(names, coverage)), support)
         for start, stop, found, coverage, support in zip(
             bounds, bounds[1:], evidence, coverages, supports
         )
-    ]
-    return tuple(sorted(rules, key=rule_sort_key))
+    )
 
 
-def _cover(schema, by_column, vocab_size, owners, codes, kept, cells):
+def _cover(schema, by_column, size, owners, codes, kept, cells):
     """Support and coverage of each pattern, given as a row of ``kept``
     columns and its ``cells`` values there, over the rows whose values are
     the columns of ``by_column``: the patterns are distinct, and those that
@@ -207,7 +202,7 @@ def _cover(schema, by_column, vocab_size, owners, codes, kept, cells):
     supports, coverages = [], []
     for start, stop in zip(bounds, bounds[1:]):
         at = np.flatnonzero(kept[start])
-        found = _find_rows(cells[start:stop, at], by_column[at].T, vocab_size)
+        found = _find_rows(cells[start:stop, at], by_column[at].T, size)
         hit = found >= 0
         pairs = distinct_keys(found[hit] * count + owners[hit])
         pattern, sample = np.divmod(pairs, count)
@@ -220,21 +215,24 @@ def _by_column(table: np.ndarray) -> np.ndarray:
     """The columns of ``table``, whose entries are non-negative, as the rows
     of a C-contiguous array of the narrowest signed integer type that holds
     them: each column then gathers from one short contiguous row."""
-    top = int(table.max(initial=0))
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
-    return np.ascontiguousarray(table.T, dtype=dtype)
+    return np.ascontiguousarray(table.T, dtype=_narrowest(int(table.max(initial=0))))
 
 
-def _find_rows(table: np.ndarray, rows: np.ndarray, vocab_size: int) -> np.ndarray:
+def _narrowest(top: int) -> type:
+    """The narrowest signed integer type that holds 0 to ``top``."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+
+
+def _find_rows(table: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     """For each of ``rows``, the index of the equal row of ``table``, whose
-    rows are distinct, or -1; values lie below ``vocab_size``.
+    rows are distinct, or -1; values lie below ``size``.
 
     Rows compare as their packed int64 keys.  Each key in turn folds into a
     rank among the table's sorted entries, (rank so far, rank of the key),
     so the ranks stay below ``len(table)``**2 however many keys there are."""
     if not table.shape[1]:  # the empty pattern matches every row
         return np.zeros(len(rows), dtype=np.int64)
-    table_keys, row_keys = _token_keys(table, vocab_size), _token_keys(rows, vocab_size)
+    table_keys, row_keys = _token_keys(table, size), _token_keys(rows, size)
     table_rank, row_rank, found = _ranks(table_keys[0], row_keys[0])
     size = len(table)
     for table_key, row_key in zip(table_keys[1:], row_keys[1:]):
@@ -265,10 +263,10 @@ def extract_rules(
 
     Steps: frequency-filter the corpus once, up front; compute the global
     constant pattern; for each property value with at least one sample,
-    intersect the group's retained messages and strip global positions;
-    merge identical patterns (all empty candidates collapse into one rule);
-    attach coverage; sort canonically.  The groups, their patterns and
-    their coverage come from :func:`semantic_rules`.
+    intersect the group's retained messages at the other positions; merge
+    identical patterns (all empty candidates collapse into one rule); attach
+    coverage.  The groups, their patterns, coverage and canonical order come
+    from :func:`semantic_rules`, which never reads the constant positions.
     """
     filtered = filter_by_frequency(corpus, threshold)
     schema = filtered.schema
@@ -276,11 +274,11 @@ def extract_rules(
     columns = [schema.column(prop) for prop in props]  # an unknown name raises UnknownReference
 
     globals_ = global_constants(filtered)
-    fixed = np.zeros(filtered.message_length, dtype=bool)
-    fixed[list(globals_.positions)] = True
+    constant = set(globals_.positions)
+    positions = [p for p in range(filtered.message_length) if p not in constant]
     rules = semantic_rules(
-        schema, filtered.messages, filtered.vocab_size, filtered.owners, filtered.codes,
-        columns, fixed,
+        schema, filtered.messages[:, positions], filtered.owners, filtered.codes,
+        columns, positions,
     )
     return RuleTable(
         message_length=filtered.message_length,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import AnnotatedCorpus, Message, _check_shape
 from .errors import CapacityError
-from .rules import Pattern, RuleTable, semantic_rules
+from .rules import Pattern, RuleTable, _narrowest, semantic_rules
 from .schema import Attribute, AttributeSchema, extend_codes, parse_schema
 
 # Leading positions that every message of a holistic language shares.
@@ -212,16 +212,17 @@ def ground_truth_table(codebook: Codebook) -> RuleTable:
     schema = codebook.schema
     codes = extend_codes(schema, combination_codes(schema))  # attributes first
     positions, tokens = codebook.positions, codebook.tokens
-    single = np.array([len(toks) == 1 for toks in tokens], dtype=bool)
     global_cells = dict(codebook.fixed.cells)
     global_cells.update({positions[a]: toks[0] for a, toks in enumerate(tokens) if len(toks) == 1})
-
-    def pattern_of(cells) -> Pattern:
-        return Pattern.from_dict({positions[a]: tokens[a][code] for a, code in cells})
-
+    # many-valued attributes' tokens by position, column-major and narrow
+    varying = sorted((positions[a], a) for a, toks in enumerate(tokens) if len(toks) > 1)
+    narrow = _narrowest(max((max(tokens[a]) for _, a in varying), default=0))
+    values = np.empty((len(varying), len(codes)), dtype=narrow).T
+    for column, (_, a) in enumerate(varying):
+        np.take(np.array(tokens[a], dtype=narrow), codes[:, a], out=values[:, column])
     rules = semantic_rules(
-        schema, codes[:, : len(tokens)], max(map(len, tokens)), np.arange(len(codes)), codes,
-        range(len(schema.property_names)), single, pattern_of,
+        schema, values, np.arange(len(codes)), codes,
+        range(len(schema.property_names)), [pos for pos, _ in varying],
     )
     return RuleTable(
         message_length=codebook.message_length,

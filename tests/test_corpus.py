@@ -329,6 +329,30 @@ def test_non_integer_tokens_and_counts_are_refused():
     assert replace(corpus, messages=unread[0], counts=unread[1]) == corpus
 
 
+def test_non_integer_owners_are_refused():
+    """Owners are checked as tokens and counts are, before any cast: a float
+    or bool owner is a syntax error, and an integer array is not read."""
+    corpus = build_corpus(TINY, 4, 2, [("s", {"a": "x"}, (0, 1), 2), ("t", {"a": "y"}, (1, 0), 1)])
+    for owners in [corpus.owners + 0.3, np.array([False, True]), [0, 1.0]]:
+        with pytest.raises(DocumentSyntaxError, match="message owner .+ is not an integer"):
+            replace(corpus, owners=owners)
+
+    class Unread(np.ndarray):
+        def __iter__(self):
+            raise AssertionError("an integer array was read entry by entry")
+
+    assert replace(corpus, owners=corpus.owners.view(Unread)) == corpus
+    assert replace(corpus, owners=corpus.owners.astype(np.uint8)) == corpus
+
+
+def test_threshold_must_be_a_number():
+    corpus = build_corpus(TINY, 4, 2, [("s", {"a": "x"}, (0, 1), 2)])
+    for threshold in ["0.1", None, True]:
+        with pytest.raises(ConfigError, match="threshold must be a number"):
+            filter_by_frequency(corpus, threshold)
+    assert filter_by_frequency(corpus, np.float32(0.5)) == filter_by_frequency(corpus, 1) == corpus
+
+
 def test_build_corpus_copies_the_attribute_dicts():
     values = {"a": "x"}
     corpus = build_corpus(TINY, 4, 2, [("s", values, (0, 0), 1)])

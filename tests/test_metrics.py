@@ -253,6 +253,22 @@ def test_topsim_sampling_reproducible(moprd):
         topsim(corpus, max_pairs=500)
 
 
+def test_topsim_refuses_ill_typed_numbers(moprd):
+    """A seed or max_pairs that is not an integer, numpy's included and bool
+    not, is a ConfigError; a numpy integer seed gives the int seed's rho."""
+    corpus = gen_holistic(moprd, 10, 20, 1)
+    for keywords in [
+        {"seed": 2.5}, {"seed": "3"}, {"seed": True},
+        {"seed": 3, "max_pairs": 2.5}, {"seed": 3, "max_pairs": "100"},
+        {"seed": 3, "max_pairs": np.float64(100)},
+    ]:
+        with pytest.raises(ConfigError, match="must be an integer"):
+            topsim(corpus, **{"max_pairs": 100, **keywords})
+    sampled = topsim(corpus, max_pairs=100, seed=3)
+    assert topsim(corpus, max_pairs=np.int32(100), seed=np.int64(3)) == sampled
+    assert type(topsim(corpus, max_pairs=100, seed=np.uint8(3)).seed) is int
+
+
 def test_topsim_needs_three_samples(moprd):
     """Two samples give one pair, which cannot be ranked."""
     corpus, _ = gen_compositional(moprd, 10, 20, 0)

@@ -322,3 +322,33 @@ def test_matches_exhaustive_oracle_at_integer_type_edges(top):
         assert table == naive_extract_rules(corpus, threshold)
         (rule,) = [rule for rule in table.rules if ("size", "small") in rule.evidence]
         assert rule.pattern.cells[0] == (0, top) and dict(rule.coverage)["size"] == ("small",)
+
+
+def test_rules_come_in_canonical_order_at_its_edges():
+    """Position sets order as tuples do, a prefix first: (0,) before (0, 1)
+    before (0, 2) before (1,); two token tuples on one set order by tokens;
+    the empty pattern comes last.  The domain lists the values backwards, so
+    the groups come in the reverse of that order."""
+    schema = AttributeSchema(attributes=(Attribute(name="p", domain=("y", "z", "x", "w", "v", "u")),))
+    messages = {
+        "u": [(1, 1, 1), (1, 2, 2)],  # (0,) = 1
+        "v": [(2, 3, 3), (2, 4, 4)],  # (0,) = 2
+        "w": [(3, 5, 5), (4, 5, 6)],  # (1,) = 5
+        "x": [(5, 6, 7), (5, 6, 8)],  # (0, 1) = (5, 6)
+        "z": [(6, 1, 9), (6, 2, 9)],  # (0, 2) = (6, 9)
+        "y": [(7, 7, 0), (8, 8, 1)],  # nothing constant
+    }
+    records = [
+        (f"{value}{i}", {"p": value}, message, 1)
+        for value, pair in messages.items()
+        for i, message in enumerate(pair)
+    ]
+    corpus = build_corpus(schema, 10, 3, records)
+    table = extract_rules(corpus, threshold=0.0)
+    assert [rule.pattern.cells for rule in table.rules] == [
+        ((0, 1),), ((0, 2),), ((0, 5), (1, 6)), ((0, 6), (2, 9)), ((1, 5),), (),
+    ]
+    assert [rule.evidence for rule in table.rules] == [
+        (("p", value),) for value in ("u", "v", "x", "z", "w", "y")
+    ]
+    assert table == naive_extract_rules(corpus, 0.0)
