@@ -18,6 +18,7 @@ import argparse
 import gc
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 from typing import NoReturn
 
@@ -31,7 +32,7 @@ from .schema import AttributeSchema, parse_schema
 from .synth import gen_compositional, gen_holistic, gen_noisy, moprd_schema
 
 
-# _emit encodes and writes at most this many characters at once.
+# _emit encodes and writes at most this many characters of a block at once.
 _EMIT_CHUNK = 2**20
 
 # game --speakers and --listeners each take 1 to this many agents; the
@@ -62,17 +63,21 @@ def _load_corpus(path: str, schema: AttributeSchema):
     return corpus_mod.load_corpus(_read(path), schema)
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` as UTF-8 to the file ``out``, or to standard output
-    whatever its encoding."""
+def _emit(blocks: str | Iterable[str], out: str | None) -> None:
+    """Write the text ``blocks`` as UTF-8 to the file ``out``, or to standard
+    output whatever its encoding; a ``str`` is one block.  Each block is
+    written as it comes, so a document made block by block is never held
+    whole."""
+    if isinstance(blocks, str):
+        blocks = (blocks,)
     if out is None:
         stream = getattr(sys.stdout, "buffer", None)
         if stream is None:  # a text stream without bytes underneath, such as io.StringIO
-            sys.stdout.write(text)
+            sys.stdout.writelines(blocks)
             return
         try:
             sys.stdout.flush()  # text written before comes first
-            _write_utf8(text, stream)
+            _write_utf8(blocks, stream)
             stream.flush()
         except OSError as exc:
             # Nothing more can reach this stdout.  Point its descriptor at
@@ -85,18 +90,19 @@ def _emit(text: str, out: str | None) -> None:
         return
     try:
         with open(out, "wb") as stream:
-            _write_utf8(text, stream)
+            _write_utf8(blocks, stream)
     except OSError as exc:
         raise NotFoundError(f"cannot write {out}: {exc.strerror}") from None
 
 
-def _write_utf8(text: str, stream) -> None:
-    # one chunk at a time, so that a large document is never held twice, as
+def _write_utf8(blocks: Iterable[str], stream) -> None:
+    # one chunk at a time, so that a large block is never held twice, as
     # text and as bytes
-    for start in range(0, len(text), _EMIT_CHUNK):
-        data = memoryview(text[start : start + _EMIT_CHUNK].encode("utf-8"))
-        while data:  # an unbuffered stdout (python -u) may take only a part
-            data = data[stream.write(data) :]
+    for text in blocks:
+        for start in range(0, len(text), _EMIT_CHUNK):
+            data = memoryview(text[start : start + _EMIT_CHUNK].encode("utf-8"))
+            while data:  # an unbuffered stdout (python -u) may take only a part
+                data = data[stream.write(data) :]
 
 
 def _parse_tokens(text: str) -> tuple[int, ...]:
@@ -243,7 +249,7 @@ def _cmd_synth(args) -> None:
                 _emit(report_mod.render_rule_table(truth, "structured"), args.truth_out)
         else:
             result = gen_holistic(schema, msg_len, vocab, args.seed)
-    _emit(corpus_mod.serialize_corpus(result), args.out)
+    _emit(corpus_mod.serialize_blocks(result), args.out)
 
 
 def _cmd_distance(args) -> None:

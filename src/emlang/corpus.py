@@ -26,22 +26,27 @@ In memory a corpus is columnar, its attributes dictionary-encoded: sorted
 of ``messages`` being a message that sample ``owners[r]`` sent ``counts[r]``
 times.  Every corpus is immutable and canonical, one row per distinct
 (sample, message), sorted by sample and tokens: every construction checks
-its codes, ids and rows and sorts them, so ``dataclasses.replace`` re-sorts.
-Attribute dicts are coded, and checked, only where records become a corpus,
-by :func:`~emlang.schema.code_attributes`; every stage of the pipeline reads
-the codes, and ``schema.domain`` spells a code back as its value.
+its codes, ids and rows and sorts them, so ``dataclasses.replace`` re-sorts;
+rows that come canonical are only copied.  Attribute dicts are coded, and
+checked, only where records become a corpus, by
+:func:`~emlang.schema.code_attributes`; every stage of the pipeline reads the
+codes, and ``schema.domain`` spells a code back as its value.
 
 :func:`serialize_corpus` writes each record as ``json.dumps(record,
 ensure_ascii=False)`` would, without Python work per row or per token.  Its
 text holds no raw NUL, because JSON escapes U+0000 as ``\\u0000``, and it
 passes a lone surrogate in the names or values of a Python-built schema
-through unchanged, as ``json.dumps`` does.
+through unchanged, as ``json.dumps`` does.  :func:`serialize_blocks` gives
+that text as blocks of whole lines, each made when it is asked for, so a
+writer that takes the blocks as they come never holds the whole document;
+``serialize_corpus`` is their join.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
@@ -218,6 +223,13 @@ def _config_int(value, name: str) -> int:
     return int(value)
 
 
+def _check_number(value, name: str) -> None:
+    """ConfigError unless ``value`` is an int or a float, numpy's included
+    (a bool is neither)."""
+    if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def _check_shape(vocab_size: int, message_length: int) -> None:
     if not 1 <= message_length <= MAX_MESSAGE_LENGTH:
         raise DocumentSyntaxError(f"message length must lie in 1..{MAX_MESSAGE_LENGTH}")
@@ -299,8 +311,7 @@ def _token_keys(messages: np.ndarray, vocab_size: int) -> list[np.ndarray]:
     """Int64 keys, most significant first, that sort the rows as their token
     sequences sort: each packs as many consecutive tokens below
     ``vocab_size`` as fit in 63 bits, so there are fewer keys than tokens."""
-    width = max(1, (vocab_size - 1).bit_length())  # bits per token
-    per_key = 63 // width
+    width, per_key = _token_key_layout(vocab_size)
     keys = []
     for start in range(0, messages.shape[1], per_key):
         key = np.zeros(len(messages), dtype=np.int64)
@@ -309,6 +320,21 @@ def _token_keys(messages: np.ndarray, vocab_size: int) -> list[np.ndarray]:
             key |= column
         keys.append(key)
     return keys
+
+
+def _token_key_layout(vocab_size: int) -> tuple[int, int]:
+    """Bits per token and tokens per key of :func:`_token_keys`."""
+    width = max(1, (vocab_size - 1).bit_length())
+    return width, 63 // width
+
+
+def _token_key_cells(positions: np.ndarray, vocab_size: int, message_length: int):
+    """``(key, shift)``: token ``positions[i]`` of a row sits in key
+    ``key[i]`` of :func:`_token_keys`, shifted left by ``shift[i]`` bits."""
+    width, per_key = _token_key_layout(vocab_size)
+    key = positions // per_key
+    last = np.minimum((key + 1) * per_key, message_length) - 1  # the key's last position
+    return key, width * (last - positions)
 
 
 def _strictly_increasing(owners: np.ndarray, messages: np.ndarray) -> bool:
@@ -345,14 +371,19 @@ def _exact_rows(sample_ids, vocab_size, message_length, owners, msgs, counts):
         if count < 1:
             raise DocumentSyntaxError(f"sample {sample_id!r}: message count must be >= 1")
         total += count
-    if total >= COUNT_LIMIT:
-        raise DocumentSyntaxError(f"message counts sum to {total}, at least 2**53")
+    _check_count_total(total)
     messages = np.array([message for (_, message), _ in rows], dtype=np.int64)
     return (
         messages.reshape(len(rows), message_length),
         np.array([owner for (owner, _), _ in rows], dtype=np.int64),
         np.array([count for _, count in rows], dtype=np.int64),
     )
+
+
+def _check_count_total(total: int) -> None:
+    """DocumentSyntaxError when a corpus's exact count total reaches COUNT_LIMIT."""
+    if total >= COUNT_LIMIT:
+        raise DocumentSyntaxError(f"message counts sum to {total}, at least 2**53")
 
 
 def _is_int(value) -> bool:
@@ -516,13 +547,22 @@ def serialize_corpus(corpus: AnnotatedCorpus) -> str:
     ``{"sample", "attrs", "msg", "count"}``, attributes in schema order.  The
     text holds no raw NUL, since JSON writes U+0000 as ``\\u0000``, and a lone
     surrogate in the names or values of a Python-built schema passes through
-    unchanged.  Rows are assembled as byte matrices one block at a time, with
-    no Python work per row or per token.
+    unchanged.  It is the join of :func:`serialize_blocks`.
     """
+    return "".join(serialize_blocks(corpus))
+
+
+def serialize_blocks(corpus: AnnotatedCorpus) -> Iterator[str]:
+    """The text of :func:`serialize_corpus` in blocks of whole lines: the
+    header line, then the records of one row block after another.  Each
+    block is assembled as a byte matrix when it is asked for, with no Python
+    work per row or per token, so a writer that takes the blocks as they
+    come never holds the whole document."""
     header = json.dumps(
         {"meta": {"vocab_size": corpus.vocab_size, "msg_len": corpus.message_length}},
         ensure_ascii=False,
     )
+    yield header + "\n"
     prefixes = _record_prefixes(corpus)
     token_index, token_table = _digit_table(corpus.messages, b", ")
     count_index, count_table = _digit_table(corpus.counts, b"}\n")
@@ -530,7 +570,6 @@ def serialize_corpus(corpus: AnnotatedCorpus) -> str:
     # the padded width of a row after its prefix
     tail = corpus.message_length * token_table.shape[1] - 2 + len(middle) + count_table.shape[1]
     lengths = np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
-    blocks = [header + "\n"]
     for start, stop in _blocks(lengths[corpus.owners] + tail):
         owners = corpus.owners[start:stop]
         first = owners[0]  # rows are sorted by owner
@@ -550,8 +589,7 @@ def serialize_corpus(corpus: AnnotatedCorpus) -> str:
             axis=1,
         )
         # JSON escapes U+0000 as \u0000, so every NUL byte is padding
-        blocks.append(rows[rows != 0].tobytes().decode("utf-8", "surrogatepass"))
-    return "".join(blocks)
+        yield rows[rows != 0].tobytes().decode("utf-8", "surrogatepass")
 
 
 def _record_prefixes(corpus: AnnotatedCorpus) -> list[bytes]:
@@ -617,8 +655,7 @@ def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedC
     threshold 0 is the identity.  Samples are never dropped: a sample left
     without messages (threshold above its maximum share) raises EmptySample.
     """
-    if type(threshold) is bool or not isinstance(threshold, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"threshold must be a number, got {threshold!r}")
+    _check_number(threshold, "threshold")
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
     # counts and totals lie below 2**53, so the float division is the exact share rounded once

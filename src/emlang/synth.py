@@ -9,7 +9,10 @@ oracle for the extraction pipeline.
 The compositional and holistic generators emit one sample per attribute
 combination, enumerated once by :func:`combination_codes`; more than
 ``MAX_COMBINATIONS`` = 2**18 combinations (the product of the domain sizes)
-is a ``CapacityError``, raised before any combination is built.
+is a ``CapacityError``, raised before any combination is built.  Lengths,
+vocabulary sizes, synonym counts and seeds are integers, numpy's included and
+bool not, and the minority share is a number; anything else is a
+``ConfigError``, raised before any other check.
 """
 
 from __future__ import annotations
@@ -21,7 +24,16 @@ from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Message, _check_shape
+from .corpus import (
+    AnnotatedCorpus,
+    Message,
+    _check_count_total,
+    _check_number,
+    _check_shape,
+    _config_int,
+    _token_key_cells,
+    _token_keys,
+)
 from .errors import CapacityError
 from .rules import Pattern, RuleTable, _narrowest, semantic_rules
 from .schema import Attribute, AttributeSchema, extend_codes, parse_schema
@@ -34,9 +46,9 @@ HOLISTIC_PREFIX_LENGTH = 2
 MAX_COMBINATIONS = 2**18
 # Most working cells gen_noisy may take for its synonyms, checked before any is
 # built.  A synonym row takes its message length plus 5 cells (its owner,
-# position and token, and their sort keys), about 36 bytes a cell at any length
-# (measured at lengths 1 to 100 with 20,000 to 2,000,000 rows), so the bound
-# keeps the working memory near 1.2 GB.
+# count, position, token and sort key), 25 bytes a cell at lengths 1 and 2 and
+# 19 at lengths 10 and 100 (ru_maxrss growth per row, 20,000 against 80,000 to
+# 1,400,000 rows), so the bound keeps the working memory below about 0.85 GB.
 MAX_SYNONYM_CELLS = 2**25
 
 MOPRD_SCHEMA_DOCUMENT = """\
@@ -125,6 +137,16 @@ class Codebook:
         return messages
 
 
+def _shape_and_seed(message_length, vocab_size, seed) -> tuple[int, int, int]:
+    """The three as ints, ConfigError unless each is an integer (numpy's
+    included, bool not), then checked as a corpus header is."""
+    message_length = _config_int(message_length, "message length")
+    vocab_size = _config_int(vocab_size, "vocabulary size")
+    seed = _config_int(seed, "seed")
+    _check_shape(vocab_size, message_length)
+    return message_length, vocab_size, seed
+
+
 def _one_sample_each(schema, vocab_size, message_length, codes, messages) -> AnnotatedCorpus:
     """Sample i, its id i zero-padded to one width, sends ``messages[i]`` once."""
     count, width = len(codes), len(str(len(codes) - 1))
@@ -147,7 +169,7 @@ def gen_compositional(
     tokens, which makes the Levenshtein distance between any two messages
     equal their attribute edit distance.
     """
-    _check_shape(vocab_size, message_length)
+    message_length, vocab_size, seed = _shape_and_seed(message_length, vocab_size, seed)
     rng = random.Random(seed)
     names = schema.attribute_names
     if message_length < len(names):
@@ -243,7 +265,7 @@ def gen_holistic(
     remaining positions are drawn independently with rejection on repeats,
     so no sub-message structure relates similar combinations.
     """
-    _check_shape(vocab_size, message_length)
+    message_length, vocab_size, seed = _shape_and_seed(message_length, vocab_size, seed)
     rng = random.Random(seed)
     codes = combination_codes(schema)
     variable = message_length - HOLISTIC_PREFIX_LENGTH
@@ -278,8 +300,12 @@ def gen_noisy(
     one substitution away from the sample's first message in canonical
     order, distinct from everything the sample already holds.  The draws
     come from ``np.random.default_rng(np.random.SeedSequence(seed % 2**63))``.
-    More than ``MAX_SYNONYM_CELLS`` working cells is a ``CapacityError``.
+    The synonym count and seed are integers and the share a number, numpy's
+    included and bool not, else ConfigError.  More than ``MAX_SYNONYM_CELLS``
+    working cells is a ``CapacityError``.
     """
+    synonym_count, seed = _config_int(synonym_count, "synonym count"), _config_int(seed, "seed")
+    _check_number(minority_share, "minority share")
     if not 0.0 < minority_share < 1.0:
         raise CapacityError(f"minority share must lie in (0, 1), got {minority_share}")
     if synonym_count < 1:
@@ -296,7 +322,17 @@ def gen_noisy(
             f"{sample_count} samples x {synonym_count} synonyms of length {length} need "
             f"{working} working cells, past the bound of {MAX_SYNONYM_CELLS}"
         )
-    templates = base.messages[np.searchsorted(base.owners, np.arange(sample_count))]
+    # the rows come out canonical, so the constructor copies them unsorted;
+    # the working arrays are gone by then
+    return replace(base, **_noisy_rows(base, synonym_count, minority_share, seed))
+
+
+def _synonym_cells(base: AnnotatedCorpus, first, synonym_owners, seed: int):
+    """``(positions, tokens)``: the one cell where each synonym differs from
+    its template, row ``first[owner]`` of ``base``, drawn by rejection until
+    no sample holds a message twice."""
+    sample_count, length, vocab_size = len(first), base.message_length, base.vocab_size
+    templates = base.messages[first]
     # A synonym is a cell (owner, position, token) where it differs from its
     # template.  The only base rows it can equal are those one substitution
     # from their template, so the columns of ``cells`` hold those rows' cells
@@ -304,7 +340,6 @@ def gen_noisy(
     differs = base.messages != templates[base.owners]
     near = np.flatnonzero(differs.sum(axis=1) == 1)
     near_positions = differs[near].argmax(axis=1)
-    synonym_owners = np.repeat(np.arange(sample_count), synonym_count)
     cells = np.zeros((3, len(near) + len(synonym_owners)), dtype=np.int64)
     cells[:, : len(near)] = base.owners[near], near_positions, base.messages[near, near_positions]
     cells[0, len(near) :] = synonym_owners
@@ -330,24 +365,52 @@ def gen_noisy(
         repeats = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
         pending = np.sort(checked[order[1:][repeats]])
         if not len(pending):
-            break
-    else:
-        raise CapacityError("could not find a distinct synonym message")
-    synonyms = templates[synonym_owners]
-    synonyms[np.arange(len(synonym_owners)), cells[1, len(near) :]] = cells[2, len(near) :]
+            return cells[1, len(near) :].copy(), cells[2, len(near) :].copy()
+    raise CapacityError("could not find a distinct synonym message")
 
+
+def _synonym_counts(base: AnnotatedCorpus, synonym_count: int, minority_share) -> np.ndarray:
+    """Each synonym's count, samples in order and each sample's synonyms
+    after one another: ``max(synonym_count, round(share / (1 - share) *
+    total))`` per sample, split as evenly as possible, the larger counts
+    first.  A corpus count total of 2**53 or more is refused exactly."""
     ratio = minority_share / (1.0 - minority_share)
     rounded = np.maximum(synonym_count, np.rint(ratio * base.totals))
-    # Python integers: a sample's synonym total can pass 2**63 before the
-    # constructor rejects the corpus total, which its error then states exactly
-    synonym_totals = np.frompyfunc(int, 1, 1)(rounded)
-    per_synonym, leftover = synonym_totals // synonym_count, synonym_totals % synonym_count
-    rank = np.tile(np.arange(synonym_count), sample_count)
-    counts = per_synonym[synonym_owners] + (rank < leftover[synonym_owners])
-    # the constructor sorts the appended rows into place
-    return replace(
-        base,
-        messages=np.concatenate([base.messages, synonyms]),
-        owners=np.concatenate([base.owners, synonym_owners]),
-        counts=np.concatenate([base.counts, counts]),
-    )
+    # a sample's synonym total can pass 2**63, so the corpus total is
+    # checked in Python integers before the totals become int64
+    _check_count_total(int(base.counts.sum()) + sum(map(int, rounded.tolist())))
+    totals = rounded.astype(np.int64)
+    per_synonym, leftover = totals // synonym_count, totals % synonym_count
+    rank = np.tile(np.arange(synonym_count), len(totals))
+    return np.repeat(per_synonym, synonym_count) + (rank < np.repeat(leftover, synonym_count))
+
+
+def _noisy_rows(base: AnnotatedCorpus, synonym_count: int, minority_share, seed: int) -> dict:
+    """The ``messages``, ``owners`` and ``counts`` of the noisy corpus, in
+    canonical order.  One sort of (owner, token keys) merges the synonyms
+    into the base rows, whose (owner, message) pairs they all differ from;
+    a synonym's keys are its template's with one token changed."""
+    rows, vocab_size = len(base.owners), base.vocab_size
+    first = np.searchsorted(base.owners, np.arange(len(base.sample_ids)))  # each template's row
+    synonym_owners = np.repeat(np.arange(len(first)), synonym_count)
+    positions, tokens = _synonym_cells(base, first, synonym_owners, seed)
+    counts = _synonym_counts(base, synonym_count, minority_share)
+    template_rows = first[synonym_owners]
+    keys = np.stack(_token_keys(base.messages, vocab_size))
+    synonym_keys = keys[:, template_rows]
+    key, shift = _token_key_cells(positions, vocab_size, base.message_length)
+    changed = tokens - base.messages[template_rows, positions]
+    synonym_keys[key, np.arange(len(synonym_owners))] += changed << shift
+    owners = np.concatenate([base.owners, synonym_owners])
+    order = np.lexsort((*np.concatenate([keys, synonym_keys], axis=1)[::-1], owners))
+    # a synonym's row starts as its template's row, then takes its one token
+    source = np.concatenate([np.arange(rows), template_rows])
+    messages = np.take(base.messages, source[order], axis=0)
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(len(order))
+    messages[row_of[rows:], positions] = tokens
+    return {
+        "messages": messages,
+        "owners": owners[order],
+        "counts": np.concatenate([base.counts, counts])[order],
+    }

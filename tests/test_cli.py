@@ -16,7 +16,7 @@ from emlang import cli
 from emlang.cli import MAX_POPULATION
 from emlang.report import render_rule_table
 from emlang.rules import extract_rules
-from emlang.corpus import build_corpus, load_corpus, serialize_corpus
+from emlang.corpus import _SERIALIZE_BLOCK, build_corpus, load_corpus, serialize_corpus
 from emlang.schema import parse_schema, render_schema
 from emlang.synth import (
     MAX_SYNONYM_CELLS,
@@ -293,6 +293,60 @@ def test_emit_writes_large_documents_in_chunks(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(stdout):
         cli._emit(text, None)
     assert stdout.buffer.getvalue() == b"head " + text.encode("utf-8")
+
+
+def test_emit_writes_each_block_before_the_next_is_made():
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    written = []
+
+    def blocks():
+        for block in ["ab\n", "é\n", "c"]:
+            yield block
+            written.append(stdout.buffer.getvalue().decode("utf-8"))
+
+    with contextlib.redirect_stdout(stdout):
+        cli._emit(blocks(), None)
+    assert written == ["ab\n", "ab\né\n", "ab\né\nc"]
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        cli._emit(iter(["ab\n", "é"]), None)
+    assert text.getvalue() == "ab\né"
+
+
+SYNTH_STREAM_ARGV = ["synth", "--kind", "noisy", "--schema", "moprd", "--corpus", "corpus.jsonl",
+                     "--synonyms", "90", "--seed", "3"]
+
+
+@pytest.fixture(scope="module")
+def streamed_noisy(workdir):
+    """The document of SYNTH_STREAM_ARGV: 9100 rows of multi-byte UTF-8, more
+    characters than one emit chunk and rows for many serializer blocks."""
+    base = load_corpus((workdir / "corpus.jsonl").read_text(encoding="utf-8"), moprd_schema())
+    text = naive_serialize_corpus(gen_noisy(base, 90, 0.10, 3))
+    assert len(text) > cli._EMIT_CHUNK and text.count("\n") > 17 * _SERIALIZE_BLOCK
+    return text.encode("utf-8")
+
+
+def test_synth_noisy_streams_the_document_to_stdout_and_to_a_file(workdir, tmp_path, streamed_noisy):
+    argv = [sys.executable, "-m", "emlang", *SYNTH_STREAM_ARGV]
+    printed = subprocess.run(argv, capture_output=True, cwd=workdir)
+    assert printed.returncode == 0, printed.stderr
+    assert printed.stdout == streamed_noisy
+    written = subprocess.run([*argv, "--out", str(tmp_path / "out.jsonl")], capture_output=True, cwd=workdir)
+    assert (written.returncode, written.stdout) == (0, b"")
+    assert (tmp_path / "out.jsonl").read_bytes() == streamed_noisy
+
+
+def test_synth_noisy_blocks_split_into_emit_chunks(workdir, tmp_path, monkeypatch, streamed_noisy):
+    """Blocks of 7 rows, each written in chunks of 1000 characters."""
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", 1000)
+    monkeypatch.setattr("emlang.corpus._SERIALIZE_BLOCK", 7)
+    monkeypatch.chdir(workdir)
+    assert cli.main([*SYNTH_STREAM_ARGV, "--out", str(tmp_path / "out.jsonl")]) == 0
+    assert (tmp_path / "out.jsonl").read_bytes() == streamed_noisy
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(SYNTH_STREAM_ARGV) == 0
+    assert stdout.buffer.getvalue() == streamed_noisy
 
 
 def _env(unbuffered: bool) -> dict[str, str]:

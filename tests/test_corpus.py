@@ -22,6 +22,7 @@ from emlang.corpus import (
     filter_by_frequency,
     load_corpus,
     representative_of,
+    serialize_blocks,
     serialize_corpus,
 )
 from emlang.errors import (
@@ -687,6 +688,19 @@ def test_serializer_matches_one_json_dumps_per_record(data):
 def test_serializer_crosses_the_block_size():
     corpus = gen_holistic(concept_schema(_SERIALIZE_BLOCK + 5), 6, 40, seed=1)
     assert serialize_corpus(corpus) == naive_serialize_corpus(corpus)
+
+
+def test_serialized_blocks_are_whole_lines_of_the_document():
+    """The header line, then one block of records per row block; joined,
+    they are the document, also for a corpus without rows."""
+    corpus = gen_holistic(concept_schema(3 * _SERIALIZE_BLOCK + 5), 6, 40, seed=1)
+    blocks = list(serialize_blocks(corpus))
+    assert len(blocks) == 1 + 4
+    assert blocks[0] == '{"meta": {"vocab_size": 40, "msg_len": 6}}\n'
+    assert [block.count("\n") for block in blocks[1:]] == [_SERIALIZE_BLOCK] * 3 + [5]
+    assert "".join(blocks) == serialize_corpus(corpus) == naive_serialize_corpus(corpus)
+    empty = AnnotatedCorpus(TINY, 3, 2, [], np.zeros((0, 1), dtype=np.int64), np.zeros((0, 2)), [], [])
+    assert list(serialize_blocks(empty)) == ['{"meta": {"vocab_size": 3, "msg_len": 2}}\n']
 
 
 def test_serializer_blocks_bound_the_padded_matrix(monkeypatch):

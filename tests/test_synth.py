@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emlang.corpus import AnnotatedCorpus, build_corpus, filter_by_frequency
-from emlang.errors import CapacityError, DocumentSyntaxError
+from emlang.corpus import (
+    AnnotatedCorpus,
+    build_corpus,
+    filter_by_frequency,
+    serialize_blocks,
+    serialize_corpus,
+)
+from emlang.errors import CapacityError, ConfigError, DocumentSyntaxError
 from emlang.rules import Pattern, extract_rules
 from emlang.schema import (
     AttributeSchema,
@@ -285,12 +292,78 @@ def test_noisy_total_past_the_count_limit_is_reported_exactly(moprd):
         gen_noisy(base, 1, 0.9999999999999999, seed=1)
 
 
+@pytest.mark.parametrize(("count", "total"), [(2**52 - 1, 2**53 - 2), (2**52, 2**53)])
+def test_noisy_count_total_bound_is_exact(count, total):
+    """At share 0.5 the synonym total equals the base total, so the corpus
+    total is twice the base count: 2**53 - 2 passes, 2**53 is refused."""
+    base = build_corpus(concept_schema(1), 4, 2, [("s", {"concept": "c0"}, (0, 0), count)])
+    if total < 2**53:
+        counts = gen_noisy(base, 3, 0.5, seed=1).counts.tolist()
+        assert sorted(counts) == [count // 3] * 3 + [count] and sum(counts) == total
+        return
+    with pytest.raises(DocumentSyntaxError, match=re.escape(f"message counts sum to {total}, at least 2**53")):
+        gen_noisy(base, 3, 0.5, seed=1)
+
+
 def test_noisy_rejects_bad_share(moprd):
     base = base_corpus(moprd)
     with pytest.raises(CapacityError):
         gen_noisy(base, 1, 0.0, seed=1)
     with pytest.raises(CapacityError):
         gen_noisy(base, 0, 0.5, seed=1)
+
+
+@pytest.mark.parametrize(("arguments", "message"), [
+    ((2.5, 0.1, 1), "synonym count must be an integer, got 2.5"),
+    ((True, 0.1, 1), "synonym count must be an integer, got True"),
+    ((1, "0.1", 1), "minority share must be a number, got '0.1'"),
+    ((1, True, 1), "minority share must be a number, got True"),
+    ((1, None, 1), "minority share must be a number, got None"),
+    ((1, 0.1, 1.5), "seed must be an integer, got 1.5"),
+    ((1, 0.1, True), "seed must be an integer, got True"),
+    ((1, 0.1, "1"), "seed must be an integer, got '1'"),
+    # the type comes first, then the range
+    ((0.0, 0.0, 1), "synonym count must be an integer, got 0.0"),
+])
+def test_noisy_arguments_are_checked_by_type(moprd, arguments, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        gen_noisy(base_corpus(moprd), *arguments)
+
+
+def test_noisy_takes_numpy_numbers_as_their_values(moprd):
+    base = base_corpus(moprd)
+    expected = gen_noisy(base, 2, 0.25, seed=-8)
+    assert gen_noisy(base, np.int64(2), np.float32(0.25), seed=np.int64(-8)) == expected
+    assert gen_noisy(base, np.uint8(2), 0.25, seed=np.int8(-8)) == expected
+    assert gen_noisy(base, 2, 0.25, seed=2**64 - 8) == gen_noisy(base, 2, 0.25, seed=np.uint64(2**64 - 8))
+
+
+@pytest.mark.parametrize("generate", [gen_compositional, gen_holistic])
+@pytest.mark.parametrize(("arguments", "message"), [
+    ((10.0, 20, 1), "message length must be an integer, got 10.0"),
+    ((True, 20, 1), "message length must be an integer, got True"),
+    ((10, 20.0, 1), "vocabulary size must be an integer, got 20.0"),
+    ((10, "20", 1), "vocabulary size must be an integer, got '20'"),
+    ((10, 20, 1.5), "seed must be an integer, got 1.5"),
+    ((10, 20, True), "seed must be an integer, got True"),
+    ((10, 20, "1"), "seed must be an integer, got '1'"),
+    # the type comes first, then the bounds
+    ((0.0, 20, 1), "message length must be an integer, got 0.0"),
+])
+def test_generator_arguments_are_checked_by_type(moprd, generate, arguments, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        generate(moprd, *arguments)
+
+
+@pytest.mark.parametrize("generate", [gen_compositional, gen_holistic])
+def test_generators_take_numpy_integers_as_their_values(moprd, generate):
+    expected = generate(moprd, 10, 20, 3)
+    given = generate(moprd, np.int64(10), np.uint16(20), np.int32(3))
+    if generate is gen_compositional:
+        (expected, truth), (given, given_truth) = expected, given
+        assert given_truth == truth
+    assert given == expected
+    assert type(given.message_length) is int and type(given.vocab_size) is int
 
 
 def test_noisy_refuses_too_many_synonym_cells_before_building_any(moprd):
@@ -335,3 +408,48 @@ def test_codebook_from_per_value_encoders_is_the_same_codebook(moprd):
     messages = Codebook(moprd, 7, fixed, positions, tokens).encode(combination_codes(moprd))
     assert messages[:, 6].tolist() == [0] * 100
     assert messages[:, 1:2].tolist() == [[7]] * 100
+
+
+# gen_noisy's tracemalloc peak stays below this many times the bytes of its
+# result's arrays: it holds the rows it builds and the constructor's fresh
+# copy of them, with little beside (2.05 on the base below).
+NOISY_PEAK_BOUND = 2.5
+
+
+@pytest.fixture(scope="module")
+def grid_base():
+    """3125 samples of five five-valued attributes sending one message each,
+    18 times; gen_noisy has run once, so numpy.random is imported."""
+    schema = AttributeSchema(attributes=tuple(
+        Attribute(name=f"a{i}", domain=tuple(f"v{j}" for j in range(5))) for i in range(5)
+    ))
+    corpus, _ = gen_compositional(schema, 12, 40, seed=1)
+    base = with_counts(corpus, 18)
+    gen_noisy(base, 1, 0.1, seed=1)
+    return base
+
+
+def traced_peak(run) -> int:
+    """The most memory tracemalloc saw ``run()`` hold at once above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_noisy_peak_memory_is_a_small_multiple_of_its_result(grid_base):
+    noisy = gen_noisy(grid_base, 8, 0.1, seed=5)
+    result = noisy.messages.nbytes + noisy.owners.nbytes + noisy.counts.nbytes
+    assert result == 28125 * (12 + 2) * 8
+    peak = traced_peak(lambda: gen_noisy(grid_base, 8, 0.1, seed=5))
+    assert peak < NOISY_PEAK_BOUND * result
+
+
+def test_streaming_the_serialized_blocks_never_holds_the_document(grid_base):
+    noisy = gen_noisy(grid_base, 8, 0.1, seed=5)
+    size = len(serialize_corpus(noisy))  # 4.4 MB of ASCII text
+    peak = traced_peak(lambda: sum(map(len, serialize_blocks(noisy))))
+    assert peak < size / 2
