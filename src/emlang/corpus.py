@@ -26,8 +26,11 @@ In memory a corpus is columnar, its attributes dictionary-encoded: sorted
 of ``messages`` being a message that sample ``owners[r]`` sent ``counts[r]``
 times.  Every corpus is immutable and canonical, one row per distinct
 (sample, message), sorted by sample and tokens: every construction checks
-its codes, ids and rows and sorts them, so ``dataclasses.replace`` re-sorts;
-rows that come canonical are only copied.  Attribute dicts are coded, and
+its codes, ids and rows and sorts them, so ``dataclasses.replace`` re-sorts.
+Construction is the only code that sorts and merges rows, so readers and
+generators hand it theirs in any order: rows that come canonical are only
+copied, and others are sorted by one lexsort of owners and packed token
+keys, then gathered once per array.  Attribute dicts are coded, and
 checked, only where records become a corpus, by
 :func:`~emlang.schema.code_attributes`; every stage of the pipeline reads the
 codes, and ``schema.domain`` spells a code back as its value.
@@ -63,7 +66,7 @@ from .errors import (
     TokenOutOfRange,
     has_lone_surrogate,
 )
-from .schema import AttributeSchema, code_attributes, extend_codes
+from .schema import AttributeSchema, code_attributes, extend_codes, run_starts
 
 Message = tuple[int, ...]
 
@@ -275,7 +278,12 @@ def _int64_rows(owners, msgs, counts, vocab_size, message_length):
     (owner, message) rows merged, when every row is valid as given: each
     message of ``message_length`` tokens in [0, vocab_size), each count at
     least 1, and the counts summing below COUNT_LIMIT.  None for anything
-    else, which :func:`_exact_rows` merges and reports on."""
+    else, which :func:`_exact_rows` merges and reports on.
+
+    Canonical rows are copied.  Others are lexsorted by owner and packed
+    token keys; the runs of equal rows start where the sorted owners or a
+    sorted key change, and each array is gathered once, at the run starts,
+    with the counts summed over each run."""
     if not len(owners):
         return np.empty((0, message_length), dtype=np.int64), owners, np.empty(0, dtype=np.int64)
     try:
@@ -299,19 +307,25 @@ def _int64_rows(owners, msgs, counts, vocab_size, message_length):
         return None
     if _strictly_increasing(owners, messages):  # as serialized files and filtered corpora are
         return messages.copy(), owners.copy(), counts.copy()
-    order = np.lexsort((*_token_keys(messages, vocab_size)[::-1], owners))
-    messages, owners, counts = messages[order], owners[order], counts[order]
-    starts = np.ones(len(owners), dtype=bool)
-    starts[1:] = (owners[1:] != owners[:-1]) | (messages[1:] != messages[:-1]).any(axis=1)
+    keys = _token_keys(messages, vocab_size)
+    order = np.lexsort((*keys[::-1], owners))
+    # a row starts a run of equal (owner, message) rows where its owner or a key changes
+    starts = run_starts(owners[order])
+    for key in keys:
+        starts |= run_starts(key[order])
+    del keys  # the gathers below need the memory
     starts = np.flatnonzero(starts)
-    return messages[starts], owners[starts], np.add.reduceat(counts, starts)
+    counts = np.add.reduceat(counts[order], starts)
+    first = order[starts]
+    return np.take(messages, first, axis=0), owners[first], counts
 
 
 def _token_keys(messages: np.ndarray, vocab_size: int) -> list[np.ndarray]:
     """Int64 keys, most significant first, that sort the rows as their token
     sequences sort: each packs as many consecutive tokens below
     ``vocab_size`` as fit in 63 bits, so there are fewer keys than tokens."""
-    width, per_key = _token_key_layout(vocab_size)
+    width = max(1, (vocab_size - 1).bit_length())
+    per_key = 63 // width
     keys = []
     for start in range(0, messages.shape[1], per_key):
         key = np.zeros(len(messages), dtype=np.int64)
@@ -320,21 +334,6 @@ def _token_keys(messages: np.ndarray, vocab_size: int) -> list[np.ndarray]:
             key |= column
         keys.append(key)
     return keys
-
-
-def _token_key_layout(vocab_size: int) -> tuple[int, int]:
-    """Bits per token and tokens per key of :func:`_token_keys`."""
-    width = max(1, (vocab_size - 1).bit_length())
-    return width, 63 // width
-
-
-def _token_key_cells(positions: np.ndarray, vocab_size: int, message_length: int):
-    """``(key, shift)``: token ``positions[i]`` of a row sits in key
-    ``key[i]`` of :func:`_token_keys`, shifted left by ``shift[i]`` bits."""
-    width, per_key = _token_key_layout(vocab_size)
-    key = positions // per_key
-    last = np.minimum((key + 1) * per_key, message_length) - 1  # the key's last position
-    return key, width * (last - positions)
 
 
 def _strictly_increasing(owners: np.ndarray, messages: np.ndarray) -> bool:

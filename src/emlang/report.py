@@ -60,6 +60,10 @@ def _pattern_from_json(data) -> Pattern:
         type(cell) is list and len(cell) == 2 and all(_is_int(x) for x in cell) for cell in data
     ):
         raise DocumentSyntaxError("pattern must be a list of [position, token] pairs")
+    if any(later <= earlier for (earlier, _), (later, _) in zip(data, data[1:])):
+        raise DocumentSyntaxError("pattern positions must ascend without repeats")
+    if any(tok < 0 for _, tok in data):
+        raise DocumentSyntaxError("pattern token below 0")
     return Pattern(cells=tuple((pos, tok) for pos, tok in data))
 
 
@@ -111,7 +115,10 @@ _MALFORMED_TABLE = "malformed rule table document"
 def _rule_table_from(doc: dict) -> RuleTable:
     """The rule table a structured document holds.  Nothing is coerced: lengths,
     counts, positions, tokens and support must be JSON integers, names and
-    values strings; a finite ``message_length`` outside the bound names it."""
+    values strings; a finite ``message_length`` outside the bound names it.
+    Only what an extraction writes is taken: each pattern's positions ascend
+    inside the message without repeats, its tokens are at least 0, no rule
+    holds a global constant position, and every support is at least 1."""
     try:
         if type(doc["rules"]) is not list:
             raise DocumentSyntaxError(_MALFORMED_TABLE)
@@ -134,6 +141,9 @@ def _rule_table_from(doc: dict) -> RuleTable:
     patterns = [table.global_constants] + [rule.pattern for rule in table.rules]
     if any(not 0 <= pos < table.message_length for p in patterns for pos, _ in p.cells):
         raise DocumentSyntaxError("pattern position outside the message")
+    fixed = set(table.global_constants.positions)
+    if any(pos in fixed for rule in table.rules for pos in rule.pattern.positions):
+        raise DocumentSyntaxError("rule cell at a global constant position")
     return table
 
 
@@ -146,6 +156,8 @@ def _rule_from(doc: dict) -> SemanticRule:
         and _is_int(support)
     ):
         raise DocumentSyntaxError(_MALFORMED_TABLE)
+    if support < 1:
+        raise DocumentSyntaxError("rule support below 1")
     return SemanticRule(
         pattern=pattern,
         evidence=tuple((prop, value) for prop, value in evidence),

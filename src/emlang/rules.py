@@ -47,10 +47,6 @@ class Pattern:
     def positions(self) -> tuple[int, ...]:
         return tuple(pos for pos, _ in self.cells)
 
-    @property
-    def tokens(self) -> tuple[int, ...]:
-        return tuple(tok for _, tok in self.cells)
-
     def is_empty(self) -> bool:
         return not self.cells
 
@@ -121,7 +117,7 @@ def semantic_rules(
     array holds about one column of rows.  The sort that makes the groups'
     cells distinct gives the canonical order: by positions, then values.
     """
-    columns = list(dict.fromkeys(columns))
+    columns = sorted(set(columns))  # so the groups come in (column, code) order
     if not columns:
         return ()
     by_column = _by_column(values)
@@ -167,9 +163,8 @@ def semantic_rules(
     names = schema.property_names
     domains = [schema.domain(name) for name in names]
     evidence = [[] for _ in firsts]
-    # groups in schema column order, then domain order, so evidence is canonical
-    canonical = np.lexsort((code_of, column_of))
-    for rule, column, code in zip(*(a[canonical].tolist() for a in (rule_of, column_of, code_of))):
+    # the groups come in schema column order, then domain order, so evidence is canonical
+    for rule, column, code in zip(rule_of.tolist(), column_of.tolist(), code_of.tolist()):
         evidence[rule].append((names[column], domains[column][code]))
     rows, at = np.nonzero(kept)
     pairs = tuple(zip(np.asarray(positions)[at].tolist(), cells[rows, at].tolist()))

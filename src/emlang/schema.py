@@ -534,12 +534,14 @@ def parse_schema(text: str) -> AttributeSchema:
             mapping = item["map"]
             if not isinstance(mapping, dict) or "source" not in mapping or "cases" not in mapping:
                 raise DocumentSyntaxError(f"hyperattribute {name!r} 'map' needs 'source' and 'cases'")
+            if not isinstance(mapping["source"], str):
+                raise DocumentSyntaxError(f"hyperattribute {name!r} 'source' must be a string")
             cases = mapping["cases"]
             if not isinstance(cases, dict) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in cases.items()
             ):
                 raise DocumentSyntaxError(f"hyperattribute {name!r} 'cases' must map strings to strings")
-            body = ValueMap(source=str(mapping["source"]), cases=tuple(cases.items()))
+            body = ValueMap(source=mapping["source"], cases=tuple(cases.items()))
         else:
             raise DocumentSyntaxError(f"hyperattribute {name!r} needs 'expr' or 'map'")
         hyperattributes.append(HyperattributeDef(name=name, body=body))

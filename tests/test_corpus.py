@@ -491,6 +491,31 @@ def test_construction_is_blind_to_row_order_and_splits(data):
     assert shuffled == expected
 
 
+@pytest.mark.parametrize(("vocab", "length"), [(2, 130), (2**63, 4)])
+def test_merge_reads_every_packed_key(vocab, length):
+    """Unsorted rows with repeated (owner, message) pairs that differ only in
+    a middle or the last packed token key merge as the record-by-record
+    build merges them: vocabulary 2 at length 130 packs into 3 keys, and
+    vocabulary 2**63 into one key per token."""
+    rng = random.Random(length)
+    base = [rng.randrange(vocab) for _ in range(length)]
+    messages = []
+    for position in (0, length // 2, length - 1):  # in the first, a middle and the last key
+        for token in (0, vocab - 1):
+            message = list(base)
+            message[position] = token
+            messages.append(tuple(message))
+    records = [
+        (f"s{owner}", {"a": "xy"[owner % 2]}, message, rng.randrange(1, 5))
+        for owner in range(3)
+        for message in messages * 2
+    ]
+    rng.shuffle(records)
+    built = build_corpus(TINY, vocab, length, records)
+    assert built == naive_build_corpus(TINY, vocab, length, records)
+    assert len(built.counts) == 3 * len(set(messages)) < len(records)
+
+
 def test_message_length_bound():
     edge = build_corpus(TINY, 2, MAX_MESSAGE_LENGTH, [("s", {"a": "x"}, (1,) * 2**16, 1)])
     assert edge.messages.shape == (1, 2**16)

@@ -42,16 +42,17 @@ def test_console_script_and_python_m_call_one_entry_point():
 
 
 def test_every_public_definition_is_exported_or_used():
-    """A public top-level function or class of ``src/emlang`` is in
-    ``emlang.__all__`` or referenced in ``src`` outside its own definition,
-    so that no dead public surface grows back unseen."""
+    """A top-level function, private or public, or a public class of
+    ``src/emlang`` is in ``emlang.__all__`` or referenced in ``src`` outside
+    its own definition, so that no dead public surface grows back unseen and
+    no helper outlives its last caller."""
     definitions, references = {}, set()
     for path in sorted((ROOT / "src" / "emlang").glob("*.py")):
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
             own = None
             if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
                 own = statement.name
-                if not own.startswith("_"):
+                if isinstance(statement, ast.FunctionDef) or not own.startswith("_"):
                     definitions[own] = f"{path.name}:{statement.lineno}"
             for node in ast.walk(statement):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
@@ -59,4 +60,4 @@ def test_every_public_definition_is_exported_or_used():
                     references.add(name)
     dead = {name: where for name, where in definitions.items()
             if name not in emlang.__all__ and name not in references}
-    assert not dead, f"public but neither exported nor used: {dead}"
+    assert not dead, f"neither exported nor used: {dead}"

@@ -254,9 +254,10 @@ RULE_TABLE = {"kind": "rule_table", "message_length": 1, "rule_count": 1, "globa
               "rules": [{"pattern": [[0, 7]], "evidence": [["shape1", "□"]],
                          "coverage": {"shape1": ["□"]}, "support": 3}]}
 MALFORMED = "malformed rule table document"
+UNORDERED = "pattern positions must ascend without repeats"
 
 # one field of RULE_TABLE (a key, or a rule key under "rules") replaced by a value of the
-# wrong JSON type, and the reason the error names
+# wrong JSON type or by one no extraction writes, and the reason the error names
 ILL_TYPED_RULE_TABLES = {
     "length-bool": ("message_length", True, MALFORMED),
     "length-float": ("message_length", 1.0, MALFORMED),
@@ -268,6 +269,16 @@ ILL_TYPED_RULE_TABLES = {
     "evidence-value-number": ("rules.evidence", [["shape1", 1]], MALFORMED),
     "coverage-value-number": ("rules.coverage", {"shape1": [1]}, MALFORMED),
     "rules-object": ("rules", {}, MALFORMED),
+    # the right JSON types, holding what no extraction writes
+    "pattern-repeated-position": ("rules.pattern", [[0, 3], [0, 9]], UNORDERED),
+    "pattern-unordered": ("rules.pattern", [[1, 4], [0, 3]], UNORDERED),
+    "constants-repeated-position": ("global_constants", [[0, 7], [0, 8]], UNORDERED),
+    "pattern-negative-token": ("rules.pattern", [[0, -1]], "pattern token below 0"),
+    "constants-negative-token": ("global_constants", [[0, -7]], "pattern token below 0"),
+    "rule-at-constant-position": ("global_constants", [[0, 7]],
+                                  "rule cell at a global constant position"),
+    "support-zero": ("rules.support", 0, "rule support below 1"),
+    "support-negative": ("rules.support", -4, "rule support below 1"),
 }
 
 

@@ -180,6 +180,19 @@ def test_value_map_must_cover_source():
         parse_schema(doc_extra)
 
 
+@pytest.mark.parametrize("source", ["null", "5", "true", '["None"]'])
+def test_value_map_source_must_be_a_string(source):
+    """A non-string source is refused, not spelt as the attribute its str() names."""
+    doc = f"""
+    {{"attributes": [{{"name": "None", "values": ["x"]}}, {{"name": "5", "values": ["x"]}},
+                    {{"name": "True", "values": ["x"]}}, {{"name": "['None']", "values": ["x"]}}],
+     "hyperattributes": [{{"name": "m", "map": {{"source": {source}, "cases": {{"x": "one"}}}}}}]}}
+    """
+    with pytest.raises(DocumentSyntaxError, match="'source' must be a string"):
+        parse_schema(doc)
+    parse_schema(doc.replace(f'"source": {source}', '"source": "None"'))
+
+
 def test_moprd_hyperattribute_identities(moprd):
     """Boolean identities hold on every one of the 100 combinations."""
     combos = attribute_product(moprd)

@@ -411,8 +411,9 @@ def test_codebook_from_per_value_encoders_is_the_same_codebook(moprd):
 
 
 # gen_noisy's tracemalloc peak stays below this many times the bytes of its
-# result's arrays: it holds the rows it builds and the constructor's fresh
-# copy of them, with little beside (2.05 on the base below).
+# result's arrays: it holds the rows it builds, unsorted, and the
+# constructor's sorted gather of them, with little beside (2.30 on the base
+# below).
 NOISY_PEAK_BOUND = 2.5
 
 
