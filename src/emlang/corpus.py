@@ -30,10 +30,12 @@ its codes, ids and rows and sorts them, so ``dataclasses.replace`` re-sorts.
 Construction is the only code that sorts and merges rows, so readers and
 generators hand it theirs in any order: rows that come canonical are only
 copied, and others are sorted by one lexsort of owners and packed token
-keys, then gathered once per array.  Attribute dicts are coded, and
-checked, only where records become a corpus, by
-:func:`~emlang.schema.code_attributes`; every stage of the pipeline reads the
-codes, and ``schema.domain`` spells a code back as its value.
+keys (:func:`emlang.kernels.token_keys`), then gathered once per array.
+Attribute dicts are coded, and checked, only where records become a corpus,
+by :func:`~emlang.schema.code_attributes`; every stage of the pipeline reads
+the codes, and ``schema.domain`` spells a code back as its value.  The
+header, integer and count checks are public, as the generators, the game
+and the renderers share them.
 
 :func:`serialize_corpus` writes each record as ``json.dumps(record,
 ensure_ascii=False)`` would, without Python work per row or per token.  Its
@@ -66,7 +68,8 @@ from .errors import (
     TokenOutOfRange,
     has_lone_surrogate,
 )
-from .schema import AttributeSchema, code_attributes, extend_codes, run_starts
+from .kernels import first_of_max, run_starts, token_keys
+from .schema import AttributeSchema, code_attributes, extend_codes
 
 Message = tuple[int, ...]
 
@@ -101,8 +104,9 @@ class AnnotatedCorpus:
     rows, in that order, then sorts samples by id (renumbering ``owners``)
     and rows by owner and tokens, merging repeated rows: as int64 arrays
     when all rows are valid, else in Python integers by the one check that
-    words a row error.  A token or count that is not an integer is refused,
-    not cast.  Arrays are stored fresh and read-only.
+    words a row error.  A header number, token or count that is not an
+    integer is refused, not cast; a numpy integer header number is stored
+    as an int.  Arrays are stored fresh and read-only.
     """
 
     schema: AttributeSchema
@@ -120,7 +124,7 @@ class AnnotatedCorpus:
     def __post_init__(self):
         ids = tuple(self.sample_ids)
         attribute_codes = _checked_codes(self.schema, ids, self.attribute_codes)
-        _check_shape(self.vocab_size, self.message_length)
+        vocab_size, message_length = check_shape(self.vocab_size, self.message_length)
         try:
             joined = "".join(ids)
         except TypeError:
@@ -148,12 +152,12 @@ class AnnotatedCorpus:
         if len(empty):
             raise DocumentSyntaxError(f"sample {ids[empty[0]]!r} owns no messages")
         _check_integers((self.messages, "token"), (self.counts, "count"))
-        rows = _int64_rows(owners, self.messages, self.counts, self.vocab_size, self.message_length)
+        rows = _int64_rows(owners, self.messages, self.counts, vocab_size, message_length)
         if rows is None:
-            rows = _exact_rows(
-                ids, self.vocab_size, self.message_length, owners, self.messages, self.counts
-            )
+            rows = _exact_rows(ids, vocab_size, message_length, owners, self.messages, self.counts)
         codes = extend_codes(self.schema, attribute_codes)
+        object.__setattr__(self, "vocab_size", vocab_size)
+        object.__setattr__(self, "message_length", message_length)
         object.__setattr__(self, "sample_ids", ids)
         arrays = (codes, codes[:, : len(self.schema.attributes)], *rows)
         for name, array in zip(("codes", "attribute_codes", "messages", "owners", "counts"), arrays):
@@ -218,7 +222,7 @@ def _check_integers(*named) -> None:
             raise DocumentSyntaxError(f"message {what} {value!r} is not an integer")
 
 
-def _config_int(value, name: str) -> int:
+def config_int(value, name: str) -> int:
     """``value`` as an int; ConfigError unless it is an int or a numpy
     integer (a bool is neither)."""
     if type(value) is not int and not isinstance(value, np.integer):
@@ -226,18 +230,24 @@ def _config_int(value, name: str) -> int:
     return int(value)
 
 
-def _check_number(value, name: str) -> None:
+def check_number(value, name: str) -> None:
     """ConfigError unless ``value`` is an int or a float, numpy's included
     (a bool is neither)."""
     if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
-def _check_shape(vocab_size: int, message_length: int) -> None:
+def check_shape(vocab_size, message_length) -> tuple[int, int]:
+    """A corpus header as ints; DocumentSyntaxError unless both are integers,
+    numpy's included and bool not, inside their bounds."""
+    if not all(type(n) is int or isinstance(n, np.integer) for n in (vocab_size, message_length)):
+        raise DocumentSyntaxError("vocab_size and msg_len must be integers")
+    vocab_size, message_length = int(vocab_size), int(message_length)
     if not 1 <= message_length <= MAX_MESSAGE_LENGTH:
         raise DocumentSyntaxError(f"message length must lie in 1..{MAX_MESSAGE_LENGTH}")
     if not 1 <= vocab_size <= VOCAB_LIMIT:
         raise DocumentSyntaxError("vocabulary size must lie in 1..2**63")
+    return vocab_size, message_length
 
 
 def build_corpus(
@@ -307,33 +317,14 @@ def _int64_rows(owners, msgs, counts, vocab_size, message_length):
         return None
     if _strictly_increasing(owners, messages):  # as serialized files and filtered corpora are
         return messages.copy(), owners.copy(), counts.copy()
-    keys = _token_keys(messages, vocab_size)
+    keys = token_keys(messages, vocab_size)
     order = np.lexsort((*keys[::-1], owners))
     # a row starts a run of equal (owner, message) rows where its owner or a key changes
-    starts = run_starts(owners[order])
-    for key in keys:
-        starts |= run_starts(key[order])
+    starts = np.flatnonzero(run_starts(owners[order], *(key[order] for key in keys)))
     del keys  # the gathers below need the memory
-    starts = np.flatnonzero(starts)
     counts = np.add.reduceat(counts[order], starts)
     first = order[starts]
     return np.take(messages, first, axis=0), owners[first], counts
-
-
-def _token_keys(messages: np.ndarray, vocab_size: int) -> list[np.ndarray]:
-    """Int64 keys, most significant first, that sort the rows as their token
-    sequences sort: each packs as many consecutive tokens below
-    ``vocab_size`` as fit in 63 bits, so there are fewer keys than tokens."""
-    width = max(1, (vocab_size - 1).bit_length())
-    per_key = 63 // width
-    keys = []
-    for start in range(0, messages.shape[1], per_key):
-        key = np.zeros(len(messages), dtype=np.int64)
-        for column in messages.T[start : start + per_key]:
-            key <<= width
-            key |= column
-        keys.append(key)
-    return keys
 
 
 def _strictly_increasing(owners: np.ndarray, messages: np.ndarray) -> bool:
@@ -370,7 +361,7 @@ def _exact_rows(sample_ids, vocab_size, message_length, owners, msgs, counts):
         if count < 1:
             raise DocumentSyntaxError(f"sample {sample_id!r}: message count must be >= 1")
         total += count
-    _check_count_total(total)
+    check_count_total(total)
     messages = np.array([message for (_, message), _ in rows], dtype=np.int64)
     return (
         messages.reshape(len(rows), message_length),
@@ -379,13 +370,13 @@ def _exact_rows(sample_ids, vocab_size, message_length, owners, msgs, counts):
     )
 
 
-def _check_count_total(total: int) -> None:
+def check_count_total(total: int) -> None:
     """DocumentSyntaxError when a corpus's exact count total reaches COUNT_LIMIT."""
     if total >= COUNT_LIMIT:
         raise DocumentSyntaxError(f"message counts sum to {total}, at least 2**53")
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
     return type(value) is int  # bool is an int subclass; reject it
 
 
@@ -413,7 +404,7 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
             "first line must be a header {\"meta\": {\"vocab_size\": n, \"msg_len\": T}}"
         )
     vocab_size, message_length = meta["vocab_size"], meta["msg_len"]
-    if not _is_int(vocab_size) or not _is_int(message_length):
+    if not is_int(vocab_size) or not is_int(message_length):
         raise DocumentSyntaxError("vocab_size and msg_len must be integers")
     lexed = _lex_records(text, records, schema, message_length)
     if lexed is not None:
@@ -531,9 +522,9 @@ def _check_records(lines: list[str]) -> None:
         if not isinstance(record["sample"], str):
             raise DocumentSyntaxError(f"line {lineno}: 'sample' must be a string")
         msg = record["msg"]
-        if not isinstance(msg, list) or not all(_is_int(t) for t in msg):
+        if not isinstance(msg, list) or not all(is_int(t) for t in msg):
             raise DocumentSyntaxError(f"line {lineno}: 'msg' must be a list of integers")
-        if not _is_int(record.get("count", 1)):
+        if not is_int(record.get("count", 1)):
             raise DocumentSyntaxError(f"line {lineno}: 'count' must be an integer")
         if not isinstance(record["attrs"], dict):
             raise DocumentSyntaxError(f"line {lineno}: 'attrs' must be an object")
@@ -654,7 +645,7 @@ def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedC
     threshold 0 is the identity.  Samples are never dropped: a sample left
     without messages (threshold above its maximum share) raises EmptySample.
     """
-    _check_number(threshold, "threshold")
+    check_number(threshold, "threshold")
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
     # counts and totals lie below 2**53, so the float division is the exact share rounded once
@@ -675,9 +666,5 @@ def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedC
 def representative_of(corpus: AnnotatedCorpus) -> np.ndarray:
     """Row of each sample's highest-count message, ties going to the smallest
     row, which holds the lexicographically smallest message."""
-    order = np.lexsort((-corpus.counts, corpus.owners))  # stable: equal counts keep row order
-    owners = corpus.owners[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = owners[1:] != owners[:-1]
-    return order[first]
+    return first_of_max(corpus.owners, corpus.counts)
 

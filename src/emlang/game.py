@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, _config_int
+from .corpus import AnnotatedCorpus, config_int
 from .errors import ConfigError
+from .kernels import first_of_max
 from .metrics import AccuracyMatrix
 
 # Candidates per batch (episodes x k); a new size reorders the draws, changing every matrix.
@@ -75,10 +76,7 @@ def _top_owners(keys: np.ndarray, shares: np.ndarray, n: int, message_count: int
     """Per message id, the owner a listener table picks among all samples: the first
     of the largest share in the message's block of keys; -1 if it never heard it."""
     messages = keys // n
-    starts = np.flatnonzero(np.diff(messages, prepend=-1))
-    best = np.repeat(np.maximum.reduceat(shares, starts), np.diff(starts, append=len(keys)))
-    first = np.flatnonzero(shares == best)
-    first = first[np.diff(messages[first], prepend=-1) != 0]
+    first = first_of_max(messages, shares)
     top = np.full(message_count, -1, dtype=np.int64)
     top[messages[first]] = keys[first] % n
     return top
@@ -94,7 +92,7 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
     """
     fields = {"seed": config.seed, "candidate count": config.candidate_count,
               "episode count": config.episodes}
-    seed, k, episodes = (_config_int(value, name) for name, value in fields.items())
+    seed, k, episodes = (config_int(value, name) for name, value in fields.items())
     n = len(corpus.sample_ids)
     if k < 2:
         raise ConfigError("candidate sets need at least two samples")

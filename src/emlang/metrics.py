@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Message, _config_int, representative_of
+from .corpus import AnnotatedCorpus, Message, config_int, representative_of
 from .errors import ConfigError, LengthMismatch, ZeroVariance
+from .kernels import column_major
 
 # Exact enumeration for up to 2000 samples; seeded sampling beyond.
 DEFAULT_MAX_PAIRS = 2000 * 1999 // 2
@@ -243,8 +244,8 @@ def topsim(
     n = len(corpus.sample_ids)
     if n < 3:
         raise ConfigError("topsim needs at least three samples")
-    limit = DEFAULT_MAX_PAIRS if max_pairs is None else _config_int(max_pairs, "max_pairs")
-    seed = None if seed is None else _config_int(seed, "seed")
+    limit = DEFAULT_MAX_PAIRS if max_pairs is None else config_int(max_pairs, "max_pairs")
+    seed = None if seed is None else config_int(seed, "seed")
     if limit < 2:
         raise ConfigError("max_pairs must be at least 2")
     total_pairs = n * (n - 1) // 2
@@ -260,7 +261,7 @@ def topsim(
 
     codes = corpus.attribute_codes  # differing code <=> differing value
     attribute_count = codes.shape[1]
-    columns = np.ascontiguousarray(codes.T, dtype=np.min_scalar_type(codes.max(initial=0)))
+    columns = column_major(codes)
     # Levenshtein reads tokens only through equality: dense ids of the narrowest type
     reps = corpus.messages[representative_of(corpus)]
     distinct, dense = np.unique(reps, return_inverse=True)

@@ -18,7 +18,7 @@ import io
 import json
 import math
 
-from .corpus import MAX_MESSAGE_LENGTH, _is_int
+from .corpus import MAX_MESSAGE_LENGTH, is_int
 from .errors import DocumentSyntaxError, parse_json
 from .metrics import AccuracyMatrix, TopSimReport, accuracy_per_speaker
 from .rules import Pattern, RuleTable, SemanticRule
@@ -57,7 +57,7 @@ def _pattern_to_json(pattern: Pattern) -> list[list[int]]:
 
 def _pattern_from_json(data) -> Pattern:
     if type(data) is not list or not all(
-        type(cell) is list and len(cell) == 2 and all(_is_int(x) for x in cell) for cell in data
+        type(cell) is list and len(cell) == 2 and all(is_int(x) for x in cell) for cell in data
     ):
         raise DocumentSyntaxError("pattern must be a list of [position, token] pairs")
     if any(later <= earlier for (earlier, _), (later, _) in zip(data, data[1:])):
@@ -127,16 +127,16 @@ def _rule_table_from(doc: dict) -> RuleTable:
         constants = _pattern_from_json(doc["global_constants"])
     except (KeyError, TypeError):  # a missing field; a rule that is not an object
         raise DocumentSyntaxError(_MALFORMED_TABLE) from None
-    if not (_is_int(length) or type(length) is float and math.isfinite(length)):
+    if not (is_int(length) or type(length) is float and math.isfinite(length)):
         raise DocumentSyntaxError(_MALFORMED_TABLE)
     table = RuleTable(message_length=length, global_constants=constants, rules=rules)
-    if not (_is_int(doc.get("rule_count")) and doc["rule_count"] == table.rule_count):
+    if not (is_int(doc.get("rule_count")) and doc["rule_count"] == table.rule_count):
         raise DocumentSyntaxError("rule_count does not match the number of rules")
     if not 1 <= length <= MAX_MESSAGE_LENGTH:
         raise DocumentSyntaxError(
             f"message_length must be between 1 and {MAX_MESSAGE_LENGTH}"
         )
-    if not _is_int(length):
+    if not is_int(length):
         raise DocumentSyntaxError(_MALFORMED_TABLE)
     patterns = [table.global_constants] + [rule.pattern for rule in table.rules]
     if any(not 0 <= pos < table.message_length for p in patterns for pos, _ in p.cells):
@@ -153,7 +153,7 @@ def _rule_from(doc: dict) -> SemanticRule:
     if not (
         type(evidence) is list and all(_is_strs(pair) and len(pair) == 2 for pair in evidence)
         and type(coverage) is dict and all(map(_is_strs, coverage.values()))
-        and _is_int(support)
+        and is_int(support)
     ):
         raise DocumentSyntaxError(_MALFORMED_TABLE)
     if support < 1:
@@ -176,11 +176,14 @@ def _variable_positions(table: RuleTable) -> list[int]:
 
 
 def _rule_cells(table: RuleTable, schema: AttributeSchema) -> tuple[list[str], list[list[str]]]:
-    """Header and one row per rule: position tokens, then evidence per property."""
+    """Header and one row per rule: position tokens, then evidence per property.
+    A property outside ``schema``, in evidence or coverage, is UnknownReference."""
     positions = _variable_positions(table)
     header = [f"pos {p}" for p in positions] + list(schema.property_names)
     rows = []
     for rule in table.rules:
+        for prop, _ in (*rule.evidence, *rule.coverage):
+            schema.column(prop)  # raises UnknownReference, before any layout is written
         cells = dict(rule.pattern.cells)
         row = [str(cells[p]) if p in cells else "" for p in positions]
         by_prop: dict[str, list[str]] = {}
@@ -311,16 +314,16 @@ def _topsim_from(doc: dict) -> TopSimReport | None:
     if not (_is_number(rho) and math.isfinite(rho)):
         return None
     # spearman needs two pairs; only a sampled report names its seed
-    if not (_is_int(pair_count) and pair_count >= 2 and type(sampled) is bool):
+    if not (is_int(pair_count) and pair_count >= 2 and type(sampled) is bool):
         return None
-    if not (_is_int(seed) if sampled else seed is None):
+    if not (is_int(seed) if sampled else seed is None):
         return None
     return TopSimReport(rho=float(rho), pair_count=pair_count, sampled=sampled, seed=seed)
 
 
 def _accuracy_from(doc: dict) -> AccuracyMatrix | None:
     episodes, rows = doc["episodes_per_cell"], doc["values"]
-    if not (_is_int(episodes) and episodes >= 1) or type(rows) is not list or not rows:
+    if not (is_int(episodes) and episodes >= 1) or type(rows) is not list or not rows:
         return None
     # a rectangle: every speaker plays the same listeners, and at least one
     if any(type(row) is not list or len(row) != len(rows[0]) for row in rows) or not rows[0]:

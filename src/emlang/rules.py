@@ -13,9 +13,10 @@ Each rule keeps two views of its meaning:
 
 Both are read off the corpus arrays: a group is the messages whose owners
 share a code in one column of ``AnnotatedCorpus.codes``; coverage is the
-distinct codes of the owners of the messages a pattern matches.  They are
-computed for all rules at once, by :func:`semantic_rules`; a pattern's
-coverage is read off the rule table, not computed one pattern at a time.
+distinct codes of the owners of the messages a pattern matches, which
+:func:`observed_by_group` spells as values.  They are computed for all rules
+at once, by :func:`semantic_rules`, from the sort-and-run kernels of
+:mod:`emlang.kernels`; a pattern's coverage is read off the rule table.
 
 All functions are pure over immutable corpora.  The rules come in canonical
 order, by positions, then tokens, the empty pattern last, and that order
@@ -28,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Message, _token_keys, filter_by_frequency
+from .corpus import AnnotatedCorpus, Message, filter_by_frequency
 from .errors import EmptyCorpus, EmptyInput
-from .schema import AttributeSchema, distinct_keys, observed_by_group, run_starts
+from .kernels import column_major, distinct_keys, find_rows, run_starts, token_keys
+from .schema import AttributeSchema
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ def semantic_rules(
     columns = sorted(set(columns))  # so the groups come in (column, code) order
     if not columns:
         return ()
-    by_column = _by_column(values)
+    by_column = column_major(values)
     size = int(by_column.max(initial=0)) + 1  # every value lies below it
     group_columns, group_codes, lows, keeps = [], [], [], []
     for column in columns:
@@ -146,14 +148,10 @@ def semantic_rules(
     # column counts 1 if kept, 2 if a later one is, else 0, so the counts sort
     # as the kept positions do and the rules of one position set are adjacent
     later = np.logical_or.accumulate(kept[:, ::-1], axis=1)[:, ::-1]
-    position_keys = _token_keys(np.where(kept, 1, 2 * later), 3)
-    pattern_keys = [~kept.any(axis=1), *position_keys, *_token_keys(cells, size)]
+    position_keys = token_keys(np.where(kept, 1, 2 * later), 3)
+    pattern_keys = [~kept.any(axis=1), *position_keys, *token_keys(cells, size)]
     order = np.lexsort(pattern_keys[::-1])
-    new = np.zeros(len(order), dtype=bool)
-    new[0] = True
-    for key in pattern_keys:
-        ranked = key[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
+    new = run_starts(*(key[order] for key in pattern_keys))
     rule_of = np.empty(len(order), dtype=np.int64)
     rule_of[order] = np.cumsum(new) - 1
     firsts = order[new]
@@ -193,11 +191,11 @@ def _cover(schema, by_column, size, owners, codes, kept, cells):
     new_set[1:-1] = (kept[1:] != kept[:-1]).any(axis=1)
     bounds = np.flatnonzero(new_set)
     count = max(1, len(codes))
-    by_property = _by_column(codes)
+    by_property = column_major(codes)
     supports, coverages = [], []
     for start, stop in zip(bounds, bounds[1:]):
         at = np.flatnonzero(kept[start])
-        found = _find_rows(cells[start:stop, at], by_column[at].T, size)
+        found = find_rows(cells[start:stop, at], by_column[at].T, size)
         hit = found >= 0
         pairs = distinct_keys(found[hit] * count + owners[hit])
         pattern, sample = np.divmod(pairs, count)
@@ -206,47 +204,24 @@ def _cover(schema, by_column, size, owners, codes, kept, cells):
     return supports, coverages
 
 
-def _by_column(table: np.ndarray) -> np.ndarray:
-    """The columns of ``table``, whose entries are non-negative, as the rows
-    of a C-contiguous array of the narrowest signed integer type that holds
-    them: each column then gathers from one short contiguous row."""
-    return np.ascontiguousarray(table.T, dtype=_narrowest(int(table.max(initial=0))))
+def observed_by_group(
+    schema: AttributeSchema, columns: np.ndarray, rows: np.ndarray, groups: np.ndarray, count: int
+) -> list[tuple[tuple[str, ...], ...]]:
+    """For each group k below ``count``, per property, the values present in
+    the rows ``rows[i]`` with ``groups[i] == k``, in domain order; row
+    ``column`` of ``columns`` holds each row's code of that property.
 
-
-def _narrowest(top: int) -> type:
-    """The narrowest signed integer type that holds 0 to ``top``."""
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
-
-
-def _find_rows(table: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """For each of ``rows``, the index of the equal row of ``table``, whose
-    rows are distinct, or -1; values lie below ``size``.
-
-    Rows compare as their packed int64 keys.  Each key in turn folds into a
-    rank among the table's sorted entries, (rank so far, rank of the key),
-    so the ranks stay below ``len(table)``**2 however many keys there are."""
-    if not table.shape[1]:  # the empty pattern matches every row
-        return np.zeros(len(rows), dtype=np.int64)
-    table_keys, row_keys = _token_keys(table, size), _token_keys(rows, size)
-    table_rank, row_rank, found = _ranks(table_keys[0], row_keys[0])
-    size = len(table)
-    for table_key, row_key in zip(table_keys[1:], row_keys[1:]):
-        table_next, row_next, hit = _ranks(table_key, row_key)
-        table_rank, row_rank, same = _ranks(
-            table_rank * size + table_next, row_rank * size + row_next
-        )
-        found &= hit & same
-    index = np.empty(size, dtype=np.int64)
-    index[table_rank] = np.arange(size)  # distinct rows end with distinct ranks
-    return np.where(found, index[row_rank], -1)
-
-
-def _ranks(table_key: np.ndarray, key: np.ndarray):
-    """Rank of each table entry and of each key among the sorted table
-    entries (equal entries share a rank), and whether the key is an entry."""
-    ordered = np.sort(table_key)
-    rank = np.searchsorted(ordered, key).clip(max=len(ordered) - 1)
-    return np.searchsorted(ordered, table_key), rank, ordered[rank] == key
+    Each property reads one sorted (group, code) key, so the work grows with
+    the rows and the values found, not with the groups times the rows."""
+    per_property = []
+    for prop, column in zip(schema.property_names, columns):
+        domain = schema.domain(prop)
+        keys = groups * len(domain) + column[rows]
+        group, code = np.divmod(distinct_keys(keys), len(domain))
+        values = list(map(domain.__getitem__, code.tolist()))
+        bounds = np.searchsorted(group, np.arange(count + 1)).tolist()
+        per_property.append([tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])])
+    return list(zip(*per_property)) if per_property else [()] * count
 
 
 def extract_rules(

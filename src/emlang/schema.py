@@ -28,7 +28,8 @@ Evaluation works on whole columns of domain indices: :func:`code_attributes`
 codes attribute dicts, and is the one check that they conform to the schema;
 :func:`extend_codes` derives the hyperattribute columns from attribute codes.
 A property's value on a sample is its domain entry at the sample's code in
-the property's column, ``schema.domain(prop)[codes[row, schema.column(prop)]]``.
+the property's column, ``schema.domain(prop)[codes[row, schema.column(prop)]]``;
+grouping those columns is left to :mod:`emlang.kernels` and its callers.
 
 Schemas are immutable after construction; evaluation is pure, so all
 operations here are safe to call concurrently.
@@ -461,41 +462,6 @@ def extend_codes(schema: AttributeSchema, attribute_codes: np.ndarray) -> np.nda
     for i, evaluate in enumerate(schema._evaluators, start=len(schema.attributes)):
         codes[:, i] = evaluate(codes)
     return codes
-
-
-def observed_by_group(
-    schema: AttributeSchema, columns: np.ndarray, rows: np.ndarray, groups: np.ndarray, count: int
-) -> list[tuple[tuple[str, ...], ...]]:
-    """For each group k below ``count``, per property, the values present in
-    the rows ``rows[i]`` with ``groups[i] == k``, in domain order; row
-    ``column`` of ``columns`` holds each row's code of that property.
-
-    Each property reads one sorted (group, code) key, so the work grows with
-    the rows and the values found, not with the groups times the rows."""
-    per_property = []
-    for prop, column in zip(schema.property_names, columns):
-        domain = schema.domain(prop)
-        keys = groups * len(domain) + column[rows]
-        group, code = np.divmod(distinct_keys(keys), len(domain))
-        values = list(map(domain.__getitem__, code.tolist()))
-        bounds = np.searchsorted(group, np.arange(count + 1)).tolist()
-        per_property.append([tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])])
-    return list(zip(*per_property)) if per_property else [()] * count
-
-
-def distinct_keys(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of ``keys``, ascending, by one sort."""
-    keys = np.sort(keys)
-    return keys[run_starts(keys)]
-
-
-def run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Whether each entry of the sorted ``ordered`` starts a run of equal
-    entries: differs from the entry before it, or is the first."""
-    starts = np.empty(len(ordered), dtype=bool)
-    starts[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    return starts
 
 
 # ---------------------------------------------------------------------------

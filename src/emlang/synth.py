@@ -27,13 +27,14 @@ import numpy as np
 from .corpus import (
     AnnotatedCorpus,
     Message,
-    _check_count_total,
-    _check_number,
-    _check_shape,
-    _config_int,
+    check_count_total,
+    check_number,
+    check_shape,
+    config_int,
 )
 from .errors import CapacityError
-from .rules import Pattern, RuleTable, _narrowest, semantic_rules
+from .kernels import narrowest, run_starts
+from .rules import Pattern, RuleTable, semantic_rules
 from .schema import Attribute, AttributeSchema, extend_codes, parse_schema
 
 # Leading positions that every message of a holistic language shares.
@@ -138,10 +139,10 @@ class Codebook:
 def _shape_and_seed(message_length, vocab_size, seed) -> tuple[int, int, int]:
     """The three as ints, ConfigError unless each is an integer (numpy's
     included, bool not), then checked as a corpus header is."""
-    message_length = _config_int(message_length, "message length")
-    vocab_size = _config_int(vocab_size, "vocabulary size")
-    seed = _config_int(seed, "seed")
-    _check_shape(vocab_size, message_length)
+    message_length = config_int(message_length, "message length")
+    vocab_size = config_int(vocab_size, "vocabulary size")
+    seed = config_int(seed, "seed")
+    check_shape(vocab_size, message_length)
     return message_length, vocab_size, seed
 
 
@@ -236,7 +237,7 @@ def ground_truth_table(codebook: Codebook) -> RuleTable:
     global_cells.update({positions[a]: toks[0] for a, toks in enumerate(tokens) if len(toks) == 1})
     # many-valued attributes' tokens by position, column-major and narrow
     varying = sorted((positions[a], a) for a, toks in enumerate(tokens) if len(toks) > 1)
-    narrow = _narrowest(max((max(tokens[a]) for _, a in varying), default=0))
+    narrow = narrowest(max((max(tokens[a]) for _, a in varying), default=0))
     values = np.empty((len(varying), len(codes)), dtype=narrow).T
     for column, (_, a) in enumerate(varying):
         np.take(np.array(tokens[a], dtype=narrow), codes[:, a], out=values[:, column])
@@ -302,8 +303,8 @@ def gen_noisy(
     included and bool not, else ConfigError.  More than ``MAX_SYNONYM_CELLS``
     working cells is a ``CapacityError``.
     """
-    synonym_count, seed = _config_int(synonym_count, "synonym count"), _config_int(seed, "seed")
-    _check_number(minority_share, "minority share")
+    synonym_count, seed = config_int(synonym_count, "synonym count"), config_int(seed, "seed")
+    check_number(minority_share, "minority share")
     if not 0.0 < minority_share < 1.0:
         raise CapacityError(f"minority share must lie in (0, 1), got {minority_share}")
     if synonym_count < 1:
@@ -358,9 +359,8 @@ def _synonym_cells(base: AnnotatedCorpus, first, synonym_owners, seed: int):
         drawn[pending] = True
         order = np.lexsort((drawn[checked], *cells[:, checked]))
         drawn[pending] = False
-        ranked = cells[:, checked[order]]
-        repeats = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
-        pending = np.sort(checked[order[1:][repeats]])
+        repeats = ~run_starts(*cells[:, checked[order]])
+        pending = np.sort(checked[order[repeats]])
         if not len(pending):
             return cells[1, len(near) :].copy(), cells[2, len(near) :].copy()
     raise CapacityError("could not find a distinct synonym message")
@@ -375,7 +375,7 @@ def _synonym_counts(base: AnnotatedCorpus, synonym_count: int, minority_share) -
     rounded = np.maximum(synonym_count, np.rint(ratio * base.totals))
     # a sample's synonym total can pass 2**63, so the corpus total is
     # checked in Python integers before the totals become int64
-    _check_count_total(int(base.counts.sum()) + sum(map(int, rounded.tolist())))
+    check_count_total(int(base.counts.sum()) + sum(map(int, rounded.tolist())))
     totals = rounded.astype(np.int64)
     per_synonym, leftover = totals // synonym_count, totals % synonym_count
     rank = np.tile(np.arange(synonym_count), len(totals))

@@ -44,6 +44,22 @@ def hamming(a, b) -> int:
     return sum(x != y for x, y in zip(a, b))
 
 
+def naive_run_starts(rows: list[tuple]) -> list[bool]:
+    """Whether each row differs from the row before it, or is the first."""
+    return [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
+
+
+def naive_first_of_max(groups: list, values: list) -> list[int]:
+    """Per run of equal groups, in run order, the first index of its largest value."""
+    firsts, start = [], 0
+    for _, run in itertools.groupby(groups):
+        stop = start + len(list(run))
+        best = max(values[start:stop])
+        firsts.append(next(i for i in range(start, stop) if values[i] == best))
+        start = stop
+    return firsts
+
+
 def brute_ranks(values) -> list[float]:
     """Average ranks computed by counting, element by element."""
     ranks = []

@@ -539,6 +539,22 @@ def test_synth_noisy_and_render(tmp_path, workdir):
     assert round_trip.stdout == table_path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("format", ["markdown", "csv"])
+def test_render_refuses_a_schema_without_the_table_properties(tmp_path, workdir, format):
+    """A rule table rendered against a schema that lacks its properties
+    exits 1 with UnknownReference in both layouts, and writes no file."""
+    table_path, out = tmp_path / "table.json", tmp_path / "out.txt"
+    assert run_cli("extract", "--corpus", str(workdir / "corpus.jsonl"), "--schema", "moprd",
+                   "--out", str(table_path)).returncode == 0
+    other = tmp_path / "other.json"
+    other.write_text('{"attributes": [{"name": "shape1", "values": ["□", "○"]}]}', encoding="utf-8")
+    result = run_cli("render", "--in", str(table_path), "--format", format,
+                     "--schema", str(other), "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith("UnknownReference: unknown property ")
+    assert not out.exists()
+
+
 def test_render_metrics_document(tmp_path, workdir):
     doc = tmp_path / "topsim.json"
     run_cli(

@@ -346,6 +346,30 @@ def test_non_integer_owners_are_refused():
     assert replace(corpus, owners=corpus.owners.astype(np.uint8)) == corpus
 
 
+@pytest.mark.parametrize(("vocab_size", "message_length", "builds"), [
+    (2.5, 3, False),
+    (np.int64(3), 3, True),
+    ("3", 3, False),
+    (3, np.int64(3), True),
+    (3, 3.0, False),
+    (True, 3, False),
+    (3, True, False),
+])
+def test_header_numbers_must_be_integers(vocab_size, message_length, builds):
+    """The vocabulary size and message length are integers, numpy's included
+    and bool not, as in a corpus file: anything else is refused with the
+    reader's error, and a numpy integer is stored as an int, so the corpus
+    writes a document that loads back to it."""
+    records = [("s", {"a": "x"}, (0, 1, 2), 1)]
+    if not builds:
+        with pytest.raises(DocumentSyntaxError, match="^vocab_size and msg_len must be integers$"):
+            build_corpus(TINY, vocab_size, message_length, records)
+        return
+    corpus = build_corpus(TINY, vocab_size, message_length, records)
+    assert type(corpus.vocab_size) is type(corpus.message_length) is int
+    assert load_corpus(serialize_corpus(corpus), TINY) == corpus
+
+
 def test_threshold_must_be_a_number():
     corpus = build_corpus(TINY, 4, 2, [("s", {"a": "x"}, (0, 1), 2)])
     for threshold in ["0.1", None, True]:

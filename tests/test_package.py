@@ -61,3 +61,25 @@ def test_every_public_definition_is_exported_or_used():
     dead = {name: where for name, where in definitions.items()
             if name not in emlang.__all__ and name not in references}
     assert not dead, f"neither exported nor used: {dead}"
+
+
+def test_modules_import_only_public_names_and_kernels_stand_alone():
+    """No module of ``src/emlang`` imports another's underscore name, so each
+    shared helper is public where it is defined.  The array kernels live in
+    ``kernels``, which imports no other emlang module, and not in ``schema``."""
+    package = ROOT / "src" / "emlang"
+    private, kernel_imports = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom) or node.module == "__future__":
+                continue
+            if node.level or (node.module or "").split(".")[0] == "emlang":
+                private += [f"{path.name}:{node.lineno} {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+                if path.name == "kernels.py":
+                    kernel_imports.append(node.module)
+    assert not private, f"private names imported across modules: {private}"
+    assert not kernel_imports
+    schema = ast.parse((package / "schema.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in schema.body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"run_starts", "distinct_keys", "observed_by_group"}

@@ -5,13 +5,14 @@ import csv
 import io
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emlang import cli
-from emlang.errors import DocumentSyntaxError
+from emlang.errors import DocumentSyntaxError, UnknownReference
 from emlang.metrics import AccuracyMatrix, TopSimReport
 from emlang.report import (
     general_pattern,
@@ -21,6 +22,7 @@ from emlang.report import (
     render_rule_table,
 )
 from emlang.rules import Pattern, RuleTable, SemanticRule, extract_rules
+from emlang.schema import parse_schema
 from emlang.synth import gen_compositional, gen_holistic
 
 from conftest import error_codes, mutate
@@ -89,6 +91,22 @@ def test_csv_layout(reference_table, moprd):
 def test_markdown_needs_schema(reference_table):
     with pytest.raises(DocumentSyntaxError):
         render_rule_table(reference_table, "markdown")
+
+
+@pytest.mark.parametrize("format", ["markdown", "csv"])
+def test_layouts_refuse_a_property_outside_the_schema(reference_table, moprd, format):
+    """Laid out against a schema that lacks one of its evidence or coverage
+    properties, a rule table is refused in both formats, rather than written
+    without what it says of that property."""
+    fewer = parse_schema('{"attributes": [{"name": "shape1", "values": ["□", "○"]}]}')
+    with pytest.raises(UnknownReference, match="unknown property 'shape2'"):
+        render_rule_table(reference_table, format, schema=fewer)
+    rule = reference_table.rules[0]
+    for change in [{"evidence": rule.evidence + (("stray", "v"),)},
+                   {"coverage": rule.coverage + (("stray", ("v",)),)}]:
+        table = replace(reference_table, rules=(replace(rule, **change),))
+        with pytest.raises(UnknownReference, match="unknown property 'stray'"):
+            render_rule_table(table, format, schema=moprd)
 
 
 def test_placeholder_sequence():

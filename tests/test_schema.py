@@ -31,12 +31,12 @@ from emlang.schema import (
     ValueMap,
     code_attributes,
     extend_codes,
-    observed_by_group,
     parse_expression,
     parse_schema,
     render_expression,
     render_schema,
 )
+from emlang.rules import observed_by_group
 from emlang.synth import combination_codes, gen_holistic
 
 from oracles import attribute_product, naive_eval
