@@ -18,8 +18,9 @@ record lines all hold the spelling :func:`serialize_corpus` writes, as
 separators, strings without escapes or control characters, integers of at
 most 18 digits without sign or leading zero), is read by one regular
 expression over the whole text, provided no sample id comes with two attrs
-spellings.  Any other document is read one JSON value per line.  Both give
-the same corpus, or the same error class, message and line.
+spellings.  Any other document is read one JSON value per line, each
+line's error worded in the pass that reads it.  Both give the same corpus,
+or the same error class, message and line.
 
 In memory a corpus is columnar, its attributes dictionary-encoded: sorted
 ``sample_ids``, their ``attribute_codes`` (domain indices), and rows, row r
@@ -28,9 +29,9 @@ times.  Every corpus is immutable and canonical, one row per distinct
 (sample, message), sorted by sample and tokens: every construction checks
 its codes, ids and rows and sorts them, so ``dataclasses.replace`` re-sorts.
 Construction is the only code that sorts and merges rows, so readers and
-generators hand it theirs in any order: rows that come canonical are only
-copied, and others are sorted by one lexsort of owners and packed token
-keys (:func:`emlang.kernels.token_keys`), then gathered once per array.
+generators hand it theirs in any order: every row set is sorted by one
+lexsort of owners and packed token keys (:func:`emlang.kernels.token_keys`),
+then gathered once per array.
 Attribute dicts are coded, and checked, only where records become a corpus,
 by :func:`~emlang.schema.code_attributes`; every stage of the pipeline reads
 the codes, and ``schema.domain`` spells a code back as its value.  The
@@ -290,10 +291,11 @@ def _int64_rows(owners, msgs, counts, vocab_size, message_length):
     least 1, and the counts summing below COUNT_LIMIT.  None for anything
     else, which :func:`_exact_rows` merges and reports on.
 
-    Canonical rows are copied.  Others are lexsorted by owner and packed
-    token keys; the runs of equal rows start where the sorted owners or a
-    sorted key change, and each array is gathered once, at the run starts,
-    with the counts summed over each run."""
+    The rows, canonical or not, are lexsorted by owner and packed token
+    keys; the runs of equal rows start where the sorted owners or a sorted
+    key change, and each array is gathered once, at the run starts, with the
+    counts summed over each run.  On canonical rows the order is the
+    identity."""
     if not len(owners):
         return np.empty((0, message_length), dtype=np.int64), owners, np.empty(0, dtype=np.int64)
     try:
@@ -315,8 +317,6 @@ def _int64_rows(owners, msgs, counts, vocab_size, message_length):
         and counts.sum(dtype=np.float64) < COUNT_LIMIT
     ):
         return None
-    if _strictly_increasing(owners, messages):  # as serialized files and filtered corpora are
-        return messages.copy(), owners.copy(), counts.copy()
     keys = token_keys(messages, vocab_size)
     order = np.lexsort((*keys[::-1], owners))
     # a row starts a run of equal (owner, message) rows where its owner or a key changes
@@ -325,17 +325,6 @@ def _int64_rows(owners, msgs, counts, vocab_size, message_length):
     counts = np.add.reduceat(counts[order], starts)
     first = order[starts]
     return np.take(messages, first, axis=0), owners[first], counts
-
-
-def _strictly_increasing(owners: np.ndarray, messages: np.ndarray) -> bool:
-    """Whether each row comes after the one before it by owner, then tokens:
-    the rows are canonical, sorted with no repeated (owner, message)."""
-    later, earlier = messages[1:], messages[:-1]
-    rows = np.arange(len(later))
-    first = (later != earlier).argmax(axis=1)  # the first differing position; 0 for equal rows
-    ahead = later[rows, first] > earlier[rows, first]  # so equal rows are not ahead
-    step = np.diff(owners)
-    return bool(((step > 0) | ((step == 0) & ahead)).all())
 
 
 def _exact_rows(sample_ids, vocab_size, message_length, owners, msgs, counts):
@@ -409,7 +398,7 @@ def load_corpus(text: str, schema: AttributeSchema) -> AnnotatedCorpus:
     lexed = _lex_records(text, records, schema, message_length)
     if lexed is not None:
         return AnnotatedCorpus(schema, vocab_size, message_length, *lexed)
-    return build_corpus(schema, vocab_size, message_length, zip(*_scan_records(_lines(text)[1:])))
+    return build_corpus(schema, vocab_size, message_length, _scan_records(_lines(text)[1:]))
 
 
 def _lines(text: str) -> list[str]:
@@ -470,64 +459,50 @@ def _lex_records(text: str, records: int, schema: AttributeSchema, message_lengt
     return tuple(index), codes, messages.reshape(records, message_length), owners, counts
 
 
-def _scan_records(lines: list[str]):
-    """The ``(ids, attrs, msgs, counts)`` columns of the record lines, one
-    JSON value per line, or the error of the first bad record."""
-    scan = json.JSONDecoder().scan_once
-    ids, attrs, msgs, counts = [], [], [], []
-    for line in lines:
-        line = line.strip(" \t\r")  # JSON whitespace; lines hold no newline
+def _scan_records(lines: list[str]) -> list[tuple[str, dict, list[int], int]]:
+    """The ``(sample, attrs, msg, count)`` record of each record line, one
+    JSON value per line, lines numbered from 2; the first bad line raises.
+
+    Each line is checked as it is read: its JSON, then that it is an object
+    holding 'sample', 'attrs' and 'msg', then the types of the sample, the
+    tokens, the count and the attrs, in that order."""
+    scan, ints = json.JSONDecoder().scan_once, frozenset({int})
+    records = []
+    for lineno, line in enumerate(lines, start=2):
+        stripped = line.strip(" \t\r")  # JSON whitespace; lines hold no newline
         try:
-            record, end = scan(line, 0)
+            record, end = scan(stripped, 0)
         except (StopIteration, ValueError, RecursionError):
             end = None
-        if end != len(line):  # not one JSON value: report the first bad record
-            _check_records(lines)
-        # only the fields stay alive; a missing one reads None, which the type checks reject
-        get = record.get if type(record) is dict else {}.get
-        ids.append(get("sample"))
-        attrs.append(get("attrs"))
-        msgs.append(get("msg"))
-        counts.append(get("count", 1))
-    if not (
-        set(map(type, ids)) <= {str}
-        and set(map(type, attrs)) <= {dict}
-        and set(map(type, counts)) <= {int}
-        and set(map(type, msgs)) <= {list}
-        and set(map(type, chain.from_iterable(msgs))) <= {int}
-    ):
-        _check_records(lines)
-    return ids, attrs, msgs, counts
+        if end != len(stripped):  # not one JSON value: json.loads words the error
+            record = _parse_json_line(line, lineno)
+        if type(record) is not dict:
+            raise DocumentSyntaxError(f"line {lineno}: expected a JSON object")
+        if "sample" not in record or "attrs" not in record or "msg" not in record:
+            raise DocumentSyntaxError(f"line {lineno}: record needs 'sample', 'attrs', 'msg'")
+        sample, attrs, msg = record["sample"], record["attrs"], record["msg"]
+        count = record.get("count", 1)
+        if type(sample) is not str:
+            raise DocumentSyntaxError(f"line {lineno}: 'sample' must be a string")
+        if type(msg) is not list or not ints.issuperset(map(type, msg)):
+            raise DocumentSyntaxError(f"line {lineno}: 'msg' must be a list of integers")
+        if type(count) is not int:
+            raise DocumentSyntaxError(f"line {lineno}: 'count' must be an integer")
+        if type(attrs) is not dict:
+            raise DocumentSyntaxError(f"line {lineno}: 'attrs' must be an object")
+        records.append((sample, attrs, msg, count))  # only the fields stay alive
+    return records
 
 
 def _parse_json_line(line: str, lineno: int):
-    """The JSON value of one line, which is invalid exactly when the fast
-    path's scan rejects it.  Unlike :func:`~emlang.errors.parse_json`, this
-    takes a lone surrogate, as that scan does: only a sample id or an
-    attribute holding one is rejected, by the content checks."""
+    """The JSON value of one line, or its decoder error, whose columns count
+    the line's leading whitespace.  Unlike :func:`~emlang.errors.parse_json`,
+    this takes a lone surrogate, as ``scan_once`` does: only a sample id or
+    an attribute holding one is rejected, by the content checks."""
     try:
         return json.loads(line)
     except (ValueError, RecursionError) as exc:
         raise DocumentSyntaxError(f"line {lineno}: invalid JSON ({exc})") from None
-
-
-def _check_records(lines: list[str]) -> None:
-    """Raise for the first invalid or malformed record, numbering lines from line 2."""
-    for lineno, line in enumerate(lines, start=2):
-        record = _parse_json_line(line, lineno)
-        if not isinstance(record, dict):
-            raise DocumentSyntaxError(f"line {lineno}: expected a JSON object")
-        if "sample" not in record or "attrs" not in record or "msg" not in record:
-            raise DocumentSyntaxError(f"line {lineno}: record needs 'sample', 'attrs', 'msg'")
-        if not isinstance(record["sample"], str):
-            raise DocumentSyntaxError(f"line {lineno}: 'sample' must be a string")
-        msg = record["msg"]
-        if not isinstance(msg, list) or not all(is_int(t) for t in msg):
-            raise DocumentSyntaxError(f"line {lineno}: 'msg' must be a list of integers")
-        if not is_int(record.get("count", 1)):
-            raise DocumentSyntaxError(f"line {lineno}: 'count' must be an integer")
-        if not isinstance(record["attrs"], dict):
-            raise DocumentSyntaxError(f"line {lineno}: 'attrs' must be an object")
 
 
 def serialize_corpus(corpus: AnnotatedCorpus) -> str:

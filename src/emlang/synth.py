@@ -8,11 +8,12 @@ oracle for the extraction pipeline.
 
 The compositional and holistic generators emit one sample per attribute
 combination, enumerated once by :func:`combination_codes`; more than
-``MAX_COMBINATIONS`` = 2**18 combinations (the product of the domain sizes)
-is a ``CapacityError``, raised before any combination is built.  Lengths,
-vocabulary sizes, synonym counts and seeds are integers, numpy's included and
-bool not, and the minority share is a number; anything else is a
-``ConfigError``, raised before any other check.
+``MAX_COMBINATIONS`` = 2**18 combinations (the product of the domain sizes),
+or more than ``MAX_MESSAGE_CELLS`` = 2**25 message cells (combinations times
+message length), is a ``CapacityError``, raised before any combination is
+built or any token drawn.  Lengths, vocabulary sizes, synonym counts and
+seeds are integers, numpy's included and bool not, and the minority share is
+a number; anything else is a ``ConfigError``, raised before any other check.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ HOLISTIC_PREFIX_LENGTH = 2
 # memory (gen_compositional over 65,536 combinations of 16 two-valued
 # attributes peaks at about 85 MB RSS, the interpreter and numpy included).
 MAX_COMBINATIONS = 2**18
+# Most message cells (combinations times message length) a generator builds:
+# gen_compositional's message matrix then holds at most 256 MB of int64.
+MAX_MESSAGE_CELLS = 2**25
 # Most working cells gen_noisy may take for its synonyms, checked before any is
 # built.  A synonym row takes its message length plus 5 cells (its owner,
 # count, position, token and sort key), 25 bytes a cell at lengths 1 and 2 and
@@ -180,6 +184,12 @@ def gen_compositional(
         raise CapacityError(
             f"vocabulary of {vocab_size} too small for a domain of {max_domain}"
         )
+    count = combination_count(schema)
+    if count * message_length > MAX_MESSAGE_CELLS:
+        raise CapacityError(
+            f"{count} combinations x message length {message_length} exceed "
+            f"the generator bound of {MAX_MESSAGE_CELLS} message cells"
+        )
 
     positions = tuple(rng.sample(range(message_length), len(names)))
     total_values = sum(len(schema.domain(n)) for n in names)
@@ -266,14 +276,18 @@ def gen_holistic(
     """
     message_length, vocab_size, seed = _shape_and_seed(message_length, vocab_size, seed)
     rng = random.Random(seed)
-    codes = combination_codes(schema)
+    count = combination_count(schema)
     variable = message_length - HOLISTIC_PREFIX_LENGTH
     if variable < 1:
         raise CapacityError("need at least one variable position")
-    if vocab_size**variable < len(codes):
+    if vocab_size**variable < count:
+        raise CapacityError(f"{vocab_size}^{variable} messages cannot cover {count} combinations")
+    if count * message_length > MAX_MESSAGE_CELLS:
         raise CapacityError(
-            f"{vocab_size}^{variable} messages cannot cover {len(codes)} combinations"
+            f"{count} combinations x message length {message_length} exceed "
+            f"the generator bound of {MAX_MESSAGE_CELLS} message cells"
         )
+    codes = combination_codes(schema)
     prefix = [rng.randrange(vocab_size) for _ in range(HOLISTIC_PREFIX_LENGTH)]
     bodies: dict[Message, None] = {}  # distinct bodies in draw order; a repeat is drawn again
     while len(bodies) < len(codes):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import os
 import random
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,6 +75,31 @@ def moprd():
 @pytest.fixture(scope="session")
 def reference_corpus():
     return build_reference_corpus()
+
+
+# What run_bounded grants its child: address space, and seconds of wall time.
+CHILD_ADDRESS_SPACE = 3 * 2**30
+CHILD_TIMEOUT_S = 60
+
+
+def run_bounded(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter capped at CHILD_ADDRESS_SPACE
+    (set in the child only), with one OpenBLAS thread; its text output is
+    captured, and past CHILD_TIMEOUT_S it is killed and TimeoutExpired
+    raised.  A missing size bound then fails at once, on an allocation the
+    cap refuses, or at the timeout, not after hours of drawing."""
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap_address_space,
+        timeout=CHILD_TIMEOUT_S,
+    )
 
 
 def random_micro_schema(rng: random.Random) -> AttributeSchema:

@@ -940,12 +940,86 @@ def test_lexer_edges_match_record_by_record_oracle(monkeypatch, text, lexed):
     assert scanned == ([] if lexed else [1])
 
 
+def spelt_apart(*records):
+    """A document of ``records`` after the header, each with ``"msg":[``
+    spelt as the bulk lexer never reads it, so the per-line reader does."""
+    return document(HEADER, *(record.replace('"msg": [', '"msg":[') for record in records))
+
+
+# Each kind of record error the per-line reader words, with its full text.
+RECORD_ERRORS = {
+    "invalid-json": (
+        spelt_apart(" \t" + FIRST[:-1], SECOND),
+        "line 2: invalid JSON (Expecting ',' delimiter: line 1 column 75 (char 74))",
+    ),
+    "not-an-object": (spelt_apart("[1, 2]", SECOND), "line 2: expected a JSON object"),
+    "missing-attrs": (
+        spelt_apart(FIRST, '{"sample": "s1", "msg": [0, 3]}'),
+        "line 3: record needs 'sample', 'attrs', 'msg'",
+    ),
+    "sample-not-a-string": (
+        spelt_apart(FIRST.replace('"s0"', "0"), SECOND), "line 2: 'sample' must be a string"
+    ),
+    "float-token": (
+        spelt_apart(FIRST.replace("[1, 2]", "[1.0, 2]"), SECOND),
+        "line 2: 'msg' must be a list of integers",
+    ),
+    "bool-token": (
+        spelt_apart(FIRST, SECOND.replace("[0, 3]", "[0, true]")),
+        "line 3: 'msg' must be a list of integers",
+    ),
+    "count-not-an-integer": (
+        spelt_apart(FIRST.replace('"count": 3', '"count": "3"'), SECOND),
+        "line 2: 'count' must be an integer",
+    ),
+    "attrs-not-an-object": (
+        spelt_apart(FIRST.replace('{"b": "x", "a": "u"}', '["x", "u"]'), SECOND),
+        "line 2: 'attrs' must be an object",
+    ),
+    # two faults on one line: the check that comes first words it
+    "keys-before-sample": (
+        spelt_apart(FIRST, '{"sample": 0, "msg": [0, 3]}'),
+        "line 3: record needs 'sample', 'attrs', 'msg'",
+    ),
+    "sample-before-msg": (
+        spelt_apart(FIRST.replace('"s0"', "0").replace("[1, 2]", "[1.0, 2]"), SECOND),
+        "line 2: 'sample' must be a string",
+    ),
+    "msg-before-count": (
+        spelt_apart(FIRST.replace("[1, 2]", "[1.0, 2]").replace('"count": 3', '"count": "3"')),
+        "line 2: 'msg' must be a list of integers",
+    ),
+    "count-before-attrs": (
+        spelt_apart(FIRST.replace('"count": 3', '"count": "3"').replace('{"b": "x", "a": "u"}', "[]")),
+        "line 2: 'count' must be an integer",
+    ),
+    "first-bad-line-wins": (
+        spelt_apart(FIRST, SECOND.replace('"count": 1', '"count": null'), FIRST, "{"),
+        "line 3: 'count' must be an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize(("text", "message"), RECORD_ERRORS.values(), ids=RECORD_ERRORS.keys())
+def test_per_line_reader_words_record_errors(monkeypatch, text, message):
+    """The per-line reader's full error text for each kind of bad record, the
+    first bad line winning whatever its kind."""
+    scanned = []
+    scan = emlang.corpus._scan_records
+    monkeypatch.setattr(
+        "emlang.corpus._scan_records", lambda lines: scanned.append(1) or scan(lines)
+    )
+    with pytest.raises(DocumentSyntaxError) as caught:
+        load_corpus(text, TWO)
+    assert str(caught.value) == message
+    assert scanned == [1]
+
+
 def test_serialized_corpora_load_without_the_per_line_reader(monkeypatch, reference_corpus):
-    """Every document serialize_corpus writes is lexed in bulk, and its
-    canonical rows are not sorted again."""
+    """Every document serialize_corpus writes is lexed in bulk."""
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("the per-line reader or the row sort ran")
+        raise AssertionError("the per-line reader ran")
 
     corpora = [
         reference_corpus,  # non-ASCII attribute values
@@ -954,8 +1028,6 @@ def test_serialized_corpora_load_without_the_per_line_reader(monkeypatch, refere
     ]
     texts = [serialize_corpus(corpus) for corpus in corpora]
     monkeypatch.setattr("emlang.corpus._scan_records", unreachable)
-    monkeypatch.setattr("emlang.corpus._check_records", unreachable)
-    monkeypatch.setattr("emlang.corpus.np.lexsort", unreachable)
     for corpus, text in zip(corpora, texts):
         assert load_corpus(text, corpus.schema) == corpus
 

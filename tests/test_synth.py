@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 import tracemalloc
 from dataclasses import replace
@@ -29,6 +30,7 @@ from emlang.schema import (
 )
 from emlang.synth import (
     MAX_COMBINATIONS,
+    MAX_MESSAGE_CELLS,
     MAX_SYNONYM_CELLS,
     Codebook,
     combination_codes,
@@ -39,6 +41,7 @@ from emlang.synth import (
     gen_noisy,
 )
 
+from conftest import run_bounded
 from oracles import hamming, naive_extract_rules, rows_by_sample
 
 TWO_BY_TWO = AttributeSchema(
@@ -143,6 +146,59 @@ def test_combination_bound_is_inclusive():
     assert combination_count(concept_schema(MAX_COMBINATIONS)) == MAX_COMBINATIONS
     with pytest.raises(CapacityError):
         combination_count(concept_schema(MAX_COMBINATIONS + 1))
+
+
+# 18 two-valued attributes: 2**18 combinations, at MAX_COMBINATIONS, which
+# at message length 2**16 make 2**34 message cells, a 128 GiB int64 matrix.
+BINARY_18 = {"attributes": [{"name": f"a{i}", "values": ["0", "1"]} for i in range(18)]}
+TOO_MANY_CELLS = (
+    "262144 combinations x message length 65536 exceed "
+    f"the generator bound of {MAX_MESSAGE_CELLS} message cells"
+)
+
+
+@pytest.mark.parametrize("kind", ["compositional", "holistic"])
+def test_generators_refuse_too_many_message_cells(kind):
+    """Combinations and message length each within their bound, their
+    product past MAX_MESSAGE_CELLS: a CapacityError before any draw or
+    allocation, in a child capped at 3 GiB and 60 s."""
+    code = (
+        "import json, sys\n"
+        "from emlang.errors import CapacityError\n"
+        "from emlang.schema import parse_schema\n"
+        f"from emlang.synth import gen_{kind}\n"
+        f"schema = parse_schema({json.dumps(BINARY_18)!r})\n"
+        "try:\n"
+        f"    gen_{kind}(schema, 65536, 20, seed=1)\n"
+        "except CapacityError as exc:\n"
+        "    sys.exit(f'CapacityError: {exc}')\n"
+    )
+    result = run_bounded("-c", code)
+    assert (result.returncode, result.stderr) == (1, f"CapacityError: {TOO_MANY_CELLS}\n")
+
+
+@pytest.mark.parametrize("kind", ["compositional", "holistic"])
+def test_synth_refuses_too_many_message_cells(tmp_path, kind):
+    schema, out = tmp_path / "schema.json", tmp_path / "out.jsonl"
+    schema.write_text(json.dumps(BINARY_18))
+    result = run_bounded(
+        "-m", "emlang", "synth", "--kind", kind, "--schema", str(schema),
+        "--msg-len", "65536", "--seed", "1", "--out", str(out),
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"CapacityError: {TOO_MANY_CELLS}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("generate", [gen_compositional, gen_holistic])
+def test_message_cell_bound_is_inclusive(monkeypatch, moprd, generate):
+    """moprd's 100 combinations at length 10 make 1000 cells, at a bound of 1000."""
+    monkeypatch.setattr("emlang.synth.MAX_MESSAGE_CELLS", 1000)
+    corpus = generate(moprd, 10, 20, seed=1)
+    corpus = corpus[0] if isinstance(corpus, tuple) else corpus
+    assert corpus.messages.shape == (100, 10)
+    with pytest.raises(CapacityError, match="^100 combinations x message length 11 exceed"):
+        generate(moprd, 11, 20, seed=1)
 
 
 # ---------------------------------------------------------------------------
