@@ -91,6 +91,8 @@ class NotFoundError(EmlangError):
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# a JSON escape of a surrogate, \uD800 to \uDFFF in either case
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def has_lone_surrogate(text: str) -> bool:
@@ -109,11 +111,15 @@ def parse_json(text: str, message: str):
     Besides malformed JSON this covers an integer of more than 4300 digits
     (ValueError), nesting deeper than the interpreter's recursion limit, and
     a string or key holding a lone surrogate, which no output could encode.
+    A decoded string holds a surrogate only if ``text`` holds one or the
+    escape of one, so the strings are walked only then.
     """
     try:
         value = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise DocumentSyntaxError(message.format(exc)) from None
+    if not has_lone_surrogate(text) and _SURROGATE_ESCAPE.search(text) is None:
+        return value
     strings, stack = [], [value]
     while stack:  # a loop, not a recursion: the value may nest to the recursion limit
         node = stack.pop()

@@ -6,9 +6,10 @@ the game corpus's samples: a speaker draws the target's message in proportion
 to its counts, and a listener scores each candidate by that message's share
 of the candidate's messages (0 if none), ties going to the smallest sample id.
 
-Every (speaker, listener) cell owns an independent generator derived from
-(seed, speaker index, listener index), so the accuracy matrix is identical
-no matter how cells are scheduled.  Episodes are played in array batches.
+Every (speaker, listener) cell owns an independent counter-based stream
+(:class:`~emlang.kernels.Stream`) keyed by (seed, speaker index, listener
+index), so the accuracy matrix is identical no matter how cells are
+scheduled.  Episodes are played in array batches.
 Each distinct listener corpus becomes one table of shares, built once and
 sorted message-major (by message id, then by owner), so the k lookups of an
 episode all fall in the block of the one message spoken.
@@ -26,10 +27,11 @@ import numpy as np
 
 from .corpus import AnnotatedCorpus, config_int
 from .errors import ConfigError
-from .kernels import first_of_max
+from .kernels import Stream, first_of_max
 from .metrics import AccuracyMatrix
 
-# Candidates per batch (episodes x k); a new size reorders the draws, changing every matrix.
+# Candidates per batch (episodes x k).  Each batch reads the cell's stream in one
+# order, targets, Floyd's draws, then counts, so a new size changes every matrix.
 _BATCH_KEYS = 2**14
 
 
@@ -46,15 +48,10 @@ class GameConfig:
     __hash__ = None
 
 
-def _draw_columns(rng: np.random.Generator, n: int, k: int, size: int) -> np.ndarray:
-    """Floyd's draws for ``size`` episodes, ``(k - 1, size)``: row c holds
-    ``rng.integers(j + 1)`` for the c-th j of ``n - k .. n - 2``, drawn in that order."""
-    return np.stack([rng.integers(j + 1, size=size) for j in range(n - k, n - 1)])
-
-
 def _candidates(columns: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
     """Each target and the ``k - 1`` others Floyd's algorithm picks from its column of
-    draws, rows sorted; resolves ``columns`` (C order) in place, row by earlier row."""
+    draws, rows sorted; row c of ``columns`` holds draws below the c-th of ``n - k + 1
+    .. n - 1``.  Resolves ``columns`` (C order) in place, row by earlier row."""
     for c, j in enumerate(range(n - len(columns) - 1, n - 1)):
         columns[c] = np.where((columns[:c] == columns[c]).any(axis=0), j, columns[c])
     columns += columns >= targets
@@ -120,6 +117,7 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
     tables = {key: _listener_table(agent, message_ids[key], n) for key, agent in listeners.items()}
     tops = {key: _top_owners(*table, n, len(distinct)) for key, table in tables.items()}
     batch = max(1, _BATCH_KEYS // k)
+    floyd_bounds = np.arange(n - k + 1, n)[:, None]
 
     rows = []
     for i, speaker in enumerate(speaker_corpora):
@@ -130,13 +128,13 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
         for j, listener in enumerate(listener_corpora):
             keys, shares = tables[id(listener)]
             sure = tops[id(listener)][spoken] == speaker.owners  # rows no distractor can beat
-            rng = np.random.default_rng(np.random.SeedSequence([seed % (2**63), i, j]))
+            stream = Stream(seed % 2**63, i, j)
             hits = 0
             for played in range(0, episodes, batch):
                 size = min(batch, episodes - played)
-                targets = rng.integers(n, size=size)
-                columns = _draw_columns(rng, n, k, size)
-                drawn = start[targets] + rng.integers(s_totals[targets])
+                targets = stream.below(n, size)
+                columns = stream.below(floyd_bounds, (k - 1, size))
+                drawn = start[targets] + stream.below(s_totals[targets], size)
                 said = np.searchsorted(cumulative, drawn, side="right")
                 open_ = np.flatnonzero(~sure[said])
                 hits += size - len(open_)

@@ -1,7 +1,15 @@
-"""Array kernels: sort integer keys, then read the runs of equal keys.
+"""Array kernels: sort integer keys, then read the runs of equal keys; and
+the one seeded stream every random draw of the package comes from.
 
 Every grouping step of the pipeline is made of these, each written once as a
 pure function over numpy arrays; this module imports no other of the package.
+
+:class:`Stream` is counter-based (Salmon et al. 2011, "Parallel random
+numbers: as easy as 1, 2, 3"): word c of key K is ``mix64(K + (c + 1) *
+0x9E3779B97F4A7C15)``, with the SplitMix64 finaliser (Steele, Lea & Flood
+2014).  It needs only uint64 array arithmetic, so no command loads numpy's
+random module, and its words depend on nothing but the key and the order of
+the draws, not on any library's sampling algorithms.
 """
 
 from __future__ import annotations
@@ -93,3 +101,84 @@ def _ranks(table_key: np.ndarray, key: np.ndarray):
     ordered = np.sort(table_key)
     rank = np.searchsorted(ordered, key).clip(max=len(ordered) - 1)
     return np.searchsorted(ordered, table_key), rank, ordered[rank] == key
+
+
+_GAMMA = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, SplitMix64's increment
+_MASK = 2**64 - 1
+_WORD_BLOCK = 1 << 15  # 256 KB of words
+
+
+def _mix64(z):
+    """SplitMix64's finaliser: of a Python int below 2**64, masked (numpy's
+    uint64 scalars would warn on overflow), or in place of a uint64 array,
+    which wraps."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK
+    z ^= z >> 31
+    return z
+
+
+class Stream:
+    """A keyed, counter-mode SplitMix64 stream of uint64 words.
+
+    The key folds in each of the integers ``key`` in turn, ``K = mix64((K ^
+    p) + gamma)`` from 0, so keys (s, i, j) and (s, j, i) differ; word c is
+    ``mix64(K + (c + 1) * gamma)``, and each draw reads the words after the
+    last one read.
+    """
+
+    def __init__(self, *key: int) -> None:
+        self.key, self.used = 0, 0
+        for part in key:
+            self.key = _mix64(((self.key ^ part) + _GAMMA) & _MASK)
+
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` words, mixed ``_WORD_BLOCK`` at a time in place,
+        so the temporaries stay small enough for the cache."""
+        words = np.arange(self.used + 1, self.used + count + 1, dtype=np.uint64)
+        self.used += count
+        for start in range(0, count, _WORD_BLOCK):
+            block = words[start : start + _WORD_BLOCK]
+            block *= _GAMMA
+            block += self.key
+            _mix64(block)
+        return words
+
+    def below(self, high, shape) -> np.ndarray:
+        """Uniform int64 draws from 0 .. high - 1, of ``shape``; ``high``, from 1
+        to 2**63, is an integer or an array that broadcasts to ``shape``.  A word
+        under 2**64 % high is drawn again, so the rest reduce ``% high`` evenly."""
+        high = np.asarray(high, dtype=np.uint64)
+        floor = np.broadcast_to((_MASK - high + 1) % high, shape)
+        words = self.words(floor.size).reshape(floor.shape)
+        redo = words < floor
+        while redo.any():
+            words[redo] = self.words(np.count_nonzero(redo))
+            redo &= words < floor
+        words %= high
+        return words.view(np.int64)
+
+    def subset(self, total: int, count: int) -> np.ndarray:
+        """The sorted indices of a uniform ``count``-subset of 0 .. total - 1,
+        ``total`` at least 1: the first ``count`` distinct values of uniform
+        draws, read in rounds of exactly the deficit.  The values new after
+        the first round are few; they are kept apart, and merged into the
+        first round's once.  Over half of ``total``, the complement of a
+        subset of the rest, so a draw is new at least half the time."""
+        if 2 * count > total:
+            keep = np.ones(total, dtype=bool)
+            keep[self.subset(total, total - count)] = False
+            return np.flatnonzero(keep)
+        held = self.below(total, count)
+        held.sort()  # in place: the draws are this call's own
+        held = held[run_starts(held)]
+        later = held[:0]
+        while len(held) + len(later) < count:
+            drawn = self.below(total, count - len(held) - len(later))
+            later = distinct_keys(np.concatenate([later, drawn]))
+            later = later[held[np.searchsorted(held, later).clip(max=len(held) - 1)] != later]
+        return np.insert(held, np.searchsorted(held, later), later)

@@ -4,8 +4,8 @@ TopSim here is the Spearman correlation between pairwise attribute edit
 distances (number of attributes on which two samples differ) and pairwise
 Levenshtein distances between the samples' representative messages.  Pairs
 are enumerated in sample-id order, so results never depend on scheduling;
-above ``max_pairs`` the pair list is subsampled from a numpy stream seeded by
-the mandatory ``seed``.
+above ``max_pairs`` the pair list is a uniform subset drawn from the
+counter-based :class:`~emlang.kernels.Stream` keyed by the mandatory ``seed``.
 
 Both distance sequences are small non-negative integers, and every TopSim
 array is kept at the narrowest integer type that holds it: attribute codes
@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import AnnotatedCorpus, Message, config_int, representative_of
 from .errors import ConfigError, LengthMismatch, ZeroVariance
-from .kernels import column_major
+from .kernels import Stream, column_major
 
 # Exact enumeration for up to 2000 samples; seeded sampling beyond.
 DEFAULT_MAX_PAIRS = 2000 * 1999 // 2
@@ -235,11 +235,12 @@ def topsim(
 
     Messages enter through each sample's representative (highest-count)
     message.  When the unordered pair count exceeds ``max_pairs`` the pairs
-    are drawn uniformly without replacement from a numpy stream seeded by
-    ``seed``, which is then required; any integer seed is accepted.  It
-    needs at least three samples, because the one pair of two cannot be
-    ranked, and ``max_pairs`` of at least 2.  A seed or ``max_pairs`` given
-    is an integer, numpy's included and bool not; else ConfigError.
+    are a uniform subset drawn by :meth:`~emlang.kernels.Stream.subset` from
+    the stream keyed by ``seed % 2**63``; the seed is then required, and any
+    integer seed is accepted.  It needs at least three samples, because the
+    one pair of two cannot be ranked, and ``max_pairs`` of at least 2.  A
+    seed or ``max_pairs`` given is an integer, numpy's included and bool
+    not; else ConfigError.
     """
     n = len(corpus.sample_ids)
     if n < 3:
@@ -254,9 +255,7 @@ def topsim(
     if sampled:
         if seed is None:
             raise ConfigError("sampling pairs requires a seed")
-        rng = np.random.default_rng(np.random.SeedSequence(seed % (2**63)))
-        indices = rng.choice(total_pairs, limit, replace=False, shuffle=False)
-        indices.sort()
+        indices = Stream(seed % 2**63).subset(total_pairs, limit)
     count = limit if sampled else total_pairs
 
     codes = corpus.attribute_codes  # differing code <=> differing value

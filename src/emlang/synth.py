@@ -34,7 +34,7 @@ from .corpus import (
     config_int,
 )
 from .errors import CapacityError
-from .kernels import narrowest, run_starts
+from .kernels import Stream, narrowest, run_starts
 from .rules import Pattern, RuleTable, semantic_rules
 from .schema import Attribute, AttributeSchema, extend_codes, parse_schema
 
@@ -280,7 +280,9 @@ def gen_holistic(
     variable = message_length - HOLISTIC_PREFIX_LENGTH
     if variable < 1:
         raise CapacityError("need at least one variable position")
-    if vocab_size**variable < count:
+    # at least two tokens over at least count.bit_length() positions make more
+    # than count messages, so the power is built only when it is small
+    if (vocab_size < 2 or variable < count.bit_length()) and vocab_size**variable < count:
         raise CapacityError(f"{vocab_size}^{variable} messages cannot cover {count} combinations")
     if count * message_length > MAX_MESSAGE_CELLS:
         raise CapacityError(
@@ -312,7 +314,8 @@ def gen_noisy(
     evenly), split as evenly as possible across synonyms.  Each synonym is
     one substitution away from the sample's first message in canonical
     order, distinct from everything the sample already holds.  The draws
-    come from ``np.random.default_rng(np.random.SeedSequence(seed % 2**63))``.
+    come from the counter-based :class:`~emlang.kernels.Stream` keyed by
+    ``seed % 2**63``.
     The synonym count and seed are integers and the share a number, numpy's
     included and bool not, else ConfigError.  More than ``MAX_SYNONYM_CELLS``
     working cells is a ``CapacityError``.
@@ -356,13 +359,13 @@ def _synonym_cells(base: AnnotatedCorpus, first, synonym_owners, seed: int):
     cells[:, : len(near)] = base.owners[near], near_positions, base.messages[near, near_positions]
     cells[0, len(near) :] = synonym_owners
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed % 2**63))
+    stream = Stream(seed % 2**63)
     pending = np.arange(len(near), cells.shape[1])
     drawn = np.zeros(cells.shape[1], dtype=bool)  # True on the columns of pending
     for _ in range(1000):
         owners = cells[0, pending]
-        positions = rng.integers(length, size=len(pending))
-        tokens = rng.integers(vocab_size - 1, size=len(pending))
+        positions = stream.below(length, len(pending))
+        tokens = stream.below(vocab_size - 1, len(pending))
         tokens += tokens >= templates[owners, positions]  # skip the template's own token
         cells[1:, pending] = positions, tokens
         # re-check the samples that drew; among equal cells the base rows and

@@ -280,12 +280,11 @@ def closed_form_accuracy(speaker, listener, k: int) -> float:
     return accuracy / n
 
 
-def floyd_candidates(rng, targets, n: int, k: int) -> list[list[int]]:
+def floyd_candidates(columns, targets, n: int, k: int) -> list[list[int]]:
     """Candidate sets, episode by episode: Floyd's algorithm picks k - 1 of the
-    n - 1 other samples, reading its draw for each j in n - k .. n - 2 from the
-    column ``rng.integers(j + 1, size=len(targets))``, columns drawn in order.
+    n - 1 other samples, reading its draw for each j in n - k .. n - 2, a
+    value in 0 .. j, from the episode's entry of the matching row of ``columns``.
     The i-th other sample is i, or i + 1 from the target on; rows are sorted."""
-    columns = [rng.integers(j + 1, size=len(targets)).tolist() for j in range(n - k, n - 1)]
     rows = []
     for episode, target in enumerate(targets.tolist()):
         chosen = set()
@@ -295,6 +294,38 @@ def floyd_candidates(rng, targets, n: int, k: int) -> list[list[int]]:
         others = [other + 1 if other >= target else other for other in chosen]
         rows.append(sorted([target, *others]))
     return rows
+
+
+def splitmix64_words(key, first: int, count: int) -> list[int]:
+    """Words ``first .. first + count - 1`` of the counter-mode SplitMix64
+    stream of the integers ``key``, in Python integers: the state starts at
+    0 and takes in each key integer p as ``mix((state ^ p) + gamma)``, and
+    word c is ``mix(state + (c + 1) * gamma)``, all modulo 2**64."""
+    gamma, mask = 0x9E3779B97F4A7C15, 2**64 - 1
+
+    def mix(z: int) -> int:
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    state = 0
+    for part in key:
+        state = mix(((state ^ part) + gamma) & mask)
+    return [mix((state + (c + 1) * gamma) & mask) for c in range(first, first + count)]
+
+
+def naive_below(key, high: int, count: int) -> list[int]:
+    """``count`` draws below ``high`` from the stream of ``key``: one word per
+    draw, then, while any draw's word lies under 2**64 % high, one more word
+    for each such draw in order; each draw is its last word % high."""
+    words = splitmix64_words(key, 0, count)
+    used, redo = count, [i for i, word in enumerate(words) if word < 2**64 % high]
+    while redo:
+        for i, word in zip(redo, splitmix64_words(key, used, len(redo))):
+            words[i] = word
+        used += len(redo)
+        redo = [i for i in redo if words[i] < 2**64 % high]
+    return [word % high for word in words]
 
 
 def naive_load_corpus(text: str, schema):

@@ -13,11 +13,11 @@ from emlang.errors import ConfigError
 from emlang.game import (
     GameConfig,
     _candidates,
-    _draw_columns,
     _listener_table,
     _top_owners,
     run_lewis_game,
 )
+from emlang.kernels import Stream
 from emlang.metrics import accuracy_per_speaker
 from emlang.schema import parse_schema
 from emlang.synth import gen_compositional, gen_noisy
@@ -173,27 +173,27 @@ def test_every_cell_matches_the_closed_form(moprd, k):
 
 
 # repr of the accuracy matrix of closed_form_population at 9000 episodes
-# (two batches at k = 2), as computed before the distractors became
-# column-major and the listener table message-major: no value may move
+# (two batches at k = 2), as computed when the cells first drew from the
+# counter-based stream: no value may move
 GOLDEN_ACCURACY = {
-    "k2-seed0": (2, 0, "((1.0, 0.9996666666666667, 0.5078888888888888), "
-                       "(0.6673333333333333, 0.9996666666666667, 0.5045555555555555), "
-                       "(0.5145555555555555, 0.5306666666666666, 0.9151111111111111))"),
-    "k2-seed1": (2, 1, "((1.0, 0.9996666666666667, 0.5186666666666667), "
-                       "(0.6644444444444444, 0.9996666666666667, 0.5078888888888888), "
-                       "(0.514, 0.5255555555555556, 0.9102222222222223))"),
-    "k5-seed0": (5, 0, "((1.0, 0.9975555555555555, 0.22144444444444444), "
-                       "(0.472, 0.9973333333333333, 0.202), "
-                       "(0.23366666666666666, 0.24288888888888888, 0.7142222222222222))"),
-    "k5-seed1": (5, 1, "((1.0, 0.9985555555555555, 0.224), "
-                       "(0.4643333333333333, 0.9976666666666667, 0.21766666666666667), "
-                       "(0.23255555555555554, 0.22944444444444445, 0.7092222222222222))"),
-    "k20-seed0": (20, 0, "((1.0, 0.9928888888888889, 0.08155555555555556), "
-                         "(0.36288888888888887, 0.989, 0.06288888888888888), "
-                         "(0.08944444444444444, 0.09377777777777778, 0.2872222222222222))"),
-    "k20-seed1": (20, 1, "((1.0, 0.9933333333333333, 0.08588888888888889), "
-                         "(0.3631111111111111, 0.989, 0.059333333333333335), "
-                         "(0.08644444444444445, 0.09177777777777778, 0.29555555555555557))"),
+    "k2-seed0": (2, 0, "((1.0, 0.999, 0.5121111111111111), "
+                       "(0.6688888888888889, 0.9996666666666667, 0.5126666666666667), "
+                       "(0.5188888888888888, 0.5163333333333333, 0.9152222222222223))"),
+    "k2-seed1": (2, 1, "((1.0, 0.9987777777777778, 0.5236666666666666), "
+                       "(0.6621111111111111, 0.9993333333333333, 0.5027777777777778), "
+                       "(0.5165555555555555, 0.5232222222222223, 0.9108888888888889))"),
+    "k5-seed0": (5, 0, "((1.0, 0.9958888888888889, 0.22833333333333333), "
+                       "(0.45355555555555555, 0.9984444444444445, 0.20922222222222223), "
+                       "(0.23677777777777778, 0.23544444444444446, 0.7122222222222222))"),
+    "k5-seed1": (5, 1, "((1.0, 0.9954444444444445, 0.22466666666666665), "
+                       "(0.4718888888888889, 0.9982222222222222, 0.20466666666666666), "
+                       "(0.23433333333333334, 0.2262222222222222, 0.7016666666666667))"),
+    "k20-seed0": (20, 0, "((1.0, 0.9816666666666667, 0.08311111111111111), "
+                         "(0.36466666666666664, 0.99, 0.060222222222222226), "
+                         "(0.09233333333333334, 0.08711111111111111, 0.29288888888888887))"),
+    "k20-seed1": (20, 1, "((1.0, 0.9821111111111112, 0.09111111111111111), "
+                         "(0.3751111111111111, 0.9916666666666667, 0.06266666666666666), "
+                         "(0.08844444444444445, 0.08888888888888889, 0.29))"),
 }
 
 
@@ -218,20 +218,21 @@ def two_message_corpus(moprd):
 
 
 # repr of the accuracy matrix of compositional, noisy, constant and two-message
-# agents, as computed when every episode still drew and scored its distractors.
+# agents, as computed when the cells first drew from the counter-based stream.
 # Constant and two-message listeners leave almost no target sure to win and
 # never heard most compositional messages; k = 100 plays all n samples; no
 # episode count is a multiple of the batch.  No value may move.
 GOLDEN_TIES = {
-    "k2-seed0": (2, 0, 1000, "((1.0, 0.998, 0.501, 0.493), (0.671, 1.0, 0.506, 0.501), "
-                             "(0.507, 0.483, 0.502, 0.474), (0.528, 0.493, 0.515, 0.513))"),
-    "k20-seed1": (20, 1, 3000, "((1.0, 0.9946666666666667, 0.05266666666666667, 0.05266666666666667), "
-                               "(0.36333333333333334, 0.9883333333333333, 0.04766666666666667, 0.052), "
-                               "(0.044, 0.043333333333333335, 0.043, 0.048), "
-                               "(0.05366666666666667, 0.04633333333333333, 0.056666666666666664, "
-                               "0.04733333333333333))"),
-    "k100-seed2": (100, 2, 500, "((1.0, 0.97, 0.01, 0.008), (0.332, 0.942, 0.008, 0.012), "
-                                "(0.018, 0.008, 0.012, 0.002), (0.01, 0.006, 0.014, 0.02))"),
+    "k2-seed0": (2, 0, 1000, "((1.0, 1.0, 0.513, 0.505), (0.65, 0.999, 0.538, 0.501), "
+                             "(0.497, 0.487, 0.498, 0.497), (0.494, 0.519, 0.504, 0.513))"),
+    "k20-seed1": (20, 1, 3000, "((1.0, 0.9826666666666667, 0.049666666666666665, 0.053), "
+                               "(0.36566666666666664, 0.9896666666666667, 0.049, 0.04633333333333333), "
+                               "(0.04466666666666667, 0.051333333333333335, 0.04466666666666667, "
+                               "0.050666666666666665), "
+                               "(0.058666666666666666, 0.051333333333333335, 0.050333333333333334, "
+                               "0.052333333333333336))"),
+    "k100-seed2": (100, 2, 500, "((1.0, 0.894, 0.01, 0.006), (0.35, 0.95, 0.006, 0.018), "
+                                "(0.004, 0.008, 0.008, 0.008), (0.016, 0.018, 0.01, 0.018))"),
 }
 
 
@@ -247,18 +248,18 @@ def test_game_golden_ties_and_unheard_messages(moprd, k, seed, episodes, values)
     assert repr(run_lewis_game(compositional, config).values) == values
 
 
-def played_candidates(rng, targets, n, k):
-    """The candidate sets the game plays, rows sorted: each target and the
-    distractors that Floyd's algorithm resolves from its column draws."""
-    return _candidates(_draw_columns(rng, n, k, len(targets)), targets, n)
+def floyd_columns(stream, n, k, size):
+    """Floyd's draws as the game reads them: one ``(k - 1, size)`` grid whose
+    row c is below the c-th bound of ``n - k + 1 .. n - 1``."""
+    return stream.below(np.arange(n - k + 1, n)[:, None], (k - 1, size))
 
 
 @pytest.mark.parametrize(("n", "k"), [(6, 2), (6, 4), (6, 6), (7, 3)])
 def test_candidates_are_uniform_subsets(n, k):
     """Every row holds its target and k - 1 distinct others, each subset equally often."""
-    rng = np.random.default_rng(0)
-    targets = rng.integers(n, size=60_000)
-    candidates = played_candidates(rng, targets, n, k)
+    stream = Stream(0)
+    targets = stream.below(n, 60_000)
+    candidates = _candidates(floyd_columns(stream, n, k, len(targets)), targets, n)
     assert (np.diff(candidates, axis=1) > 0).all()
     assert (candidates == targets[:, None]).any(axis=1).all()
     subsets = math.comb(n - 1, k - 1)
@@ -272,9 +273,10 @@ def test_candidates_are_uniform_subsets(n, k):
 @pytest.mark.parametrize(("n", "k"), [(2, 2), (6, 6), (100, 20), (100, 100), (4096, 100)])
 def test_candidates_match_floyd_oracle(n, k):
     """The array sampler is Floyd's algorithm, episode by episode, over the same draws."""
-    targets = np.random.default_rng(n).integers(n, size=300)
-    candidates = played_candidates(np.random.default_rng(k), targets, n, k)
-    assert candidates.tolist() == floyd_candidates(np.random.default_rng(k), targets, n, k)
+    targets = Stream(n).below(n, 300)
+    columns = floyd_columns(Stream(k), n, k, len(targets))
+    expected = floyd_candidates(columns.tolist(), targets, n, k)
+    assert _candidates(columns, targets, n).tolist() == expected
 
 
 def test_ids_differing_by_a_trailing_nul_are_distinct_samples(moprd):

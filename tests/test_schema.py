@@ -15,6 +15,7 @@ from emlang.errors import (
     DocumentSyntaxError,
     DomainError,
     UnknownReference,
+    parse_json,
 )
 from emlang.schema import (
     BOOL_DOMAIN,
@@ -413,3 +414,25 @@ def test_observed_values_are_the_present_values_in_domain_order(data):
         tuple(v for k, v in enumerate(schema.domain(prop)) if k in set(codes[:, i].tolist()))
         for i, prop in enumerate(schema.property_names)
     )
+
+
+@pytest.mark.parametrize("text", [
+    '["\\\\ud800"]',  # an escaped backslash, then the letters ud800
+    '{"\\\\uDFFF": "\\\\\\\\uD8"}',
+])
+def test_text_that_only_looks_like_a_surrogate_escape_loads(text):
+    """The screen for escaped surrogates hits these, and the exact walk over
+    the decoded strings then finds none."""
+    assert "\\ud800" in text.lower() or "\\udfff" in text.lower()
+    assert parse_json(text, "bad: {}") == json.loads(text)
+
+
+@pytest.mark.parametrize("text", [
+    '["\\ud800"]', '{"a": {"\\uDC00": 1}}', '["\\ud83d\\u0041"]', '["\\ude00\\ud83d"]', '["\ud800"]',
+])
+def test_lone_surrogate_is_refused_with_its_text(text):
+    """An escaped or raw lone surrogate, in a value or a key, unpaired or in
+    the wrong order, is still refused with the same text."""
+    with pytest.raises(DocumentSyntaxError) as error:
+        parse_json(text, "bad: {}")
+    assert str(error.value) == "bad: a string holds a lone surrogate"

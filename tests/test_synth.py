@@ -224,6 +224,14 @@ def test_holistic_capacity():
         gen_holistic(schema, 5, 2, seed=0)  # 2^3 = 8 < 100
     with pytest.raises(CapacityError):
         gen_holistic(schema, 2, 20, seed=0)  # no variable positions left
+    # a one-token vocabulary makes one message at any length
+    with pytest.raises(CapacityError, match=r"^1\^8 messages cannot cover 100 combinations$"):
+        gen_holistic(schema, 10, 1, seed=0)
+    assert len(gen_holistic(concept_schema(1), 10, 1, seed=0).messages) == 1
+    # 2^7 = 128 messages cover exactly 128 combinations, and not 129
+    assert len(gen_holistic(concept_schema(128), 9, 2, seed=0).messages) == 128
+    with pytest.raises(CapacityError, match=r"^2\^7 messages cannot cover 129 combinations$"):
+        gen_holistic(concept_schema(129), 9, 2, seed=0)
 
 
 def test_concept_schema_rules_are_full_width_combinations():
@@ -476,7 +484,8 @@ NOISY_PEAK_BOUND = 2.5
 @pytest.fixture(scope="module")
 def grid_base():
     """3125 samples of five five-valued attributes sending one message each,
-    18 times; gen_noisy has run once, so numpy.random is imported."""
+    18 times; gen_noisy has run once, so no first call's one-off costs are
+    traced."""
     schema = AttributeSchema(attributes=tuple(
         Attribute(name=f"a{i}", domain=tuple(f"v{j}" for j in range(5))) for i in range(5)
     ))

@@ -131,9 +131,9 @@ NOISY_BASES = {
 NOISY_CASES = tuple(itertools.product(SEEDS, (1, 3, 7), (0.1, 0.5, 0.9)))
 
 GOLDEN_NOISY = {
-    "moprd": "a620833c55061fec13dc2f1a817af99018d8cd6a40118eeb47f659abacf4acc2",
-    "tied": "c9cd8e3514cd8eb4d84d668c9ad293bead6400c5257cbc347f2d44b7a05c7e68",
-    "near": "8162aa98482f33eb2de5bb9047423939bd1e74379c5179f421728896716508d9",
+    "moprd": "aa771b862988aa407ee217386ff2222a461555fa5cc9bb0cc9a677f7d058f719",
+    "tied": "2a2dfbe59f9139aee9a4156fc6afdf71d51d59c0330a8f3e1c90924fa6561fab",
+    "near": "4356e00eff4c202138be31fa65cc3efd9cc03bda5c76c11371567395ece69ec1",
 }
 
 
