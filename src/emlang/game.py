@@ -10,13 +10,13 @@ Every (speaker, listener) cell owns an independent counter-based stream
 (:class:`~emlang.kernels.Stream`) keyed by (seed, speaker index, listener
 index), so the accuracy matrix is identical no matter how cells are
 scheduled.  Episodes are played in array batches.
-Each distinct listener corpus becomes one table of shares, built once and
-sorted message-major (by message id, then by owner), so the k lookups of an
-episode all fall in the block of the one message spoken.
 
-Episodes whose target is the listener's pick among all samples for the message
-spoken are hits whatever the distractors; they still make their draws, so the
-stream and every matrix stay those of playing them out, but skip the scoring.
+No candidate set is drawn.  If B samples beat the target on the message
+spoken, the k - 1 distractors, a uniform subset of the other n - 1 samples,
+miss them all with chance C(n - 1 - B, k - 1) / C(n - 1, k - 1) (Lewis 1969,
+Skyrms 2010).  An episode hits when a uniform draw below 2**53 lies below
+2**53 times that chance, so surely at B = 0.  B is read from one table per
+distinct listener corpus, sorted message-major (by message id, then owner).
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ import numpy as np
 
 from .corpus import AnnotatedCorpus, config_int
 from .errors import ConfigError
-from .kernels import Stream, first_of_max
+from .kernels import Stream
 from .metrics import AccuracyMatrix
 
-# Candidates per batch (episodes x k).  Each batch reads the cell's stream in one
-# order, targets, Floyd's draws, then counts, so a new size changes every matrix.
-_BATCH_KEYS = 2**14
+# Episodes per batch.  Each batch reads the cell's stream in one order, targets,
+# counts, then hit draws, so a new size changes every matrix.
+_BATCH = 2**14
+_SCALE = 2**53  # hit draws are uniform below it, and a float holds each exactly
 
 
 @dataclass(frozen=True)
@@ -48,44 +49,52 @@ class GameConfig:
     __hash__ = None
 
 
-def _candidates(columns: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
-    """Each target and the ``k - 1`` others Floyd's algorithm picks from its column of
-    draws, rows sorted; row c of ``columns`` holds draws below the c-th of ``n - k + 1
-    .. n - 1``.  Resolves ``columns`` (C order) in place, row by earlier row."""
-    for c, j in enumerate(range(n - len(columns) - 1, n - 1)):
-        columns[c] = np.where((columns[:c] == columns[c]).any(axis=0), j, columns[c])
-    columns += columns >= targets
-    return np.sort(np.vstack((targets, columns)).T, axis=1)
-
-
 def _listener_table(
     listener: AnnotatedCorpus, message_ids: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The listener's rows keyed message-major, ``message id * n + owner``, in key
-    order, and each row's share of its owner's messages.  Keys are unique because
-    a corpus holds one row per (owner, message)."""
+    order, and each row's beaten-by count: its rank in its message's block by share
+    descending, then by owner.  Keys are unique because a corpus holds one row per
+    (owner, message)."""
     keys = message_ids * n + listener.owners
+    shares = listener.counts / listener.totals[listener.owners]
     order = np.argsort(keys)
-    return keys[order], (listener.counts / listener.totals[listener.owners])[order]
+    ranked = np.lexsort((listener.owners, -shares, message_ids))
+    beaten = np.empty(len(keys), dtype=np.int64)
+    beaten[ranked] = np.arange(len(keys)) - np.searchsorted(keys[order], message_ids[ranked] * n)
+    return keys[order], beaten[order]
 
 
-def _top_owners(keys: np.ndarray, shares: np.ndarray, n: int, message_count: int) -> np.ndarray:
-    """Per message id, the owner a listener table picks among all samples: the first
-    of the largest share in the message's block of keys; -1 if it never heard it."""
-    messages = keys // n
-    first = first_of_max(messages, shares)
-    top = np.full(message_count, -1, dtype=np.int64)
-    top[messages[first]] = keys[first] % n
-    return top
+def _beaten_by(
+    keys: np.ndarray, beaten: np.ndarray, n: int, messages: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Per (message id, target), how many samples beat the target on the message
+    under a listener table: a larger share, or the same share and a smaller id.  A
+    target that never heard the message is beaten by the message's whole block and
+    by every sample below it outside the block."""
+    wanted = messages * n + targets
+    at = np.searchsorted(keys, wanted)
+    found = at.clip(max=len(keys) - 1)
+    unheard = np.searchsorted(keys, (messages + 1) * n) - at + targets
+    return np.where(keys[found] == wanted, beaten[found], unheard)
+
+
+def _hit_chances(n: int, k: int) -> np.ndarray:
+    """``_SCALE`` times C(n - 1 - b, k - 1) / C(n - 1, k - 1) for b = 0 .. n - 1, the
+    chance that k - 1 distractors drawn from n - 1 samples miss the b that beat a
+    target: exactly ``_SCALE`` at b = 0 and exactly 0 from b = n - k + 1 on."""
+    b = np.arange(n - 1)
+    return np.cumprod(np.concatenate(([float(_SCALE)], (n - k - b).clip(0) / (n - 1 - b))))
 
 
 def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatrix:
     """Play every (speaker, listener) pair for ``episodes`` rounds each.
 
-    Per episode: draw a target and ``candidate_count - 1`` distractors
-    without replacement, let the speaker describe the target, and score a
-    hit when the listener picks it.  The seed, candidate count and episode
-    count are integers, numpy's included and bool not; else ConfigError.
+    Per episode: draw a target, let the speaker describe it, and score a hit
+    with the chance that none of ``candidate_count - 1`` distractors, drawn
+    without replacement, beats it under the listener.  The seed, candidate
+    count and episode count are integers, numpy's included and bool not;
+    else ConfigError.
     """
     fields = {"seed": config.seed, "candidate count": config.candidate_count,
               "episode count": config.episodes}
@@ -109,15 +118,13 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
             )
     # one message id space for the whole population
     stacked = np.concatenate([a.messages for a in agents.values()])
-    distinct, message_ids = np.unique(stacked, axis=0, return_inverse=True)
+    _, message_ids = np.unique(stacked, axis=0, return_inverse=True)
     bounds = np.cumsum([len(a.messages) for a in agents.values()])[:-1]
     message_ids = dict(zip(agents, np.split(message_ids.reshape(-1), bounds)))
     # one table per distinct listener corpus, however many slots it fills
     listeners = {id(a): a for a in listener_corpora}
     tables = {key: _listener_table(agent, message_ids[key], n) for key, agent in listeners.items()}
-    tops = {key: _top_owners(*table, n, len(distinct)) for key, table in tables.items()}
-    batch = max(1, _BATCH_KEYS // k)
-    floyd_bounds = np.arange(n - k + 1, n)[:, None]
+    chances = _hit_chances(n, k)
 
     rows = []
     for i, speaker in enumerate(speaker_corpora):
@@ -126,26 +133,16 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
         start = np.cumsum(s_totals) - s_totals
         row = []
         for j, listener in enumerate(listener_corpora):
-            keys, shares = tables[id(listener)]
-            sure = tops[id(listener)][spoken] == speaker.owners  # rows no distractor can beat
+            # per speaker row, the scaled chance that its episodes hit
+            chance = chances[_beaten_by(*tables[id(listener)], n, spoken, speaker.owners)]
             stream = Stream(seed % 2**63, i, j)
             hits = 0
-            for played in range(0, episodes, batch):
-                size = min(batch, episodes - played)
+            for played in range(0, episodes, _BATCH):
+                size = min(_BATCH, episodes - played)
                 targets = stream.below(n, size)
-                columns = stream.below(floyd_bounds, (k - 1, size))
                 drawn = start[targets] + stream.below(s_totals[targets], size)
                 said = np.searchsorted(cumulative, drawn, side="right")
-                open_ = np.flatnonzero(~sure[said])
-                hits += size - len(open_)
-                targets, said = targets[open_], said[open_]
-                # np.take keeps C order; columns[:, open_] is F order, which slows Floyd's rows
-                candidates = _candidates(np.take(columns, open_, axis=1), targets, n)
-                wanted = spoken[said, None] * n + candidates
-                at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-                scores = np.where(keys[at] == wanted, shares[at], 0.0)
-                chosen = candidates[np.arange(len(targets)), np.argmax(scores, axis=1)]
-                hits += int(np.count_nonzero(chosen == targets))
+                hits += int(np.count_nonzero(stream.below(_SCALE, size) < chance[said]))
             row.append(hits / episodes)
         rows.append(tuple(row))
     return AccuracyMatrix(values=tuple(rows), episodes_per_cell=episodes)

@@ -280,22 +280,6 @@ def closed_form_accuracy(speaker, listener, k: int) -> float:
     return accuracy / n
 
 
-def floyd_candidates(columns, targets, n: int, k: int) -> list[list[int]]:
-    """Candidate sets, episode by episode: Floyd's algorithm picks k - 1 of the
-    n - 1 other samples, reading its draw for each j in n - k .. n - 2, a
-    value in 0 .. j, from the episode's entry of the matching row of ``columns``.
-    The i-th other sample is i, or i + 1 from the target on; rows are sorted."""
-    rows = []
-    for episode, target in enumerate(targets.tolist()):
-        chosen = set()
-        for j, column in zip(range(n - k, n - 1), columns):
-            draw = column[episode]
-            chosen.add(j if draw in chosen else draw)
-        others = [other + 1 if other >= target else other for other in chosen]
-        rows.append(sorted([target, *others]))
-    return rows
-
-
 def splitmix64_words(key, first: int, count: int) -> list[int]:
     """Words ``first .. first + count - 1`` of the counter-mode SplitMix64
     stream of the integers ``key``, in Python integers: the state starts at

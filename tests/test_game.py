@@ -12,9 +12,9 @@ from emlang.corpus import build_corpus
 from emlang.errors import ConfigError
 from emlang.game import (
     GameConfig,
-    _candidates,
+    _beaten_by,
+    _hit_chances,
     _listener_table,
-    _top_owners,
     run_lewis_game,
 )
 from emlang.kernels import Stream
@@ -25,7 +25,6 @@ from oracles import (
     attribute_product,
     attribute_values,
     closed_form_accuracy,
-    floyd_candidates,
     rows_by_sample,
 )
 
@@ -152,48 +151,92 @@ def closed_form_population(moprd):
     )
 
 
-@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("k", [2, 5, 20, 100])
 def test_every_cell_matches_the_closed_form(moprd, k):
-    population = closed_form_population(moprd)
-    compositional = population[0]
-    episodes = 20_000
-    config = GameConfig(
-        seed=11, candidate_count=k, episodes=episodes, speakers=population, listeners=population
-    )
-    matrix = run_lewis_game(compositional, config)
-    for i, speaker in enumerate(population):
-        for j, listener in enumerate(population):
-            expected = closed_form_accuracy(speaker, listener, k)
-            error = math.sqrt(expected * (1 - expected) / episodes)
-            observed = matrix.values[i][j]
-            if error == 0:
-                assert observed == expected, (i, j)
-            else:
-                assert abs(observed - expected) <= 5 * error, (i, j, observed, expected)
+    """Both populations, the second with constant and two-message listeners
+    that never heard most messages; k = 100 plays all n samples."""
+    for population in (closed_form_population(moprd), ties_population(moprd)):
+        compositional = population[0]
+        episodes = 20_000
+        config = GameConfig(
+            seed=11, candidate_count=k, episodes=episodes, speakers=population, listeners=population
+        )
+        matrix = run_lewis_game(compositional, config)
+        for i, speaker in enumerate(population):
+            for j, listener in enumerate(population):
+                expected = closed_form_accuracy(speaker, listener, k)
+                error = math.sqrt(expected * (1 - expected) / episodes)
+                observed = matrix.values[i][j]
+                if error == 0:
+                    assert observed == expected, (i, j)
+                else:
+                    assert abs(observed - expected) <= 5 * error, (i, j, observed, expected)
 
 
-# repr of the accuracy matrix of closed_form_population at 9000 episodes
-# (two batches at k = 2), as computed when the cells first drew from the
-# counter-based stream: no value may move
+def brute_beaten_by(share_of, n, message, target):
+    """How many samples beat ``target`` on ``message`` under ``share_of``, a
+    {(message, sample): share} dict: a larger share, or the same and a smaller id."""
+    own = (share_of.get((message, target), 0.0), -target)
+    return sum((share_of.get((message, other), 0.0), -other) > own for other in range(n))
+
+
+def test_all_samples_as_candidates_hit_exactly_the_unbeaten_targets(moprd):
+    """At k = n every sample is a candidate, so an episode hits exactly when no
+    sample beats its target on the message spoken, to the last bit.  The speaker
+    says one message per sample, so the targets, the first words of the cell's
+    stream, fix every message."""
+    compositional, _ = gen_compositional(moprd, 10, 20, seed=8)
+    listener = coarse_corpus(compositional)
+    n, episodes = len(compositional.sample_ids), 5000
+    said = list(rows_by_sample(compositional).values())
+    assert all(len(messages) == 1 for messages in said)
+    share_of = {
+        (message, owner): count / sum(c for _, c in messages)
+        for owner, messages in enumerate(rows_by_sample(listener).values())
+        for message, count in messages
+    }
+    targets = Stream(3, 0, 0).below(n, episodes).tolist()
+    unbeaten = sum(brute_beaten_by(share_of, n, said[t][0][0], t) == 0 for t in targets)
+    config = GameConfig(seed=3, candidate_count=n, episodes=episodes, listeners=(listener,))
+    assert 0 < unbeaten < episodes
+    assert run_lewis_game(compositional, config).values == ((unbeaten / episodes,),)
+
+
+@pytest.mark.parametrize(("n", "k"), [(2, 2), (6, 2), (6, 4), (6, 6), (7, 3), (100, 20), (100, 100),
+                                       (4096, 100)])
+def test_hit_chances_are_the_closed_form(n, k):
+    """Entry b is 2**53 C(n - 1 - b, k - 1) / C(n - 1, k - 1): exact where a hit
+    is certain or impossible, and within 1e-12 of the chance elsewhere."""
+    chances = _hit_chances(n, k)
+    assert len(chances) == n
+    assert chances[0] == 2**53
+    assert (chances[n - k + 1 :] == 0).all()
+    for b, chance in enumerate(chances.tolist()):
+        assert abs(chance / 2**53 - math.comb(n - 1 - b, k - 1) / math.comb(n - 1, k - 1)) <= 1e-12
+
+
+# repr of the accuracy matrix of closed_form_population at 9000 episodes, as
+# computed when each episode first drew its hit from the closed-form chance:
+# no value may move
 GOLDEN_ACCURACY = {
-    "k2-seed0": (2, 0, "((1.0, 0.999, 0.5121111111111111), "
-                       "(0.6688888888888889, 0.9996666666666667, 0.5126666666666667), "
-                       "(0.5188888888888888, 0.5163333333333333, 0.9152222222222223))"),
-    "k2-seed1": (2, 1, "((1.0, 0.9987777777777778, 0.5236666666666666), "
-                       "(0.6621111111111111, 0.9993333333333333, 0.5027777777777778), "
-                       "(0.5165555555555555, 0.5232222222222223, 0.9108888888888889))"),
-    "k5-seed0": (5, 0, "((1.0, 0.9958888888888889, 0.22833333333333333), "
-                       "(0.45355555555555555, 0.9984444444444445, 0.20922222222222223), "
-                       "(0.23677777777777778, 0.23544444444444446, 0.7122222222222222))"),
-    "k5-seed1": (5, 1, "((1.0, 0.9954444444444445, 0.22466666666666665), "
-                       "(0.4718888888888889, 0.9982222222222222, 0.20466666666666666), "
-                       "(0.23433333333333334, 0.2262222222222222, 0.7016666666666667))"),
-    "k20-seed0": (20, 0, "((1.0, 0.9816666666666667, 0.08311111111111111), "
-                         "(0.36466666666666664, 0.99, 0.060222222222222226), "
-                         "(0.09233333333333334, 0.08711111111111111, 0.29288888888888887))"),
-    "k20-seed1": (20, 1, "((1.0, 0.9821111111111112, 0.09111111111111111), "
-                         "(0.3751111111111111, 0.9916666666666667, 0.06266666666666666), "
-                         "(0.08844444444444445, 0.08888888888888889, 0.29))"),
+    "k2-seed0": (2, 0, "((1.0, 0.9993333333333333, 0.51), "
+                       "(0.6663333333333333, 0.9994444444444445, 0.5138888888888888), "
+                       "(0.5221111111111111, 0.514, 0.9121111111111111))"),
+    "k2-seed1": (2, 1, "((1.0, 0.9987777777777778, 0.527), "
+                       "(0.6694444444444444, 0.9995555555555555, 0.5118888888888888), "
+                       "(0.5165555555555555, 0.5218888888888888, 0.9157777777777778))"),
+    "k5-seed0": (5, 0, "((1.0, 0.997, 0.21811111111111112), "
+                       "(0.4647777777777778, 0.9972222222222222, 0.21155555555555555), "
+                       "(0.24255555555555555, 0.23866666666666667, 0.7082222222222222))"),
+    "k5-seed1": (5, 1, "((1.0, 0.996, 0.2288888888888889), "
+                       "(0.4761111111111111, 0.9971111111111111, 0.2088888888888889), "
+                       "(0.23422222222222222, 0.23044444444444445, 0.7022222222222222))"),
+    "k20-seed0": (20, 0, "((1.0, 0.9814444444444445, 0.08177777777777778), "
+                         "(0.3688888888888889, 0.9896666666666667, 0.06055555555555556), "
+                         "(0.09277777777777778, 0.09066666666666667, 0.28988888888888886))"),
+    "k20-seed1": (20, 1, "((1.0, 0.9822222222222222, 0.08633333333333333), "
+                         "(0.3685555555555556, 0.9893333333333333, 0.06555555555555556), "
+                         "(0.09266666666666666, 0.08666666666666667, 0.28733333333333333))"),
 }
 
 
@@ -217,66 +260,40 @@ def two_message_corpus(moprd):
     return build_corpus(moprd, 20, 10, records)
 
 
-# repr of the accuracy matrix of compositional, noisy, constant and two-message
-# agents, as computed when the cells first drew from the counter-based stream.
-# Constant and two-message listeners leave almost no target sure to win and
-# never heard most compositional messages; k = 100 plays all n samples; no
-# episode count is a multiple of the batch.  No value may move.
+def ties_population(moprd):
+    """Compositional, noisy, constant and two-message agents."""
+    compositional, _ = gen_compositional(moprd, 10, 20, seed=8)
+    noisy = gen_noisy(compositional, synonym_count=2, minority_share=0.3, seed=8)
+    return compositional, noisy, constant_corpus(moprd), two_message_corpus(moprd)
+
+
+# repr of the accuracy matrix of ties_population, as computed when each episode
+# first drew its hit from the closed-form chance.  Constant and two-message
+# listeners leave almost no target sure to win and never heard most
+# compositional messages; k = 100 plays all n samples; no episode count is a
+# multiple of the batch.  No value may move.
 GOLDEN_TIES = {
-    "k2-seed0": (2, 0, 1000, "((1.0, 1.0, 0.513, 0.505), (0.65, 0.999, 0.538, 0.501), "
-                             "(0.497, 0.487, 0.498, 0.497), (0.494, 0.519, 0.504, 0.513))"),
-    "k20-seed1": (20, 1, 3000, "((1.0, 0.9826666666666667, 0.049666666666666665, 0.053), "
-                               "(0.36566666666666664, 0.9896666666666667, 0.049, 0.04633333333333333), "
-                               "(0.04466666666666667, 0.051333333333333335, 0.04466666666666667, "
-                               "0.050666666666666665), "
-                               "(0.058666666666666666, 0.051333333333333335, 0.050333333333333334, "
-                               "0.052333333333333336))"),
-    "k100-seed2": (100, 2, 500, "((1.0, 0.894, 0.01, 0.006), (0.35, 0.95, 0.006, 0.018), "
-                                "(0.004, 0.008, 0.008, 0.008), (0.016, 0.018, 0.01, 0.018))"),
+    "k2-seed0": (2, 0, 1000, "((1.0, 1.0, 0.512, 0.481), (0.66, 1.0, 0.505, 0.46), "
+                             "(0.493, 0.5, 0.495, 0.502), (0.482, 0.505, 0.539, 0.486))"),
+    "k20-seed1": (20, 1, 3000, "((1.0, 0.9813333333333333, 0.043, 0.054), "
+                               "(0.37433333333333335, 0.9923333333333333, 0.050333333333333334, "
+                               "0.05733333333333333), "
+                               "(0.044333333333333336, 0.04533333333333334, 0.05, 0.049), "
+                               "(0.056666666666666664, 0.048666666666666664, 0.056666666666666664, "
+                               "0.047))"),
+    "k100-seed2": (100, 2, 500, "((1.0, 0.926, 0.008, 0.008), (0.338, 0.958, 0.006, 0.01), "
+                                "(0.006, 0.012, 0.002, 0.004), (0.014, 0.01, 0.012, 0.008))"),
 }
 
 
 @pytest.mark.parametrize(("k", "seed", "episodes", "values"), GOLDEN_TIES.values(),
                          ids=GOLDEN_TIES.keys())
 def test_game_golden_ties_and_unheard_messages(moprd, k, seed, episodes, values):
-    compositional, _ = gen_compositional(moprd, 10, 20, seed=8)
-    noisy = gen_noisy(compositional, synonym_count=2, minority_share=0.3, seed=8)
-    population = (compositional, noisy, constant_corpus(moprd), two_message_corpus(moprd))
+    population = ties_population(moprd)
     config = GameConfig(
         seed=seed, candidate_count=k, episodes=episodes, speakers=population, listeners=population
     )
-    assert repr(run_lewis_game(compositional, config).values) == values
-
-
-def floyd_columns(stream, n, k, size):
-    """Floyd's draws as the game reads them: one ``(k - 1, size)`` grid whose
-    row c is below the c-th bound of ``n - k + 1 .. n - 1``."""
-    return stream.below(np.arange(n - k + 1, n)[:, None], (k - 1, size))
-
-
-@pytest.mark.parametrize(("n", "k"), [(6, 2), (6, 4), (6, 6), (7, 3)])
-def test_candidates_are_uniform_subsets(n, k):
-    """Every row holds its target and k - 1 distinct others, each subset equally often."""
-    stream = Stream(0)
-    targets = stream.below(n, 60_000)
-    candidates = _candidates(floyd_columns(stream, n, k, len(targets)), targets, n)
-    assert (np.diff(candidates, axis=1) > 0).all()
-    assert (candidates == targets[:, None]).any(axis=1).all()
-    subsets = math.comb(n - 1, k - 1)
-    for target in range(n):
-        _, counts = np.unique(candidates[targets == target], axis=0, return_counts=True)
-        expected = counts.sum() / subsets
-        assert len(counts) == subsets
-        assert np.abs(counts - expected).max() <= 5 * math.sqrt(expected)
-
-
-@pytest.mark.parametrize(("n", "k"), [(2, 2), (6, 6), (100, 20), (100, 100), (4096, 100)])
-def test_candidates_match_floyd_oracle(n, k):
-    """The array sampler is Floyd's algorithm, episode by episode, over the same draws."""
-    targets = Stream(n).below(n, 300)
-    columns = floyd_columns(Stream(k), n, k, len(targets))
-    expected = floyd_candidates(columns.tolist(), targets, n, k)
-    assert _candidates(columns, targets, n).tolist() == expected
+    assert repr(run_lewis_game(population[0], config).values) == values
 
 
 def test_ids_differing_by_a_trailing_nul_are_distinct_samples(moprd):
@@ -317,47 +334,19 @@ def test_listener_ignores_the_order_of_its_corpus(moprd):
 TOKEN_SCHEMA = parse_schema('{"attributes": [{"name": "a", "values": ["x"]}]}')
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_listener_table_is_message_major(data):
-    """Over the messages of a population of canonical corpora, even at tokens
-    near 2**63, each listener's keys ``message id * n + owner`` strictly
-    increase and name every row once, with the share count / total of that row."""
-    length = data.draw(st.integers(1, 3))
-    token = st.integers(0, 3) | st.integers(0, 2**63 - 1) | st.just(2**63 - 1)
-    row = st.tuples(st.integers(0, 3), st.lists(token, min_size=length, max_size=length))
-    corpora = [
-        build_corpus(
-            TOKEN_SCHEMA, 2**63, length,
-            [(f"s{owner}", {"a": "x"}, tuple(message), 1) for owner, message in rows],
-        )
-        for rows in data.draw(st.lists(st.lists(row, min_size=1, max_size=10), min_size=1, max_size=3))
-    ]
-    stacked = np.concatenate([corpus.messages for corpus in corpora])
-    _, message_ids = np.unique(stacked, axis=0, return_inverse=True)
-    bounds = np.cumsum([len(corpus.messages) for corpus in corpora])[:-1]
-    for corpus, ids in zip(corpora, np.split(message_ids.reshape(-1), bounds)):
-        n = len(corpus.sample_ids)
-        keys, shares = _listener_table(corpus, ids, n)
-        assert (np.diff(keys) > 0).all()
-        rows = zip(ids.tolist(), corpus.owners.tolist(), corpus.counts.tolist())
-        share_of = {(message_id, owner): count / corpus.totals[owner] for message_id, owner, count in rows}
-        table = zip(keys.tolist(), shares.tolist())
-        assert {(key // n, key % n): share for key, share in table} == share_of
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_top_owner_is_the_pick_among_all_samples(data):
-    """Per message id of a population, ``_top_owners`` is the brute-force argmax
-    over every sample of the listener (share descending, then id), and -1 for a
-    message it never heard; shares tie often, and a listener may be given its
-    rows out of canonical order."""
-    row = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(1, 3))  # owner, token, count
+def micro_population(data, token, length):
+    """One to three canonical corpora over up to five samples, of ``length``
+    tokens drawn from ``token``, and the message ids of each in the message
+    space of all of them (messages, owners and counts are drawn, so shares tie
+    often); each corpus may be given its rows reversed, which makes the same
+    corpus.  Returns (corpus, message ids) pairs and the number of messages."""
+    row = st.tuples(st.integers(0, 4), st.lists(token, min_size=length, max_size=length),
+                    st.integers(1, 3))
     corpora = []
     for rows in data.draw(st.lists(st.lists(row, min_size=1, max_size=12), min_size=1, max_size=3)):
         corpus = build_corpus(
-            TOKEN_SCHEMA, 4, 1, [(f"s{owner}", {"a": "x"}, (token,), count) for owner, token, count in rows]
+            TOKEN_SCHEMA, 2**63, length,
+            [(f"s{owner}", {"a": "x"}, tuple(message), count) for owner, message, count in rows],
         )
         if data.draw(st.booleans()):
             corpus = replace(
@@ -367,16 +356,51 @@ def test_top_owner_is_the_pick_among_all_samples(data):
     stacked = np.concatenate([corpus.messages for corpus in corpora])
     distinct, message_ids = np.unique(stacked, axis=0, return_inverse=True)
     bounds = np.cumsum([len(corpus.messages) for corpus in corpora])[:-1]
-    for corpus, ids in zip(corpora, np.split(message_ids.reshape(-1), bounds)):
+    return list(zip(corpora, np.split(message_ids.reshape(-1), bounds))), len(distinct)
+
+
+def micro_shares(corpus, ids):
+    """{(message id, owner): count / total} of every row of ``corpus``."""
+    rows = zip(ids.tolist(), corpus.owners.tolist(), corpus.counts.tolist())
+    return {(message_id, owner): count / corpus.totals[owner] for message_id, owner, count in rows}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_listener_table_is_message_major(data):
+    """Over the messages of a population of corpora, even at tokens near 2**63,
+    each listener's keys ``message id * n + owner`` strictly increase and name
+    every row once, with the brute-force count of samples that beat that row's
+    owner on its message (share descending, then id)."""
+    length = data.draw(st.integers(1, 3))
+    token = st.integers(0, 3) | st.integers(0, 2**63 - 1) | st.just(2**63 - 1)
+    population, _ = micro_population(data, token, length)
+    for corpus, ids in population:
         n = len(corpus.sample_ids)
-        rows = zip(ids.tolist(), corpus.owners.tolist(), corpus.counts.tolist())
-        share_of = {(message_id, owner): count / corpus.totals[owner] for message_id, owner, count in rows}
-        expected = []
-        for message_id in range(len(distinct)):
-            share, owner = max((share_of.get((message_id, owner), 0.0), -owner) for owner in range(n))
-            expected.append(-owner if share > 0 else -1)
-        keys, shares = _listener_table(corpus, ids, n)
-        assert _top_owners(keys, shares, n, len(distinct)).tolist() == expected
+        share_of = micro_shares(corpus, ids)
+        keys, beaten = _listener_table(corpus, ids, n)
+        assert (np.diff(keys) > 0).all()
+        table = zip(keys.tolist(), beaten.tolist())
+        assert {(key // n, key % n): count for key, count in table} == {
+            (message_id, owner): brute_beaten_by(share_of, n, message_id, owner)
+            for message_id, owner in share_of
+        }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_beaten_by_counts_every_sample_that_outscores_the_target(data):
+    """For every (message id, target) of a population, heard or not, ``_beaten_by``
+    is the brute-force count of samples with a larger share of the message under
+    the listener, or the same share and a smaller id."""
+    population, message_count = micro_population(data, st.integers(0, 3), 1)
+    for corpus, ids in population:
+        n = len(corpus.sample_ids)
+        share_of = micro_shares(corpus, ids)
+        pairs = [(message_id, target) for message_id in range(message_count) for target in range(n)]
+        messages, targets = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        found = _beaten_by(*_listener_table(corpus, ids, n), n, messages, targets)
+        assert found.tolist() == [brute_beaten_by(share_of, n, *pair) for pair in pairs]
 
 
 def test_agents_must_hold_the_game_samples(moprd):
