@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -213,6 +214,17 @@ def test_hit_chances_are_the_closed_form(n, k):
     assert (chances[n - k + 1 :] == 0).all()
     for b, chance in enumerate(chances.tolist()):
         assert abs(chance / 2**53 - math.comb(n - 1 - b, k - 1) / math.comb(n - 1, k - 1)) <= 1e-12
+
+
+@pytest.mark.parametrize(("n", "k"), [(6, 2), (6, 4), (6, 6), (7, 3)])
+def test_hit_chances_count_uniform_subsets(n, k):
+    """Entry b is the share of all (k - 1)-subsets of the n - 1 other samples that
+    hold none of the b samples beating the target, each subset counted once."""
+    subsets = list(itertools.combinations(range(n - 1), k - 1))
+    assert len(subsets) == math.comb(n - 1, k - 1)
+    for b, chance in enumerate(_hit_chances(n, k).tolist()):
+        missing = sum(min(subset) >= b for subset in subsets)
+        assert abs(chance / 2**53 - missing / len(subsets)) <= 1e-12
 
 
 # repr of the accuracy matrix of closed_form_population at 9000 episodes, as
