@@ -135,7 +135,7 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
         for j, listener in enumerate(listener_corpora):
             # per speaker row, the scaled chance that its episodes hit
             chance = chances[_beaten_by(*tables[id(listener)], n, spoken, speaker.owners)]
-            stream = Stream(seed % 2**63, i, j)
+            stream = Stream(seed, i, j)
             hits = 0
             for played in range(0, episodes, _BATCH):
                 size = min(_BATCH, episodes - played)

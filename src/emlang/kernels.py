@@ -14,6 +14,8 @@ the draws, not on any library's sampling algorithms.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -125,16 +127,17 @@ def _mix64(z):
 class Stream:
     """A keyed, counter-mode SplitMix64 stream of uint64 words.
 
-    The key folds in each of the integers ``key`` in turn, ``K = mix64((K ^
-    p) + gamma)`` from 0, so keys (s, i, j) and (s, j, i) differ; word c is
-    ``mix64(K + (c + 1) * gamma)``, and each draw reads the words after the
-    last one read.
+    The key folds in each of the integers ``key`` (numpy's included) in
+    turn, reduced modulo 2**63, as ``K = mix64((K ^ p) + gamma)`` from 0, so
+    any integer seed keys a stream and keys (s, i, j) and (s, j, i) differ;
+    word c is ``mix64(K + (c + 1) * gamma)``, and each draw reads the words
+    after the last one read.
     """
 
     def __init__(self, *key: int) -> None:
         self.key, self.used = 0, 0
         for part in key:
-            self.key = _mix64(((self.key ^ part) + _GAMMA) & _MASK)
+            self.key = _mix64(((self.key ^ (operator.index(part) % 2**63)) + _GAMMA) & _MASK)
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words, mixed ``_WORD_BLOCK`` at a time in place,

@@ -236,7 +236,7 @@ def topsim(
     Messages enter through each sample's representative (highest-count)
     message.  When the unordered pair count exceeds ``max_pairs`` the pairs
     are a uniform subset drawn by :meth:`~emlang.kernels.Stream.subset` from
-    the stream keyed by ``seed % 2**63``; the seed is then required, and any
+    the stream keyed by ``seed``; the seed is then required, and any
     integer seed is accepted.  It needs at least three samples, because the
     one pair of two cannot be ranked, and ``max_pairs`` of at least 2.  A
     seed or ``max_pairs`` given is an integer, numpy's included and bool
@@ -255,7 +255,7 @@ def topsim(
     if sampled:
         if seed is None:
             raise ConfigError("sampling pairs requires a seed")
-        indices = Stream(seed % 2**63).subset(total_pairs, limit)
+        indices = Stream(seed).subset(total_pairs, limit)
     count = limit if sampled else total_pairs
 
     codes = corpus.attribute_codes  # differing code <=> differing value

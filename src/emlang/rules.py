@@ -156,7 +156,10 @@ def semantic_rules(
     rule_of[order] = np.cumsum(new) - 1
     firsts = order[new]
     kept, cells = kept[firsts], cells[firsts]
-    supports, coverages = _cover(schema, by_column, size, owners, codes, kept, cells)
+    # a kept-position set starts wherever a key ahead of the cells' keys breaks
+    sets = run_starts(*(key[firsts] for key in pattern_keys[: 1 + len(position_keys)]))
+    bounds = np.append(np.flatnonzero(sets), len(firsts))
+    supports, coverages = _cover(schema, by_column, size, owners, codes, kept, cells, bounds)
 
     names = schema.property_names
     domains = [schema.domain(name) for name in names]
@@ -175,11 +178,11 @@ def semantic_rules(
     )
 
 
-def _cover(schema, by_column, size, owners, codes, kept, cells):
+def _cover(schema, by_column, size, owners, codes, kept, cells, bounds):
     """Support and coverage of each pattern, given as a row of ``kept``
     columns and its ``cells`` values there, over the rows whose values are
     the columns of ``by_column``: the patterns are distinct, and those that
-    keep the same columns are adjacent.
+    keep the same columns are adjacent, from each of ``bounds`` to the next.
 
     The patterns of one column set are matched against every row at once,
     and their covered (pattern, sample) pairs made distinct by one sort.
@@ -187,9 +190,6 @@ def _cover(schema, by_column, size, owners, codes, kept, cells):
     are no more than the groups nor the subsets of columns: one set for a
     noise-free concept corpus, where every group keeps the same positions,
     and more as noise breaks different positions in different groups."""
-    new_set = np.ones(len(kept) + 1, dtype=bool)
-    new_set[1:-1] = (kept[1:] != kept[:-1]).any(axis=1)
-    bounds = np.flatnonzero(new_set)
     count = max(1, len(codes))
     by_property = column_major(codes)
     supports, coverages = [], []

@@ -4,7 +4,8 @@ Each generator is a pure function of its arguments and seed and returns a
 corpus in the standard format.  The compositional generator also returns the
 exact rule table the detector must recover, built from the codebook's
 semantics alone (it never scans the emitted messages), so it can serve as an
-oracle for the extraction pipeline.
+oracle for the extraction pipeline.  Every generator draws, a few arrays at
+a time, from the counter-based :class:`~emlang.kernels.Stream` of its seed.
 
 The compositional and holistic generators emit one sample per attribute
 combination, enumerated once by :func:`combination_codes`; more than
@@ -19,8 +20,6 @@ a number; anything else is a ``ConfigError``, raised before any other check.
 from __future__ import annotations
 
 import math
-import random
-from bisect import bisect_right
 from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
@@ -170,10 +169,10 @@ def gen_compositional(
     detector must find.  When the vocabulary is large enough the value codes
     are drawn disjointly across attributes and kept apart from the filler
     tokens, which makes the Levenshtein distance between any two messages
-    equal their attribute edit distance.
+    equal their attribute edit distance.  The stream draws the positions,
+    then the value codes, then the filler tokens by ascending position.
     """
     message_length, vocab_size, seed = _shape_and_seed(message_length, vocab_size, seed)
-    rng = random.Random(seed)
     names = schema.attribute_names
     if message_length < len(names):
         raise CapacityError(
@@ -191,42 +190,36 @@ def gen_compositional(
             f"the generator bound of {MAX_MESSAGE_CELLS} message cells"
         )
 
-    positions = tuple(rng.sample(range(message_length), len(names)))
-    total_values = sum(len(schema.domain(n)) for n in names)
-    disjoint = vocab_size >= total_values + 1
-
-    taken: set[int] = set()  # every code, when codes are disjoint
-    tokens = tuple(
-        tuple(_distinct_tokens(rng, vocab_size, len(schema.domain(n)), taken if disjoint else set()))
-        for n in names
-    )
+    stream = Stream(seed)
+    positions = _distinct(stream, message_length, len(names))
+    sizes = [len(schema.domain(n)) for n in names]
+    if vocab_size >= sum(sizes) + 1:  # every code apart, and a free filler token
+        tokens = np.split(_distinct(stream, vocab_size, sum(sizes)), np.cumsum(sizes)[:-1])
+        taken = np.sort(np.concatenate(tokens))
+    else:
+        tokens = [_distinct(stream, vocab_size, size) for size in sizes]
+        taken = np.empty(0, dtype=np.int64)
     # filler tokens are uniform over the free tokens (those outside ``taken``);
     # the r-th free token is r plus the number of taken tokens that have at
     # most r free tokens below them
-    free_below = [token - k for k, token in enumerate(sorted(taken))]
-    cells = {}
-    for pos in range(message_length):
-        if pos not in positions:
-            r = rng.randrange(vocab_size - len(taken))
-            cells[pos] = r + bisect_right(free_below, r)
-    codebook = Codebook(schema, message_length, Pattern.from_dict(cells), positions, tokens)
+    free = np.ones(message_length, dtype=bool)
+    free[positions] = False
+    free = np.flatnonzero(free)
+    fill = stream.below(vocab_size - len(taken), len(free))
+    fill += np.searchsorted(taken - np.arange(len(taken)), fill, side="right")
+    fixed = Pattern(tuple(zip(free.tolist(), fill.tolist())))  # free ascends, as cells must
+    tokens = tuple(tuple(t.tolist()) for t in tokens)
+    codebook = Codebook(schema, message_length, fixed, tuple(positions.tolist()), tokens)
     codes = combination_codes(schema)
     corpus = _one_sample_each(schema, vocab_size, message_length, codes, codebook.encode(codes))
     return corpus, ground_truth_table(codebook)
 
 
-def _distinct_tokens(
-    rng: random.Random, vocab_size: int, count: int, taken: set[int]
-) -> list[int]:
-    """``count`` different tokens drawn from [0, vocab_size) outside ``taken``,
-    which they join; the vocabulary itself is never built."""
-    tokens = []
-    while len(tokens) < count:
-        token = rng.randrange(vocab_size)
-        if token not in taken:
-            taken.add(token)
-            tokens.append(token)
-    return tokens
+def _distinct(stream: Stream, total: int, count: int) -> np.ndarray:
+    """``count`` distinct uniform draws from 0 .. total - 1, in uniform order:
+    a uniform subset, shuffled by sorting one word per member; two words tie,
+    and bias the order, with chance below count**2 / 2**65."""
+    return stream.subset(total, count)[np.argsort(stream.words(count))]
 
 
 def ground_truth_table(codebook: Codebook) -> RuleTable:
@@ -272,10 +265,10 @@ def gen_holistic(
 
     The first ``HOLISTIC_PREFIX_LENGTH`` positions form a shared prefix; all
     remaining positions are drawn independently with rejection on repeats,
-    so no sub-message structure relates similar combinations.
+    so no sub-message structure relates similar combinations.  The stream
+    draws the prefix, then bodies in rounds of exactly the number missing.
     """
     message_length, vocab_size, seed = _shape_and_seed(message_length, vocab_size, seed)
-    rng = random.Random(seed)
     count = combination_count(schema)
     variable = message_length - HOLISTIC_PREFIX_LENGTH
     if variable < 1:
@@ -290,10 +283,15 @@ def gen_holistic(
             f"the generator bound of {MAX_MESSAGE_CELLS} message cells"
         )
     codes = combination_codes(schema)
-    prefix = [rng.randrange(vocab_size) for _ in range(HOLISTIC_PREFIX_LENGTH)]
+    stream = Stream(seed)
+    prefix = stream.below(vocab_size, HOLISTIC_PREFIX_LENGTH)
     bodies: dict[Message, None] = {}  # distinct bodies in draw order; a repeat is drawn again
-    while len(bodies) < len(codes):
-        bodies[tuple(rng.randrange(vocab_size) for _ in range(variable))] = None
+    while len(bodies) < count:
+        # one expression, so a round's draws (up to 2**25 tokens) die with their lists
+        deficit = count - len(bodies)
+        bodies.update(
+            dict.fromkeys(map(tuple, stream.below(vocab_size, (deficit, variable)).tolist()))
+        )
     messages = np.empty((len(codes), message_length), dtype=np.int64)
     messages[:, :HOLISTIC_PREFIX_LENGTH] = prefix
     messages[:, HOLISTIC_PREFIX_LENGTH:] = list(bodies)
@@ -313,9 +311,7 @@ def gen_noisy(
     counts allow (exact whenever ``share/(1-share) * total`` divides
     evenly), split as evenly as possible across synonyms.  Each synonym is
     one substitution away from the sample's first message in canonical
-    order, distinct from everything the sample already holds.  The draws
-    come from the counter-based :class:`~emlang.kernels.Stream` keyed by
-    ``seed % 2**63``.
+    order, distinct from everything the sample already holds.
     The synonym count and seed are integers and the share a number, numpy's
     included and bool not, else ConfigError.  More than ``MAX_SYNONYM_CELLS``
     working cells is a ``CapacityError``.
@@ -359,7 +355,7 @@ def _synonym_cells(base: AnnotatedCorpus, first, synonym_owners, seed: int):
     cells[:, : len(near)] = base.owners[near], near_positions, base.messages[near, near_positions]
     cells[0, len(near) :] = synonym_owners
 
-    stream = Stream(seed % 2**63)
+    stream = Stream(seed)
     pending = np.arange(len(near), cells.shape[1])
     drawn = np.zeros(cells.shape[1], dtype=bool)  # True on the columns of pending
     for _ in range(1000):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import random
 import resource
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -100,6 +102,14 @@ def run_bounded(*args: str) -> subprocess.CompletedProcess:
         preexec_fn=cap_address_space,
         timeout=CHILD_TIMEOUT_S,
     )
+
+
+def assert_uniform(counts, cells: int) -> None:
+    """Each of ``cells`` outcomes, counted in ``counts``, within 5 sd of an equal share."""
+    counts = np.asarray(counts)
+    assert len(counts) == cells
+    trials, share = counts.sum(), 1 / cells
+    assert np.abs(counts - trials * share).max() <= 5 * math.sqrt(trials * share * (1 - share))
 
 
 def random_micro_schema(rng: random.Random) -> AttributeSchema:

@@ -283,8 +283,8 @@ def closed_form_accuracy(speaker, listener, k: int) -> float:
 def splitmix64_words(key, first: int, count: int) -> list[int]:
     """Words ``first .. first + count - 1`` of the counter-mode SplitMix64
     stream of the integers ``key``, in Python integers: the state starts at
-    0 and takes in each key integer p as ``mix((state ^ p) + gamma)``, and
-    word c is ``mix(state + (c + 1) * gamma)``, all modulo 2**64."""
+    0 and takes in each key integer p as ``mix((state ^ (p mod 2**63)) +
+    gamma)``, and word c is ``mix(state + (c + 1) * gamma)``, all modulo 2**64."""
     gamma, mask = 0x9E3779B97F4A7C15, 2**64 - 1
 
     def mix(z: int) -> int:
@@ -294,7 +294,7 @@ def splitmix64_words(key, first: int, count: int) -> list[int]:
 
     state = 0
     for part in key:
-        state = mix(((state ^ part) + gamma) & mask)
+        state = mix(((state ^ (part % 2**63)) + gamma) & mask)
     return [mix((state + (c + 1) * gamma) & mask) for c in range(first, first + count)]
 
 

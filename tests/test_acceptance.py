@@ -160,9 +160,10 @@ def test_criterion_4_topsim_exactness(moprd):
 
 
 # Frozen from an oracle run (independent distances + brute-force rank-then-
-# Pearson) over gen_holistic(moprd_schema(), 10, 20, seed=20240).
+# Pearson) over gen_holistic(moprd_schema(), 10, 20, seed=20240), as drawn
+# since the generator reads the counter-based stream.
 HOLISTIC_SEED = 20240
-HOLISTIC_RHO = 0.009320234966235358
+HOLISTIC_RHO = -0.0037823744917873706
 
 
 def test_criterion_5_holistic_signature(moprd):

@@ -209,20 +209,21 @@ PINNED_SCHEMA = {
     ],
 }
 # SHA-256 of the --truth-out and --out bytes of synth --kind compositional,
-# per (schema, seed), as the dict-built ground truth wrote them.
+# per (schema, seed), as written when the generators first drew from the
+# counter-based stream.
 SYNTH_DIGESTS = {
-    ("moprd", "1"): ("c873336dd9eb941e7c9f0eaca1f6301f72cef2e7fe6963cdc1dd124f6c7dac2e",
-                     "56a9dea99e06dde06b9a3e3b7fa81116c32ad68f13f057ef4f3c128d0de74462"),
-    ("moprd", "2"): ("6897e26e032f08799fcd342289ea4a6843a99f090b6ed201fc7ca85a860a4e3d",
-                     "737d55ac2ea81f8dbc830f0faf86e7add1bf79ddbf10d38cfebe387a1093f373"),
-    ("moprd", "3"): ("20d4fbe02329e39f11142e10b8a4e66723bd3667589d490cd875b2c3b08a579d",
-                     "e3d91c31d7be86c84c7be70b51469c553395bfb61efd69c7de85299536556c51"),
-    ("pinned", "1"): ("f5da21e7a448185cf32ae43062624d8edf672e36d588dd179e0f0eb92699cfa9",
-                      "7c3b61047d6050b3f35a9c7e81406f6edfa236f2d3aabcd9cae7aa3cc7b97d4e"),
-    ("pinned", "2"): ("8525311d15a5b664f4e53db1e8f2424d5d6300be4ef68e05bc5ce0ce709bc8f8",
-                      "d40effb994b27cc51277fa1642beaaf2234d8d5e8d477f5e8de19a8a5855e122"),
-    ("pinned", "3"): ("fb73ba360b2906cfc1d80d68de9175bd5b46bb593c83362c0e9e64157ed8ad18",
-                      "40e760193f399234facd3d7cca15622936d5f3d02eb9c8aafb9474a54af3092e"),
+    ("moprd", "1"): ("a3f44f80823e994f8a7fb8325cd98b7e09d2602960177309cdb8dd2e31c3239f",
+                     "051f80632cd434d602238cd61b5718170666522d28cb483086df03667c5c0321"),
+    ("moprd", "2"): ("ad4ffbe74d800011acffa2fe20b35938dde3bc6f021eea6f6e7ecd525ed304a6",
+                     "a03fdd52df703a5a93d0957161fe45935bc1bb71641c53a3deab5e1eada97563"),
+    ("moprd", "3"): ("82bb4ad9da8661eb7612918df53e7b89b5c63e218a78501c7a49ddc0fc6aa57f",
+                     "b239339d83dff122eeb2016dce477acaf0c288321c10edee9af6b6b2b2a03ac7"),
+    ("pinned", "1"): ("101730b0ede91295ce41776f1dd37ad455f4dc500a2dc9e90072ab056837862a",
+                      "69668f0533af4b908ae70f8c8fed8571e94d0c764f018c80939002cd979005cf"),
+    ("pinned", "2"): ("46be9d3d6b971d07b06b1482e4e74d11057e124153007e501ca2e2f45e5a977a",
+                      "d8990aec373c53e2a78441d3f2f02fa62b8858cf6b73274bb861ba16078a14b6"),
+    ("pinned", "3"): ("253b677b5231808cc7f8f434822af4cf285a837d81569c19530e0b022b7ab5e9",
+                      "b43804e4ac791ec8b69953949dee2bcd829807b259fa195dbeb6102b37f75abf"),
 }
 
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from emlang.kernels import Stream, first_of_max, run_starts
 
+from conftest import assert_uniform
 from oracles import naive_below, naive_first_of_max, naive_run_starts, splitmix64_words
 
 
@@ -63,14 +63,6 @@ def test_first_of_max_edges(groups, values, expected):
     assert found.tolist() == expected == naive_first_of_max(groups, values)
 
 
-def assert_uniform(counts, cells: int) -> None:
-    """Each of ``cells`` outcomes, counted in ``counts``, within 5 sd of an equal share."""
-    counts = np.asarray(counts)
-    assert len(counts) == cells
-    trials, share = counts.sum(), 1 / cells
-    assert np.abs(counts - trials * share).max() <= 5 * math.sqrt(trials * share * (1 - share))
-
-
 def assert_uniform_below(draws: np.ndarray, high: int) -> None:
     """``draws`` uniform over 0 .. high - 1: by value, or over the wide bound
     by which third of the range holds them."""
@@ -86,7 +78,8 @@ def test_stream_without_a_key_is_splitmix64_from_zero():
     assert stream.words(1).tolist() == [0x06C45D188009454F]
 
 
-KEY = st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 3), max_size=3)
+# negative parts and parts of 2**63 or more check that the key reduces them mod 2**63
+KEY = st.lists(st.integers(0, 3) | st.integers(-(2**70), 2**70), max_size=3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,6 +106,13 @@ def test_stream_words_depend_on_the_key_and_its_order():
     keys = [(seed, 1, 2), (seed, 2, 1), (seed, 1), (seed,), (0, 1, 2), ()]
     words = {tuple(Stream(*key).words(4).tolist()) for key in keys}
     assert len(words) == len(keys)
+
+
+def test_stream_keys_reduce_each_part_mod_2_63():
+    for part in (-3, -(2**63), 2**63, 2**63 + 5, 2**70, np.int64(-3), np.uint64(2**63 + 5)):
+        reduced = int(part) % 2**63
+        assert Stream(part, 1).words(3).tolist() == Stream(reduced, 1).words(3).tolist()
+        assert Stream(1, part).words(3).tolist() == Stream(1, reduced).words(3).tolist()
 
 
 # 2**64 % (3 * 2**61) = 2**62, so a quarter of the words are drawn again;

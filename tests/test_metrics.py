@@ -492,15 +492,14 @@ def test_spearman_self_correlation_is_one(x):
     assert spearman(x, x) == 1.0
 
 
-# repr(rho) of exact and sampled topsim, as computed before distances became
-# narrow integers and ranks were counted (the sampled values, and the noisy
-# corpus, since pairs and synonyms come from the counter-based stream): no
-# refactoring may move one bit
+# repr(rho) of exact and sampled topsim, as computed when the generators
+# first drew from the counter-based stream (pairs and synonyms already did):
+# no refactoring may move one bit
 GOLDEN_RHO = {
-    "holistic-0": ("holistic", 0, "-0.016905549659464912", "-0.02462513808335672"),
-    "holistic-1": ("holistic", 1, "0.010472363639471901", "0.0023290679745633725"),
-    "holistic-2": ("holistic", 2, "0.025039222020334238", "0.06636644936299427"),
-    "noisy-1": ("noisy", 1, "0.7323924701965716", "0.7584004664191267"),
+    "holistic-0": ("holistic", 0, "0.011305800260922157", "0.014078066037857525"),
+    "holistic-1": ("holistic", 1, "0.018258694921129925", "0.0063550018694684875"),
+    "holistic-2": ("holistic", 2, "-0.002691836157204171", "0.0007347283165914897"),
+    "noisy-1": ("noisy", 1, "0.6477262433742664", "0.6435861583820335"),
 }
 
 
@@ -517,13 +516,13 @@ def test_topsim_golden_rho(moprd, kind, seed, exact, sampled):
 
 
 # repr(rho) of exact and sampled topsim on noisy 625-sample corpora, as
-# computed when pairs and synonyms came first from the counter-based stream:
-# 195,000 exact and at least 140,000 sampled pairs run more than two _CHUNK
-# blocks each
+# computed when the compositional bases first came from the counter-based
+# stream: 195,000 exact and at least 140,000 sampled pairs run more than two
+# _CHUNK blocks each
 GRID_GOLDEN_RHO = {
-    "len12-seed1": (12, 20, 1, 0.2, 1, 150_000, "0.7287295360152481", "0.7284070265346972"),
-    "len12-seed2": (12, 20, 1, 0.2, 2, 150_000, "0.6919256234108908", "0.6929752460543006"),
-    "len17-seed4": (17, 30, 2, 0.3, 4, 140_000, "0.720832152410223", "0.720147809447089"),
+    "len12-seed1": (12, 20, 1, 0.2, 1, 150_000, "0.7188027783249542", "0.7193554742477022"),
+    "len12-seed2": (12, 20, 1, 0.2, 2, 150_000, "0.694817456770894", "0.6939383782911774"),
+    "len17-seed4": (17, 30, 2, 0.3, 4, 140_000, "0.707675864964232", "0.7065749133481746"),
 }
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -39,9 +41,11 @@ from emlang.synth import (
     gen_compositional,
     gen_holistic,
     gen_noisy,
+    _distinct,
 )
+from emlang.kernels import Stream
 
-from conftest import run_bounded
+from conftest import assert_uniform, run_bounded
 from oracles import hamming, naive_extract_rules, rows_by_sample
 
 TWO_BY_TWO = AttributeSchema(
@@ -80,6 +84,28 @@ def test_compositional_deterministic():
     second = gen_compositional(TWO_BY_TWO, 2, 3, seed=9)
     assert first == second
     assert first != gen_compositional(TWO_BY_TWO, 2, 3, seed=10)
+
+
+@pytest.mark.parametrize(("total", "count"), [(4, 2), (5, 3)])
+def test_distinct_draws_every_ordered_sample_equally_often(total, count):
+    stream, trials = Stream(total, count), 15_000
+    samples = {sample: k for k, sample in enumerate(itertools.permutations(range(total), count))}
+    drawn = [samples[tuple(_distinct(stream, total, count).tolist())] for _ in range(trials)]
+    assert_uniform(np.bincount(drawn, minlength=len(samples)), len(samples))
+
+
+def test_compositional_outcomes_are_equally_likely():
+    """One two-valued attribute, length 2, vocabulary 4: the attribute's
+    position (2), its ordered pair of distinct codes (12) and the filler,
+    one of the two tokens left (2), make 48 equally likely outcomes."""
+    schema = AttributeSchema(attributes=(Attribute(name="a", domain=("x", "y")),))
+    outcomes = Counter()
+    for seed in range(6000):
+        first, second = gen_compositional(schema, 2, 4, seed)[0].messages.tolist()
+        at = int(first[0] == second[0])  # the cell the two values share is the filler
+        outcomes[at, first[at], second[at], first[1 - at]] += 1
+    assert all(len({*outcome[1:]}) == 3 for outcome in outcomes)
+    assert_uniform(list(outcomes.values()) + [0] * (48 - len(outcomes)), 48)
 
 
 def test_compositional_moprd_recovered_exactly(moprd):
