@@ -15,6 +15,7 @@ require an explicit seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -71,6 +72,8 @@ def _emit(blocks: str | Iterable[str], out: str | None) -> None:
     if isinstance(blocks, str):
         blocks = (blocks,)
     if out is None:
+        if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
+            raise NotFoundError(f"cannot write <stdout>: {os.strerror(errno.EBADF)}")
         stream = getattr(sys.stdout, "buffer", None)
         if stream is None:  # a text stream without bytes underneath, such as io.StringIO
             sys.stdout.writelines(blocks)

@@ -114,35 +114,33 @@ def semantic_rules(
     Each property column is sorted once, and a value column is constant in a
     group iff its minimum over the group equals its maximum.  The order
     inside a group does not matter to either, so the sort need not be stable.
-    One value column is gathered at a time, from a column-major copy of
-    ``values`` in the narrowest integer type that holds them, so each work
-    array holds about one column of rows.  The sort that makes the groups'
-    cells distinct gives the canonical order: by positions, then values.
+    All value columns are reduced at once: per property column, the work
+    array is one copy of ``values``, gathered in that column's order from a
+    column-major copy in the narrowest integer type that holds them.  The
+    sort that makes the groups' cells distinct gives the canonical order:
+    by positions, then values.
     """
     columns = sorted(set(columns))  # so the groups come in (column, code) order
     if not columns:
         return ()
     by_column = column_major(values)
     size = int(by_column.max(initial=0)) + 1  # every value lies below it
-    group_columns, group_codes, lows, keeps = [], [], [], []
+    group_columns, group_codes, lows, highs = [], [], [], []
     for column in columns:
         keys = codes[owners, column]
         order = np.argsort(keys)
         keys = keys[order]
         starts = np.flatnonzero(run_starts(keys))
-        low = np.empty((len(starts), len(by_column)), dtype=np.int64)
-        keep = np.empty(low.shape, dtype=bool)
-        for at, value_column in enumerate(by_column):
-            ranked = value_column[order]
-            low[:, at] = np.minimum.reduceat(ranked, starts)
-            keep[:, at] = low[:, at] == np.maximum.reduceat(ranked, starts)
+        ranked = np.take(by_column, order, axis=1)
+        lows.append(np.minimum.reduceat(ranked, starts, axis=1))
+        highs.append(np.maximum.reduceat(ranked, starts, axis=1))
         group_columns.append(np.full(len(starts), column))
         group_codes.append(keys[starts])
-        lows.append(low)
-        keeps.append(keep)
+    del ranked  # a copy of all the values, not to be held through the coverage
     column_of, code_of = np.concatenate(group_columns), np.concatenate(group_codes)
-    kept = np.concatenate(keeps)
-    cells = np.where(kept, np.concatenate(lows), 0)
+    low, high = np.concatenate(lows, axis=1).T, np.concatenate(highs, axis=1).T
+    kept = low == high
+    cells = np.where(kept, low, 0)
 
     # one rule per distinct (kept columns, cells) row, the empty one last; a
     # column counts 1 if kept, 2 if a later one is, else 0, so the counts sort

@@ -23,7 +23,8 @@ or the reserved characters ``( ) { } , =``.  An expression may nest at most
 
 Construction compiles the schema once: one walk over each hyperattribute,
 in declaration order, validates its body and builds its column evaluator (a
-lookup table for a value map or ``in``, composed column functions otherwise).
+lookup table for a value map or an expression leaf, composed column
+functions for ``not``, ``and`` and ``or``).
 Evaluation works on whole columns of domain indices: :func:`code_attributes`
 codes attribute dicts, and is the one check that they conform to the schema;
 :func:`extend_codes` derives the hyperattribute columns from attribute codes.
@@ -344,25 +345,22 @@ class AttributeSchema:
             return tuple(labels), partial(_lookup, source, table)
 
         def build(expr: Expr):
-            if isinstance(expr, Ref):
-                column = resolve(expr.name)
-                if self._domains[expr.name] != BOOL_DOMAIN:
-                    raise DomainError(
-                        f"bare reference to {expr.name!r} requires a boolean property"
-                    )
-                return partial(_equals, column, self.domain_index(expr.name, "T"))
-            if isinstance(expr, Equals):
-                column = resolve(expr.prop)
-                return partial(_equals, column, self.domain_index(expr.prop, expr.value))
-            if isinstance(expr, Member):
-                column = resolve(expr.prop)
-                table = np.zeros(len(self._domains[expr.prop]), dtype=bool)
-                table[[self.domain_index(expr.prop, value) for value in expr.values]] = True
-                return partial(_lookup, column, table)
             if isinstance(expr, Not):
                 return partial(_apply, np.logical_not, (build(expr.operand),))
-            op = np.logical_and if isinstance(expr, And) else np.logical_or
-            return partial(_apply, op, (build(expr.left), build(expr.right)))
+            if isinstance(expr, (And, Or)):
+                op = np.logical_and if isinstance(expr, And) else np.logical_or
+                return partial(_apply, op, (build(expr.left), build(expr.right)))
+            # a leaf is true on some values of one property: a lookup table
+            if isinstance(expr, Ref):
+                name, values = expr.name, ("T",)
+            else:
+                name, values = expr.prop, expr.values if isinstance(expr, Member) else (expr.value,)
+            column = resolve(name)
+            if isinstance(expr, Ref) and self._domains[name] != BOOL_DOMAIN:
+                raise DomainError(f"bare reference to {name!r} requires a boolean property")
+            table = np.zeros(len(self._domains[name]), dtype=bool)
+            table[[self.domain_index(name, value) for value in values]] = True
+            return partial(_lookup, column, table)
 
         return BOOL_DOMAIN, build(body)
 
@@ -406,10 +404,6 @@ class AttributeSchema:
 
 def _lookup(column: int, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return table[codes[:, column]]
-
-
-def _equals(column: int, code: int, codes: np.ndarray) -> np.ndarray:
-    return codes[:, column] == code
 
 
 def _apply(op, operands, codes: np.ndarray) -> np.ndarray:

@@ -408,6 +408,21 @@ def test_stdout_closed_by_its_reader_is_not_found(workdir, unbuffered):
     assert stderr == b"NotFound: cannot write <stdout>: Broken pipe\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["distance", "--a", "1,2", "--b", "2"],
+    ["extract", "--corpus", "corpus.jsonl", "--schema", "moprd"],
+    ["--help"],
+], ids=["distance", "extract", "help"])
+def test_closed_stdout_is_not_found(workdir, argv):
+    """With descriptor 1 closed before it starts, the interpreter sets
+    ``sys.stdout`` to None; the shell closes it, so no Python code runs in
+    the child before the command."""
+    result = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "emlang", *argv],
+                            cwd=workdir, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr == "NotFound: cannot write <stdout>: Bad file descriptor\n"
+
+
 # the installed ``emlang`` script calls cli.run as this one does
 CONSOLE_SCRIPT = [sys.executable, "-c", "import sys; from emlang.cli import run; sys.exit(run())"]
 

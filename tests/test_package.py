@@ -105,3 +105,25 @@ def test_no_module_names_numpy_random():
                       if name.split(".")[:2] in (["np", "random"], ["numpy", "random"])
                       or (name.split(".")[0] == "random" and not isinstance(node, ast.Attribute))]
     assert not found
+
+
+def test_cli_writes_standard_output_only_through_emit():
+    """``cli._emit`` is the one writer of standard output, so a full, closed
+    or broken one is ``NotFound`` everywhere: every ``print`` in ``cli.py``
+    names ``file=sys.stderr``, and only ``_emit`` calls ``sys.stdout.write``
+    or ``sys.stdout.writelines``."""
+    tree = ast.parse((ROOT / "src" / "emlang" / "cli.py").read_text(encoding="utf-8"))
+    emit = next(node for node in tree.body if getattr(node, "name", None) == "_emit")
+    inside = {id(node) for node in ast.walk(emit)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        called = ast.unparse(node.func)
+        to_stderr = any(keyword.arg == "file" and ast.unparse(keyword.value) == "sys.stderr"
+                        for keyword in node.keywords)
+        if (called == "print" and not to_stderr) or (
+            called in ("sys.stdout.write", "sys.stdout.writelines") and id(node) not in inside
+        ):
+            found.append(f"cli.py:{node.lineno} {called}")
+    assert not found, f"standard output written outside _emit: {found}"

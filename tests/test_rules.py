@@ -302,6 +302,19 @@ def test_matches_exhaustive_oracle_with_keys_past_one_int64(seed):
         assert max(len(rule.pattern.cells) for rule in table.rules) >= 10
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_matches_exhaustive_oracle_on_long_messages(seed):
+    """Tokens below 3 take 2 bits each, so the 129 or 130 positions that are
+    not constant over a corpus of length 130 pack into five int64 keys, and
+    each rule holds 127 or 128 of them: long patterns of narrow values, in
+    the grouping and in the coverage."""
+    corpus = gen_noisy(gen_holistic(concept_schema(60), 130, 3, seed=seed), 2, 0.3, seed=seed)
+    for threshold in (0.0, 0.15):
+        table = extract_rules(corpus, threshold)
+        assert table == naive_extract_rules(corpus, threshold)
+        assert min(len(rule.pattern.cells) for rule in table.rules) >= 127
+
+
 @pytest.mark.parametrize("top", [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1])
 def test_matches_exhaustive_oracle_at_integer_type_edges(top):
     """The kernel gathers tokens through the narrowest integer type that holds
