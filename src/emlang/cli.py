@@ -8,6 +8,11 @@ validation errors with the stable error code on stderr.  ``run`` is the
 command's one entry point (``emlang`` and ``python -m emlang``); ``main``
 runs a command in process and returns its status.
 
+Importing this module loads no numpy and no other emlang module than
+``errors``: each command imports the modules it runs when it starts, so
+``distance`` and ``--help`` load no numpy, and ``--schema moprd`` loads no
+generator.
+
 Identical invocations produce byte-identical output; stochastic subcommands
 require an explicit seed.
 """
@@ -18,19 +23,13 @@ import argparse
 import errno
 import gc
 import os
+import re
 import sys
 from collections.abc import Iterable
 from pathlib import Path
 from typing import NoReturn
 
-from . import corpus as corpus_mod
-from . import report as report_mod
 from .errors import ConfigError, DocumentSyntaxError, EmlangError, NotFoundError
-from .game import GameConfig, run_lewis_game
-from .metrics import levenshtein, topsim
-from .rules import RuleTable, extract_rules
-from .schema import AttributeSchema, parse_schema
-from .synth import gen_compositional, gen_holistic, gen_noisy, moprd_schema
 
 
 # _emit encodes and writes at most this many characters of a block at once.
@@ -54,14 +53,18 @@ def _read(path: str) -> str:
         raise NotFoundError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _load_schema(value: str) -> AttributeSchema:
+def _load_schema(value: str):
+    from .schema import moprd_schema, parse_schema
+
     if value == "moprd":
         return moprd_schema()
     return parse_schema(_read(value))
 
 
-def _load_corpus(path: str, schema: AttributeSchema):
-    return corpus_mod.load_corpus(_read(path), schema)
+def _load_corpus(path: str, schema):
+    from .corpus import load_corpus
+
+    return load_corpus(_read(path), schema)
 
 
 def _emit(blocks: str | Iterable[str], out: str | None) -> None:
@@ -108,11 +111,20 @@ def _write_utf8(blocks: Iterable[str], stream) -> None:
                 data = data[stream.write(data) :]
 
 
+# one token of a message: an optional minus and ASCII digits, spaces around it
+_TOKEN = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+
+
 def _parse_tokens(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
-    except ValueError:
-        raise DocumentSyntaxError(f"expected comma-separated integers, got {text!r}") from None
+    """The tokens of a comma-separated message; the empty text is the empty
+    message."""
+    tokens = text.split(",") if text else []
+    if all(_TOKEN.fullmatch(tok) for tok in tokens):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # more digits than int() converts
+            pass
+    raise DocumentSyntaxError(f"expected comma-separated integers, got {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,20 +197,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_extract(args) -> None:
+    from .report import render_rule_table
+    from .rules import extract_rules
+
     schema = _load_schema(args.schema)
     loaded = _load_corpus(args.corpus, schema)
     table = extract_rules(loaded, threshold=args.min_freq)
-    _emit(report_mod.render_rule_table(table, args.format, schema=schema), args.out)
+    _emit(render_rule_table(table, args.format, schema=schema), args.out)
 
 
 def _cmd_topsim(args) -> None:
+    from .metrics import topsim
+    from .report import render_metrics
+
     schema = _load_schema(args.schema)
     loaded = _load_corpus(args.corpus, schema)
     result = topsim(loaded, max_pairs=args.max_pairs, seed=args.seed)
-    _emit(report_mod.render_metrics(result, args.format), args.out)
+    _emit(render_metrics(result, args.format), args.out)
 
 
 def _cmd_game(args) -> None:
+    from .game import GameConfig, run_lewis_game
+    from .report import render_metrics
+
     schema = _load_schema(args.schema)
     loaded = _load_corpus(args.corpus, schema)
     # checked before the population tuples are built, which a huge size could not be
@@ -213,7 +234,7 @@ def _cmd_game(args) -> None:
         listeners=(loaded,) * args.listeners,
     )
     matrix = run_lewis_game(loaded, config)
-    _emit(report_mod.render_metrics(matrix, args.format), args.out)
+    _emit(render_metrics(matrix, args.format), args.out)
 
 
 # Each synth flag that only some kinds read, with those kinds.
@@ -228,6 +249,9 @@ _SYNTH_FLAGS = {
 
 
 def _cmd_synth(args) -> None:
+    from .corpus import serialize_blocks
+    from .synth import gen_compositional, gen_holistic, gen_noisy
+
     for name, kinds in _SYNTH_FLAGS.items():
         if getattr(args, name) is not None and args.kind not in kinds:
             flag = "--" + name.replace("_", "-")
@@ -249,23 +273,30 @@ def _cmd_synth(args) -> None:
         if args.kind == "compositional":
             result, truth = gen_compositional(schema, msg_len, vocab, args.seed)
             if args.truth_out:
-                _emit(report_mod.render_rule_table(truth, "structured"), args.truth_out)
+                from .report import render_rule_table
+
+                _emit(render_rule_table(truth, "structured"), args.truth_out)
         else:
             result = gen_holistic(schema, msg_len, vocab, args.seed)
-    _emit(corpus_mod.serialize_blocks(result), args.out)
+    _emit(serialize_blocks(result), args.out)
 
 
 def _cmd_distance(args) -> None:
+    from .distance import levenshtein
+
     _emit(f"{levenshtein(_parse_tokens(args.a), _parse_tokens(args.b))}\n", None)
 
 
 def _cmd_render(args) -> None:
-    obj = report_mod.parse_structured(_read(args.input))
+    from .report import parse_structured, render_metrics, render_rule_table
+    from .rules import RuleTable
+
+    obj = parse_structured(_read(args.input))
     if isinstance(obj, RuleTable):
         schema = _load_schema(args.schema) if args.schema else None
-        rendered = report_mod.render_rule_table(obj, args.format, schema=schema)
+        rendered = render_rule_table(obj, args.format, schema=schema)
     else:
-        rendered = report_mod.render_metrics(obj, args.format)
+        rendered = render_metrics(obj, args.format)
     _emit(rendered, args.out)
 
 
@@ -293,12 +324,17 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> NoReturn:
     """Run the command named by ``sys.argv`` and exit with its status.
 
-    Every object the interpreter then tracks is frozen out of the garbage
-    collector, also when argparse exits on a usage error or ``--help``: the
-    process is about to end, and the full collections of interpreter
-    shutdown would only walk them again after the output is written.
-    ``atexit`` handlers and the final flush of the standard streams still run.
+    The cyclic garbage collector is off for the whole run: a command makes
+    no reference cycles, and the collector would only walk the modules it
+    imports, and its inputs, again and again.  Every object the interpreter
+    then tracks is frozen out of the collector, also when argparse exits on a
+    usage error or ``--help``: the process is about to end, and the full
+    collections of interpreter shutdown would only walk them again after the
+    output is written.  ``atexit`` handlers and the final flush of the
+    standard streams still run.  :func:`main` leaves the collector as it
+    finds it, for callers that go on running.
     """
+    gc.disable()
     try:
         status = main()
     finally:

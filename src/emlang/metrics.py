@@ -26,12 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Message, config_int, representative_of
-from .errors import ConfigError, LengthMismatch, ZeroVariance
+from .corpus import AnnotatedCorpus, config_int, representative_of
+from .errors import CapacityError, ConfigError, LengthMismatch, ZeroVariance
 from .kernels import Stream, column_major
 
 # Exact enumeration for up to 2000 samples; seeded sampling beyond.
 DEFAULT_MAX_PAIRS = 2000 * 1999 // 2
+# Most pairs topsim compares, checked before any array is built.  A pair
+# takes 18.4 bytes in exact mode (its two narrow distances and two float64
+# ranks) and 26 to 31 in sampled mode, which also holds its int64 index
+# (ru_maxrss growth per pair, 3 to 16 million pairs), so the bound keeps the
+# working memory below about 0.85 GB.
+MAX_PAIRS = 28_000_000
 
 
 @dataclass(frozen=True)
@@ -48,23 +54,6 @@ class AccuracyMatrix:
 
     values: tuple[tuple[float, ...], ...]
     episodes_per_cell: int
-
-
-def levenshtein(a: Message, b: Message) -> int:
-    """Minimal number of token insertions, deletions, and substitutions."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, token_a in enumerate(a, start=1):
-        current = [i] + [0] * len(b)
-        for j, token_b in enumerate(b, start=1):
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (token_a != token_b),
-            )
-        previous = current
-    return previous[len(b)]
 
 
 def average_ranks(values) -> np.ndarray:
@@ -148,9 +137,10 @@ _CHUNK = 1 << 16
 def pairwise_levenshtein(messages: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Levenshtein for many equal-length message pairs at once.
 
-    Equivalent to calling :func:`levenshtein` per pair.  All pairs walk the
-    (length x length) DP grid in lockstep, bit-sliced: pair k of a block is
-    bit k of each ``uint64`` word, so one bitwise operation advances 64 pairs.
+    Equivalent to calling :func:`~emlang.distance.levenshtein` per pair.
+    All pairs walk the (length x length) DP grid in lockstep, bit-sliced:
+    pair k of a block is bit k of each ``uint64`` word, so one bitwise
+    operation advances 64 pairs.
 
     A cell does not hold its distance D[i, j] but the deltas into it, the
     vertical D[i, j] - D[i-1, j] and the horizontal D[i, j] - D[i, j-1].
@@ -240,7 +230,8 @@ def topsim(
     integer seed is accepted.  It needs at least three samples, because the
     one pair of two cannot be ranked, and ``max_pairs`` of at least 2.  A
     seed or ``max_pairs`` given is an integer, numpy's included and bool
-    not; else ConfigError.
+    not; else ConfigError.  More than ``MAX_PAIRS`` pairs to compare is a
+    CapacityError, raised before any pair is drawn or array built.
     """
     n = len(corpus.sample_ids)
     if n < 3:
@@ -252,11 +243,13 @@ def topsim(
     total_pairs = n * (n - 1) // 2
 
     sampled = total_pairs > limit
-    if sampled:
-        if seed is None:
-            raise ConfigError("sampling pairs requires a seed")
-        indices = Stream(seed).subset(total_pairs, limit)
+    if sampled and seed is None:
+        raise ConfigError("sampling pairs requires a seed")
     count = limit if sampled else total_pairs
+    if count > MAX_PAIRS:
+        raise CapacityError(f"{count} pairs exceed the topsim bound of {MAX_PAIRS} pairs")
+    if sampled:
+        indices = Stream(seed).subset(total_pairs, limit)
 
     codes = corpus.attribute_codes  # differing code <=> differing value
     attribute_count = codes.shape[1]

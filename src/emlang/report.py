@@ -17,12 +17,15 @@ import csv
 import io
 import json
 import math
+from typing import TYPE_CHECKING
 
 from .corpus import MAX_MESSAGE_LENGTH, is_int
 from .errors import DocumentSyntaxError, parse_json
 from .metrics import AccuracyMatrix, TopSimReport, accuracy_per_speaker
-from .rules import Pattern, RuleTable, SemanticRule
 from .schema import AttributeSchema
+
+if TYPE_CHECKING:  # at run time only where a table is read: topsim and game load no rules
+    from .rules import Pattern, RuleTable, SemanticRule
 
 _PLACEHOLDER_LETTERS = "XYZABCDEFGHIJKLMNOPQRSTUVW"
 
@@ -55,7 +58,8 @@ def _pattern_to_json(pattern: Pattern) -> list[list[int]]:
     return [[pos, tok] for pos, tok in pattern.cells]
 
 
-def _pattern_from_json(data) -> Pattern:
+def _pattern_cells(data) -> tuple[tuple[int, int], ...]:
+    """The (position, token) cells of a pattern document."""
     if type(data) is not list or not all(
         type(cell) is list and len(cell) == 2 and all(is_int(x) for x in cell) for cell in data
     ):
@@ -64,7 +68,7 @@ def _pattern_from_json(data) -> Pattern:
         raise DocumentSyntaxError("pattern positions must ascend without repeats")
     if any(tok < 0 for _, tok in data):
         raise DocumentSyntaxError("pattern token below 0")
-    return Pattern(cells=tuple((pos, tok) for pos, tok in data))
+    return tuple((pos, tok) for pos, tok in data)
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +123,17 @@ def _rule_table_from(doc: dict) -> RuleTable:
     Only what an extraction writes is taken: each pattern's positions ascend
     inside the message without repeats, its tokens are at least 0, no rule
     holds a global constant position, and every support is at least 1."""
+    from .rules import Pattern, RuleTable, SemanticRule
+
     try:
         if type(doc["rules"]) is not list:
             raise DocumentSyntaxError(_MALFORMED_TABLE)
-        rules = tuple(_rule_from(rule) for rule in doc["rules"])
+        rules = tuple(
+            SemanticRule(Pattern(cells), evidence, coverage, support)
+            for cells, evidence, coverage, support in map(_rule_fields, doc["rules"])
+        )
         length = doc["message_length"]
-        constants = _pattern_from_json(doc["global_constants"])
+        constants = Pattern(_pattern_cells(doc["global_constants"]))
     except (KeyError, TypeError):  # a missing field; a rule that is not an object
         raise DocumentSyntaxError(_MALFORMED_TABLE) from None
     if not (is_int(length) or type(length) is float and math.isfinite(length)):
@@ -147,8 +156,9 @@ def _rule_table_from(doc: dict) -> RuleTable:
     return table
 
 
-def _rule_from(doc: dict) -> SemanticRule:
-    pattern = _pattern_from_json(doc["pattern"])
+def _rule_fields(doc: dict) -> tuple:
+    """The pattern cells, evidence, coverage and support of a rule document."""
+    cells = _pattern_cells(doc["pattern"])
     evidence, coverage, support = doc["evidence"], doc["coverage"], doc["support"]
     if not (
         type(evidence) is list and all(_is_strs(pair) and len(pair) == 2 for pair in evidence)
@@ -158,11 +168,11 @@ def _rule_from(doc: dict) -> SemanticRule:
         raise DocumentSyntaxError(_MALFORMED_TABLE)
     if support < 1:
         raise DocumentSyntaxError("rule support below 1")
-    return SemanticRule(
-        pattern=pattern,
-        evidence=tuple((prop, value) for prop, value in evidence),
-        coverage=tuple((prop, tuple(values)) for prop, values in coverage.items()),
-        support=support,
+    return (
+        cells,
+        tuple((prop, value) for prop, value in evidence),
+        tuple((prop, tuple(values)) for prop, values in coverage.items()),
+        support,
     )
 
 

@@ -535,3 +535,26 @@ def render_schema(schema: AttributeSchema) -> str:
         ],
     }
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+MOPRD_SCHEMA_DOCUMENT = """\
+{
+  "attributes": [
+    {"name": "shape1", "values": ["□", "○", "■", "●", "×"]},
+    {"name": "shape2", "values": ["□", "○", "■", "●", "×"]},
+    {"name": "relationship", "values": ["→", "↗", "↑", "↖"]}
+  ],
+  "hyperattributes": [
+    {"name": "fill1", "expr": "shape1 in {■, ●}"},
+    {"name": "fill2", "expr": "shape2 in {■, ●}"},
+    {"name": "all_fill", "expr": "fill1 and fill2"},
+    {"name": "all_empty", "expr": "not fill1 and not fill2"},
+    {"name": "aligned", "expr": "relationship in {→, ↑}"}
+  ]
+}
+"""
+
+
+def moprd_schema() -> AttributeSchema:
+    """Two-shapes-plus-relationship schema (5 x 5 x 4 = 100 combinations)."""
+    return parse_schema(MOPRD_SCHEMA_DOCUMENT)

@@ -35,7 +35,7 @@ from .corpus import (
 from .errors import CapacityError
 from .kernels import Stream, narrowest, run_starts
 from .rules import Pattern, RuleTable, semantic_rules
-from .schema import Attribute, AttributeSchema, extend_codes, parse_schema
+from .schema import Attribute, AttributeSchema, extend_codes
 
 # Leading positions that every message of a holistic language shares.
 HOLISTIC_PREFIX_LENGTH = 2
@@ -52,28 +52,6 @@ MAX_MESSAGE_CELLS = 2**25
 # 19 at lengths 10 and 100 (ru_maxrss growth per row, 20,000 against 80,000 to
 # 1,400,000 rows), so the bound keeps the working memory below about 0.85 GB.
 MAX_SYNONYM_CELLS = 2**25
-
-MOPRD_SCHEMA_DOCUMENT = """\
-{
-  "attributes": [
-    {"name": "shape1", "values": ["□", "○", "■", "●", "×"]},
-    {"name": "shape2", "values": ["□", "○", "■", "●", "×"]},
-    {"name": "relationship", "values": ["→", "↗", "↑", "↖"]}
-  ],
-  "hyperattributes": [
-    {"name": "fill1", "expr": "shape1 in {■, ●}"},
-    {"name": "fill2", "expr": "shape2 in {■, ●}"},
-    {"name": "all_fill", "expr": "fill1 and fill2"},
-    {"name": "all_empty", "expr": "not fill1 and not fill2"},
-    {"name": "aligned", "expr": "relationship in {→, ↑}"}
-  ]
-}
-"""
-
-
-def moprd_schema() -> AttributeSchema:
-    """Two-shapes-plus-relationship schema (5 x 5 x 4 = 100 combinations)."""
-    return parse_schema(MOPRD_SCHEMA_DOCUMENT)
 
 
 def concept_schema(value_count: int) -> AttributeSchema:

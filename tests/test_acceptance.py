@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from emlang.corpus import AnnotatedCorpus, filter_by_frequency, serialize_corpus
+from emlang.distance import levenshtein
 from emlang.errors import ZeroVariance
 from emlang.game import GameConfig, run_lewis_game
-from emlang.metrics import accuracy_per_speaker, levenshtein, spearman, topsim
+from emlang.metrics import accuracy_per_speaker, spearman, topsim
 from emlang.rules import Pattern, RuleTable, SemanticRule, extract_rules
 from emlang.synth import (
     concept_schema,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -17,17 +18,17 @@ from emlang.cli import MAX_POPULATION
 from emlang.report import render_rule_table
 from emlang.rules import extract_rules
 from emlang.corpus import _SERIALIZE_BLOCK, build_corpus, load_corpus, serialize_corpus
-from emlang.schema import parse_schema, render_schema
+from emlang.metrics import MAX_PAIRS
+from emlang.schema import moprd_schema, parse_schema, render_schema
 from emlang.synth import (
     MAX_SYNONYM_CELLS,
     concept_schema,
     gen_compositional,
     gen_holistic,
     gen_noisy,
-    moprd_schema,
 )
 
-from conftest import error_codes, json_values, mutate
+from conftest import error_codes, json_values, mutate, run_bounded
 from oracles import naive_serialize_corpus
 
 
@@ -73,6 +74,32 @@ def test_distance():
     result = run_cli("distance", "--a", "1,2,3", "--b", "1,3,3")
     assert result.returncode == 0
     assert result.stdout == "1\n"
+
+
+@pytest.mark.parametrize(("text", "tokens"), [
+    ("", ""),
+    ("7", "7"),
+    (" 1 , -2 ,3 ", "1,-2,3"),
+    ("\t007,-0\n", "7,0"),
+], ids=["empty", "one", "spaces-and-minus", "tabs-and-zeros"])
+def test_distance_reads_each_token(capsys, text, tokens):
+    """A token is an optional minus and ASCII digits, with spaces around it;
+    the empty text is the empty message."""
+    assert cli.main(["distance", "--a", text, "--b", tokens]) == 0
+    assert cli.main(["distance", "--a", text, "--b", ""]) == 0
+    count = len(tokens.split(",")) if tokens else 0
+    assert capsys.readouterr() == (f"0\n{count}\n", "")
+
+
+@pytest.mark.parametrize("text", [
+    "1,,2", "1,2,", ",", " ", "1_0", "\u0661", "1,\uff12", "+1", "1.0", "0x1", "9" * 5000,
+], ids=["empty-inside", "empty-last", "comma", "space", "underscore", "arabic-indic-digit",
+        "fullwidth-digit", "plus", "decimal-point", "hex", "too-many-digits"])
+def test_distance_refuses_a_malformed_token(capsys, text):
+    assert cli.main(["distance", "--a", "1", "--b", text]) == 1
+    assert capsys.readouterr() == (
+        "", f"SyntaxError: expected comma-separated integers, got {text!r}\n"
+    )
 
 
 def test_missing_corpus_reports_code():
@@ -507,11 +534,14 @@ def loads_module(tmp_path, reference_corpus, argv, module: str) -> bool:
     (tmp_path / "table.json").write_text(
         render_rule_table(extract_rules(reference_corpus), "structured"), encoding="utf-8"
     )
-    code = (
+    (tmp_path / "schema.json").write_text(render_schema(moprd_schema()), encoding="utf-8")
+    code = (  # --help ends main by SystemExit(0)
         "import sys\n"
         "from emlang import cli\n"
-        "status = cli.main(sys.argv[1:])\n"
-        f"print({module!r} in sys.modules, file=sys.stderr)\n"
+        "try:\n"
+        "    status = cli.main(sys.argv[1:])\n"
+        "finally:\n"
+        f"    print({module!r} in sys.modules, file=sys.stderr)\n"
         "sys.exit(status)\n"
     )
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
@@ -528,12 +558,99 @@ def test_no_command_loads_numpy_ma(tmp_path, reference_corpus, argv):
     assert not loads_module(tmp_path, reference_corpus, argv, "numpy.ma")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["extract", "--help"],
+    ["distance", "--a", "1,2,3", "--b", "1,3"],
+], ids=["help", "command-help", "distance"])
+def test_help_and_distance_do_not_load_numpy(tmp_path, reference_corpus, argv):
+    assert not loads_module(tmp_path, reference_corpus, argv, "numpy")
+
+
+# the benchmark's invocations: the schema read from a file
+BENCHMARK_SHAPED = {
+    "extract": ["extract", "--corpus", "corpus.jsonl", "--schema", "schema.json",
+                "--min-freq", "0.15", "--out", "rules.json"],
+    "topsim": ["topsim", "--corpus", "corpus.jsonl", "--schema", "schema.json",
+               "--max-pairs", "50", "--seed", "1", "--out", "rho.json"],
+    "game": ["game", "--corpus", "corpus.jsonl", "--schema", "schema.json", "--candidates", "5",
+             "--episodes", "200", "--speakers", "2", "--listeners", "2", "--seed", "1",
+             "--out", "game.json"],
+}
+
+
+@pytest.mark.parametrize(("name", "module"), [
+    ("extract", "emlang.game"),
+    ("extract", "emlang.synth"),
+    ("topsim", "emlang.rules"),
+    ("topsim", "emlang.synth"),
+    ("game", "emlang.rules"),
+    ("game", "emlang.synth"),
+])
+def test_command_loads_only_its_modules(tmp_path, reference_corpus, name, module):
+    """Each command imports the modules it runs when it starts, and nothing
+    it does not run."""
+    assert not loads_module(tmp_path, reference_corpus, BENCHMARK_SHAPED[name], module)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv", [
+    ["distance", "--a", "1,2,3", "--b", "1,3,3"],
+    ["extract", "--corpus", "corpus.jsonl", "--schema", "moprd"],
+    ["extract"],
+], ids=["distance", "extract", "usage-error"])
+def test_main_leaves_the_collector_as_it_found_it(workdir, monkeypatch, capsys, argv, enabled):
+    monkeypatch.chdir(workdir)
+    frozen, was_enabled = gc.get_freeze_count(), gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def test_run_runs_its_command_with_the_collector_off(tmp_path):
+    """The command sees the collector off; the distance it prints is the
+    collector's state as the command found it."""
+    code = (
+        "import gc, sys\n"
+        "from emlang import cli, distance\n"
+        "distance.levenshtein = lambda a, b: gc.isenabled()\n"
+        "print('before:', gc.isenabled(), flush=True)\n"
+        "cli.run()\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, "distance", "--a", "1", "--b", "2"],
+                            capture_output=True, text=True, cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "before: True\nFalse\n", "")
+
+
 @pytest.mark.parametrize("name", ["game", "topsim-sampled", "synth-noisy"])
 def test_drawing_commands_do_not_load_numpy_random(tmp_path, reference_corpus, name):
     """Every draw comes from the counter-based stream of ``emlang.kernels``;
     importing numpy.random would add 13-17 ms and about 6 MB of peak RSS
     to each of these commands."""
     assert not loads_module(tmp_path, reference_corpus, COMMANDS[name], "numpy.random")
+
+
+def test_topsim_refuses_more_pairs_than_its_bound(tmp_path):
+    """10,000 samples make 49,995,000 pairs, past MAX_PAIRS: a CapacityError
+    before any pair is drawn or array built, in a child capped at 3 GiB and
+    60 s.  Exact mode would have held about 0.9 GB."""
+    schema = parse_schema(json.dumps({"attributes": [
+        {"name": name, "values": [f"{name}{i}" for i in range(100)]} for name in ("a", "b")
+    ]}))
+    (tmp_path / "schema.json").write_text(render_schema(schema), encoding="utf-8")
+    corpus = serialize_corpus(gen_holistic(schema, 10, 20, seed=1))
+    (tmp_path / "corpus.jsonl").write_text(corpus, encoding="utf-8")
+    result = run_bounded("-m", "emlang", "topsim", "--corpus", str(tmp_path / "corpus.jsonl"),
+                         "--schema", str(tmp_path / "schema.json"), "--max-pairs", "1000000000")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"CapacityError: 49995000 pairs exceed the topsim bound of {MAX_PAIRS} pairs\n"
+    )
 
 
 def test_synth_noisy_refuses_a_huge_synonym_count(tmp_path):

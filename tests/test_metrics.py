@@ -11,13 +11,19 @@ from hypothesis import strategies as st
 
 from emlang import metrics
 from emlang.corpus import build_corpus
-from emlang.errors import AttributeMismatch, ConfigError, LengthMismatch, ZeroVariance
+from emlang.distance import levenshtein
+from emlang.errors import (
+    AttributeMismatch,
+    CapacityError,
+    ConfigError,
+    LengthMismatch,
+    ZeroVariance,
+)
 from emlang.metrics import (
     AccuracyMatrix,
     _pairs,
     accuracy_per_speaker,
     average_ranks,
-    levenshtein,
     pairwise_levenshtein,
     spearman,
     topsim,
@@ -267,6 +273,26 @@ def test_topsim_refuses_ill_typed_numbers(moprd):
     sampled = topsim(corpus, max_pairs=100, seed=3)
     assert topsim(corpus, max_pairs=np.int32(100), seed=np.int64(3)) == sampled
     assert type(topsim(corpus, max_pairs=100, seed=np.uint8(3)).seed) is int
+
+
+def test_pair_bound_is_inclusive_and_checked_before_any_draw(monkeypatch, moprd):
+    """moprd's 100 samples make 4950 pairs.  The bound counts the pairs
+    compared, in either mode, and refuses before a pair is drawn."""
+    corpus = gen_holistic(moprd, 10, 20, 1)
+    monkeypatch.setattr(metrics, "MAX_PAIRS", 4950)
+    assert topsim(corpus, max_pairs=10**9).pair_count == 4950
+    monkeypatch.setattr(metrics, "MAX_PAIRS", 4949)
+    assert topsim(corpus, max_pairs=4949, seed=1).pair_count == 4949
+
+    def no_draw(*args):
+        raise AssertionError("pairs drawn past the bound")
+
+    monkeypatch.setattr(metrics.Stream, "subset", no_draw)
+    with pytest.raises(CapacityError, match="^4950 pairs exceed the topsim bound of 4949 pairs$"):
+        topsim(corpus, max_pairs=10**9)
+    monkeypatch.setattr(metrics, "MAX_PAIRS", 4000)
+    with pytest.raises(CapacityError, match="^4001 pairs exceed the topsim bound of 4000 pairs$"):
+        topsim(corpus, max_pairs=4001, seed=1)
 
 
 def test_topsim_needs_three_samples(moprd):

@@ -45,7 +45,8 @@ def test_every_public_definition_is_exported_or_used():
     """A top-level function, private or public, or a public class of
     ``src/emlang`` is in ``emlang.__all__`` or referenced in ``src`` outside
     its own definition, so that no dead public surface grows back unseen and
-    no helper outlives its last caller."""
+    no helper outlives its last caller.  The package's PEP 562 hooks are
+    called by the interpreter, not from ``src``."""
     definitions, references = {}, set()
     for path in sorted((ROOT / "src" / "emlang").glob("*.py")):
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -58,8 +59,10 @@ def test_every_public_definition_is_exported_or_used():
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
                 if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
                     references.add(name)
+    hooks = {"__getattr__": "__init__.py", "__dir__": "__init__.py"}
     dead = {name: where for name, where in definitions.items()
-            if name not in emlang.__all__ and name not in references}
+            if name not in emlang.__all__ and name not in references
+            and where.split(":")[0] != hooks.get(name)}
     assert not dead, f"neither exported nor used: {dead}"
 
 
@@ -83,6 +86,63 @@ def test_modules_import_only_public_names_and_kernels_stand_alone():
     schema = ast.parse((package / "schema.py").read_text(encoding="utf-8"))
     defined = {node.name for node in schema.body if isinstance(node, ast.FunctionDef)}
     assert not defined & {"run_starts", "distinct_keys", "observed_by_group"}
+
+
+# The modules every command-line run imports, and the one behind ``distance``.
+NUMPY_FREE = ("__init__", "cli", "errors", "distance")
+
+
+def module_level_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module) of each import that runs when the module is imported:
+    every one outside a function body.  A relative import is named in full,
+    ``emlang.x``."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append((node.lineno, f"emlang.{node.module}" if node.level else node.module))
+        elif isinstance(node, ast.ImportFrom):  # from . import x
+            found += [(node.lineno, f"emlang.{alias.name}") for alias in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_start_up_modules_import_no_numpy():
+    """``emlang``, ``cli``, ``errors`` and ``distance`` import numpy nowhere
+    at module level, nor any emlang module outside this set, so ``--help``
+    and ``distance`` start without numpy and every command imports only
+    what it runs."""
+    package = ROOT / "src" / "emlang"
+    found = []
+    for name in NUMPY_FREE:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for line, module in module_level_imports(tree):
+            top, *below = module.split(".")
+            if top == "numpy" or (top == "emlang" and below and below[0] not in NUMPY_FREE):
+                found.append(f"{name}.py:{line} {module}")
+    assert not found, f"numpy reached at start-up: {found}"
+
+
+def test_import_gate_sees_every_kind_of_module_level_import():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from . import corpus\n"
+        "if True:\n"
+        "    from .rules import Pattern\n"
+        "class C:\n"
+        "    from numpy import ndarray\n"
+        "    def f(self):\n"
+        "        import numpy\n"
+        "def g():\n"
+        "    from .synth import gen_noisy\n"
+    )
+    assert sorted(module_level_imports(tree)) == [
+        (1, "numpy"), (2, "emlang.corpus"), (4, "emlang.rules"), (6, "numpy"),
+    ]
 
 
 def test_no_module_names_numpy_random():

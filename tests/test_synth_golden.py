@@ -21,14 +21,20 @@ import pytest
 from emlang.corpus import build_corpus, serialize_corpus
 from emlang.errors import EmlangError
 from emlang.report import render_rule_table
-from emlang.schema import Attribute, AttributeSchema, HyperattributeDef, ValueMap, parse_expression
+from emlang.schema import (
+    Attribute,
+    AttributeSchema,
+    HyperattributeDef,
+    ValueMap,
+    moprd_schema,
+    parse_expression,
+)
 from emlang.synth import (
     combination_codes,
     concept_schema,
     gen_compositional,
     gen_holistic,
     gen_noisy,
-    moprd_schema,
 )
 
 SCHEMAS = {
