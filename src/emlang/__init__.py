@@ -21,7 +21,6 @@ _EXPORTS = {
     "load_corpus": "corpus",
     "serialize_corpus": "corpus",
     "levenshtein": "distance",
-    "GameConfig": "game",
     "run_lewis_game": "game",
     "AccuracyMatrix": "metrics",
     "TopSimReport": "metrics",
@@ -35,7 +34,6 @@ _EXPORTS = {
     "Pattern": "rules",
     "RuleTable": "rules",
     "SemanticRule": "rules",
-    "constant_positions": "rules",
     "extract_rules": "rules",
     "global_constants": "rules",
     "Attribute": "schema",

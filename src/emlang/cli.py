@@ -217,7 +217,7 @@ def _cmd_topsim(args) -> None:
 
 
 def _cmd_game(args) -> None:
-    from .game import GameConfig, run_lewis_game
+    from .game import run_lewis_game
     from .report import render_metrics
 
     schema = _load_schema(args.schema)
@@ -226,14 +226,14 @@ def _cmd_game(args) -> None:
     for size in (args.speakers, args.listeners):
         if not 1 <= size <= MAX_POPULATION:
             raise ConfigError(f"a population holds 1 to {MAX_POPULATION} agents, not {size}")
-    config = GameConfig(
-        seed=args.seed,
+    matrix = run_lewis_game(
+        loaded,
+        args.seed,
         candidate_count=args.candidates,
         episodes=args.episodes,
         speakers=(loaded,) * args.speakers,
         listeners=(loaded,) * args.listeners,
     )
-    matrix = run_lewis_game(loaded, config)
     _emit(render_metrics(matrix, args.format), args.out)
 
 

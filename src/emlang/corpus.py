@@ -69,7 +69,7 @@ from .errors import (
     TokenOutOfRange,
     has_lone_surrogate,
 )
-from .kernels import first_of_max, run_starts, token_keys
+from .kernels import run_starts, token_keys
 from .schema import AttributeSchema, code_attributes, extend_codes
 
 Message = tuple[int, ...]
@@ -140,8 +140,15 @@ class AnnotatedCorpus:
             bad = next(i for i in ids if has_lone_surrogate(i))
             raise DocumentSyntaxError(f"sample id {bad!r} holds a lone surrogate")
         _check_integers((self.owners, "owner"))
-        owners = np.asarray(self.owners, dtype=np.int64)
-        if not owners.shape == np.shape(self.counts) == (len(self.messages),):
+        try:
+            owners = np.asarray(self.owners, dtype=np.int64)
+        except OverflowError:  # an owner past int64: kept as an int, refused by the bounds check
+            owners = np.asarray(self.owners, dtype=object)
+        try:
+            one_per_row = owners.shape == np.shape(self.counts) == (len(self.messages),)
+        except ValueError:  # ragged counts
+            one_per_row = False
+        if not one_per_row:
             raise DocumentSyntaxError("messages, owners and counts need one entry per row")
         if len(owners) and not 0 <= owners.min() <= owners.max() < len(ids):
             raise DocumentSyntaxError("a message owner lies outside the samples")
@@ -212,6 +219,8 @@ def _check_integers(*named) -> None:
     for entries, what in named:
         if isinstance(entries, np.ndarray) and entries.dtype.kind in "iu":
             continue
+        if not np.iterable(entries):  # one entry: the shape check refuses it if an integer
+            entries = (entries,)
         if what == "token":
             try:
                 entries = list(chain.from_iterable(entries))
@@ -636,10 +645,3 @@ def filter_by_frequency(corpus: AnnotatedCorpus, threshold: float) -> AnnotatedC
         owners=corpus.owners[kept],
         counts=corpus.counts[kept],
     )
-
-
-def representative_of(corpus: AnnotatedCorpus) -> np.ndarray:
-    """Row of each sample's highest-count message, ties going to the smallest
-    row, which holds the lexicographically smallest message."""
-    return first_of_max(corpus.owners, corpus.counts)
-

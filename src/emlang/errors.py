@@ -60,10 +60,6 @@ class EmptySample(EmlangError):
     code = "EmptySample"
 
 
-class EmptyInput(EmlangError):
-    code = "EmptyInput"
-
-
 class EmptyCorpus(EmlangError):
     code = "EmptyCorpus"
 

@@ -21,8 +21,6 @@ distinct listener corpus, sorted message-major (by message id, then owner).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import AnnotatedCorpus, config_int
@@ -34,19 +32,6 @@ from .metrics import AccuracyMatrix
 # counts, then hit draws, so a new size changes every matrix.
 _BATCH = 2**14
 _SCALE = 2**53  # hit draws are uniform below it, and a float holds each exactly
-
-
-@dataclass(frozen=True)
-class GameConfig:
-    """Evaluation setup; ``speakers``/``listeners`` default to ``(corpus,)``."""
-
-    seed: int
-    candidate_count: int = 20
-    episodes: int = 10_000
-    speakers: tuple[AnnotatedCorpus, ...] = ()
-    listeners: tuple[AnnotatedCorpus, ...] = ()
-
-    __hash__ = None
 
 
 def _listener_table(
@@ -87,8 +72,17 @@ def _hit_chances(n: int, k: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([float(_SCALE)], (n - k - b).clip(0) / (n - 1 - b))))
 
 
-def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatrix:
-    """Play every (speaker, listener) pair for ``episodes`` rounds each.
+def run_lewis_game(
+    corpus: AnnotatedCorpus,
+    seed: int,
+    *,
+    candidate_count: int = 20,
+    episodes: int = 10_000,
+    speakers: tuple[AnnotatedCorpus, ...] = (),
+    listeners: tuple[AnnotatedCorpus, ...] = (),
+) -> AccuracyMatrix:
+    """Play every (speaker, listener) pair for ``episodes`` rounds each;
+    ``speakers`` and ``listeners`` default to ``(corpus,)``.
 
     Per episode: draw a target, let the speaker describe it, and score a hit
     with the chance that none of ``candidate_count - 1`` distractors, drawn
@@ -96,8 +90,7 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
     count and episode count are integers, numpy's included and bool not;
     else ConfigError.
     """
-    fields = {"seed": config.seed, "candidate count": config.candidate_count,
-              "episode count": config.episodes}
+    fields = {"seed": seed, "candidate count": candidate_count, "episode count": episodes}
     seed, k, episodes = (config_int(value, name) for name, value in fields.items())
     n = len(corpus.sample_ids)
     if k < 2:
@@ -107,8 +100,8 @@ def run_lewis_game(corpus: AnnotatedCorpus, config: GameConfig) -> AccuracyMatri
     if episodes < 1:
         raise ConfigError("need at least one episode")
 
-    speaker_corpora = config.speakers or (corpus,)
-    listener_corpora = config.listeners or (corpus,)
+    speaker_corpora = speakers or (corpus,)
+    listener_corpora = listeners or (corpus,)
     agents = {id(a): a for a in (*speaker_corpora, *listener_corpora)}
     for agent in agents.values():
         # samples are sorted by id, so an agent's owners index the game corpus's samples

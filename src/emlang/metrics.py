@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, config_int, representative_of
+from .corpus import AnnotatedCorpus, config_int
 from .errors import CapacityError, ConfigError, LengthMismatch, ZeroVariance
-from .kernels import Stream, column_major
+from .kernels import Stream, column_major, first_of_max
 
 # Exact enumeration for up to 2000 samples; seeded sampling beyond.
 DEFAULT_MAX_PAIRS = 2000 * 1999 // 2
@@ -255,7 +255,8 @@ def topsim(
     attribute_count = codes.shape[1]
     columns = column_major(codes)
     # Levenshtein reads tokens only through equality: dense ids of the narrowest type
-    reps = corpus.messages[representative_of(corpus)]
+    # each sample's highest-count row; ties go to the smallest, the smallest message
+    reps = corpus.messages[first_of_max(corpus.owners, corpus.counts)]
     distinct, dense = np.unique(reps, return_inverse=True)
     reps = dense.reshape(reps.shape).astype(np.min_scalar_type(len(distinct)))
     # distances lie in 0..attribute_count and 0..message_length

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Message, filter_by_frequency
-from .errors import EmptyCorpus, EmptyInput
+from .corpus import AnnotatedCorpus, filter_by_frequency
+from .errors import EmptyCorpus
 from .kernels import column_major, distinct_keys, find_rows, run_starts, token_keys
 from .schema import AttributeSchema
 
@@ -48,9 +48,6 @@ class Pattern:
     @property
     def positions(self) -> tuple[int, ...]:
         return tuple(pos for pos, _ in self.cells)
-
-    def is_empty(self) -> bool:
-        return not self.cells
 
 
 @dataclass(frozen=True)
@@ -72,22 +69,14 @@ class RuleTable:
         return len(self.rules)
 
 
-def constant_positions(messages: list[Message] | np.ndarray) -> Pattern:
-    """Positions (with their shared token) on which all messages agree."""
-    if len(messages) == 0:
-        raise EmptyInput("cannot intersect an empty message set")
-    arr = np.asarray(messages, dtype=np.int64)
-    constant = (arr == arr[0]).all(axis=0)
-    return Pattern.from_dict(
-        {int(pos): int(arr[0, pos]) for pos in np.flatnonzero(constant)}
-    )
-
-
 def global_constants(corpus: AnnotatedCorpus) -> Pattern:
-    """Positions constant across every retained message of every sample."""
-    if not len(corpus.messages):
+    """Positions, with their shared token, constant across every retained
+    message of every sample."""
+    messages = corpus.messages
+    if not len(messages):
         raise EmptyCorpus("corpus holds no messages")
-    return constant_positions(corpus.messages)
+    constant = np.flatnonzero((messages == messages[0]).all(axis=0))
+    return Pattern(tuple(zip(constant.tolist(), messages[0, constant].tolist())))
 
 
 def semantic_rules(
@@ -95,7 +84,6 @@ def semantic_rules(
     values: np.ndarray,
     owners: np.ndarray,
     codes: np.ndarray,
-    columns: list[int],
     positions: list[int],
 ) -> tuple[SemanticRule, ...]:
     """The rules of a table of rows, in canonical order: the one grouping
@@ -103,7 +91,7 @@ def semantic_rules(
 
     Row r of ``values`` holds values at the ascending message ``positions``
     and belongs to sample ``owners[r]``, whose property codes are row
-    ``owners[r]`` of ``codes``.  For each property column in ``columns`` and
+    ``owners[r]`` of ``codes``.  For each property column of ``codes`` and
     each of its codes that some row carries, that group of rows keeps the
     positions whose value is constant over it; groups that keep the same
     (position, value) cells make one rule, whose pattern is those cells and
@@ -120,13 +108,10 @@ def semantic_rules(
     sort that makes the groups' cells distinct gives the canonical order:
     by positions, then values.
     """
-    columns = sorted(set(columns))  # so the groups come in (column, code) order
-    if not columns:
-        return ()
     by_column = column_major(values)
     size = int(by_column.max(initial=0)) + 1  # every value lies below it
     group_columns, group_codes, lows, highs = [], [], [], []
-    for column in columns:
+    for column in range(codes.shape[1]):  # so the groups come in (column, code) order
         keys = codes[owners, column]
         order = np.argsort(keys)
         keys = keys[order]
@@ -222,11 +207,7 @@ def observed_by_group(
     return list(zip(*per_property)) if per_property else [()] * count
 
 
-def extract_rules(
-    corpus: AnnotatedCorpus,
-    threshold: float = 0.15,
-    properties: list[str] | None = None,
-) -> RuleTable:
+def extract_rules(corpus: AnnotatedCorpus, threshold: float = 0.15) -> RuleTable:
     """Run the full detection pipeline and return the rule table.
 
     Steps: frequency-filter the corpus once, up front; compute the global
@@ -237,16 +218,12 @@ def extract_rules(
     from :func:`semantic_rules`, which never reads the constant positions.
     """
     filtered = filter_by_frequency(corpus, threshold)
-    schema = filtered.schema
-    props = schema.property_names if properties is None else tuple(properties)
-    columns = [schema.column(prop) for prop in props]  # an unknown name raises UnknownReference
-
     globals_ = global_constants(filtered)
     constant = set(globals_.positions)
     positions = [p for p in range(filtered.message_length) if p not in constant]
     rules = semantic_rules(
-        schema, filtered.messages[:, positions], filtered.owners, filtered.codes,
-        columns, positions,
+        filtered.schema, filtered.messages[:, positions], filtered.owners, filtered.codes,
+        positions,
     )
     return RuleTable(
         message_length=filtered.message_length,

@@ -34,7 +34,6 @@ from .corpus import (
 )
 from .errors import CapacityError
 from .kernels import Stream, narrowest, run_starts
-from .rules import Pattern, RuleTable, semantic_rules
 from .schema import Attribute, AttributeSchema, extend_codes
 
 # Leading positions that every message of a holistic language shares.
@@ -73,6 +72,15 @@ def combination_count(schema: AttributeSchema) -> int:
             f"{count} attribute combinations exceed the generator bound of {MAX_COMBINATIONS}"
         )
     return count
+
+
+def _check_cells(count: int, message_length: int) -> None:
+    """``CapacityError`` if ``count`` messages of ``message_length`` pass ``MAX_MESSAGE_CELLS``."""
+    if count * message_length > MAX_MESSAGE_CELLS:
+        raise CapacityError(
+            f"{count} combinations x message length {message_length} exceed "
+            f"the generator bound of {MAX_MESSAGE_CELLS} message cells"
+        )
 
 
 def combination_codes(schema: AttributeSchema) -> np.ndarray:
@@ -150,6 +158,8 @@ def gen_compositional(
     equal their attribute edit distance.  The stream draws the positions,
     then the value codes, then the filler tokens by ascending position.
     """
+    from .rules import Pattern  # imported here, so gen_noisy loads no rule extraction
+
     message_length, vocab_size, seed = _shape_and_seed(message_length, vocab_size, seed)
     names = schema.attribute_names
     if message_length < len(names):
@@ -162,11 +172,7 @@ def gen_compositional(
             f"vocabulary of {vocab_size} too small for a domain of {max_domain}"
         )
     count = combination_count(schema)
-    if count * message_length > MAX_MESSAGE_CELLS:
-        raise CapacityError(
-            f"{count} combinations x message length {message_length} exceed "
-            f"the generator bound of {MAX_MESSAGE_CELLS} message cells"
-        )
+    _check_cells(count, message_length)
 
     stream = Stream(seed)
     positions = _distinct(stream, message_length, len(names))
@@ -211,6 +217,8 @@ def ground_truth_table(codebook: Codebook) -> RuleTable:
     injective, so cell and value constraints coincide).  Attributes with
     one-value domains are globally constant and belong to the skeleton.
     """
+    from .rules import Pattern, RuleTable, semantic_rules
+
     schema = codebook.schema
     codes = extend_codes(schema, combination_codes(schema))  # attributes first
     positions, tokens = codebook.positions, codebook.tokens
@@ -223,8 +231,7 @@ def ground_truth_table(codebook: Codebook) -> RuleTable:
     for column, (_, a) in enumerate(varying):
         np.take(np.array(tokens[a], dtype=narrow), codes[:, a], out=values[:, column])
     rules = semantic_rules(
-        schema, values, np.arange(len(codes)), codes,
-        range(len(schema.property_names)), [pos for pos, _ in varying],
+        schema, values, np.arange(len(codes)), codes, [pos for pos, _ in varying]
     )
     return RuleTable(
         message_length=codebook.message_length,
@@ -255,11 +262,7 @@ def gen_holistic(
     # than count messages, so the power is built only when it is small
     if (vocab_size < 2 or variable < count.bit_length()) and vocab_size**variable < count:
         raise CapacityError(f"{vocab_size}^{variable} messages cannot cover {count} combinations")
-    if count * message_length > MAX_MESSAGE_CELLS:
-        raise CapacityError(
-            f"{count} combinations x message length {message_length} exceed "
-            f"the generator bound of {MAX_MESSAGE_CELLS} message cells"
-        )
+    _check_cells(count, message_length)
     codes = combination_codes(schema)
     stream = Stream(seed)
     prefix = stream.below(vocab_size, HOLISTIC_PREFIX_LENGTH)

@@ -19,7 +19,7 @@ import pytest
 from emlang.corpus import AnnotatedCorpus, filter_by_frequency, serialize_corpus
 from emlang.distance import levenshtein
 from emlang.errors import ZeroVariance
-from emlang.game import GameConfig, run_lewis_game
+from emlang.game import run_lewis_game
 from emlang.metrics import accuracy_per_speaker, spearman, topsim
 from emlang.rules import Pattern, RuleTable, SemanticRule, extract_rules
 from emlang.synth import (
@@ -177,7 +177,7 @@ def test_criterion_5_holistic_signature(moprd):
     # degenerates to the lone empty rule and the fixed prefix stays global
     table = extract_rules(scattered, threshold=0.15)
     assert set(table.global_constants.positions) == {0, 1}
-    assert table.rule_count == 1 and table.rules[0].pattern.is_empty()
+    assert table.rule_count == 1 and not table.rules[0].pattern.cells
 
     # one-concept-per-message corpus: every rule is a full combination of
     # the variable positions, and the fixed prefix appears only globally
@@ -226,7 +226,7 @@ def test_criterion_7_levenshtein_axioms():
 
 def test_criterion_8_game_harness(moprd):
     perfect, _ = gen_compositional(moprd, 10, 20, seed=1)
-    matrix = run_lewis_game(perfect, GameConfig(seed=5, candidate_count=20, episodes=400))
+    matrix = run_lewis_game(perfect, seed=5, candidate_count=20, episodes=400)
     assert matrix.values == ((1.0,),)
 
     constant = build_corpus(
@@ -235,18 +235,16 @@ def test_criterion_8_game_harness(moprd):
         10,
         [(f"{i:02d}", combo, (0,) * 10, 1) for i, combo in enumerate(attribute_product(moprd))],
     )
-    chance = run_lewis_game(constant, GameConfig(seed=101, candidate_count=5, episodes=10_000))
+    chance = run_lewis_game(constant, seed=101, candidate_count=5, episodes=10_000)
     assert 0.17 <= chance.values[0][0] <= 0.23
 
     population = run_lewis_game(
         perfect,
-        GameConfig(
-            seed=7,
-            candidate_count=10,
-            episodes=50,
-            speakers=(perfect,) * 10,
-            listeners=(perfect,) * 10,
-        ),
+        seed=7,
+        candidate_count=10,
+        episodes=50,
+        speakers=(perfect,) * 10,
+        listeners=(perfect,) * 10,
     )
     assert accuracy_per_speaker(population) == (1.0,) * 10
 

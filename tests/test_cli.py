@@ -576,6 +576,8 @@ BENCHMARK_SHAPED = {
     "game": ["game", "--corpus", "corpus.jsonl", "--schema", "schema.json", "--candidates", "5",
              "--episodes", "200", "--speakers", "2", "--listeners", "2", "--seed", "1",
              "--out", "game.json"],
+    "synth": ["synth", "--kind", "noisy", "--corpus", "corpus.jsonl", "--schema", "schema.json",
+              "--synonyms", "8", "--minority-share", "0.1", "--seed", "1", "--out", "noisy.jsonl"],
 }
 
 
@@ -586,6 +588,7 @@ BENCHMARK_SHAPED = {
     ("topsim", "emlang.synth"),
     ("game", "emlang.rules"),
     ("game", "emlang.synth"),
+    ("synth", "emlang.rules"),
 ])
 def test_command_loads_only_its_modules(tmp_path, reference_corpus, name, module):
     """Each command imports the modules it runs when it starts, and nothing

@@ -21,7 +21,6 @@ from emlang.corpus import (
     build_corpus,
     filter_by_frequency,
     load_corpus,
-    representative_of,
     serialize_blocks,
     serialize_corpus,
 )
@@ -34,6 +33,7 @@ from emlang.errors import (
     LengthMismatch,
     TokenOutOfRange,
 )
+from emlang.kernels import first_of_max
 from emlang.schema import (
     Attribute,
     AttributeSchema,
@@ -184,6 +184,25 @@ def test_array_construction_checks():
     ]:
         with pytest.raises(error):
             AnnotatedCorpus(TINY, 4, 2, **{**good, **change})
+
+
+@pytest.mark.parametrize(("change", "message"), [
+    ({"owners": [0, 2**64]}, "a message owner lies outside the samples"),
+    ({"owners": [0, -(2**64)]}, "a message owner lies outside the samples"),
+    ({"counts": [[1, 2], [3]]}, "messages, owners and counts need one entry per row"),
+    ({"owners": 0}, "messages, owners and counts need one entry per row"),
+    ({"owners": None}, "message owner None is not an integer"),
+], ids=["owner-past-int64", "owner-below-int64", "ragged-counts", "scalar-owners", "no-owners"])
+def test_rows_numpy_cannot_hold_are_syntax_errors(change, message):
+    """Owners or counts that make no int64 entry per row are refused in the
+    words of the row checks, not by a raw OverflowError, ValueError or TypeError."""
+    good = dict(
+        sample_ids=("s", "t"), attribute_codes=[[0], [1]],
+        messages=[[1, 2], [0, 3]], owners=[0, 1], counts=[2, 1],
+    )
+    with pytest.raises(DocumentSyntaxError) as caught:
+        AnnotatedCorpus(TINY, 4, 2, **{**good, **change})
+    assert str(caught.value) == message
 
 
 def test_derived_corpora_never_call_property_codes(monkeypatch, reference_corpus):
@@ -649,7 +668,7 @@ def test_representative_message():
     """Each sample's highest-count message; a tie goes to the smallest message."""
 
     def representative(corpus):
-        return corpus.messages[representative_of(corpus)].tolist()
+        return corpus.messages[first_of_max(corpus.owners, corpus.counts)].tolist()
 
     assert representative(share_corpus({(1, 2): 5, (1, 3): 2})) == [[1, 2]]
     assert representative(share_corpus({(2, 1): 3, (1, 3): 3})) == [[1, 3]]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from emlang.corpus import build_corpus
 from emlang.errors import ConfigError
 from emlang.game import (
-    GameConfig,
     _beaten_by,
     _hit_chances,
     _listener_table,
@@ -40,28 +39,26 @@ def constant_corpus(moprd):
 
 def test_perfect_pair_hits_every_episode(moprd):
     corpus, _ = gen_compositional(moprd, 10, 20, seed=1)
-    matrix = run_lewis_game(corpus, GameConfig(seed=5, candidate_count=20, episodes=400))
+    matrix = run_lewis_game(corpus, seed=5, candidate_count=20, episodes=400)
     assert matrix.values == ((1.0,),)
 
 
 def test_constant_speaker_near_chance(moprd):
-    matrix = run_lewis_game(
-        constant_corpus(moprd), GameConfig(seed=101, candidate_count=5, episodes=10_000)
-    )
+    matrix = run_lewis_game(constant_corpus(moprd), seed=101, candidate_count=5, episodes=10_000)
     accuracy = matrix.values[0][0]
     assert 0.17 <= accuracy <= 0.23
 
 
 def test_population_of_perfect_pairs(moprd):
     corpus, _ = gen_compositional(moprd, 10, 20, seed=2)
-    config = GameConfig(
+    matrix = run_lewis_game(
+        corpus,
         seed=7,
         candidate_count=10,
         episodes=50,
         speakers=(corpus,) * 10,
         listeners=(corpus,) * 10,
     )
-    matrix = run_lewis_game(corpus, config)
     assert matrix.values == tuple((1.0,) * 10 for _ in range(10))
     assert accuracy_per_speaker(matrix) == (1.0,) * 10
 
@@ -72,35 +69,33 @@ def test_cells_independent_of_population_shape(moprd):
     speaker, listener = constant_corpus(moprd), corpus
     small = run_lewis_game(
         corpus,
-        GameConfig(seed=9, candidate_count=5, episodes=300, speakers=(speaker,), listeners=(listener,)),
+        seed=9, candidate_count=5, episodes=300, speakers=(speaker,), listeners=(listener,),
     )
     big = run_lewis_game(
         corpus,
-        GameConfig(
-            seed=9,
-            candidate_count=5,
-            episodes=300,
-            speakers=(speaker, corpus),
-            listeners=(listener, corpus),
-        ),
+        seed=9,
+        candidate_count=5,
+        episodes=300,
+        speakers=(speaker, corpus),
+        listeners=(listener, corpus),
     )
     assert big.values[0][0] == small.values[0][0]
 
 
 def test_same_seed_reproduces(moprd):
     corpus, _ = gen_compositional(moprd, 10, 20, seed=4)
-    config = GameConfig(seed=77, candidate_count=5, episodes=200)
-    assert run_lewis_game(corpus, config) == run_lewis_game(corpus, config)
+    config = {"seed": 77, "candidate_count": 5, "episodes": 200}
+    assert run_lewis_game(corpus, **config) == run_lewis_game(corpus, **config)
 
 
 def test_config_validation(moprd):
     corpus, _ = gen_compositional(moprd, 10, 20, seed=4)
     with pytest.raises(ConfigError):
-        run_lewis_game(corpus, GameConfig(seed=1, candidate_count=101))
+        run_lewis_game(corpus, seed=1, candidate_count=101)
     with pytest.raises(ConfigError):
-        run_lewis_game(corpus, GameConfig(seed=1, candidate_count=1))
+        run_lewis_game(corpus, seed=1, candidate_count=1)
     with pytest.raises(ConfigError):
-        run_lewis_game(corpus, GameConfig(seed=1, candidate_count=5, episodes=0))
+        run_lewis_game(corpus, seed=1, candidate_count=5, episodes=0)
 
 
 def test_config_fields_must_be_integers(moprd):
@@ -113,16 +108,13 @@ def test_config_fields_must_be_integers(moprd):
         ("candidate_count", 2.5), ("candidate_count", True), ("candidate_count", np.float64(3)),
         ("episodes", 2.5), ("episodes", "5"), ("episodes", True), ("episodes", np.bool_(True)),
     ]:
-        config = GameConfig(**{"seed": 1, "candidate_count": 5, "episodes": 10, field: value})
+        config = {"seed": 1, "candidate_count": 5, "episodes": 10, field: value}
         with pytest.raises(ConfigError, match="must be an integer"):
-            run_lewis_game(corpus, config)
-    config = GameConfig(seed=3, candidate_count=5, episodes=50, speakers=(noisy,))
-    matrix = run_lewis_game(corpus, config)
+            run_lewis_game(corpus, **config)
+    matrix = run_lewis_game(corpus, seed=3, candidate_count=5, episodes=50, speakers=(noisy,))
     assert matrix.episodes_per_cell == 50 and matrix.values[0][0] < 1.0
-    numpy_config = replace(
-        config, seed=np.int64(3), candidate_count=np.int32(5), episodes=np.uint16(50)
-    )
-    assert run_lewis_game(corpus, numpy_config) == matrix
+    numpy_config = {"seed": np.int64(3), "candidate_count": np.int32(5), "episodes": np.uint16(50)}
+    assert run_lewis_game(corpus, **numpy_config, speakers=(noisy,)) == matrix
 
 
 def coarse_corpus(language):
@@ -159,10 +151,10 @@ def test_every_cell_matches_the_closed_form(moprd, k):
     for population in (closed_form_population(moprd), ties_population(moprd)):
         compositional = population[0]
         episodes = 20_000
-        config = GameConfig(
-            seed=11, candidate_count=k, episodes=episodes, speakers=population, listeners=population
+        matrix = run_lewis_game(
+            compositional, seed=11, candidate_count=k, episodes=episodes,
+            speakers=population, listeners=population,
         )
-        matrix = run_lewis_game(compositional, config)
         for i, speaker in enumerate(population):
             for j, listener in enumerate(population):
                 expected = closed_form_accuracy(speaker, listener, k)
@@ -198,9 +190,11 @@ def test_all_samples_as_candidates_hit_exactly_the_unbeaten_targets(moprd):
     }
     targets = Stream(3, 0, 0).below(n, episodes).tolist()
     unbeaten = sum(brute_beaten_by(share_of, n, said[t][0][0], t) == 0 for t in targets)
-    config = GameConfig(seed=3, candidate_count=n, episodes=episodes, listeners=(listener,))
     assert 0 < unbeaten < episodes
-    assert run_lewis_game(compositional, config).values == ((unbeaten / episodes,),)
+    matrix = run_lewis_game(
+        compositional, seed=3, candidate_count=n, episodes=episodes, listeners=(listener,)
+    )
+    assert matrix.values == ((unbeaten / episodes,),)
 
 
 @pytest.mark.parametrize(("n", "k"), [(2, 2), (6, 2), (6, 4), (6, 6), (7, 3), (100, 20), (100, 100),
@@ -257,10 +251,11 @@ GOLDEN_ACCURACY = {
                          ids=GOLDEN_ACCURACY.keys())
 def test_game_golden_accuracy(moprd, k, seed, values):
     population = closed_form_population(moprd)
-    config = GameConfig(
-        seed=seed, candidate_count=k, episodes=9000, speakers=population, listeners=population
+    matrix = run_lewis_game(
+        population[0], seed, candidate_count=k, episodes=9000,
+        speakers=population, listeners=population,
     )
-    assert repr(run_lewis_game(population[0], config).values) == values
+    assert repr(matrix.values) == values
 
 
 def two_message_corpus(moprd):
@@ -307,10 +302,11 @@ GOLDEN_TIES = {
                          ids=GOLDEN_TIES.keys())
 def test_game_golden_ties_and_unheard_messages(moprd, k, seed, episodes, values):
     population = ties_population(moprd)
-    config = GameConfig(
-        seed=seed, candidate_count=k, episodes=episodes, speakers=population, listeners=population
+    matrix = run_lewis_game(
+        population[0], seed, candidate_count=k, episodes=episodes,
+        speakers=population, listeners=population,
     )
-    assert repr(run_lewis_game(population[0], config).values) == values
+    assert repr(matrix.values) == values
 
 
 def test_ids_differing_by_a_trailing_nul_are_distinct_samples(moprd):
@@ -322,7 +318,7 @@ def test_ids_differing_by_a_trailing_nul_are_distinct_samples(moprd):
         for sample_id, source in zip(("a", "a\x00"), corpus.sample_ids)
     ]
     pair = build_corpus(moprd, 20, 10, records)
-    matrix = run_lewis_game(pair, GameConfig(seed=1, candidate_count=2, episodes=100))
+    matrix = run_lewis_game(pair, seed=1, candidate_count=2, episodes=100)
     assert matrix.values == ((1.0,),)
 
 
@@ -341,7 +337,7 @@ def test_listener_ignores_the_order_of_its_corpus(moprd):
     values = [
         run_lewis_game(
             compositional,
-            GameConfig(seed=2, candidate_count=5, episodes=2000, speakers=(noisy,), listeners=(listener,)),
+            seed=2, candidate_count=5, episodes=2000, speakers=(noisy,), listeners=(listener,),
         ).values
         for listener in (noisy, reordered)
     ]
@@ -431,9 +427,6 @@ def test_agents_must_hold_the_game_samples(moprd):
     renamed = build_corpus(moprd, 20, 10, [("x" + r[0], *r[1:]) for r in records])
     longer = build_corpus(moprd, 20, 11, [(*r[:2], r[2] + (0,), 1) for r in records])
     for agent in (fewer, renamed, longer):
-        for config in (
-            GameConfig(seed=1, candidate_count=5, speakers=(agent,)),
-            GameConfig(seed=1, candidate_count=5, listeners=(agent,)),
-        ):
+        for role in ({"speakers": (agent,)}, {"listeners": (agent,)}):
             with pytest.raises(ConfigError):
-                run_lewis_game(corpus, config)
+                run_lewis_game(corpus, seed=1, candidate_count=5, **role)

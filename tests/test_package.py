@@ -66,6 +66,26 @@ def test_every_public_definition_is_exported_or_used():
     assert not dead, f"neither exported nor used: {dead}"
 
 
+def test_every_error_code_is_raised():
+    """Each ``EmlangError`` subclass of ``errors.py`` but the base is raised
+    somewhere in ``src/emlang``, so that no error code outlives its last raise."""
+    from emlang import errors
+
+    codes = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.EmlangError)
+        and value is not errors.EmlangError
+    }
+    raised = set()
+    for path in sorted((ROOT / "src" / "emlang").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                error = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(error).split(".")[-1])
+    assert codes, "no error codes found"
+    assert not codes - raised, f"never raised: {sorted(codes - raised)}"
+
+
 def test_modules_import_only_public_names_and_kernels_stand_alone():
     """No module of ``src/emlang`` imports another's underscore name, so each
     shared helper is public where it is defined.  The array kernels live in

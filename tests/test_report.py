@@ -251,14 +251,14 @@ def test_render_rejects_ill_typed_metrics(fuzz_path, fields, key, value):
 
 
 def test_render_keeps_real_metrics_byte_for_byte(fuzz_path, moprd):
-    from emlang.game import GameConfig, run_lewis_game
+    from emlang.game import run_lewis_game
     from emlang.metrics import topsim
 
     corpus = gen_holistic(moprd, 10, 20, seed=3)
     reports = [
         topsim(corpus),
         topsim(corpus, max_pairs=300, seed=-(2**70)),
-        run_lewis_game(corpus, GameConfig(candidate_count=5, episodes=40, seed=1)),
+        run_lewis_game(corpus, seed=1, candidate_count=5, episodes=40),
         TopSimReport(rho=-1.0, pair_count=2, sampled=False, seed=None),
         AccuracyMatrix(values=((1.0, 0.0),), episodes_per_cell=1),
     ]

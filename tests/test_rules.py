@@ -8,13 +8,8 @@ from dataclasses import replace
 import pytest
 
 from emlang.corpus import build_corpus, filter_by_frequency
-from emlang.errors import EmptyCorpus, EmptyInput, UnknownReference
-from emlang.rules import (
-    Pattern,
-    constant_positions,
-    extract_rules,
-    global_constants,
-)
+from emlang.errors import EmptyCorpus
+from emlang.rules import Pattern, extract_rules, global_constants
 from emlang.schema import AttributeSchema, Attribute, parse_schema
 from emlang.synth import concept_schema, gen_holistic, gen_noisy
 
@@ -27,22 +22,27 @@ from oracles import (
 )
 
 
-def test_constant_positions_single_message():
-    assert constant_positions([(3, 1, 4)]) == Pattern.from_dict({0: 3, 1: 1, 2: 4})
+ONE_VALUE = AttributeSchema(attributes=(Attribute(name="a", domain=("x",)),))
 
 
-def test_constant_positions_disagreement():
-    assert constant_positions([(1, 2), (1, 3)]) == Pattern.from_dict({0: 1})
+def one_sample(*messages):
+    """A corpus whose one sample sends each message once."""
+    vocab_size = max(map(max, messages)) + 1
+    return build_corpus(ONE_VALUE, vocab_size, len(messages[0]),
+                        [("s", {"a": "x"}, message, 1) for message in messages])
 
 
-def test_constant_positions_three_messages():
-    got = constant_positions([(5, 5, 5), (5, 6, 5), (5, 7, 5)])
+def test_global_constants_single_message():
+    assert global_constants(one_sample((3, 1, 4))) == Pattern.from_dict({0: 3, 1: 1, 2: 4})
+
+
+def test_global_constants_disagreement():
+    assert global_constants(one_sample((1, 2), (1, 3))) == Pattern.from_dict({0: 1})
+
+
+def test_global_constants_three_messages():
+    got = global_constants(one_sample((5, 5, 5), (5, 6, 5), (5, 7, 5)))
     assert got == Pattern.from_dict({0: 5, 2: 5})
-
-
-def test_constant_positions_empty_input():
-    with pytest.raises(EmptyInput):
-        constant_positions([])
 
 
 def test_global_constants_on_reference_corpus(reference_corpus):
@@ -111,7 +111,7 @@ def test_fully_invariant_language_collapses_to_one_empty_rule(moprd):
     table = extract_rules(corpus, threshold=0.15)
     assert table.rule_count == 1
     (rule,) = table.rules
-    assert rule.pattern.is_empty()
+    assert not rule.pattern.cells
     every_value = {
         (prop, value) for prop in moprd.property_names for value in moprd.domain(prop)
     }
@@ -158,11 +158,6 @@ def test_coverage_single_sample():
     rule = rules[(0, 0), (1, 2)]
     assert rule.support == 1
     assert dict(rule.coverage) == {"size": ("small",), "tone": ("dark",)}
-
-
-def test_extract_rejects_unknown_property(reference_corpus):
-    with pytest.raises(UnknownReference):
-        extract_rules(reference_corpus, properties=["colour"])
 
 
 def test_extract_empty_corpus():
@@ -225,15 +220,6 @@ def test_matches_exhaustive_oracle(seed):
     except AssertionError:
         return  # oracle does not model the EmptySample path
     assert extract_rules(corpus, threshold) == expected
-
-
-def test_extract_with_property_subset(reference_corpus):
-    table = extract_rules(reference_corpus, threshold=0.15, properties=["shape1"])
-    seen = {prop for rule in table.rules for prop, _ in rule.evidence}
-    assert seen == {"shape1"}
-    values = {v for rule in table.rules for p, v in rule.evidence}
-    assert values == set(reference_corpus.schema.domain("shape1"))
-    assert naive_extract_rules(reference_corpus, 0.15, ["shape1"]) == table
 
 
 def test_shared_combinations_are_separate_samples():
