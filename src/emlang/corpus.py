@@ -142,11 +142,13 @@ class AnnotatedCorpus:
         _check_integers((self.owners, "owner"))
         try:
             owners = np.asarray(self.owners, dtype=np.int64)
-        except OverflowError:  # an owner past int64: kept as an int, refused by the bounds check
+        except (OverflowError, TypeError):
+            # an owner past int64, kept as an int and refused by the bounds check;
+            # or a container with no entry per row, such as a generator: a 0-d array
             owners = np.asarray(self.owners, dtype=object)
         try:
             one_per_row = owners.shape == np.shape(self.counts) == (len(self.messages),)
-        except ValueError:  # ragged counts
+        except (ValueError, TypeError):  # ragged counts, or messages without a length
             one_per_row = False
         if not one_per_row:
             raise DocumentSyntaxError("messages, owners and counts need one entry per row")

@@ -301,45 +301,41 @@ def _metrics_from(doc: dict) -> TopSimReport | AccuracyMatrix:
     """
     kind = doc.get("kind")
     if kind == "topsim_report":
-        read = _topsim_from
-    elif kind == "accuracy_matrix":
-        read = _accuracy_from
-    else:
-        raise DocumentSyntaxError(f"unknown document kind {kind!r}")
-    try:
-        report = read(doc)
-    except (KeyError, OverflowError):  # a missing field; an int too large for a float
-        report = None
-    if report is None:
-        raise DocumentSyntaxError("malformed metrics document")
-    return report
+        return _topsim_from(doc)
+    if kind == "accuracy_matrix":
+        return _accuracy_from(doc)
+    raise DocumentSyntaxError(f"unknown document kind {kind!r}")
 
 
 def _is_number(value) -> bool:
     return type(value) is int or type(value) is float
 
 
-def _topsim_from(doc: dict) -> TopSimReport | None:
-    rho, pair_count, sampled, seed = (doc[key] for key in ("rho", "pair_count", "sampled", "seed"))
-    if not (_is_number(rho) and math.isfinite(rho)):
-        return None
-    # spearman needs two pairs; only a sampled report names its seed
-    if not (is_int(pair_count) and pair_count >= 2 and type(sampled) is bool):
-        return None
-    if not (is_int(seed) if sampled else seed is None):
-        return None
+def _topsim_from(doc: dict) -> TopSimReport:
+    try:
+        rho, pair_count, sampled, seed = (doc[k] for k in ("rho", "pair_count", "sampled", "seed"))
+        # spearman needs two pairs; only a sampled report names its seed
+        valid = (
+            _is_number(rho) and math.isfinite(rho)
+            and is_int(pair_count) and pair_count >= 2 and type(sampled) is bool
+            and (is_int(seed) if sampled else seed is None)
+        )
+    except (KeyError, OverflowError):  # a missing field; an int too large for a float
+        valid = False
+    if not valid:
+        raise DocumentSyntaxError("malformed metrics document")
     return TopSimReport(rho=float(rho), pair_count=pair_count, sampled=sampled, seed=seed)
 
 
-def _accuracy_from(doc: dict) -> AccuracyMatrix | None:
-    episodes, rows = doc["episodes_per_cell"], doc["values"]
-    if not (is_int(episodes) and episodes >= 1) or type(rows) is not list or not rows:
-        return None
+def _accuracy_from(doc: dict) -> AccuracyMatrix:
+    episodes, rows = doc.get("episodes_per_cell"), doc.get("values")
     # a rectangle: every speaker plays the same listeners, and at least one
-    if any(type(row) is not list or len(row) != len(rows[0]) for row in rows) or not rows[0]:
-        return None
-    if not all(_is_number(v) and 0 <= v <= 1 for row in rows for v in row):
-        return None
+    if not (
+        is_int(episodes) and episodes >= 1 and type(rows) is list and rows
+        and all(type(row) is list and len(row) == len(rows[0]) for row in rows) and rows[0]
+        and all(_is_number(v) and 0 <= v <= 1 for row in rows for v in row)
+    ):
+        raise DocumentSyntaxError("malformed metrics document")
     values = tuple(tuple(float(v) for v in row) for row in rows)
     return AccuracyMatrix(values=values, episodes_per_cell=episodes)
 

@@ -39,6 +39,7 @@ operations here are safe to call concurrently.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -55,9 +56,6 @@ from .errors import (
 )
 
 BOOL_DOMAIN = ("F", "T")
-
-_RESERVED = set("(){},=")
-_KEYWORDS = {"and", "or", "not", "in"}
 
 # Deepest accepted expression, counting operator levels and open parentheses
 # alike.  Every walk over an expression tree recurses once per level, so the
@@ -108,39 +106,40 @@ class Or:
 Expr = Ref | Equals | Member | Not | And | Or
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "=":
-            if text[i : i + 2] != "==":
-                raise DocumentSyntaxError(f"expected '==' at position {i} in expression {text!r}")
-            tokens.append("==")
-            i += 2
-        elif ch in _RESERVED:
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in _RESERVED:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+# Binary operators from loosest to tightest; each chains to the left, and
+# 'not' binds tighter than both.  The parser and the renderer read this table.
+_BINARY = (("or", Or), ("and", And))
+_BINDING = {node_type: level for level, (_, node_type) in enumerate(_BINARY)} | {Not: len(_BINARY)}
+
+# The tokens that are not words.  A word runs to the next whitespace or
+# character of a symbol; a '=' outside '==' matches alone and is refused.
+_SYMBOLS = ("==", "(", ")", "{", "}", ",")
+_TOKEN = re.compile(
+    "|".join(map(re.escape, _SYMBOLS)) + rf"|=|[^\s{re.escape(''.join(_SYMBOLS))}]+"
+)
+_NOT_NAMES = frozenset({*_SYMBOLS, "and", "or", "not", "in"})
 
 
 class _ExprParser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = []
+        for match in _TOKEN.finditer(text):  # only whitespace lies between matches
+            if match[0] == "=":
+                raise DocumentSyntaxError(
+                    f"expected '==' at position {match.start()} in expression {text!r}"
+                )
+            self.tokens.append(match[0])
         self.pos = 0
-        self.open = 0  # parentheses and 'not's enclosing the current token
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def accept(self, tok: str) -> bool:
+        """Consume the next token if it is ``tok``."""
+        found = self.peek() == tok
+        self.pos += found
+        return found
 
     def take(self) -> str:
         tok = self.peek()
@@ -154,12 +153,10 @@ class _ExprParser:
         if got != tok:
             raise DocumentSyntaxError(f"expected {tok!r} but found {got!r} in expression {self.text!r}")
 
-    def take_word(self) -> str:
+    def take_name(self, refusal: str = "expected an identifier but found") -> str:
         tok = self.take()
-        if tok in _KEYWORDS or tok in _RESERVED or tok == "==":
-            raise DocumentSyntaxError(
-                f"expected an identifier but found {tok!r} in expression {self.text!r}"
-            )
+        if tok in _NOT_NAMES:
+            raise DocumentSyntaxError(f"{refusal} {tok!r} in expression {self.text!r}")
         return tok
 
     def bounded(self, depth: int) -> int:
@@ -169,58 +166,39 @@ class _ExprParser:
             )
         return depth
 
-    def parse(self) -> Expr:
-        expr, _ = self.or_expr()
-        if self.peek() is not None:
-            raise DocumentSyntaxError(f"trailing tokens after expression {self.text!r}")
-        return expr
+    # Each parse method takes the count of parentheses and 'not's enclosing
+    # it, and returns its tree with the tree's operator height.
 
-    def or_expr(self) -> tuple[Expr, int]:
-        return self.chain("or", self.and_expr, Or)
-
-    def and_expr(self) -> tuple[Expr, int]:
-        return self.chain("and", self.not_expr, And)
-
-    def chain(self, keyword: str, operand, node_type) -> tuple[Expr, int]:
-        """Left-associative ``operand (keyword operand)*``."""
-        node, height = operand()
-        while self.peek() == keyword:
-            self.take()
-            right, right_height = operand()
+    def binary(self, level: int, enclosing: int) -> tuple[Expr, int]:
+        """Left-associative ``operand (keyword operand)*`` for ``_BINARY[level]``."""
+        if level == len(_BINARY):
+            return self.not_expr(enclosing)
+        keyword, node_type = _BINARY[level]
+        node, height = self.binary(level + 1, enclosing)
+        while self.accept(keyword):
+            right, right_height = self.binary(level + 1, enclosing)
             node, height = node_type(node, right), self.bounded(max(height, right_height) + 1)
         return node, height
 
-    def not_expr(self) -> tuple[Expr, int]:
-        if self.peek() == "not":
-            self.take()
-            self.open = self.bounded(self.open + 1)
-            operand, height = self.not_expr()
-            self.open -= 1
-            return Not(operand), self.bounded(height + 1)
-        return self.atom()
+    def not_expr(self, enclosing: int) -> tuple[Expr, int]:
+        if not self.accept("not"):
+            return self.atom(enclosing)
+        operand, height = self.not_expr(self.bounded(enclosing + 1))
+        return Not(operand), self.bounded(height + 1)
 
-    def atom(self) -> tuple[Expr, int]:
-        tok = self.take()
-        if tok == "(":
-            self.open = self.bounded(self.open + 1)
-            node = self.or_expr()
-            self.open -= 1
+    def atom(self, enclosing: int) -> tuple[Expr, int]:
+        if self.accept("("):
+            node = self.binary(0, self.bounded(enclosing + 1))
             self.expect(")")
             return node
-        if tok in _KEYWORDS or tok in _RESERVED or tok == "==":
-            raise DocumentSyntaxError(f"unexpected token {tok!r} in expression {self.text!r}")
-        name = tok
-        nxt = self.peek()
-        if nxt == "==":
-            self.take()
-            return Equals(name, self.take_word()), 0
-        if nxt == "in":
-            self.take()
+        name = self.take_name("unexpected token")
+        if self.accept("=="):
+            return Equals(name, self.take_name()), 0
+        if self.accept("in"):
             self.expect("{")
-            values = [self.take_word()]
-            while self.peek() == ",":
-                self.take()
-                values.append(self.take_word())
+            values = [self.take_name()]
+            while self.accept(","):
+                values.append(self.take_name())
             self.expect("}")
             return Member(name, tuple(values)), 0
         return Ref(name), 0
@@ -229,29 +207,32 @@ class _ExprParser:
 def parse_expression(text: str) -> Expr:
     """Parse an expression string; raises DocumentSyntaxError on bad syntax
     and on nesting deeper than ``MAX_EXPRESSION_DEPTH``."""
-    return _ExprParser(text).parse()
+    parser = _ExprParser(text)
+    expr, _ = parser.binary(0, 0)
+    if parser.peek() is not None:
+        raise DocumentSyntaxError(f"trailing tokens after expression {text!r}")
+    return expr
 
 
 def render_expression(expr: Expr) -> str:
     """Canonical text form; ``parse_expression(render_expression(e)) == e``."""
 
-    def render(node: Expr, parent: str) -> str:
+    def render(node: Expr, place: int) -> str:
+        """``node`` in parentheses if it binds looser than ``place``."""
         if isinstance(node, Ref):
             return node.name
         if isinstance(node, Equals):
             return f"{node.prop} == {node.value}"
         if isinstance(node, Member):
             return f"{node.prop} in {{{', '.join(node.values)}}}"
+        level = _BINDING[type(node)]
         if isinstance(node, Not):
-            inner = render(node.operand, "not")
-            return f"not {inner}"
-        if isinstance(node, And):
-            text = f"{render(node.left, 'and')} and {render(node.right, 'and_rhs')}"
-            return f"({text})" if parent in ("not", "and_rhs") else text
-        text = f"{render(node.left, 'or')} or {render(node.right, 'or_rhs')}"
-        return f"({text})" if parent in ("not", "and", "and_rhs", "or_rhs") else text
+            text = f"not {render(node.operand, level)}"
+        else:  # a right operand at the same level would regroup to the left
+            text = f"{render(node.left, level)} {_BINARY[level][0]} {render(node.right, level + 1)}"
+        return f"({text})" if level < place else text
 
-    return render(expr, "top")
+    return render(expr, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,24 +356,22 @@ class AttributeSchema:
         """Attributes then hyperattributes, in declaration order."""
         return self.attribute_names + tuple(h.name for h in self.hyperattributes)
 
-    def domain(self, prop: str) -> tuple[str, ...]:
-        """Ordered value list: declared domain, ``(F, T)``, or value-map labels."""
+    def _property(self, table: dict, prop: str):
         try:
-            return self._domains[prop]
+            return table[prop]
         except KeyError:
             raise UnknownReference(f"unknown property {prop!r}") from None
+
+    def domain(self, prop: str) -> tuple[str, ...]:
+        """Ordered value list: declared domain, ``(F, T)``, or value-map labels."""
+        return self._property(self._domains, prop)
 
     def column(self, prop: str) -> int:
         """Index of ``prop`` in ``property_names``: its column of :func:`extend_codes`."""
-        try:
-            return self._columns[prop]
-        except KeyError:
-            raise UnknownReference(f"unknown property {prop!r}") from None
+        return self._property(self._columns, prop)
 
     def domain_index(self, prop: str, value: str) -> int:
-        index = self._indices.get(prop)
-        if index is None:
-            raise UnknownReference(f"unknown property {prop!r}")
+        index = self._property(self._indices, prop)
         try:
             return index[value]
         except (KeyError, TypeError):  # TypeError: an unhashable value, such as a JSON list

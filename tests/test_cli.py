@@ -179,8 +179,24 @@ def test_synth_refuses_flags_its_kind_does_not_read(workdir, tmp_path, kind, fla
     inputs = ["--corpus", str(workdir / "corpus.jsonl")] if kind == "noisy" else []
     result = run_cli("synth", "--kind", kind, "--schema", "moprd", "--seed", "1", *inputs,
                      flag, value, "--out", "corpus.jsonl", cwd=tmp_path)
+    kinds = {
+        "--truth-out": "compositional",
+        "--corpus": "noisy",
+        "--synonyms": "noisy",
+        "--minority-share": "noisy",
+        "--msg-len": "compositional and holistic",
+        "--vocab": "compositional and holistic",
+    }[flag]
     assert (result.returncode, result.stdout) == (1, "")
-    assert result.stderr.startswith("ConfigError: ")
+    assert result.stderr == f"ConfigError: {flag} applies to synth --kind {kinds} only\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["compositional", "holistic"])
+def test_synth_needs_a_schema(tmp_path, kind):
+    result = run_cli("synth", "--kind", kind, "--seed", "1", "--out", "corpus.jsonl", cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "SyntaxError: synth needs --schema\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -184,6 +184,9 @@ def test_array_construction_checks():
     ]:
         with pytest.raises(error):
             AnnotatedCorpus(TINY, 4, 2, **{**good, **change})
+    with pytest.raises(LengthMismatch) as caught:
+        AnnotatedCorpus(TINY, 4, 2, **{**good, "messages": [1, 2]})  # one flat message
+    assert str(caught.value) == "messages of shape (2,), expected rows of length 2"
 
 
 @pytest.mark.parametrize(("change", "message"), [
@@ -192,10 +195,19 @@ def test_array_construction_checks():
     ({"counts": [[1, 2], [3]]}, "messages, owners and counts need one entry per row"),
     ({"owners": 0}, "messages, owners and counts need one entry per row"),
     ({"owners": None}, "message owner None is not an integer"),
-], ids=["owner-past-int64", "owner-below-int64", "ragged-counts", "scalar-owners", "no-owners"])
+    ({"messages": 5}, "messages, owners and counts need one entry per row"),
+    ({"messages": None}, "messages, owners and counts need one entry per row"),
+    ({"messages": (m for m in [[1, 2], [0, 3]])}, "messages, owners and counts need one entry per row"),
+    ({"owners": (o for o in [0, 1])}, "messages, owners and counts need one entry per row"),
+    ({"owners": {0: 0, 1: 1}}, "messages, owners and counts need one entry per row"),
+], ids=[
+    "owner-past-int64", "owner-below-int64", "ragged-counts", "scalar-owners", "no-owners",
+    "scalar-messages", "no-messages", "message-generator", "owner-generator", "owner-dict",
+])
 def test_rows_numpy_cannot_hold_are_syntax_errors(change, message):
-    """Owners or counts that make no int64 entry per row are refused in the
-    words of the row checks, not by a raw OverflowError, ValueError or TypeError."""
+    """Rows that make no int64 entry per row, or come in a container without
+    one entry per row, are refused in the words of the row checks, not by a
+    raw OverflowError, ValueError or TypeError."""
     good = dict(
         sample_ids=("s", "t"), attribute_codes=[[0], [1]],
         messages=[[1, 2], [0, 3]], owners=[0, 1], counts=[2, 1],
@@ -957,6 +969,17 @@ def test_lexer_edges_match_record_by_record_oracle(monkeypatch, text, lexed):
     )
     assert outcome(load_corpus, text) == outcome(naive_load_corpus, text)
     assert scanned == ([] if lexed else [1])
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_repeated_record_counts_are_checked_after_the_merge(count):
+    """A record whose count is below 1 loads when a repeat of it brings the
+    sum to at least 1: both readers and the oracle give the summed count."""
+    first = FIRST.replace('"count": 3', f'"count": {count}')
+    for text in (document(HEADER, first, SECOND, FIRST), spelt_apart(first, SECOND, FIRST)):
+        corpus = load_corpus(text, TWO)
+        assert corpus == naive_load_corpus(text, TWO)
+        assert rows_by_sample(corpus)["s0"] == (((1, 2), count + 3),)
 
 
 def spelt_apart(*records):

@@ -255,6 +255,8 @@ def test_topsim_sampling_reproducible(moprd):
     assert a.sampled and a.seed == 11 and a.pair_count == 500
     c = topsim(corpus, max_pairs=500, seed=12)
     assert c.rho != a.rho  # different draw; equality would be a seed plumbing bug
+    with pytest.raises(ConfigError, match="^max_pairs must be at least 2$"):
+        topsim(corpus, max_pairs=1, seed=11)
     with pytest.raises(ConfigError):
         topsim(corpus, max_pairs=500)
 

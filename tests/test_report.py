@@ -109,6 +109,19 @@ def test_layouts_refuse_a_property_outside_the_schema(reference_table, moprd, fo
             render_rule_table(table, format, schema=moprd)
 
 
+def test_render_refuses_unknown_formats_and_types(reference_table):
+    results = [
+        (render_rule_table, reference_table),
+        (render_metrics, TopSimReport(rho=1.0, pair_count=4950, sampled=False, seed=None)),
+        (render_metrics, AccuracyMatrix(values=((1.0,),), episodes_per_cell=1)),
+    ]
+    for render, result in results:
+        with pytest.raises(DocumentSyntaxError, match="^unknown format 'html'$"):
+            render(result, "html")
+    with pytest.raises(DocumentSyntaxError, match="^cannot render RuleTable$"):
+        render_metrics(reference_table)
+
+
 def test_placeholder_sequence():
     assert placeholders(4) == ["XX", "YY", "ZZ", "AA"]
     assert placeholders(27)[26] == "XX2"
@@ -149,6 +162,9 @@ def test_accuracy_matrix_rendering():
 def test_parse_rejections(reference_table):
     with pytest.raises(DocumentSyntaxError):
         parse_structured("not json")
+    for text in ("[]", '"rule_table"', "null"):
+        with pytest.raises(DocumentSyntaxError, match="^structured document must be a JSON object$"):
+            parse_structured(text)
     with pytest.raises(DocumentSyntaxError):
         parse_structured('{"kind": "accuracy_matrix"}')
     with pytest.raises(DocumentSyntaxError):

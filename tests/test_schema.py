@@ -239,9 +239,27 @@ def test_expression_round_trip():
 
 
 def test_expression_syntax_errors():
-    for bad in ["a ==", "a in {x", "and a", "a b", "(a == x", "a = x"]:
-        with pytest.raises(DocumentSyntaxError):
+    """Each refusal of the expression parser, with its exact text."""
+    for bad, text in [
+        ("a = x", "expected '==' at position 2 in expression 'a = x'"),
+        ("a ==  =", "expected '==' at position 6 in expression 'a ==  ='"),
+        ("a ==", "unexpected end of expression 'a =='"),
+        ("a in {x", "unexpected end of expression 'a in {x'"),
+        ("(a == x", "unexpected end of expression '(a == x'"),
+        ("not", "unexpected end of expression 'not'"),
+        ("", "unexpected end of expression ''"),
+        ("a in x", "expected '{' but found 'x' in expression 'a in x'"),
+        ("a in {x y}", "expected '}' but found 'y' in expression 'a in {x y}'"),
+        ("a == and", "expected an identifier but found 'and' in expression 'a == and'"),
+        ("a in {x,}", "expected an identifier but found '}' in expression 'a in {x,}'"),
+        ("a == )", "expected an identifier but found ')' in expression 'a == )'"),
+        ("and a", "unexpected token 'and' in expression 'and a'"),
+        (")", "unexpected token ')' in expression ')'"),
+        ("a b", "trailing tokens after expression 'a b'"),
+    ]:
+        with pytest.raises(DocumentSyntaxError) as caught:
             parse_expression(bad)
+        assert str(caught.value) == text
 
 
 def test_expression_nesting_bound():
@@ -261,8 +279,45 @@ def test_expression_nesting_bound():
         "(" + " or ".join(["a"] * (limit // 2 + 10)) + ")" + " and a" * (limit // 2),
     ]
     for text in too_deep:
-        with pytest.raises(DocumentSyntaxError):
+        with pytest.raises(DocumentSyntaxError) as caught:
             parse_expression(text)
+        assert str(caught.value) == f"expression nests deeper than {limit} levels: {text!r}"
+
+
+def test_expression_nesting_bound_mixes_parentheses_and_not():
+    """Open parentheses and enclosing 'not's count against one bound."""
+    limit = MAX_EXPRESSION_DEPTH
+    for parens in (0, 1, limit // 2, limit - 1, limit):
+        nots = limit - parens
+        text = "(" * parens + "not " * nots + "a" + ")" * parens
+        expr = parse_expression(text)
+        assert parse_expression(render_expression(expr)) == expr
+        text = "(" * parens + "not " * (nots + 1) + "a" + ")" * parens
+        with pytest.raises(DocumentSyntaxError, match="nests deeper than"):
+            parse_expression(text)
+
+
+@pytest.mark.parametrize(("body", "reason"), [
+    ('"expr": "a == x", "map": {"source": "a", "cases": {"x": "x", "y": "y"}}',
+     "hyperattribute 'p' has both 'expr' and 'map'"),
+    ('"expr": ["a == x"]', "hyperattribute 'p' 'expr' must be a string"),
+    ('"map": {"source": "a"}', "hyperattribute 'p' 'map' needs 'source' and 'cases'"),
+    ('"map": {"cases": {"x": "x", "y": "y"}}', "hyperattribute 'p' 'map' needs 'source' and 'cases'"),
+    ('"map": ["a"]', "hyperattribute 'p' 'map' needs 'source' and 'cases'"),
+    ('"map": {"source": "a", "cases": {"x": 1, "y": "y"}}',
+     "hyperattribute 'p' 'cases' must map strings to strings"),
+    ('"map": {"source": "a", "cases": ["x", "y"]}',
+     "hyperattribute 'p' 'cases' must map strings to strings"),
+    ('"value": "a == x"', "hyperattribute 'p' needs 'expr' or 'map'"),
+])
+def test_hyperattribute_shape_errors(body, reason):
+    doc = (
+        '{"attributes": [{"name": "a", "values": ["x", "y"]}],'
+        ' "hyperattributes": [{"name": "p", ' + body + "}]}"
+    )
+    with pytest.raises(DocumentSyntaxError) as caught:
+        parse_schema(doc)
+    assert str(caught.value) == reason
 
 
 def test_bare_reference_requires_boolean():
