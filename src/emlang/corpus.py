@@ -91,6 +91,8 @@ _SERIALIZE_BLOCK = 512
 _SERIALIZE_BYTES = 2**20
 # Up to this maximum, serialize_corpus indexes its digit tables by value.
 _DIRECT_DIGITS = 2**16
+# The containers the constructor takes for its messages, and for each row.
+_ROWS = (list, tuple, np.ndarray)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +109,9 @@ class AnnotatedCorpus:
     when all rows are valid, else in Python integers by the one check that
     words a row error.  A header number, token or count that is not an
     integer is refused, not cast; a numpy integer header number is stored
-    as an int.  Arrays are stored fresh and read-only.
+    as an int.  The messages and each of their rows are a list, tuple or
+    array: a set or dict row has no token order.  Arrays are stored fresh
+    and read-only.
     """
 
     schema: AttributeSchema
@@ -147,8 +151,10 @@ class AnnotatedCorpus:
             # or a container with no entry per row, such as a generator: a 0-d array
             owners = np.asarray(self.owners, dtype=object)
         try:
-            one_per_row = owners.shape == np.shape(self.counts) == (len(self.messages),)
-        except (ValueError, TypeError):  # ragged counts, or messages without a length
+            one_per_row = isinstance(self.messages, _ROWS) and (
+                owners.shape == np.shape(self.counts) == (len(self.messages),)
+            )
+        except (ValueError, TypeError):  # ragged counts, or a 0-d message array
             one_per_row = False
         if not one_per_row:
             raise DocumentSyntaxError("messages, owners and counts need one entry per row")
@@ -226,7 +232,7 @@ def _check_integers(*named) -> None:
         if what == "token":
             try:
                 entries = list(chain.from_iterable(entries))
-            except TypeError:  # not rows of tokens: the shape check words it
+            except TypeError:  # not rows of tokens: the shape or row check words it
                 continue
         bad = [t for t in set(map(type, entries)) if t is not int and not issubclass(t, np.integer)]
         if bad:
@@ -312,12 +318,14 @@ def _int64_rows(owners, msgs, counts, vocab_size, message_length):
     try:
         messages = np.asarray(msgs, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, TypeError):  # TypeError: rows such as sets
         return None
     if messages.ndim != 2:
         raise LengthMismatch(
             f"messages of shape {messages.shape}, expected rows of length {message_length}"
         )
+    if not isinstance(msgs, np.ndarray) and not all(isinstance(row, _ROWS) for row in msgs):
+        return None  # a row numpy reads but the constructor refuses, such as a range
     # a float64 sum of positive counts reaches 2**53 exactly when the exact sum
     # does: rounding is monotone and 2**53 is a float
     if not (
@@ -341,9 +349,13 @@ def _int64_rows(owners, msgs, counts, vocab_size, message_length):
 def _exact_rows(sample_ids, vocab_size, message_length, owners, msgs, counts):
     """The merged canonical rows, merged in Python integers so that sums
     cannot wrap, or the error of the first invalid row in canonical order.
-    The only code that words a row error."""
+    The only code that words a row error; a row that is not one of ``_ROWS``,
+    such as a set or bytes, is refused before any row is read."""
     if isinstance(msgs, np.ndarray):
         msgs = msgs.tolist()
+    for index, message in enumerate(msgs):
+        if not isinstance(message, _ROWS):
+            raise DocumentSyntaxError(f"message row {index} is not a list of tokens")
     merged: dict[tuple[int, Message], int] = {}
     for owner, message, count in zip(owners.tolist(), map(tuple, msgs), np.asarray(counts).tolist()):
         merged[owner, message] = merged.get((owner, message), 0) + count

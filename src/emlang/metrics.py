@@ -61,9 +61,9 @@ def average_ranks(values) -> np.ndarray:
 
     Integers in ``0..len(values)`` are ranked by counting: ``np.bincount``
     gives each value's tie group, with no sort and at most one bin more than
-    there are values.  Any other input is ranked through ``np.unique``, on a
-    float copy unless it is bool, integer or float, so integers past 2**53
-    stay apart.  Both paths apply the same formula to the same counts, so
+    there are values.  Any other input is ranked through ``np.unique`` in its
+    own dtype, so integers past 2**53 stay apart, in an object array past
+    2**64 too.  Both paths apply the same formula to the same counts, so
     integer input ranks bit-identically to an exact float copy.
     """
     arr = np.asarray(values)
@@ -72,8 +72,6 @@ def average_ranks(values) -> np.ndarray:
     if integers and 0 <= arr.min(initial=0) and arr.max(initial=0) <= len(arr):
         inverse, counts = arr, np.bincount(arr)
     else:
-        if arr.dtype.kind not in "biuf":
-            arr = arr.astype(float)
         _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
     # a tie group ending at rank r shares ranks r - count + 1 .. r
     return (np.cumsum(counts) - (counts - 1) / 2)[inverse]

@@ -80,17 +80,11 @@ def render_rule_table(table: RuleTable, format: str = "structured",
     """Render a rule table; markdown/csv need the schema for column order."""
     if format == "structured":
         return _rule_table_structured(table)
-    if format == "markdown":
-        return _rule_table_markdown(table, _require_schema(schema))
-    if format == "csv":
-        return _rule_table_csv(table, _require_schema(schema))
-    raise DocumentSyntaxError(f"unknown format {format!r}")
-
-
-def _require_schema(schema: AttributeSchema | None) -> AttributeSchema:
+    if format not in ("markdown", "csv"):
+        raise DocumentSyntaxError(f"unknown format {format!r}")
     if schema is None:
         raise DocumentSyntaxError("markdown/csv rendering requires the schema")
-    return schema
+    return (_rule_table_markdown if format == "markdown" else _rule_table_csv)(table, schema)
 
 
 def _rule_table_structured(table: RuleTable) -> str:
@@ -255,6 +249,10 @@ def _rule_table_csv(table: RuleTable, schema: AttributeSchema) -> str:
 # ---------------------------------------------------------------------------
 
 def render_metrics(report: TopSimReport | AccuracyMatrix, format: str = "structured") -> str:
+    if not isinstance(report, (TopSimReport, AccuracyMatrix)):
+        raise DocumentSyntaxError(f"cannot render {type(report).__name__}")
+    if format not in ("structured", "markdown"):
+        raise DocumentSyntaxError(f"unknown format {format!r}")
     if isinstance(report, TopSimReport):
         if format == "structured":
             return _dumps(
@@ -266,45 +264,22 @@ def render_metrics(report: TopSimReport | AccuracyMatrix, format: str = "structu
                     "seed": report.seed,
                 }
             )
-        if format == "markdown":
-            mode = f"sampled, seed={report.seed}" if report.sampled else "exact"
-            return f"TopSim: {report.rho:.4f} ({report.pair_count} pairs, {mode})\n"
-        raise DocumentSyntaxError(f"unknown format {format!r}")
-    if isinstance(report, AccuracyMatrix):
-        if format == "structured":
-            return _dumps(
-                {
-                    "kind": "accuracy_matrix",
-                    "episodes_per_cell": report.episodes_per_cell,
-                    "values": [list(row) for row in report.values],
-                }
-            )
-        if format == "markdown":
-            lines = [f"Accuracy over {report.episodes_per_cell} episodes per pair:"]
-            for i, row in enumerate(report.values):
-                lines.append(
-                    f"- speaker {i}: " + " ".join(f"{v:.4f}" for v in row)
-                )
-            means = accuracy_per_speaker(report)
-            lines.append("Per-speaker mean: " + " ".join(f"{m:.4f}" for m in means))
-            return "\n".join(lines) + "\n"
-        raise DocumentSyntaxError(f"unknown format {format!r}")
-    raise DocumentSyntaxError(f"cannot render {type(report).__name__}")
-
-
-def _metrics_from(doc: dict) -> TopSimReport | AccuracyMatrix:
-    """The report a structured metrics document holds.
-
-    Each field must have the JSON type that ``render_metrics`` writes for a
-    result of ``topsim`` or ``run_lewis_game``; nothing is coerced, so a
-    document that parses re-renders with the same values.
-    """
-    kind = doc.get("kind")
-    if kind == "topsim_report":
-        return _topsim_from(doc)
-    if kind == "accuracy_matrix":
-        return _accuracy_from(doc)
-    raise DocumentSyntaxError(f"unknown document kind {kind!r}")
+        mode = f"sampled, seed={report.seed}" if report.sampled else "exact"
+        return f"TopSim: {report.rho:.4f} ({report.pair_count} pairs, {mode})\n"
+    if format == "structured":
+        return _dumps(
+            {
+                "kind": "accuracy_matrix",
+                "episodes_per_cell": report.episodes_per_cell,
+                "values": [list(row) for row in report.values],
+            }
+        )
+    lines = [f"Accuracy over {report.episodes_per_cell} episodes per pair:"]
+    for i, row in enumerate(report.values):
+        lines.append(f"- speaker {i}: " + " ".join(f"{v:.4f}" for v in row))
+    means = accuracy_per_speaker(report)
+    lines.append("Per-speaker mean: " + " ".join(f"{m:.4f}" for m in means))
+    return "\n".join(lines) + "\n"
 
 
 def _is_number(value) -> bool:
@@ -341,8 +316,16 @@ def _accuracy_from(doc: dict) -> AccuracyMatrix:
 
 
 def parse_structured(text: str) -> RuleTable | TopSimReport | AccuracyMatrix:
-    """Parse any structured result document, chosen by its ``kind``."""
+    """Parse any structured result document, chosen by its ``kind``.  Nothing
+    is coerced, so a document that parses re-renders with the same values."""
     doc = parse_json(text, "structured document is not valid JSON: {}")
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("structured document must be a JSON object")
-    return _rule_table_from(doc) if doc.get("kind") == "rule_table" else _metrics_from(doc)
+    kind = doc.get("kind")
+    if kind == "rule_table":
+        return _rule_table_from(doc)
+    if kind == "topsim_report":
+        return _topsim_from(doc)
+    if kind == "accuracy_matrix":
+        return _accuracy_from(doc)
+    raise DocumentSyntaxError(f"unknown document kind {kind!r}")

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -102,10 +103,24 @@ def test_distance_refuses_a_malformed_token(capsys, text):
     )
 
 
-def test_missing_corpus_reports_code():
+def test_missing_corpus_reports_code(tmp_path, monkeypatch, capsys):
     result = run_cli("extract", "--corpus", "missing.jsonl", "--schema", "moprd")
     assert result.returncode == 1
     assert result.stderr.startswith("NotFound")
+    # a file that is not UTF-8, or that cannot be read, is named with its reason
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b"\xff\n")
+    assert cli.main(["extract", "--corpus", str(corpus), "--schema", "moprd"]) == 1
+    assert capsys.readouterr() == (
+        "", f"SyntaxError: {corpus}: not UTF-8 text (invalid start byte at byte 0)\n"
+    )
+
+    def unreadable(path, encoding=None):
+        raise OSError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    assert cli.main(["extract", "--corpus", str(corpus), "--schema", "moprd"]) == 1
+    assert capsys.readouterr() == ("", f"NotFound: cannot read {corpus}: Permission denied\n")
 
 
 def test_malformed_corpus_reports_syntax_error(workdir):

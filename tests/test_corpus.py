@@ -102,8 +102,14 @@ def test_load_rejections():
         tiny_corpus([record("s", "x", [1, 2]), record("s", "y", [1, 2])])
     with pytest.raises(DocumentSyntaxError):
         tiny_corpus([record("s", "x", [1, 2], 0)])
-    with pytest.raises(DocumentSyntaxError):
-        load_corpus(record("s", "x", [1, 2]) + "\n", TINY)  # header missing
+    for text, reason in [
+        (record("s", "x", [1, 2]) + "\n",  # header missing
+         'first line must be a header {"meta": {"vocab_size": n, "msg_len": T}}'),
+        ("[1]\n" + record("s", "x", [1, 2]) + "\n", "line 1: expected a JSON object"),
+    ]:
+        with pytest.raises(DocumentSyntaxError) as caught:
+            load_corpus(text, TINY)
+        assert str(caught.value) == reason
     with pytest.raises(DocumentSyntaxError):
         load_corpus(HEADER + "\n{broken\n", TINY)
     with pytest.raises(DocumentSyntaxError, match="line 2: invalid JSON"):
@@ -200,14 +206,26 @@ def test_array_construction_checks():
     ({"messages": (m for m in [[1, 2], [0, 3]])}, "messages, owners and counts need one entry per row"),
     ({"owners": (o for o in [0, 1])}, "messages, owners and counts need one entry per row"),
     ({"owners": {0: 0, 1: 1}}, "messages, owners and counts need one entry per row"),
+    ({"messages": {0: [1, 2], 1: [0, 3]}}, "messages, owners and counts need one entry per row"),
+    ({"messages": [[1, 2], 5]}, "message row 1 is not a list of tokens"),
+    ({"messages": [[1, 2], None]}, "message row 1 is not a list of tokens"),
+    ({"messages": [{1, 2}, {0, 3}]}, "message row 0 is not a list of tokens"),
+    ({"messages": [[1, 2], {2, 1}]}, "message row 1 is not a list of tokens"),
+    ({"messages": [[1, 2], {3: 0, 1: 0}]}, "message row 1 is not a list of tokens"),
+    ({"messages": [[0, 3], b"\x01\x02"]}, "message row 1 is not a list of tokens"),
+    ({"messages": [[1, 2], range(2)]}, "message row 1 is not a list of tokens"),
+    ({"messages": [[1, 2], "03"]}, "message token '0' is not an integer"),
 ], ids=[
     "owner-past-int64", "owner-below-int64", "ragged-counts", "scalar-owners", "no-owners",
     "scalar-messages", "no-messages", "message-generator", "owner-generator", "owner-dict",
+    "message-dict", "int-row", "none-row", "set-rows", "set-row", "dict-row", "bytes-row",
+    "range-row", "string-row",
 ])
 def test_rows_numpy_cannot_hold_are_syntax_errors(change, message):
-    """Rows that make no int64 entry per row, or come in a container without
-    one entry per row, are refused in the words of the row checks, not by a
-    raw OverflowError, ValueError or TypeError."""
+    """Rows that make no int64 entry per row, come in a container without
+    one entry per row, or are not a list, tuple or array of tokens (a set or
+    a dict has no order) are refused in the words of the row checks, not by
+    a raw OverflowError, ValueError or TypeError, and not read as tokens."""
     good = dict(
         sample_ids=("s", "t"), attribute_codes=[[0], [1]],
         messages=[[1, 2], [0, 3]], owners=[0, 1], counts=[2, 1],
@@ -626,10 +644,11 @@ def test_filter_keeps_every_share_exactly_at_threshold():
 
 def test_filter_empty_sample_reported():
     corpus = share_corpus({(0, 0): 50, (0, 1): 50})
-    with pytest.raises(EmptySample):
+    with pytest.raises(EmptySample, match="^threshold 0.6 drops every message of sample 's'$"):
         filter_by_frequency(corpus, 0.6)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as caught:
         filter_by_frequency(corpus, 1.5)
+    assert str(caught.value) == "threshold must lie in [0, 1], got 1.5"
 
 
 def random_share_corpus(rng: random.Random):

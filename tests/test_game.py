@@ -90,12 +90,17 @@ def test_same_seed_reproduces(moprd):
 
 def test_config_validation(moprd):
     corpus, _ = gen_compositional(moprd, 10, 20, seed=4)
-    with pytest.raises(ConfigError):
-        run_lewis_game(corpus, seed=1, candidate_count=101)
-    with pytest.raises(ConfigError):
-        run_lewis_game(corpus, seed=1, candidate_count=1)
-    with pytest.raises(ConfigError):
-        run_lewis_game(corpus, seed=1, candidate_count=5, episodes=0)
+    shorter, _ = gen_compositional(moprd, 9, 20, seed=4)
+    for config, reason in [
+        ({"candidate_count": 101}, "candidate count 101 exceeds 100 samples"),
+        ({"candidate_count": 1}, "candidate sets need at least two samples"),
+        ({"candidate_count": 5, "episodes": 0}, "need at least one episode"),
+        ({"candidate_count": 5, "speakers": (shorter,)},
+         "an agent corpus must hold the game corpus's samples and message length"),
+    ]:
+        with pytest.raises(ConfigError) as caught:
+            run_lewis_game(corpus, seed=1, **config)
+        assert str(caught.value) == reason
 
 
 def test_config_fields_must_be_integers(moprd):

@@ -147,14 +147,15 @@ def test_spearman_reference_points():
 
 
 def test_spearman_errors():
-    with pytest.raises(ZeroVariance):
-        spearman([1, 1, 1], [1, 2, 3])
-    with pytest.raises(ZeroVariance):
-        spearman([1, 2, 3], [5, 5, 5])
-    with pytest.raises(LengthMismatch):
-        spearman([1, 2], [1, 2, 3])
-    with pytest.raises(LengthMismatch):
-        spearman([1], [2])
+    for x, y, error, reason in [
+        ([1, 1, 1], [1, 2, 3], ZeroVariance, "a sequence is constant; rank correlation is undefined"),
+        ([1, 2, 3], [5, 5, 5], ZeroVariance, "a sequence is constant; rank correlation is undefined"),
+        ([1, 2], [1, 2, 3], LengthMismatch, "sequences of length 2 and 3"),
+        ([1], [2], LengthMismatch, "need at least two observations"),
+    ]:
+        with pytest.raises(error) as caught:
+            spearman(x, y)
+        assert str(caught.value) == reason
 
 
 def test_average_ranks_with_ties():
@@ -167,6 +168,12 @@ def test_average_ranks_keep_large_integers_apart():
     assert list(average_ranks([2**60 + 1, 2**60, 5])) == [3.0, 2.0, 1.0]
     assert list(average_ranks(np.array([2**63 - 1, 2**63 - 2], dtype=np.int64))) == [2.0, 1.0]
     assert list(average_ranks(np.array([2**64 - 1, 2**64 - 2], dtype=np.uint64))) == [2.0, 1.0]
+
+
+def test_average_ranks_keep_integers_past_uint64_apart():
+    """Python integers no NumPy integer holds (an object array) rank exactly."""
+    assert list(average_ranks([2**64, 2**64 + 1, 5])) == [2.0, 3.0, 1.0]
+    assert spearman([2**64, 2**64 + 1, 5], [2, 3, 1]) == 1.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,7 +264,7 @@ def test_topsim_sampling_reproducible(moprd):
     assert c.rho != a.rho  # different draw; equality would be a seed plumbing bug
     with pytest.raises(ConfigError, match="^max_pairs must be at least 2$"):
         topsim(corpus, max_pairs=1, seed=11)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^sampling pairs requires a seed$"):
         topsim(corpus, max_pairs=500)
 
 
@@ -309,7 +316,7 @@ def test_topsim_needs_three_samples(moprd):
         return build_corpus(moprd, 20, 10, records)
 
     for indices in ((0,), (0, 1)):
-        with pytest.raises(ConfigError, match="at least three samples"):
+        with pytest.raises(ConfigError, match="^topsim needs at least three samples$"):
             topsim(corpus_of(*indices))
     assert topsim(corpus_of(0, 1, 5)).pair_count == 3  # attribute distances 1, 2, 1
 

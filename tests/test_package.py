@@ -86,6 +86,38 @@ def test_every_error_code_is_raised():
     assert not codes - raised, f"never raised: {sorted(codes - raised)}"
 
 
+def test_every_refusal_text_is_named_by_a_test():
+    """Each raise of an ``EmlangError`` subclass in ``src/emlang`` whose
+    message holds literal text, a string or the literal parts of an f-string,
+    has the longest of those parts in some ``tests/*.py``, so that no
+    refusal's wording goes untested or changes unseen."""
+    from emlang import errors
+
+    codes = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.EmlangError)
+    }
+    tests = "".join(path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").glob("*.py")))
+    checked, unnamed = 0, []
+    for path in sorted((ROOT / "src" / "emlang").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+                continue
+            error, message = node.exc.func, node.exc.args[0]
+            name = error.id if isinstance(error, ast.Name) else getattr(error, "attr", None)
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            literals = [part.value for part in parts
+                        if isinstance(part, ast.Constant) and isinstance(part.value, str)]
+            if name not in codes or not literals:
+                continue
+            checked += 1
+            text = max(literals, key=len).strip()
+            if text not in tests:
+                unnamed.append(f"{path.name}:{node.lineno} {text!r}")
+    assert checked, "no refusal texts found"
+    assert not unnamed, f"refusal texts no test names: {unnamed}"
+
+
 def test_modules_import_only_public_names_and_kernels_stand_alone():
     """No module of ``src/emlang`` imports another's underscore name, so each
     shared helper is public where it is defined.  The array kernels live in

@@ -89,8 +89,12 @@ def test_csv_layout(reference_table, moprd):
 
 
 def test_markdown_needs_schema(reference_table):
-    with pytest.raises(DocumentSyntaxError):
-        render_rule_table(reference_table, "markdown")
+    for format in ("markdown", "csv"):
+        with pytest.raises(DocumentSyntaxError, match="^markdown/csv rendering requires the schema$"):
+            render_rule_table(reference_table, format)
+    # an unknown format is named before the missing schema
+    with pytest.raises(DocumentSyntaxError, match="^unknown format 'html'$"):
+        render_rule_table(reference_table, "html")
 
 
 @pytest.mark.parametrize("format", ["markdown", "csv"])
@@ -169,6 +173,10 @@ def test_parse_rejections(reference_table):
         parse_structured('{"kind": "accuracy_matrix"}')
     with pytest.raises(DocumentSyntaxError):
         parse_structured('{"kind": "unknown"}')
+    for text, kind in [("{}", "None"), ('{"kind": 3}', "3"), ('{"kind": [1]}', r"\[1\]"),
+                       ('{"kind": {}}', "{}")]:
+        with pytest.raises(DocumentSyntaxError, match=f"^unknown document kind {kind}$"):
+            parse_structured(text)
     with pytest.raises(DocumentSyntaxError):
         parse_structured('{"kind": "accuracy_matrix", "episodes_per_cell": 4, "values": [[], [0.5]]}')
     good = render_rule_table(reference_table, "structured")

@@ -162,9 +162,9 @@ def test_coverage_single_sample():
 
 def test_extract_empty_corpus():
     empty = build_corpus(TWO_BY_TWO, 4, 2, [])
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(EmptyCorpus, match="^corpus holds no messages$"):
         global_constants(empty)
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(EmptyCorpus, match="^corpus holds no messages$"):
         extract_rules(empty)
 
 

@@ -93,7 +93,7 @@ def test_undefined_reference_rejected():
         {"name": "fill1", "expr": "shape1 == ■"},
         {"name": "h", "expr": "g and fill1"}]}
     """
-    with pytest.raises(UnknownReference):
+    with pytest.raises(UnknownReference, match="^'h' references undefined property 'g'$"):
         parse_schema(doc)
 
 
@@ -104,7 +104,7 @@ def test_forward_reference_is_a_cycle():
         {"name": "p", "expr": "q or a == x"},
         {"name": "q", "expr": "a == y"}]}
     """
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError, match="^'p' references 'q' before it is defined$"):
         parse_schema(doc)
 
 
@@ -325,7 +325,7 @@ def test_bare_reference_requires_boolean():
     {"attributes": [{"name": "a", "values": ["x", "y"]}],
      "hyperattributes": [{"name": "p", "expr": "a"}]}
     """
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^bare reference to 'a' requires a boolean property$"):
         parse_schema(doc)
 
 
@@ -339,19 +339,28 @@ def test_literal_outside_domain_rejected():
 
 
 def test_structural_rejections():
-    with pytest.raises(DocumentSyntaxError):
+    with pytest.raises(DocumentSyntaxError, match="^schema document is not valid JSON: "):
         parse_schema("not json")
-    with pytest.raises(DocumentSyntaxError):
-        parse_schema('{"attributes": []}')
-    with pytest.raises(DomainError):
-        parse_schema('{"attributes": [{"name": "a", "values": []}]}')
-    with pytest.raises(DomainError):
-        parse_schema('{"attributes": [{"name": "a", "values": ["x", "x"]}]}')
-    with pytest.raises(DomainError):
-        parse_schema(
-            '{"attributes": [{"name": "a", "values": ["x"]},'
-            ' {"name": "a", "values": ["y"]}]}'
-        )
+    cover = '{"name": "p", "map": {"source": "a", "cases": {"x": "u"}}}'
+    for text, error, reason in [
+        ("[]", DocumentSyntaxError, "schema document must be an object with an 'attributes' key"),
+        ('{"attributes": []}', DocumentSyntaxError, "schema declares no attributes"),
+        ('{"attributes": [{"values": ["x"]}]}', DocumentSyntaxError,
+         "each attribute must be an object with a string 'name'"),
+        ('{"attributes": [{"name": "a", "values": ["x", 1]}]}', DocumentSyntaxError,
+         "attribute 'a' values must be strings"),
+        ('{"attributes": [{"name": "a", "values": []}]}', DomainError,
+         "attribute 'a' has an empty domain"),
+        ('{"attributes": [{"name": "a", "values": ["x", "x"]}]}', DomainError,
+         "attribute 'a' has duplicate values"),
+        ('{"attributes": [{"name": "a", "values": ["x"]}, {"name": "a", "values": ["y"]}]}',
+         DomainError, "duplicate property name 'a'"),
+        ('{"attributes": [{"name": "a", "values": ["x", "y"]}], "hyperattributes": [' + cover + "]}",
+         DomainError, "value map for 'p' must cover every value of 'a' exactly once"),
+    ]:
+        with pytest.raises(error) as caught:
+            parse_schema(text)
+        assert str(caught.value) == reason
 
 
 def test_sample_validation(moprd):

@@ -116,10 +116,13 @@ def test_compositional_moprd_recovered_exactly(moprd):
 
 
 def test_compositional_capacity_errors(moprd):
-    with pytest.raises(CapacityError):
-        gen_compositional(moprd, 2, 20, seed=0)  # three attributes need three cells
-    with pytest.raises(CapacityError):
-        gen_compositional(moprd, 10, 5, seed=0)  # domain of 5 needs vocab >= 6
+    for length, vocab, reason in [
+        (2, 20, "message length 2 cannot host 3 attributes"),
+        (10, 5, "vocabulary of 5 too small for a domain of 5"),  # a domain of 5 needs 6 tokens
+    ]:
+        with pytest.raises(CapacityError) as caught:
+            gen_compositional(moprd, length, vocab, seed=0)
+        assert str(caught.value) == reason
 
 
 def test_compositional_at_the_vocabulary_limit(moprd):
@@ -170,8 +173,10 @@ def test_generators_refuse_too_many_combinations_before_enumerating(monkeypatch,
 
 def test_combination_bound_is_inclusive():
     assert combination_count(concept_schema(MAX_COMBINATIONS)) == MAX_COMBINATIONS
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as caught:
         combination_count(concept_schema(MAX_COMBINATIONS + 1))
+    reason = f"{MAX_COMBINATIONS + 1} attribute combinations exceed the generator bound of {MAX_COMBINATIONS}"
+    assert str(caught.value) == reason
 
 
 # 18 two-valued attributes: 2**18 combinations, at MAX_COMBINATIONS, which
@@ -246,10 +251,10 @@ def test_holistic_deterministic(moprd):
 
 def test_holistic_capacity():
     schema = concept_schema(100)
-    with pytest.raises(CapacityError):
-        gen_holistic(schema, 5, 2, seed=0)  # 2^3 = 8 < 100
-    with pytest.raises(CapacityError):
-        gen_holistic(schema, 2, 20, seed=0)  # no variable positions left
+    with pytest.raises(CapacityError, match=r"^2\^3 messages cannot cover 100 combinations$"):
+        gen_holistic(schema, 5, 2, seed=0)
+    with pytest.raises(CapacityError, match="^need at least one variable position$"):
+        gen_holistic(schema, 2, 20, seed=0)
     # a one-token vocabulary makes one message at any length
     with pytest.raises(CapacityError, match=r"^1\^8 messages cannot cover 100 combinations$"):
         gen_holistic(schema, 10, 1, seed=0)
@@ -361,7 +366,7 @@ def test_noisy_laws_over_random_bases(data):
 
 def test_noisy_needs_two_tokens():
     base = build_corpus(concept_schema(1), 1, 2, [("s", {"concept": "c0"}, (0, 0), 1)])
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="^cannot perturb messages over a one-token vocabulary$"):
         gen_noisy(base, 1, 0.1, seed=1)
 
 
@@ -397,10 +402,14 @@ def test_noisy_count_total_bound_is_exact(count, total):
 
 def test_noisy_rejects_bad_share(moprd):
     base = base_corpus(moprd)
-    with pytest.raises(CapacityError):
-        gen_noisy(base, 1, 0.0, seed=1)
-    with pytest.raises(CapacityError):
-        gen_noisy(base, 0, 0.5, seed=1)
+    for count, share, reason in [
+        (1, 0.0, "minority share must lie in (0, 1), got 0.0"),
+        (1, 1, "minority share must lie in (0, 1), got 1"),
+        (0, 0.5, "need at least one synonym"),
+    ]:
+        with pytest.raises(CapacityError) as caught:
+            gen_noisy(base, count, share, seed=1)
+        assert str(caught.value) == reason
 
 
 @pytest.mark.parametrize(("arguments", "message"), [
